@@ -25,8 +25,8 @@ from .errors import (BlowUp, ConfigError, FastslowError, GridTooCoarse,
 from .corrector import CorrectorQuery, gradients, solve_poisson_fk
 from .ergodic import centering_residual, sample_invariant_measure
 from .harness import (ExperimentConfig, fluctuation_clt, fluctuation_integrand,
-                      fluctuation_lln, weak_error_experiment)
-from .homogenize import Budgets, regime_averages
+                      fluctuation_lln, parse_budgets, weak_error_experiment)
+from .homogenize import regime_averages
 from .model import Regime, ScaleSchedule, classify_regime, validate_assumptions
 from .presets import get_system
 
@@ -71,23 +71,6 @@ def _error_summary(out: Path | None, name: str, exc: Exception) -> None:
         "status": "error",
         "error": {"type": type(exc).__name__, "message": str(exc)},
     })
-
-
-def _budgets_from(cfg: dict) -> Budgets:
-    d = dict(cfg.get("budgets", {}))
-    kw = {}
-    if "paths_corrector" in d:
-        kw["corrector_paths"] = int(d.pop("paths_corrector"))
-    if "invariant_samples" in d:
-        kw["invariant_samples"] = int(d.pop("invariant_samples"))
-    for key in list(d):
-        if key in Budgets.__dataclass_fields__:
-            kw[key] = d.pop(key)
-        elif key in ("paths_coupled", "paths_limit"):
-            d.pop(key)
-    if d:
-        raise ConfigError(f"unknown budget fields: {sorted(d)}")
-    return Budgets(**kw)
 
 
 def _cmd_classify(args) -> int:
@@ -203,7 +186,7 @@ def _cmd_average(cfg: dict, out: Path, workers: int) -> int:
     regime = classify_regime(schedule)
     if regime is Regime.UNCLASSIFIED:
         raise ConfigError("exponents do not fall in a regime")
-    budgets = _budgets_from(cfg)
+    budgets, _, _ = parse_budgets(cfg.get("budgets", {}))
     t = float(cfg.get("t", 0.0))
     ys = cfg.get("ys") or [cfg.get("y", [0.0] * system.d2)]
     seed = int(cfg.get("seed", 0))

@@ -245,6 +245,18 @@ def _coarseness_check(grid_vals: Array, axis: int, h: float, se_med: float,
             f"{coarse_tol} x median first difference {s1:.3g} at spacing {h:g}")
 
 
+def grid_grad_x(field: CorrectorField, values: Array) -> Array:
+    """Central-difference x-gradient, (Q, k, d1), of grid values (Q, k)
+    laid out on ``field``'s tensor grid; edge nodes hold NaN."""
+    gshape = field.grid_shape
+    vals_g = values.reshape(gshape + (field.k,))
+    grad = np.empty((values.shape[0], field.k, len(gshape)))
+    for p, ax in enumerate(field.query.grid_axes):
+        g = _axis_central(vals_g, p, float(ax[1] - ax[0]))
+        grad[:, :, p] = g.reshape(-1, field.k)
+    return grad
+
+
 def gradients(field: CorrectorField, grid_spacing=None, want_grad_y: bool = True,
               delta_y: float | None = None, coarse_tol: float = 0.5) -> CorrectorField:
     """Attach state and parameter gradients to a grid-solved field.
@@ -270,14 +282,12 @@ def gradients(field: CorrectorField, grid_spacing=None, want_grad_y: bool = True
 
     vals_g = field.values.reshape(gshape + (field.k,))
     se_med = float(np.median(field.se))
-    grad_x = np.empty((field.values.shape[0], field.k, d1))
     for p in range(d1):
         if gshape[p] < 3:
             raise GridTooCoarse(f"axis {p} has fewer than 3 nodes")
         _coarseness_check(vals_g[..., 0] if field.k == 1 else vals_g.mean(-1),
                           p, steps[p], se_med, coarse_tol)
-        g = _axis_central(vals_g, p, steps[p])
-        grad_x[:, :, p] = g.reshape(-1, field.k)
+    grad_x = grid_grad_x(field, field.values)
 
     grad_y = None
     grad_y_b = None

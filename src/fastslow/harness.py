@@ -87,6 +87,33 @@ def theoretical_rate(regime: Regime, schedule: ScaleSchedule, theta) -> RateResu
                       warning=warning)
 
 
+def parse_budgets(d) -> tuple[Budgets, int, int | None]:
+    """Parse a config's "budgets" object.
+
+    Returns the per-cell Monte Carlo :class:`Budgets` plus the ensemble
+    sizes "paths_coupled" (default 20000) and "paths_limit" (default None:
+    as many as coupled).  "paths_corrector" is accepted for
+    ``corrector_paths``; any other key must name a ``Budgets`` field.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError("'budgets' must be an object")
+    d = dict(d)
+    paths_coupled = int(d.pop("paths_coupled", 20000))
+    paths_limit = d.pop("paths_limit", None)
+    kw = {}
+    if "paths_corrector" in d:
+        kw["corrector_paths"] = int(d.pop("paths_corrector"))
+    if "invariant_samples" in d:
+        kw["invariant_samples"] = int(d.pop("invariant_samples"))
+    for key in list(d):
+        if key in Budgets.__dataclass_fields__:
+            kw[key] = d.pop(key)
+    if d:
+        raise ConfigError(f"unknown budget fields: {sorted(d)}")
+    return (Budgets(**kw), paths_coupled,
+            None if paths_limit is None else int(paths_limit))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved configuration for the harness experiments."""
@@ -158,30 +185,14 @@ class ExperimentConfig:
         except (ValueError, TypeError) as e:
             raise ConfigError(f"bad 'exponents': {e}") from None
 
-        budgets_d = d.pop("budgets", {})
-        if not isinstance(budgets_d, dict):
-            raise ConfigError("'budgets' must be an object")
-        paths_coupled = int(budgets_d.pop("paths_coupled", 20000))
-        paths_limit = budgets_d.pop("paths_limit", None)
-        bkw = {}
-        if "paths_corrector" in budgets_d:
-            bkw["corrector_paths"] = int(budgets_d.pop("paths_corrector"))
-        if "invariant_samples" in budgets_d:
-            bkw["invariant_samples"] = int(budgets_d.pop("invariant_samples"))
-        for key in list(budgets_d):
-            if key in Budgets.__dataclass_fields__:
-                bkw[key] = budgets_d.pop(key)
-        if budgets_d:
-            raise ConfigError(f"unknown budget fields: {sorted(budgets_d)}")
-
+        budgets, paths_coupled, paths_limit = parse_budgets(d.pop("budgets", {}))
         cache = CachePolicy(quantum=float(d.pop("quantum", 1e-2)),
                             interpolate=bool(d.pop("interpolate", False)))
         kwargs = dict(
             system=system, system_name=name, schedule=schedule,
             theta=d.pop("theta", 1), eps_list=tuple(d.pop("eps_list", ())),
-            budgets=Budgets(**bkw), cache=cache,
-            paths_coupled=paths_coupled,
-            paths_limit=None if paths_limit is None else int(paths_limit),
+            budgets=budgets, cache=cache,
+            paths_coupled=paths_coupled, paths_limit=paths_limit,
         )
         if "phi" in d:
             kwargs["phi_names"] = tuple(d.pop("phi"))

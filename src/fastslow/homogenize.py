@@ -9,7 +9,11 @@ root is taken.
 
 Field evaluation is lazy and memoized on a quantized lattice with
 deterministic per-cell sub-seeds, because a limit simulation only visits a
-narrow tube of slow states.
+narrow tube of slow states.  A batch of states is read in one vectorized
+lookup: numpy reduces the batch to its distinct cells, Python touches each
+distinct cell once, and the cell records are gathered back by index.  One
+record holds drift and diffusion together, so a limit path-step costs one
+lookup.
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import rng
 from .corrector import (CorrectorQuery, grad_x_at, grad_y_at, gradients,
-                        outer_product_HPhi, solve_poisson_fk, _field_at)
+                        grid_grad_x, outer_product_HPhi, solve_poisson_fk,
+                        _field_at)
 from .ergodic import (MeasureEnsemble, centering_residual, chain_se,
                       sample_invariant_measure)
 from .errors import PSDFailure
@@ -101,11 +106,31 @@ def _needs(regime: Regime, want_drift: bool, want_diffusion: bool):
 
 def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
                 mu: MeasureEnsemble, budgets: Budgets, seed: int,
-                need_gx: bool, need_gy: bool, need_vals: bool):
+                need_gx: bool, need_gy: bool, need_vals: bool) -> dict:
     """Solve the corrector for ``f`` on a sample-spanning grid and pull the
-    requested fields back onto the stationary cloud."""
+    requested fields back onto the stationary cloud.
+
+    Each field enters the averages contracted with a weight on the cloud:
+    c for the x-gradient, H for the y-gradient and for the H Phi values.  A
+    field whose weight is 0.0 at every sample contributes exactly zero, so
+    it is dropped; when none remains no solve (and no centering gate) runs.
+    The result holds the weights ("c_s", "H_s"), which fields are kept
+    ("gx", "gy", "vals") and, after a solve, the field and its pull-backs.
+    """
+    n = mu.n_samples
+    out: dict = {}
+    if need_gx:
+        c_s = np.asarray(system.c(mu.samples, mu.y), dtype=np.float64)
+        out["c_s"] = np.broadcast_to(c_s, (n, system.d1))
+        need_gx = bool(np.any(out["c_s"] != 0.0))
+    if need_gy or need_vals:
+        H_s = np.asarray(system.H(t, mu.samples, mu.y), dtype=np.float64)
+        out["H_s"] = np.broadcast_to(H_s, (n, system.d2))
+        live = bool(np.any(out["H_s"] != 0.0))
+        need_gy, need_vals = need_gy and live, need_vals and live
+    out.update(gx=need_gx, gy=need_gy, vals=need_vals)
     if not (need_gx or need_gy or need_vals):
-        return None
+        return out
     if system.d1 > 3:
         raise NotImplementedError("corrector grids implemented for d1 <= 3")
     n_pts = budgets.grid_points if system.d1 == 1 else max(9, budgets.grid_points // 2)
@@ -121,7 +146,7 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
     fld = solve_poisson_fk(system, f, query, mode="corrector", centering_z=z)
     if need_gx or need_gy:
         fld = gradients(fld, want_grad_y=need_gy, delta_y=budgets.delta_y)
-    out = {"field": fld, "z": z}
+    out.update(field=fld, z=z)
     if need_vals:
         out["phi_s"] = _field_at(fld, mu.samples)
     if need_gx:
@@ -131,20 +156,13 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
     return out
 
 
-def _drift_corrections(system: CoupledSystem, t: float, y: Array,
-                       mu: MeasureEnsemble, phi: dict | None,
-                       use_gx: bool, use_gy: bool) -> Array:
-    n = mu.n_samples
-    k = phi["field"].k if phi is not None else system.d2
+def _drift_corrections(phi: dict, n: int, k: int) -> Array:
+    """Per-sample corrector corrections (n, k) of the fields ``phi`` keeps."""
     corr = np.zeros((n, k))
-    if use_gx:
-        cs = np.asarray(system.c(mu.samples, mu.y), dtype=np.float64)
-        cs = np.broadcast_to(cs, (n, system.d1))
-        corr = corr + np.einsum("nj,nkj->nk", cs, phi["gx_s"])
-    if use_gy:
-        Hs = np.asarray(system.H(t, mu.samples, mu.y), dtype=np.float64)
-        Hs = np.broadcast_to(Hs, (n, system.d2))
-        corr = corr + np.einsum("nj,nkj->nk", Hs, phi["gy_s"])
+    if phi["gx"]:
+        corr = corr + np.einsum("nj,nkj->nk", phi["c_s"], phi["gx_s"])
+    if phi["gy"]:
+        corr = corr + np.einsum("nj,nkj->nk", phi["H_s"], phi["gy_s"])
     return corr
 
 
@@ -181,20 +199,19 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
                       need_gx, need_gy, need_vals)
 
     diags: dict = {"ess": mu.ess}
-    if phi is not None:
+    if "field" in phi:
         diags["centering_z"] = phi["z"]
 
     fhat = fhat_se = None
     if want_drift:
         Fv = np.asarray(system.F(t, mu.samples, mu.y), dtype=np.float64)
         Fv = np.broadcast_to(Fv, (mu.n_samples, system.d2)).copy()
-        corr = _drift_corrections(system, t, y, mu, phi, need_gx, need_gy)
-        vals = Fv + corr
+        vals = Fv + _drift_corrections(phi, mu.n_samples, system.d2)
         fhat = vals.mean(axis=0)
         se_mu = chain_se(vals)
         se_cor = np.zeros_like(fhat)
-        if phi is not None and (need_gx or need_gy):
-            se_cor = _correction_batch_se(system, t, mu, phi, need_gx, need_gy)
+        if phi["gx"] or phi["gy"]:
+            se_cor = _correction_batch_se(mu, phi)
         fhat_se = np.sqrt(se_mu ** 2 + se_cor ** 2)
 
     ghat = cov = cov_se = None
@@ -207,7 +224,7 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
             GG = Gv @ np.swapaxes(Gv, -1, -2)
             cov = GG.mean(axis=0)
             cov_se = chain_se(GG.reshape(mu.n_samples, -1)).reshape(cov.shape)
-        if need_vals:
+        if phi["vals"]:
             op = outer_product_HPhi(system, phi["field"], mu, t)
             cov = cov + op.matrix
             cov_se = np.sqrt(cov_se ** 2 + op.se ** 2)
@@ -218,40 +235,21 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
                           ghat=ghat, cov=cov, cov_se=cov_se, diagnostics=diags)
 
 
-def _correction_batch_se(system, t, mu, phi, use_gx, use_gy) -> Array:
+def _correction_batch_se(mu: MeasureEnsemble, phi: dict) -> Array:
     """Corrector-noise part of the drift SE via per-path-batch re-averaging."""
     fld = phi["field"]
     nb = fld.batch_means.shape[0]
-    k = fld.k
-    per_b = np.empty((nb, k))
-    from dataclasses import replace  # noqa: PLC0415
+    per_b = np.empty((nb, fld.k))
     for b in range(nb):
-        sub = {"field": fld}
-        if use_gx:
-            bf = replace(fld, values=fld.batch_means[b], grad_x=None,
-                         grad_y=None, grad_y_batches=None)
-            bf = _regrad(bf)
+        sub = dict(phi)
+        if phi["gx"]:
+            bf = replace(fld, grad_x=grid_grad_x(fld, fld.batch_means[b]))
             sub["gx_s"] = grad_x_at(bf, mu.samples)
-        if use_gy:
-            bf2 = replace(fld, grad_y=fld.grad_y_batches[b])
-            sub["gy_s"] = grad_y_at(bf2, mu.samples)
-        per_b[b] = _drift_corrections(system, t, mu.y, mu, sub,
-                                      use_gx, use_gy).mean(axis=0)
+        if phi["gy"]:
+            bf = replace(fld, grad_y=fld.grad_y_batches[b])
+            sub["gy_s"] = grad_y_at(bf, mu.samples)
+        per_b[b] = _drift_corrections(sub, mu.n_samples, fld.k).mean(axis=0)
     return per_b.std(axis=0, ddof=1) / math.sqrt(nb)
-
-
-def _regrad(fld):
-    """Grid x-gradient of a batch-mean field (no coarseness re-check)."""
-    from .corrector import _axis_central  # noqa: PLC0415
-    gshape = fld.grid_shape
-    d1 = len(gshape)
-    vals_g = fld.values.reshape(gshape + (fld.k,))
-    steps = [float(ax[1] - ax[0]) for ax in fld.query.grid_axes]
-    gx = np.empty((fld.values.shape[0], fld.k, d1))
-    for p in range(d1):
-        gx[:, :, p] = _axis_central(vals_g, p, steps[p]).reshape(-1, fld.k)
-    from dataclasses import replace  # noqa: PLC0415
-    return replace(fld, grad_x=gx)
 
 
 def averaged_drift(regime: Regime, system: CoupledSystem, t: float, y,
@@ -282,11 +280,11 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
     coupled paths converges to per unit time, plus its standard error.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
+    probe = np.asarray(f(t, np.zeros((2, system.d1)), y), dtype=np.float64)
+    k = 1 if probe.ndim <= 1 else int(probe.shape[-1])
     use_gx = regime in (Regime.R2, Regime.R4)
     use_gy = regime in (Regime.R3, Regime.R4)
     if not (use_gx or use_gy):
-        probe = np.asarray(f(t, np.zeros((2, system.d1)), y), dtype=np.float64)
-        k = 1 if probe.ndim <= 1 else int(probe.shape[-1])
         return np.zeros(k), np.zeros(k)
     mu = sample_invariant_measure(
         system, y, burn_in=budgets.invariant_burn_in,
@@ -295,9 +293,11 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
     phi = _phi_fields(system, f, t, y, mu, budgets,
                       rng.derive_key(seed, rng.LANE_AUX, 12),
                       use_gx, use_gy, False)
-    vals = _drift_corrections(system, t, y, mu, phi, use_gx, use_gy)
+    if "field" not in phi:
+        return np.zeros(k), np.zeros(k)
+    vals = _drift_corrections(phi, mu.n_samples, k)
     se_mu = chain_se(vals)
-    se_cor = _correction_batch_se(system, t, mu, phi, use_gx, use_gy)
+    se_cor = _correction_batch_se(mu, phi)
     return vals.mean(axis=0), np.sqrt(se_mu ** 2 + se_cor ** 2)
 
 
@@ -314,12 +314,37 @@ class CachePolicy:
         return self.quantum if self.t_quantum is None else self.t_quantum
 
 
+def _distinct_rows(keys: Array) -> tuple[Array, Array]:
+    """Distinct rows of an (n, d) integer array: the index of each one's
+    first occurrence, and for every row the position of its distinct row.
+
+    The columns are folded into one code a column at a time and np.unique
+    re-ranks the code after each fold, so codes stay below n and cannot
+    overflow however far apart the rows lie.
+    """
+    _, first, code = np.unique(keys[:, 0], return_index=True,
+                               return_inverse=True)
+    for col in keys.T[1:]:
+        _, rank = np.unique(col, return_inverse=True)
+        _, first, code = np.unique(code * (rank.max() + 1) + rank,
+                                   return_index=True, return_inverse=True)
+    return first, code
+
+
 class CellField:
-    """Thread-safe memo of a vector field on the quantized lattice.
+    """Memo of a vector field on the quantized lattice, read a batch at a time.
 
     ``fn(t, y, cell_seed) -> 1-d array`` is evaluated once per cell at the
     cell center with a sub-seed derived from (master seed, cell index), so
-    values do not depend on visit order or thread count.
+    values do not depend on visit order, batch split or thread count.
+
+    :meth:`eval_batch` is the one lookup.  It rounds the batch to integer
+    cell keys, reduces them to their distinct cells in numpy, touches Python
+    once per distinct cell (a dict read, or computing a missing cell) and
+    gathers the records back with the inverse index.  Memory grows with the
+    number of visited cells, not with their bounding box.  Reads take no
+    lock; a miss computes its cell under the lock, so concurrent batches
+    never compute one cell twice.
     """
 
     def __init__(self, fn: Callable, d2: int, policy: CachePolicy, seed: int,
@@ -336,46 +361,48 @@ class CellField:
     def n_cells(self) -> int:
         return len(self._memo)
 
-    def _cell(self, key: tuple) -> Array:
+    def _record(self, key: tuple) -> Array:
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         with self._lock:
             hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            ti = 0 if self._autonomous else key[0]
-            yi = key[1:]
-            t_c = ti * self._policy.tq
-            y_c = np.asarray(yi, dtype=np.float64) * self._policy.quantum
-            cell_seed = rng.derive_key(self._seed, rng.LANE_CELL, ti, *yi)
-            val = np.asarray(self._fn(t_c, y_c, cell_seed), dtype=np.float64)
-            self._memo[key] = val
-            return val
+            if hit is None:
+                ti, *yi = key
+                t_c = ti * self._policy.tq
+                y_c = np.asarray(yi, dtype=np.float64) * self._policy.quantum
+                cell_seed = rng.derive_key(self._seed, rng.LANE_CELL, ti, *yi)
+                hit = np.asarray(self._fn(t_c, y_c, cell_seed), dtype=np.float64)
+                self._memo[key] = hit
+            return hit
 
-    def _keys_nearest(self, t: float, Y: Array) -> list[tuple]:
-        ti = 0 if self._autonomous else int(round(t / self._policy.tq))
-        yi = np.round(Y / self._policy.quantum).astype(np.int64)
-        return [(ti, *map(int, row)) for row in yi]
+    def _gather(self, ti: int, keys: Array) -> Array:
+        """Records of the cells (ti, *row) for the rows of ``keys``."""
+        first, inverse = _distinct_rows(keys)
+        recs = np.stack([self._record((ti, *yi))
+                         for yi in keys[first].tolist()])
+        return recs[inverse]
 
     def eval_batch(self, t: float, Y: Array) -> Array:
         Y = np.asarray(Y, dtype=np.float64)
-        if not self._policy.interpolate:
-            keys = self._keys_nearest(t, Y)
-            rows = [self._cell(k) for k in keys]
-            return np.stack(rows, axis=0)
-        return self._eval_interp(t, Y)
-
-    def _eval_interp(self, t: float, Y: Array) -> Array:
         q = self._policy.quantum
         ti = 0 if self._autonomous else int(round(t / self._policy.tq))
+        if not self._policy.interpolate:
+            return self._gather(ti, np.round(Y / q).astype(np.int64))
+        # multilinear blend of the 2^d2 corner cells, gathered in one lookup
+        n, d2 = Y.shape
         base = np.floor(Y / q).astype(np.int64)
         frac = Y / q - base
+        corners = list(itertools.product((0, 1), repeat=d2))
+        offs = np.asarray(corners, dtype=np.int64)
+        keys = (base[None, :, :] + offs[:, None, :]).reshape(-1, d2)
+        rows = self._gather(ti, keys).reshape(len(corners), n, -1)
         out = None
-        for offs in itertools.product((0, 1), repeat=Y.shape[1]):
-            w = np.ones(Y.shape[0])
-            for j, o in enumerate(offs):
+        for c, corner in enumerate(corners):
+            w = np.ones(n)
+            for j, o in enumerate(corner):
                 w = w * (frac[:, j] if o else 1.0 - frac[:, j])
-            idx = base + np.asarray(offs, dtype=np.int64)
-            rows = np.stack([self._cell((ti, *map(int, row))) for row in idx])
-            contrib = w[:, None] * rows
+            contrib = w[:, None] * rows[c]
             out = contrib if out is None else out + contrib
         return out
 
@@ -389,21 +416,28 @@ class CellField:
 
 
 class AveragedSDE:
-    """Evaluable limit equation: drift and diffusion fields plus provenance."""
+    """Evaluable limit equation: one coefficient lookup plus provenance.
 
-    def __init__(self, regime: Regime, d2: int, drift_batch: Callable,
-                 diffusion_batch: Callable, provenance: Callable[[], dict]):
+    ``coefficients_batch(t, Y)`` returns the drift (n, d2) and diffusion
+    (n, d2, d2) of a batch of slow states from one pass over the fields;
+    the drift and diffusion accessors are views of it.
+    """
+
+    def __init__(self, regime: Regime, d2: int, coefficients_batch: Callable,
+                 provenance: Callable[[], dict]):
         self.regime = regime
         self.d2 = d2
-        self._drift = drift_batch
-        self._diffusion = diffusion_batch
+        self._coefficients = coefficients_batch
         self._prov = provenance
 
+    def coefficients_batch(self, t: float, Y: Array) -> tuple[Array, Array]:
+        return self._coefficients(t, np.asarray(Y, dtype=np.float64))
+
     def drift_batch(self, t: float, Y: Array) -> Array:
-        return self._drift(t, np.asarray(Y, dtype=np.float64))
+        return self.coefficients_batch(t, Y)[0]
 
     def diffusion_batch(self, t: float, Y: Array) -> Array:
-        return self._diffusion(t, np.asarray(Y, dtype=np.float64))
+        return self.coefficients_batch(t, Y)[1]
 
     def Fhat(self, t: float, y) -> Array:
         return self.drift_batch(t, np.asarray(y, dtype=np.float64).reshape(1, -1))[0]
@@ -418,15 +452,14 @@ class AveragedSDE:
     def from_callables(cls, regime: Regime, d2: int, fhat, ghat) -> "AveragedSDE":
         """Wrap closed-form fields (mainly for tests and known limits)."""
 
-        def drift(t, Y):
-            return np.stack([np.asarray(fhat(t, y), dtype=np.float64).reshape(-1)
-                             for y in Y])
-
-        def diff(t, Y):
-            return np.stack([np.asarray(ghat(t, y), dtype=np.float64)
+        def coefficients(t, Y):
+            drift = np.stack([np.asarray(fhat(t, y), dtype=np.float64).reshape(-1)
+                              for y in Y])
+            diff = np.stack([np.asarray(ghat(t, y), dtype=np.float64)
                              .reshape(d2, d2) for y in Y])
+            return drift, diff
 
-        return cls(regime, d2, drift, diff, lambda: {"source": "callables"})
+        return cls(regime, d2, coefficients, lambda: {"source": "callables"})
 
 
 def build_limit_sde(regime: Regime, system: CoupledSystem,
@@ -436,7 +469,8 @@ def build_limit_sde(regime: Regime, system: CoupledSystem,
     """Limit equation whose fields lazily invoke the averaged estimators.
 
     Each lattice cell evaluates drift and covariance together (they share
-    the invariant cloud and corrector solve) and caches the PSD square root.
+    the invariant cloud and corrector solve) and caches the PSD square root
+    in the same record, so one lookup serves both fields.
     """
     d2 = system.d2
 
@@ -448,16 +482,11 @@ def build_limit_sde(regime: Regime, system: CoupledSystem,
     field = CellField(cell_fn, d2, cache_policy, seed, system.autonomous)
     nF, nC = d2, d2 * d2
 
-    def drift_batch(t, Y):
-        rec = field.eval_batch(t, Y)
-        return rec[:, :nF]
-
-    def diffusion_batch(t, Y):
+    def coefficients_batch(t, Y):
         rec = field.eval_batch(t, Y)
         if cache_policy.interpolate:
             cov = rec[:, nF:nF + nC].reshape(-1, d2, d2)
-            return _psd_sqrt_batch(cov)
-        return rec[:, nF + nC:nF + 2 * nC].reshape(-1, d2, d2)
+            return rec[:, :nF], _psd_sqrt_batch(cov)
+        return rec[:, :nF], rec[:, nF + nC:nF + 2 * nC].reshape(-1, d2, d2)
 
-    return AveragedSDE(regime, d2, drift_batch, diffusion_batch,
-                       field.provenance)
+    return AveragedSDE(regime, d2, coefficients_batch, field.provenance)

@@ -305,8 +305,11 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
                     chunk_size: int = 8192, n_workers: int = 1) -> EnsembleResult:
     """Euler-Maruyama for an averaged equation with evaluable fields.
 
-    Shares the slow-noise lane with :func:`integrate_coupled`, so running
-    both with the same seed and macro step pairs their driving increments.
+    Each step reads drift and diffusion of the whole chunk with one call of
+    ``avg.coefficients_batch``; for a memoized limit field that is one
+    vectorized lattice lookup per step.  Shares the slow-noise lane with
+    :func:`integrate_coupled`, so running both with the same seed and macro
+    step pairs their driving increments.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -340,8 +343,7 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
         record(0)
         for k in range(n_steps):
             tk = k * dtE
-            drift = avg.drift_batch(tk, Y)
-            diff = avg.diffusion_batch(tk, Y)
+            drift, diff = avg.coefficients_batch(tk, Y)
             z = rng.normals(seed, rng.LANE_SLOW, ids, np.uint64(k), d2)
             Y = Y + drift * dtE + _matvec(diff, z) * sq
             _check_state("limit", Y, blowup_cap, tk + dtE, lo)

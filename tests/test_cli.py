@@ -1,0 +1,91 @@
+import json
+
+import pytest
+
+from fastslow.cli import run_cli
+
+SMALL_BUDGETS = {"invariant_samples": 1000, "invariant_thinning": 5,
+                 "invariant_dt": 0.01, "invariant_burn_in": 5.0}
+
+
+def write_config(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def average_cfg(out_dir, **over):
+    cfg = {"preset": "ou_averaging", "exponents": [1, 1, "1/2"],
+           "ys": [[0.0], [0.5]], "seed": 3, "budgets": dict(SMALL_BUDGETS),
+           "out_dir": str(out_dir)}
+    cfg.update(over)
+    return cfg
+
+
+def converge_cfg(out_dir):
+    return {"preset": "ou_averaging", "exponents": [1, 1, 1],
+            "eps_list": [0.4, 0.3], "T": 0.1, "time_grid_n": 2,
+            "dt_slow": 0.02, "micro_substeps": 4, "quantum": 0.25, "seed": 5,
+            "y0": [0.3], "chunk_size": 64, "out_dir": str(out_dir),
+            "budgets": dict(SMALL_BUDGETS, paths_coupled=200)}
+
+
+def outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_average_succeeds_and_repeats_byte_identical(tmp_path):
+    runs = []
+    for rep in ("a", "b"):
+        out = tmp_path / rep
+        path = write_config(tmp_path, rep, average_cfg(out))
+        assert run_cli(["average", "--config", path]) == 0
+        runs.append(outputs(out))
+    assert set(runs[0]) == {"average.csv", "average_summary.json"}
+    assert json.loads(runs[0]["average_summary.json"])["status"] == "ok"
+    assert len(runs[0]["average.csv"].splitlines()) == 3
+    assert runs[0] == runs[1]
+
+
+def test_converge_byte_identical_across_repeats_and_workers(tmp_path):
+    runs = []
+    for rep, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = tmp_path / rep
+        path = write_config(tmp_path, rep, converge_cfg(out))
+        assert run_cli(["converge", "--config", path, "--workers", workers]) == 0
+        runs.append(outputs(out))
+    assert set(runs[0]) == {"converge.csv", "converge_summary.json"}
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_malformed_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"preset": "ou_averaging",')
+    assert run_cli(["average", "--config", str(path)]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["average", "converge"])
+def test_unknown_budget_field_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = average_cfg(out) if command == "average" else converge_cfg(out)
+    cfg["budgets"]["bogus_paths"] = 10
+    assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "unknown budget fields: ['bogus_paths']" in capsys.readouterr().err
+    summary = json.loads((out / f"{command}_summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["error"]["type"] == "ConfigError"
+
+
+def test_blowup_exits_3(tmp_path, capsys):
+    # a slow state beyond the blow-up cap fails on the first macro step
+    out = tmp_path / "out"
+    cfg = {"preset": "ou_averaging", "exponents": [1, 1, 1], "kind": "lln",
+           "eps_list": [0.4], "T": 0.04, "dt_slow": 0.02, "micro_substeps": 4,
+           "y0": [2e6], "out_dir": str(out),
+           "budgets": dict(SMALL_BUDGETS, paths_coupled=8)}
+    assert run_cli(["fluctuate", "--config",
+                    write_config(tmp_path, "c", cfg)]) == 3
+    assert "BlowUp" in capsys.readouterr().err
+    summary = json.loads((out / "fluctuate_summary.json").read_text())
+    assert summary["error"]["type"] == "BlowUp"

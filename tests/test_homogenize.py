@@ -1,11 +1,17 @@
+import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from fastslow import (Budgets, CachePolicy, CoupledSystem, PSDFailure, Regime,
                       averaged_diffusion, averaged_drift, build_limit_sde,
-                      psd_sqrt, regime_averages)
+                      psd_sqrt, regime_averages, rng)
+from fastslow import homogenize
+from fastslow.homogenize import CellField, corrector_corrections
 from fastslow.presets import ou_averaging, ou_full
 
 RT2 = math.sqrt(2.0)
@@ -192,3 +198,149 @@ class TestLimitField:
         for y, want in ((-1.0, 1.0), (1.0, -1.0)):
             got = avg.Fhat(0.0, [y])[0]
             assert got == pytest.approx(want, abs=0.2)
+
+
+def _seed_field(t_c, y_c, cell_seed):
+    # cheap cell function whose record pins the cell center and its sub-seed
+    return np.concatenate([[t_c], y_c, [(cell_seed % 2 ** 52) / 2 ** 52]])
+
+
+def _reference_rows(policy, seed, autonomous, t, Y):
+    """Per-row lookup: every row keyed and computed on its own."""
+    q = policy.quantum
+    ti = 0 if autonomous else int(round(t / policy.tq))
+
+    def cell(yi):
+        return _seed_field(ti * policy.tq, np.asarray(yi, dtype=np.float64) * q,
+                           rng.derive_key(seed, rng.LANE_CELL, ti, *yi))
+
+    rows = []
+    for y in Y:
+        if not policy.interpolate:
+            rows.append(cell([int(k) for k in np.round(y / q)]))
+            continue
+        base = np.floor(y / q).astype(np.int64)
+        frac = y / q - base
+        acc = None
+        for offs in itertools.product((0, 1), repeat=len(y)):
+            w = 1.0
+            for j, o in enumerate(offs):
+                w = w * (frac[j] if o else 1.0 - frac[j])
+            c = w * cell([int(b) + o for b, o in zip(base, offs)])
+            acc = c if acc is None else acc + c
+        rows.append(acc)
+    return np.stack(rows)
+
+
+class TestCellStore:
+    @pytest.mark.parametrize("interpolate", [False, True])
+    @pytest.mark.parametrize("d2,autonomous", [(1, True), (2, True), (2, False)])
+    def test_matches_per_row_lookup(self, interpolate, d2, autonomous):
+        gen = np.random.default_rng(d2 + 10 * interpolate + 100 * autonomous)
+        policy = CachePolicy(quantum=0.1, interpolate=interpolate, t_quantum=0.05)
+        field = CellField(_seed_field, d2, policy, 1234, autonomous)
+        seen = set()
+        # later batches first visit cells far outside the earlier ones,
+        # including negative keys and a jump of many lattice units
+        for t, shift, scale in ((0.0, 0.0, 0.3), (0.12, 0.0, 0.3),
+                                (0.12, 1e3, 0.3), (0.3, -5e4, 2.0),
+                                (0.0, 0.0, 0.3)):
+            Y = shift + scale * gen.normal(size=(257, d2))
+            got = field.eval_batch(t, Y)
+            want = _reference_rows(policy, 1234, autonomous, t, Y)
+            assert np.array_equal(got, want)
+            ti = 0 if autonomous else int(round(t / policy.tq))
+            base = np.floor(Y / 0.1) if interpolate else np.round(Y / 0.1)
+            offs = itertools.product((0, 1), repeat=d2) if interpolate else [(0,) * d2]
+            for o in offs:
+                seen |= {(ti, *map(int, row)) for row in base + np.asarray(o)}
+            assert field.n_cells == len(seen)
+
+    def test_repeated_rows_hit_one_cell(self):
+        calls = []
+
+        def fn(t_c, y_c, cell_seed):
+            calls.append(tuple(y_c))
+            return _seed_field(t_c, y_c, cell_seed)
+
+        field = CellField(fn, 1, CachePolicy(quantum=0.5), 3, True)
+        Y = np.array([[0.1], [0.2], [-0.1], [0.9], [1.1], [0.0]])
+        out = field.eval_batch(0.0, Y)
+        assert field.n_cells == 2 and len(calls) == 2
+        assert np.array_equal(out[0], out[2])
+        assert np.array_equal(out[3], out[4])
+        field.eval_batch(0.0, Y[::-1])
+        assert len(calls) == 2
+
+
+    def test_concurrent_batches_compute_each_cell_once(self):
+        calls = []
+
+        def fn(t_c, y_c, cell_seed):
+            calls.append(1)
+            time.sleep(1e-4)  # a cell takes time, so racing misses overlap
+            return _seed_field(t_c, y_c, cell_seed)
+
+        policy = CachePolicy(quantum=0.05)
+        field = CellField(fn, 1, policy, 9, True)
+        Y = np.random.default_rng(4).normal(size=(400, 1))
+        results, errors = [None] * 8, []
+
+        def work(i):
+            try:
+                results[i] = field.eval_batch(0.0, Y[(37 * i) % 400:][::-1])
+            except Exception as e:  # surfaced by the assertion below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors and not any(th.is_alive() for th in threads)
+        assert len(calls) == field.n_cells
+        for i, got in enumerate(results):
+            want = _reference_rows(policy, 9, True, 0.0, Y[(37 * i) % 400:][::-1])
+            assert np.array_equal(got, want)
+
+
+class TestZeroWeightSolves:
+    BUDGETS = Budgets(invariant_samples=4000, invariant_thinning=5,
+                      invariant_dt=0.01, corrector_paths=500,
+                      corrector_tmax=3.0, grid_points=15)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count = [0]
+        real = homogenize.solve_poisson_fk
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(homogenize, "solve_poisson_fk", counted)
+        return count
+
+    def test_r2_with_zero_c_runs_no_solve(self, solves):
+        sys1 = ou_averaging()
+        f_xy = lambda t, x, y: x - y
+        v2, se2 = corrector_corrections(sys1, f_xy, Regime.R2, 0.0, [0.3],
+                                        self.BUDGETS, seed=6)
+        v1, se1 = corrector_corrections(sys1, f_xy, Regime.R1, 0.0, [0.3],
+                                        self.BUDGETS, seed=6)
+        ra2 = regime_averages(sys1, Regime.R2, 0.0, [0.3], self.BUDGETS, seed=6)
+        ra1 = regime_averages(sys1, Regime.R1, 0.0, [0.3], self.BUDGETS, seed=6)
+        assert solves[0] == 0
+        assert np.array_equal(v2, v1) and np.array_equal(se2, se1)
+        for name in ("fhat", "fhat_se", "cov", "cov_se", "ghat"):
+            assert np.array_equal(getattr(ra2, name), getattr(ra1, name))
+
+    def test_nonzero_weight_still_solves(self, solves):
+        corrector_corrections(ou_full(), lambda t, x, y: x - y, Regime.R2, 0.0,
+                              [0.3], self.BUDGETS, seed=6)
+        assert solves[0] == 1

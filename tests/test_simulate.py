@@ -6,8 +6,9 @@ import pytest
 from fastslow import (BlowUp, CoupledSystem, PathConfig, Regime,
                       ScaleSchedule, integrate_coupled, integrate_frozen,
                       integrate_limit)
-from fastslow.homogenize import AveragedSDE
-from fastslow.presets import ou_full
+from fastslow.homogenize import (AveragedSDE, Budgets, CachePolicy,
+                                 build_limit_sde)
+from fastslow.presets import ou_averaging, ou_full
 
 RT2 = math.sqrt(2.0)
 S111 = ScaleSchedule(1, 1, 1)
@@ -127,6 +128,23 @@ def test_determinism_across_chunks_and_workers():
     assert np.array_equal(a.terminal_slow, b.terminal_slow)
     assert np.array_equal(a.terminal_fast, b.terminal_fast)
     assert np.array_equal(a.max_abs_fast, b.max_abs_fast)
+
+
+def test_limit_determinism_across_chunks_and_workers():
+    # a memoized limit field computes its cells in whatever order the chunks
+    # visit them; values and the set of cells must not depend on that
+    budgets = Budgets(invariant_samples=500, invariant_burn_in=2.0,
+                      invariant_thinning=2, invariant_dt=0.01)
+    policy = CachePolicy(quantum=0.1)
+    runs = []
+    for chunk, workers in ((64, 2), (999, 1)):
+        avg = build_limit_sde(Regime.R1, ou_averaging(), budgets, policy, seed=5)
+        res = integrate_limit(avg, [0.2], T=0.2, dt=0.02, seed=8, n_paths=600,
+                              snapshot_times=(0.0, 0.1, 0.2), chunk_size=chunk,
+                              n_workers=workers)
+        runs.append((avg.provenance()["n_cells"], res.snapshots_slow.tobytes()))
+    assert runs[0][0] > 1
+    assert runs[0] == runs[1]
 
 
 def test_integrand_accumulation_zero_is_exact():
