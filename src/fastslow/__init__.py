@@ -16,11 +16,12 @@ from .model import (CoupledSystem, Regime, ScaleSchedule, ValidationReport,
 from .presets import get_system, register_system
 from .simulate import (EnsembleResult, PathConfig, integrate_coupled,
                        integrate_frozen, integrate_limit)
-from .ergodic import (MeasureEnsemble, TransferConfig, TransferEstimate,
-                      average, centering_residual, sample_invariant_measure,
-                      transfer_derivative)
+from .ergodic import (MeasureEnsemble, average, centering_residual,
+                      sample_invariant_measure)
 from .corrector import (CorrectorField, CorrectorQuery, OuterProductResult,
-                        gradients, outer_product_HPhi, solve_poisson_fk)
+                        TransferConfig, TransferEstimate, gradients,
+                        outer_product_HPhi, solve_poisson_fk,
+                        transfer_derivative)
 from .homogenize import (AveragedSDE, Budgets, CachePolicy, averaged_diffusion,
                          averaged_drift, build_limit_sde, psd_sqrt,
                          regime_averages)

@@ -24,18 +24,15 @@ from .errors import (BlowUp, ConfigError, FastslowError, GridTooCoarse,
                      ThetaOutOfRange)
 from .corrector import CorrectorQuery, gradients, solve_poisson_fk
 from .ergodic import centering_residual, sample_invariant_measure
-from .harness import (ExperimentConfig, fluctuation_clt, fluctuation_integrand,
-                      fluctuation_lln, parse_budgets, weak_error_experiment)
+from .harness import (ExperimentConfig, _fmt, fluctuation_clt,
+                      fluctuation_integrand, fluctuation_lln, parse_budgets,
+                      weak_error_experiment, write_summary)
 from .homogenize import regime_averages
 from .model import Regime, ScaleSchedule, classify_regime, validate_assumptions
 from .presets import get_system
 
 _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
               GridTooCoarse, ThetaOutOfRange)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _load_config(path: str) -> dict:
@@ -58,16 +55,10 @@ def _out_dir(cfg: dict) -> Path:
     return p
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _error_summary(out: Path | None, name: str, exc: Exception) -> None:
     if out is None:
         return
-    _write_summary(out / f"{name}_summary.json", {
+    write_summary(out / f"{name}_summary.json", {
         "status": "error",
         "error": {"type": type(exc).__name__, "message": str(exc)},
     })
@@ -94,7 +85,7 @@ def _cmd_validate(cfg: dict, out: Path, workers: int) -> int:
         fh.write("metric,value\n")
         for key, val in rows.items():
             fh.write(f"{key},{val if isinstance(val, bool) else _fmt(val)}\n")
-    _write_summary(out / "validate_summary.json", {"status": "ok", **rows})
+    write_summary(out / "validate_summary.json", {"status": "ok", **rows})
     return 0
 
 
@@ -122,9 +113,9 @@ def _cmd_invariant(cfg: dict, out: Path, workers: int) -> int:
         fh.write(",".join(header) + "\n")
         for row in lines:
             fh.write(",".join(row) + "\n")
-    _write_summary(out / "invariant_summary.json",
-                   {"status": "ok", "header": header, "rows": lines,
-                    "seed": seed, "preset": system.name})
+    write_summary(out / "invariant_summary.json",
+                  {"status": "ok", "header": header, "rows": lines,
+                   "seed": seed, "preset": system.name})
     return 0
 
 
@@ -172,7 +163,7 @@ def _cmd_corrector(cfg: dict, out: Path, workers: int) -> int:
                 row += [_fmt(v) for v in field.grad_x[q].ravel()]
                 row += [_fmt(v) for v in field.grad_y[q].ravel()]
             fh.write(",".join(row) + "\n")
-    _write_summary(out / "corrector_summary.json", {
+    write_summary(out / "corrector_summary.json", {
         "status": "ok", "centering_z": z, "mode": field.mode,
         "tail_bound_max": float(field.tail_bound.max()), "seed": seed,
         "preset": system.name,
@@ -206,9 +197,9 @@ def _cmd_average(cfg: dict, out: Path, workers: int) -> int:
             row += [_fmt(v) for v in ra.ghat.ravel()]
             row += [_fmt(v) for v in ra.fhat_se]
             fh.write(",".join(row) + "\n")
-    _write_summary(out / "average_summary.json",
-                   {"status": "ok", "regime": str(regime), "seed": seed,
-                    "preset": system.name})
+    write_summary(out / "average_summary.json",
+                  {"status": "ok", "regime": str(regime), "seed": seed,
+                   "preset": system.name})
     return 0
 
 

@@ -13,6 +13,11 @@ estimate extrapolated from the last fifth of the integral.
 All query points share the same driving increments (common random numbers),
 so differences between nearby points - the finite-difference gradients -
 carry far less noise than independent solves would.
+
+This module also holds the grid calculus on such solutions: one central
+difference stencil (:func:`_central`) gives the x-gradients, the
+:class:`GridTooCoarse` gate and the gradient and Hessian that the
+derivative transfer (:func:`transfer_derivative`) needs.
 """
 
 from __future__ import annotations
@@ -24,10 +29,15 @@ import numpy as np
 
 from . import rng
 from .errors import BlowUp, GridTooCoarse, NonFiniteCoefficient, NotCentered
-from .ergodic import MeasureEnsemble, _interp_axes, average, chain_se
+from .ergodic import (MeasureEnsemble, average, centering_residual, chain_se,
+                      sample_invariant_measure)
 from .model import CoupledSystem
 
 Array = np.ndarray
+
+# gradients() refuses a grid whose median second difference exceeds this
+# fraction of the median first difference (and clears the noise floor)
+_COARSE_TOL = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,8 @@ class CorrectorQuery:
             raise ValueError("T_max and dt must be > 0")
         if self.points.shape[0] < 1:
             raise ValueError("points must be non-empty")
+        if self.n_batches < 2:
+            raise ValueError("n_batches must be >= 2 to estimate a standard error")
         if self.n_paths < self.n_batches:
             raise ValueError("n_paths must be >= n_batches")
 
@@ -99,11 +111,11 @@ class CorrectorField:
         return tuple(len(ax) for ax in self.query.grid_axes)
 
 
-def _probe_codomain(f, query: CorrectorQuery) -> int:
-    vals = np.asarray(f(query.t, query.points, query.y), dtype=np.float64)
-    if vals.ndim <= 1:
-        return 1
-    return int(vals.shape[-1])
+def codomain(f, t: float, x: Array, y: Array) -> int:
+    """Number of components of the integrand ``f`` probed at (t, x, y):
+    1 for a scalar output per point, else the size of its last axis."""
+    vals = np.asarray(f(t, x, y), dtype=np.float64)
+    return 1 if vals.ndim <= 1 else int(vals.shape[-1])
 
 
 def _as_cols(vals: Array, lead_shape: tuple[int, ...], k: int) -> Array:
@@ -150,7 +162,7 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     t0, y_fix = query.t, query.y
     pts = query.points
     Q, d1 = pts.shape
-    k = _probe_codomain(f_use, query)
+    k = codomain(f_use, t0, pts, y_fix)
     K = max(1, int(round(query.T_max / query.dt)))
     dtE = query.T_max / K
     sq = math.sqrt(dtE)
@@ -212,37 +224,41 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
         _system=system, _f=f_use, _centering_z=z_eff)
 
 
-def _axis_central(grid_vals: Array, axis: int, h: float) -> Array:
-    """Central difference along ``axis``; edge slots hold NaN."""
-    out = np.full_like(grid_vals, np.nan)
-    sl_mid = [slice(None)] * grid_vals.ndim
-    sl_up = [slice(None)] * grid_vals.ndim
-    sl_dn = [slice(None)] * grid_vals.ndim
-    sl_mid[axis] = slice(1, -1)
-    sl_up[axis] = slice(2, None)
-    sl_dn[axis] = slice(None, -2)
-    out[tuple(sl_mid)] = (grid_vals[tuple(sl_up)] - grid_vals[tuple(sl_dn)]) / (2 * h)
-    return out
+def _central(vals: Array, axis: int, h: float, order: int = 1) -> Array:
+    """Central first (``order=1``) or second difference along ``axis``.
+
+    Only interior nodes carry a central stencil, so the result is two nodes
+    shorter than ``vals`` along ``axis``.
+    """
+    def shifted(lo, hi):
+        idx = [slice(None)] * vals.ndim
+        idx[axis] = slice(lo, hi)
+        return vals[tuple(idx)]
+
+    up, dn = shifted(2, None), shifted(None, -2)
+    if order == 1:
+        return (up - dn) / (2 * h)
+    return (up - 2 * shifted(1, -1) + dn) / h ** 2
 
 
-def _coarseness_check(grid_vals: Array, axis: int, h: float, se_med: float,
-                      coarse_tol: float) -> None:
-    sl_up = [slice(None)] * grid_vals.ndim
-    sl_dn = [slice(None)] * grid_vals.ndim
-    sl_mid = [slice(None)] * grid_vals.ndim
-    sl_up[axis] = slice(2, None)
-    sl_dn[axis] = slice(None, -2)
-    sl_mid[axis] = slice(1, -1)
-    second = np.abs(grid_vals[tuple(sl_up)] - 2 * grid_vals[tuple(sl_mid)]
-                    + grid_vals[tuple(sl_dn)])
-    first = np.abs(grid_vals[tuple(sl_up)] - grid_vals[tuple(sl_dn)]) / 2
-    s2 = float(np.median(second))
-    s1 = float(np.median(first))
+def _interior(vals: Array, axes) -> Array:
+    """View of ``vals`` without the edge nodes of the listed axes."""
+    idx = [slice(None)] * vals.ndim
+    for a in axes:
+        idx[a] = slice(1, -1)
+    return vals[tuple(idx)]
+
+
+def _coarseness_check(grid_vals: Array, axis: int, h: float,
+                      se_med: float) -> None:
+    # unit spacing: the gate compares node differences, not derivatives
+    s2 = float(np.median(np.abs(_central(grid_vals, axis, 1.0, order=2))))
+    s1 = float(np.median(np.abs(_central(grid_vals, axis, 1.0))))
     scale = max(s1, float(np.median(np.abs(grid_vals))) * 1e-3, 1e-300)
-    if s2 > coarse_tol * scale and s2 > 10.0 * se_med:
+    if s2 > _COARSE_TOL * scale and s2 > 10.0 * se_med:
         raise GridTooCoarse(
             f"axis {axis}: median second difference {s2:.3g} exceeds "
-            f"{coarse_tol} x median first difference {s1:.3g} at spacing {h:g}")
+            f"{_COARSE_TOL} x median first difference {s1:.3g} at spacing {h:g}")
 
 
 def grid_grad_x(field: CorrectorField, values: Array) -> Array:
@@ -250,43 +266,35 @@ def grid_grad_x(field: CorrectorField, values: Array) -> Array:
     laid out on ``field``'s tensor grid; edge nodes hold NaN."""
     gshape = field.grid_shape
     vals_g = values.reshape(gshape + (field.k,))
-    grad = np.empty((values.shape[0], field.k, len(gshape)))
+    grad = np.full(gshape + (field.k, len(gshape)), np.nan)
     for p, ax in enumerate(field.query.grid_axes):
-        g = _axis_central(vals_g, p, float(ax[1] - ax[0]))
-        grad[:, :, p] = g.reshape(-1, field.k)
-    return grad
+        _interior(grad[..., p], (p,))[...] = _central(vals_g, p,
+                                                      float(ax[1] - ax[0]))
+    return grad.reshape(values.shape[0], field.k, len(gshape))
 
 
-def gradients(field: CorrectorField, grid_spacing=None, want_grad_y: bool = True,
-              delta_y: float | None = None, coarse_tol: float = 0.5) -> CorrectorField:
+def gradients(field: CorrectorField, want_grad_y: bool = True,
+              delta_y: float | None = None) -> CorrectorField:
     """Attach state and parameter gradients to a grid-solved field.
 
     x-gradients are central differences on the tensor grid (NaN at edge
     nodes).  y-gradients re-solve the field at y +/- delta along each slow
     coordinate with the same seed, so the Monte Carlo noise largely cancels
     in the difference.  Raises :class:`GridTooCoarse` when second differences
-    dominate first differences beyond ``coarse_tol`` (and clear the noise
-    floor).
+    dominate first differences beyond a fixed tolerance of 0.5 (and clear the
+    noise floor).
     """
     q = field.query
     if q.grid_axes is None:
         raise ValueError("x-gradients need a query built with from_grid")
-    axes = q.grid_axes
     gshape = field.grid_shape
-    d1 = len(axes)
-    steps = [float(ax[1] - ax[0]) if len(ax) > 1 else 1.0 for ax in axes]
-    if grid_spacing is not None:
-        given = np.broadcast_to(np.asarray(grid_spacing, dtype=np.float64), (d1,))
-        if not np.allclose(given, steps, rtol=1e-9):
-            raise ValueError("grid_spacing disagrees with the query grid")
-
     vals_g = field.values.reshape(gshape + (field.k,))
+    scalar = vals_g[..., 0] if field.k == 1 else vals_g.mean(-1)
     se_med = float(np.median(field.se))
-    for p in range(d1):
+    for p, ax in enumerate(q.grid_axes):
         if gshape[p] < 3:
             raise GridTooCoarse(f"axis {p} has fewer than 3 nodes")
-        _coarseness_check(vals_g[..., 0] if field.k == 1 else vals_g.mean(-1),
-                          p, steps[p], se_med, coarse_tol)
+        _coarseness_check(scalar, p, float(ax[1] - ax[0]), se_med)
     grad_x = grid_grad_x(field, field.values)
 
     grad_y = None
@@ -355,6 +363,29 @@ def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
                               antisym_norm=float(np.linalg.norm(anti)))
 
 
+def _interp_axes(axes, grid_values: Array, points: Array) -> Array:
+    """Multilinear interpolation on a tensor grid, clamped at the edges.
+
+    ``grid_values`` has the grid shape followed by arbitrary trailing axes.
+    """
+    d = len(axes)
+    gshape = tuple(len(ax) for ax in axes)
+    trail = grid_values.shape[d:]
+    if d == 1:
+        flat = grid_values.reshape(gshape[0], -1)
+        cols = [np.interp(points[:, 0], axes[0], flat[:, j])
+                for j in range(flat.shape[1])]
+        return np.stack(cols, axis=-1).reshape((points.shape[0],) + trail)
+    # imported here, not at the top, so that importing fastslow stays fast
+    from scipy.interpolate import RegularGridInterpolator  # noqa: PLC0415
+    pts = points.copy()
+    for j, ax in enumerate(axes):
+        pts[:, j] = np.clip(pts[:, j], ax[0], ax[-1])
+    itp = RegularGridInterpolator(axes, grid_values.reshape(gshape + (-1,)),
+                                  method="linear")
+    return itp(pts).reshape((points.shape[0],) + trail)
+
+
 def _field_at(field: CorrectorField, points: Array) -> Array:
     """Interpolate field values at arbitrary points (clamped multilinear)."""
     q = field.query
@@ -368,17 +399,11 @@ def grad_x_at(field: CorrectorField, points: Array) -> Array:
     """Interpolated x-gradient (interior stencil, edge-clamped), (n, k, d1)."""
     if field.grad_x is None:
         raise ValueError("call gradients() first")
-    q = field.query
     gshape = field.grid_shape
     d1 = len(gshape)
-    g = field.grad_x.reshape(gshape + (field.k, d1))
-    inner_axes = []
-    sl = [slice(None)] * d1
-    for p in range(d1):
-        sl[p] = slice(1, -1)
-        inner_axes.append(q.grid_axes[p][1:-1])
-    g_in = g[tuple(sl)]
-    return _interp_axes(tuple(inner_axes), g_in, np.asarray(points, dtype=np.float64))
+    g_in = _interior(field.grad_x.reshape(gshape + (field.k, d1)), range(d1))
+    inner_axes = tuple(ax[1:-1] for ax in field.query.grid_axes)
+    return _interp_axes(inner_axes, g_in, np.asarray(points, dtype=np.float64))
 
 
 def grad_y_at(field: CorrectorField, points: Array) -> Array:
@@ -388,3 +413,139 @@ def grad_y_at(field: CorrectorField, points: Array) -> Array:
     gvals = field.grad_y.reshape(field.grid_shape + (field.k, field.grad_y.shape[-1]))
     return _interp_axes(field.query.grid_axes, gvals,
                         np.asarray(points, dtype=np.float64))
+
+
+def _interior_derivatives(u_grid: Array, steps) -> tuple[Array, Array]:
+    """Gradient (..., d) and Hessian (..., d, d) of a scalar grid field at
+    the interior nodes, from :func:`_central` with grid spacings ``steps``.
+
+    A mixed partial is a first difference along the later axis followed by
+    one along the earlier axis.
+    """
+    d = u_grid.ndim
+    grad = np.empty(tuple(n - 2 for n in u_grid.shape) + (d,))
+    hess = np.empty(grad.shape + (d,))
+    for p in range(d):
+        u_p = _interior(u_grid, [a for a in range(d) if a != p])
+        grad[..., p] = _central(u_p, p, steps[p])
+        hess[..., p, p] = _central(u_p, p, steps[p], order=2)
+        for q in range(p + 1, d):
+            u_pq = _interior(u_grid, [a for a in range(d) if a not in (p, q)])
+            hess[..., p, q] = hess[..., q, p] = _central(
+                _central(u_pq, q, steps[q]), p, steps[p])
+    return grad, hess
+
+
+@dataclass(frozen=True)
+class TransferConfig:
+    """Budgets for the derivative-transfer estimate."""
+
+    t: float = 0.0
+    invariant_samples: int = 50000
+    burn_in: float = 10.0
+    thinning: int = 10
+    invariant_dt: float = 1e-3
+    corrector_paths: int = 20000
+    corrector_tmax: float = 10.0
+    corrector_dt: float = 0.01
+    grid_points: int = 25
+    grid_pad: float = 0.75
+    delta_y: float | None = None
+    seed: int = 0
+    n_batches: int = 20
+
+
+@dataclass(frozen=True)
+class TransferEstimate:
+    value: float
+    se: float
+    mean_term: float
+    corrector_term: float
+
+
+def transfer_derivative(h, system: CoupledSystem, y, direction,
+                        cfg: TransferConfig = TransferConfig()) -> TransferEstimate:
+    """Directional derivative of the averaged value of ``h`` without
+    differentiating the invariant measure.
+
+    Writes the derivative as the average of the directional derivative of h
+    minus the derivative of the generator applied to the auxiliary solution
+    u of (generator) u = h - (average of h), all integrated against the
+    sampled stationary cloud.  Coefficient derivatives are central finite
+    differences of the user callables; u comes from the Monte Carlo
+    corrector on a regular grid, and its gradient and Hessian at the
+    interior nodes are interpolated to the cloud.
+    """
+    if system.d1 > 2:
+        raise NotImplementedError("transfer gradients implemented for d1 <= 2")
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    e = np.asarray(direction, dtype=np.float64).reshape(-1)
+    if e.shape != y.shape:
+        raise ValueError("direction must match the slow dimension")
+    nrm = np.linalg.norm(e)
+    if not np.isclose(nrm, 1.0, atol=1e-8):
+        e = e / nrm
+    t = cfg.t
+
+    mu = sample_invariant_measure(
+        system, y, burn_in=cfg.burn_in, n_samples=cfg.invariant_samples,
+        thinning=cfg.thinning, dt=cfg.invariant_dt,
+        seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 1))
+    hbar, _ = average(h, mu, t)
+    if hbar.shape != (1,):
+        raise ValueError("transfer_derivative expects scalar-valued h")
+    hb = float(hbar[0])
+
+    def f_centered(tt, x, yy):
+        return np.asarray(h(tt, x, yy), dtype=np.float64) - hb
+
+    z = centering_residual(f_centered, mu, t)
+    axes = tuple(
+        np.linspace(mu.samples[:, j].min() - cfg.grid_pad,
+                    mu.samples[:, j].max() + cfg.grid_pad, cfg.grid_points)
+        for j in range(system.d1))
+    query = CorrectorQuery.from_grid(
+        axes, t=t, y=y, T_max=cfg.corrector_tmax, n_paths=cfg.corrector_paths,
+        dt=cfg.corrector_dt, seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 2),
+        n_batches=cfg.n_batches)
+    field = solve_poisson_fk(system, f_centered, query, mode="poisson",
+                             centering_z=z)
+
+    delta = cfg.delta_y if cfg.delta_y is not None else \
+        1e-3 * max(1.0, float(np.linalg.norm(y)))
+    yp, ym = y + delta * e, y - delta * e
+    xs = mu.samples
+
+    dyh = (np.asarray(h(t, xs, yp), dtype=np.float64)
+           - np.asarray(h(t, xs, ym), dtype=np.float64)) / (2 * delta)
+    dyb = (np.asarray(system.b(xs, yp), dtype=np.float64)
+           - np.asarray(system.b(xs, ym), dtype=np.float64)) / (2 * delta)
+    dya = (system.fast_cov(xs, yp) - system.fast_cov(xs, ym)) / (2 * delta)
+    dya = np.broadcast_to(dya, (xs.shape[0], system.d1, system.d1))
+    steps = [float(ax[1] - ax[0]) for ax in axes]
+    inner_axes = tuple(ax[1:-1] for ax in axes)
+
+    def op_term(u_grid: Array) -> Array:
+        """(directional generator derivative) applied to u, at the cloud."""
+        grad, hess = _interior_derivatives(u_grid, steps)
+        gs = _interp_axes(inner_axes, grad, xs)     # (n, d1)
+        hs = _interp_axes(inner_axes, hess, xs)     # (n, d1, d1)
+        return (np.einsum("npq,npq->n", dya, hs)
+                + np.einsum("np,np->n", dyb, gs))
+
+    u_grid = field.values[:, 0].reshape(field.grid_shape)
+    integrand = dyh.reshape(-1) - op_term(u_grid)
+    value = float(integrand.mean())
+    se_mu = float(chain_se(integrand[:, None])[0])
+
+    # corrector-noise contribution: recompute per path-batch of the solve
+    per_batch = []
+    for bm in field.batch_means:
+        ug = bm[:, 0].reshape(field.grid_shape)
+        per_batch.append(float((dyh.reshape(-1) - op_term(ug)).mean()))
+    per_batch = np.asarray(per_batch)
+    se_cor = float(per_batch.std(ddof=1) / math.sqrt(len(per_batch)))
+    se = math.hypot(se_mu, se_cor)
+    return TransferEstimate(value=value, se=se,
+                            mean_term=float(dyh.mean()),
+                            corrector_term=float(value - dyh.mean()))

@@ -1,4 +1,4 @@
-"""Invariant-measure estimation, ergodic averages and the derivative transfer.
+"""Invariant-measure estimation and ergodic averages.
 
 One long trajectory of the frozen equation (burn-in discarded, thinned)
 stands in for the stationary law.  The standard error of an average over
@@ -6,6 +6,9 @@ it (:func:`chain_se`) is sized from the chain itself: each integrand
 column's sample standard deviation over the square root of that column's
 effective sample size, read off its own autocorrelation function, so the
 error widens with the correlation length that the thinned samples keep.
+
+The derivative transfer, which needs the auxiliary solution and its grid
+derivatives, lives with the corrector in :mod:`fastslow.corrector`.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _ess_estimate(samples: Array) -> float:
 
 def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
                              n_samples: int = 10000, thinning: int = 10,
-                             dt: float = 1e-3, seed: int = 0, x0=None,
+                             dt: float = 1e-3, seed: int = 0,
                              blowup_cap: float = 1e6) -> MeasureEnsemble:
     """One long frozen trajectory, burn-in discarded, every ``thinning``-th state kept."""
     if burn_in <= 0 or dt <= 0:
@@ -92,8 +95,7 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     y_fix = np.asarray(y, dtype=np.float64).reshape(-1)
     if y_fix.shape != (system.d2,):
         raise ValueError(f"y must have shape ({system.d2},)")
-    x = np.zeros((1, d1)) if x0 is None else \
-        np.asarray(x0, dtype=np.float64).reshape(1, d1)
+    x = np.zeros((1, d1))
 
     burn_steps = int(math.ceil(burn_in / dt))
     total = burn_steps + n_samples * thinning
@@ -183,195 +185,3 @@ def centering_residual(f, mu: MeasureEnsemble, t: float = 0.0) -> float:
     with np.errstate(divide="ignore"):
         z[nonzero] = np.abs(mean[nonzero]) / se[nonzero]
     return float(z.max())
-
-
-@dataclass(frozen=True)
-class TransferConfig:
-    """Budgets for the derivative-transfer estimate."""
-
-    t: float = 0.0
-    invariant_samples: int = 50000
-    burn_in: float = 10.0
-    thinning: int = 10
-    invariant_dt: float = 1e-3
-    corrector_paths: int = 20000
-    corrector_tmax: float = 10.0
-    corrector_dt: float = 0.01
-    grid_points: int = 25
-    grid_pad: float = 0.75
-    delta_y: float | None = None
-    seed: int = 0
-    n_batches: int = 20
-
-
-@dataclass(frozen=True)
-class TransferEstimate:
-    value: float
-    se: float
-    mean_term: float
-    corrector_term: float
-
-
-def _directional_delta(y: Array, direction: Array, delta: float) -> tuple[Array, Array]:
-    return y + delta * direction, y - delta * direction
-
-
-def transfer_derivative(h, system: CoupledSystem, y, direction,
-                        cfg: TransferConfig = TransferConfig()) -> TransferEstimate:
-    """Directional derivative of the averaged value of ``h`` without
-    differentiating the invariant measure.
-
-    Writes the derivative as the average of the directional derivative of h
-    minus the derivative of the generator applied to the auxiliary solution
-    u of (generator) u = h - (average of h), all integrated against the
-    sampled stationary cloud.  Coefficient derivatives are central finite
-    differences of the user callables; u and its state derivatives come from
-    the Monte Carlo corrector on a regular grid, interpolated to the cloud.
-    """
-    from .corrector import CorrectorQuery, solve_poisson_fk  # noqa: PLC0415
-
-    if system.d1 > 2:
-        raise NotImplementedError("transfer gradients implemented for d1 <= 2")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    e = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if e.shape != y.shape:
-        raise ValueError("direction must match the slow dimension")
-    nrm = np.linalg.norm(e)
-    if not np.isclose(nrm, 1.0, atol=1e-8):
-        e = e / nrm
-    t = cfg.t
-
-    mu = sample_invariant_measure(
-        system, y, burn_in=cfg.burn_in, n_samples=cfg.invariant_samples,
-        thinning=cfg.thinning, dt=cfg.invariant_dt,
-        seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 1))
-    hbar, _ = average(h, mu, t)
-    if hbar.shape != (1,):
-        raise ValueError("transfer_derivative expects scalar-valued h")
-    hb = float(hbar[0])
-
-    def f_centered(tt, x, yy):
-        return np.asarray(h(tt, x, yy), dtype=np.float64) - hb
-
-    z = centering_residual(f_centered, mu, t)
-    axes = tuple(
-        np.linspace(mu.samples[:, j].min() - cfg.grid_pad,
-                    mu.samples[:, j].max() + cfg.grid_pad, cfg.grid_points)
-        for j in range(system.d1))
-    query = CorrectorQuery.from_grid(
-        axes, t=t, y=y, T_max=cfg.corrector_tmax, n_paths=cfg.corrector_paths,
-        dt=cfg.corrector_dt, seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 2),
-        n_batches=cfg.n_batches)
-    field = solve_poisson_fk(system, f_centered, query, mode="poisson",
-                             centering_z=z)
-
-    delta = cfg.delta_y if cfg.delta_y is not None else \
-        1e-3 * max(1.0, float(np.linalg.norm(y)))
-    yp, ym = _directional_delta(y, e, delta)
-    xs = mu.samples
-
-    dyh = (np.asarray(h(t, xs, yp), dtype=np.float64)
-           - np.asarray(h(t, xs, ym), dtype=np.float64)) / (2 * delta)
-    dyb = (np.asarray(system.b(xs, yp), dtype=np.float64)
-           - np.asarray(system.b(xs, ym), dtype=np.float64)) / (2 * delta)
-    dya = (system.fast_cov(xs, yp) - system.fast_cov(xs, ym)) / (2 * delta)
-    dya = np.broadcast_to(dya, (xs.shape[0], system.d1, system.d1))
-
-    def op_term(u_grid: Array) -> Array:
-        """(directional generator derivative) applied to u, at the cloud."""
-        grad, hess = _grid_derivatives(axes, u_grid)
-        gs = _interp_axes(axes, grad, xs)          # (n, d1)
-        hs = _interp_axes(axes, hess, xs)          # (n, d1, d1)
-        return (np.einsum("npq,npq->n", dya, hs)
-                + np.einsum("np,np->n", dyb, gs))
-
-    u_grid = field.values[:, 0].reshape([len(ax) for ax in axes])
-    integrand = dyh.reshape(-1) - op_term(u_grid)
-    value = float(integrand.mean())
-    se_mu = float(chain_se(integrand[:, None])[0])
-
-    # corrector-noise contribution: recompute per path-batch of the solve
-    per_batch = []
-    for bm in field.batch_means:
-        ug = bm[:, 0].reshape([len(ax) for ax in axes])
-        per_batch.append(float((dyh.reshape(-1) - op_term(ug)).mean()))
-    per_batch = np.asarray(per_batch)
-    se_cor = float(per_batch.std(ddof=1) / math.sqrt(len(per_batch)))
-    se = math.hypot(se_mu, se_cor)
-    return TransferEstimate(value=value, se=se,
-                            mean_term=float(dyh.mean()),
-                            corrector_term=float(value - dyh.mean()))
-
-
-def _grid_derivatives(axes, u_grid: Array) -> tuple[Array, Array]:
-    """Central first and second differences of a scalar grid field.
-
-    Edge nodes reuse the nearest interior value, which keeps downstream
-    interpolation free of NaNs while only central stencils contribute.
-    """
-    d = len(axes)
-    shape = u_grid.shape
-    grad = np.empty(shape + (d,))
-    hess = np.empty(shape + (d, d))
-    steps = [float(ax[1] - ax[0]) for ax in axes]
-    for p in range(d):
-        hp = steps[p]
-        g = np.empty(shape)
-        s = np.empty(shape)
-        up = np.roll(u_grid, -1, axis=p)
-        um = np.roll(u_grid, 1, axis=p)
-        g[...] = (up - um) / (2 * hp)
-        s[...] = (up - 2 * u_grid + um) / hp ** 2
-        sl_lo = [slice(None)] * d
-        sl_hi = [slice(None)] * d
-        sl_lo[p] = 0
-        sl_hi[p] = -1
-        nxt = list(sl_lo)
-        nxt[p] = 1
-        prv = list(sl_hi)
-        prv[p] = -2
-        g[tuple(sl_lo)] = g[tuple(nxt)]
-        g[tuple(sl_hi)] = g[tuple(prv)]
-        s[tuple(sl_lo)] = s[tuple(nxt)]
-        s[tuple(sl_hi)] = s[tuple(prv)]
-        grad[..., p] = g
-        hess[..., p, p] = s
-    for p in range(d):
-        for q in range(p + 1, d):
-            gq = grad[..., q]
-            upq = (np.roll(gq, -1, axis=p) - np.roll(gq, 1, axis=p)) / (2 * steps[p])
-            sl_lo = [slice(None)] * d
-            sl_hi = [slice(None)] * d
-            sl_lo[p] = 0
-            sl_hi[p] = -1
-            nxt = list(sl_lo)
-            nxt[p] = 1
-            prv = list(sl_hi)
-            prv[p] = -2
-            upq[tuple(sl_lo)] = upq[tuple(nxt)]
-            upq[tuple(sl_hi)] = upq[tuple(prv)]
-            hess[..., p, q] = upq
-            hess[..., q, p] = upq
-    return grad, hess
-
-
-def _interp_axes(axes, grid_values: Array, points: Array) -> Array:
-    """Multilinear interpolation on a tensor grid, clamped at the edges.
-
-    ``grid_values`` has the grid shape followed by arbitrary trailing axes.
-    """
-    d = len(axes)
-    gshape = tuple(len(ax) for ax in axes)
-    trail = grid_values.shape[d:]
-    if d == 1:
-        flat = grid_values.reshape(gshape[0], -1)
-        cols = [np.interp(points[:, 0], axes[0], flat[:, j])
-                for j in range(flat.shape[1])]
-        return np.stack(cols, axis=-1).reshape((points.shape[0],) + trail)
-    from scipy.interpolate import RegularGridInterpolator  # noqa: PLC0415
-    pts = points.copy()
-    for j, ax in enumerate(axes):
-        pts[:, j] = np.clip(pts[:, j], ax[0], ax[-1])
-    itp = RegularGridInterpolator(axes, grid_values.reshape(gshape + (-1,)),
-                                  method="linear")
-    return itp(pts).reshape((points.shape[0],) + trail)

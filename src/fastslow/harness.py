@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from . import rng
+from .corrector import codomain
 from .errors import ConfigError, NotCentered, ThetaOutOfRange
 from .ergodic import centering_residual, sample_invariant_measure
 from .homogenize import Budgets, CachePolicy, CellField, build_limit_sde, \
@@ -40,6 +41,13 @@ CLT_CSV_HEADER = "kind,eps,comp,lhs,correction,residual,se,bound_shape"
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def write_summary(path, payload: dict) -> None:
+    """Write a run summary as sorted, indented JSON with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -283,9 +291,7 @@ class WeakErrorReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_summary(path, self.summary())
 
 
 def _fit_loglog(eps: Array, sup_err: Array, sup_se: Array):
@@ -299,12 +305,9 @@ def _fit_loglog(eps: Array, sup_err: Array, sup_se: Array):
     A = np.stack([x, np.ones_like(x)], axis=1)
     coef, res, *_ = np.linalg.lstsq(A, z, rcond=None)
     slope = float(coef[0])
-    if n > 2:
-        ssr = float(res[0]) if res.size else float(((A @ coef - z) ** 2).sum())
-        sxx = float(((x - x.mean()) ** 2).sum())
-        stderr = math.sqrt(ssr / (n - 2) / sxx) if sxx > 0 else math.nan
-    else:
-        stderr = math.nan
+    ssr = float(res[0]) if res.size else float(((A @ coef - z) ** 2).sum())
+    sxx = float(((x - x.mean()) ** 2).sum())
+    stderr = math.sqrt(ssr / (n - 2) / sxx) if sxx > 0 else math.nan
     ci = (slope - 1.96 * stderr, slope + 1.96 * stderr)
     return slope, ci, n, False
 
@@ -436,9 +439,7 @@ class FluctuationReport:
         return out
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_summary(path, self.summary())
 
 
 def _check_centered(cfg: ExperimentConfig, f) -> None:
@@ -484,9 +485,7 @@ def fluctuation_clt(cfg: ExperimentConfig, f, regime: Regime | None = None,
         raise ConfigError("fluctuation_clt needs a classified regime")
     _check_centered(cfg, f)
 
-    probe = np.asarray(f(0.0, np.zeros((2, cfg.system.d1)),
-                         np.asarray(cfg.y0)), dtype=np.float64)
-    k = 1 if probe.ndim <= 1 else int(probe.shape[-1])
+    k = codomain(f, 0.0, np.zeros((2, cfg.system.d1)), np.asarray(cfg.y0))
 
     def cell_fn(t_c, y_c, cell_seed):
         val, _ = corrector_corrections(cfg.system, f, regime, t_c, y_c,

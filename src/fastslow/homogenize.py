@@ -27,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .corrector import (CorrectorQuery, grad_x_at, grad_y_at, gradients,
-                        grid_grad_x, outer_product_HPhi, solve_poisson_fk,
-                        _field_at)
+from .corrector import (CorrectorQuery, codomain, grad_x_at, grad_y_at,
+                        gradients, grid_grad_x, outer_product_HPhi,
+                        solve_poisson_fk, _field_at)
 from .ergodic import (MeasureEnsemble, centering_residual, chain_se,
                       sample_invariant_measure)
 from .errors import PSDFailure
@@ -280,8 +280,7 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
     coupled paths converges to per unit time, plus its standard error.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    probe = np.asarray(f(t, np.zeros((2, system.d1)), y), dtype=np.float64)
-    k = 1 if probe.ndim <= 1 else int(probe.shape[-1])
+    k = codomain(f, t, np.zeros((2, system.d1)), y)
     use_gx = regime in (Regime.R2, Regime.R4)
     use_gy = regime in (Regime.R3, Regime.R4)
     if not (use_gx or use_gy):

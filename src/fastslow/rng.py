@@ -6,21 +6,16 @@ chunked, threaded or reordered without changing a single bit of output.
 Lanes keep independent noise sources (the two driving Brownian motions,
 assumption sampling, per-cell sub-seeds) on disjoint streams.
 
-The hash stage has two interchangeable backends: a pure-numpy kernel and
-an optional Cython one selected at import (override with the environment
-variable ``FASTSLOW_RNG`` set to ``py`` or ``cy``).  Both produce identical
-words; the uint64 -> normal transform is shared numpy code, so results are
-bit-identical across backends.
+The hash stage maps (seed, lane, path, step, word) to a 64-bit word through
+a splitmix-style avalanche chain in wrapping uint64 numpy arithmetic, in the
+counter-based design of Salmon et al. (2011), "Parallel random numbers: as
+easy as 1, 2, 3".  Uniforms keep the top 53 bits of one word; normals take
+the Box-Muller cosine branch of two words.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from . import _rng_py
-from ._rng_py import absorb_int, mix_int, SEED0
 
 __all__ = [
     "LANE_FAST", "LANE_SLOW", "LANE_VALIDATE", "LANE_CELL", "LANE_AUX",
@@ -33,44 +28,74 @@ LANE_VALIDATE = 0x03  # assumption-checking sample draws
 LANE_CELL = 0x04      # per-cell sub-seed derivation
 LANE_AUX = 0x05
 
+_MASK = (1 << 64) - 1
+_GOLD = 0x9E3779B97F4A7C15
+_SEED0 = 0x6A09E667F3BCC909
 
-def _select_backend():
-    choice = os.environ.get("FASTSLOW_RNG", "auto").lower()
-    if choice in ("py", "python", "numpy"):
-        return _rng_py, "python"
-    try:
-        from . import _rng_cy  # noqa: PLC0415
-    except ImportError:
-        if choice in ("cy", "compiled", "cython"):
-            raise RuntimeError(
-                "FASTSLOW_RNG requested the compiled backend but "
-                "fastslow._rng_cy is not built")
-        return _rng_py, "python"
-    return _rng_cy, "compiled"
-
-
-_backend, _backend_name = _select_backend()
+_GOLD_U = np.uint64(_GOLD)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_S30 = np.uint64(30)
+_S27 = np.uint64(27)
+_S31 = np.uint64(31)
 
 
 def backend_name() -> str:
-    return _backend_name
+    """Name of the hash kernel, recorded in run provenance."""
+    return "python"
+
+
+def _mix_int(z: int) -> int:
+    """Splitmix64 finalizer on python ints (exact mod 2**64)."""
+    z &= _MASK
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    z ^= z >> 31
+    return z
+
+
+def _absorb_int(h: int, w: int) -> int:
+    return _mix_int(((h + _GOLD) & _MASK) ^ (w & _MASK))
 
 
 def derive_key(*words: int) -> int:
     """Collapse integer words into a 64-bit sub-seed (order sensitive)."""
-    h = mix_int(SEED0)
+    h = _mix_int(_SEED0)
     for w in words:
-        h = absorb_int(h, int(w))
+        h = _absorb_int(h, int(w))
+    return h
+
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    # h is a private uint64 array; mutated in place.
+    h ^= h >> _S30
+    h *= _M1
+    h ^= h >> _S27
+    h *= _M2
+    h ^= h >> _S31
     return h
 
 
 def _lattice(seed, lane, path, step, nwords):
+    """Hash words, (n, nwords) uint64, for ``path`` and ``step`` broadcast
+    together and flattened to n rows; word j of a row is a pure function of
+    (seed, lane, path, step, j).  Also returns the broadcast shape."""
     path_a, step_a = np.broadcast_arrays(
         np.asarray(path, dtype=np.uint64), np.asarray(step, dtype=np.uint64))
     shape = path_a.shape
     p = np.ascontiguousarray(path_a).ravel()
     s = np.ascontiguousarray(step_a).ravel()
-    words = _backend.u64_lattice(int(seed), int(lane), p, s, int(nwords))
+    base = _absorb_int(_absorb_int(_mix_int(_SEED0), int(seed)), int(lane))
+    c0 = np.uint64((base + _GOLD) & _MASK)
+    h = _mix(np.bitwise_xor(c0, p))
+    h += _GOLD_U
+    h = _mix(np.bitwise_xor(h, s))
+    words = np.empty((h.shape[0], int(nwords)), dtype=np.uint64)
+    hg = h + _GOLD_U
+    for j in range(int(nwords)):
+        words[:, j] = _mix(np.bitwise_xor(hg, np.uint64(j)))
     return words, shape
 
 

@@ -89,3 +89,16 @@ def test_blowup_exits_3(tmp_path, capsys):
     assert "BlowUp" in capsys.readouterr().err
     summary = json.loads((out / "fluctuate_summary.json").read_text())
     assert summary["error"]["type"] == "BlowUp"
+
+
+def test_single_path_batch_exits_2(tmp_path, capsys):
+    # R4 solves the corrector, whose standard error needs two path batches
+    out = tmp_path / "out"
+    cfg = {"preset": "ou_full", "exponents": [1, 1, 1], "ys": [[0.0]],
+           "out_dir": str(out),
+           "budgets": dict(SMALL_BUDGETS, corrector_paths=40,
+                           corrector_tmax=0.5, n_batches=1)}
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "n_batches must be >= 2" in capsys.readouterr().err
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary["error"]["type"] == "ValueError"

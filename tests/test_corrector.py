@@ -8,7 +8,8 @@ from fastslow import (CorrectorQuery, CoupledSystem, NotCentered, GridTooCoarse,
                       average, centering_residual, gradients,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
-from fastslow.corrector import CorrectorField, _field_at, grad_x_at
+from fastslow.corrector import (CorrectorField, _field_at,
+                                _interior_derivatives, grad_x_at, grid_grad_x)
 
 RT2 = math.sqrt(2.0)
 
@@ -176,6 +177,14 @@ class TestSolve:
         assert np.all(delta <= f5.tail_bound + 3 * se_diff + 1e-12)
 
 
+class TestQuery:
+    @pytest.mark.parametrize("n_batches", [1, 0])
+    def test_rejects_fewer_than_two_batches(self, n_batches):
+        # one path batch leaves no spread to estimate the standard error from
+        with pytest.raises(ValueError, match="n_batches"):
+            CorrectorQuery(t=0.0, y=[0.0], points=[[0.0]], n_batches=n_batches)
+
+
 class TestGradients:
     def test_linear_gradient(self, field_lin):
         fld = gradients(field_lin, want_grad_y=False)
@@ -192,9 +201,33 @@ class TestGradients:
         fld = gradients(field_lin, want_grad_y=True)
         assert np.all(fld.grad_y == 0.0)
 
-    def test_grid_spacing_validation(self, field_lin):
-        with pytest.raises(ValueError):
-            gradients(field_lin, grid_spacing=123.0, want_grad_y=False)
+    def test_stencil_exact_on_quadratic_d1_2(self):
+        # central differences are exact on quadratics, so the interior
+        # gradient and the whole Hessian, mixed partial included, match the
+        # analytic ones to rounding; edge nodes carry no central stencil
+        ax = (np.linspace(-1.0, 2.0, 7), np.linspace(-2.0, 1.0, 6))
+        X, Y = np.meshgrid(*ax, indexing="ij")
+        u = X ** 2 + 3 * X * Y - 2 * Y ** 2
+        query = CorrectorQuery.from_grid(ax, t=0.0, y=[0.0], T_max=1.0,
+                                         n_paths=100, seed=0)
+        vals = u.reshape(-1, 1)
+        fake = CorrectorField(
+            query=query, mode="corrector", values=vals,
+            se=np.zeros_like(vals), batch_means=np.repeat(vals[None], 20, axis=0),
+            tail_bound=np.zeros_like(vals), k=1)
+        g = grid_grad_x(fake, vals).reshape(7, 6, 2)
+        exact = np.stack([2 * X + 3 * Y, 3 * X - 4 * Y], axis=-1)
+        np.testing.assert_allclose(g[1:-1, :, 0], exact[1:-1, :, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g[:, 1:-1, 1], exact[:, 1:-1, 1], rtol=0, atol=1e-12)
+        assert np.isnan(g[[0, -1], :, 0]).all() and np.isnan(g[:, [0, -1], 1]).all()
+
+        steps = [float(a[1] - a[0]) for a in ax]
+        grad, hess = _interior_derivatives(u, steps)
+        assert grad.shape == (5, 4, 2) and hess.shape == (5, 4, 2, 2)
+        np.testing.assert_allclose(grad, exact[1:-1, 1:-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            hess, np.broadcast_to([[2.0, 3.0], [3.0, -4.0]], hess.shape),
+            rtol=0, atol=1e-12)
 
     def test_grid_too_coarse(self, field_lin):
         x = np.linspace(-3, 3, 7)

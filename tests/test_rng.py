@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from fastslow import rng
-from fastslow import _rng_py
 
 
 def test_normals_shape_and_dtype():
@@ -59,11 +57,48 @@ def test_derive_key_is_order_sensitive():
     assert 0 <= rng.derive_key(0) < 2 ** 64
 
 
-def test_backends_bit_identical():
-    cy = pytest.importorskip("fastslow._rng_cy")
-    p = np.arange(4096, dtype=np.uint64)
-    s = np.full(4096, 11, dtype=np.uint64)
-    for seed, lane, nw in [(0, 1, 2), (2 ** 63 + 5, 4, 6)]:
-        a = _rng_py.u64_lattice(seed, lane, p, s, nw)
-        b = cy.u64_lattice(seed, lane, p, s, nw)
-        assert np.array_equal(a, b)
+# Stream values recorded from the hash kernel; any change to the stream
+# fails here.  Uniforms are multiples of 2**-53, pinned exactly as 53-bit
+# integers; normals go through libm log and cos, so they get 1e-15.
+PIN_PATHS = np.array([0, 1, 7, 4095, 2 ** 40 + 3], dtype=np.uint64)
+PIN_STEPS = np.array([0, 3, 11, 999, 2 ** 33], dtype=np.uint64)
+
+
+def test_uniform_stream_pinned():
+    expected = {
+        (0, rng.LANE_FAST): [
+            [5249126314907834, 1569927513463316],
+            [3377973951601621, 6179810335456418],
+            [4330071734399998, 2241105046449116],
+            [1849161315622031, 8784819607622124],
+            [5516551297783571, 7208614234095930]],
+        (2 ** 63 + 5, rng.LANE_CELL): [
+            [8358732677117428, 7082374479503145],
+            [7713397401811055, 8546910852861238],
+            [5873905975234371, 6493650355630089],
+            [1619353112728134, 7099427619709836],
+            [4618632690905267, 6887942087554058]],
+    }
+    for (seed, lane), words in expected.items():
+        u = rng.uniforms(seed, lane, PIN_PATHS, PIN_STEPS, 2)
+        assert np.array_equal(u, np.array(words, dtype=np.float64) * 2.0 ** -53)
+
+
+def test_derive_key_pinned():
+    assert [rng.derive_key(*w) for w in [(0,), (1, 2), (2, 1), (2 ** 64 - 1, 5, 7)]] == [
+        10597403551382543892, 3997092458711793351, 14489499164576001375,
+        3588504024266370431]
+
+
+def test_normal_stream_pinned():
+    z = rng.normals(0, rng.LANE_FAST, PIN_PATHS, PIN_STEPS, 2)
+    np.testing.assert_allclose(z, [
+        [0.4758698733978031, 2.433194693619258],
+        [-0.5473484676697521, 0.5631846861462959],
+        [0.00902939081590066, -1.0824828541915354],
+        [1.758121763798041, 0.5260862530729272],
+        [0.3078707461561788, -0.42612541789615177]], rtol=1e-15, atol=0)
+    z = rng.normals(2 ** 63 + 5, rng.LANE_CELL, PIN_PATHS, PIN_STEPS, 1)
+    np.testing.assert_allclose(z[:, 0], [
+        0.08740941430787438, 0.5284330646940284, -0.1678976834571024,
+        0.44033244704920865, 0.10671016610459863], rtol=1e-15, atol=0)
