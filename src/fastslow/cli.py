@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,9 +18,8 @@ import numpy as np
 
 from . import __version__
 from . import rng
-from .errors import (BlowUp, ConfigError, FastslowError, GridTooCoarse,
-                     NonFiniteCoefficient, NotCentered, PSDFailure,
-                     ThetaOutOfRange)
+from .errors import (BlowUp, ConfigError, GridTooCoarse, NonFiniteCoefficient,
+                     NotCentered, PSDFailure, ThetaOutOfRange)
 from .corrector import CorrectorQuery, gradients, solve_poisson_fk
 from .ergodic import centering_residual, sample_invariant_measure
 from .harness import (ExperimentConfig, _fmt, fluctuation_clt,

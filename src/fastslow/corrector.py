@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .errors import BlowUp, GridTooCoarse, NonFiniteCoefficient, NotCentered
-from .ergodic import (MeasureEnsemble, average, centering_residual, chain_se,
+from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .model import CoupledSystem
 
@@ -178,6 +178,7 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
         hi = min(lo + query.chunk_paths, query.n_paths)
         m = hi - lo
         ids = np.arange(lo, hi, dtype=np.uint64)
+        block = max(1, 32768 // m)
         X = np.broadcast_to(pts, (m, Q, d1)).copy()
         acc = np.zeros((m, Q, k))
         wacc1 = np.zeros((m, Q, k))
@@ -189,7 +190,11 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
                 wacc2 += fv * dtE
             elif s >= i80:
                 wacc1 += fv * dtE
-            z = rng.normals(query.seed, rng.LANE_FAST, ids, np.uint64(s), d1)
+            if s % block == 0:
+                steps = np.arange(s, min(s + block, K), dtype=np.uint64)
+                zb = rng.normals(query.seed, rng.LANE_FAST, ids[None, :],
+                                 steps[:, None], d1)
+            z = zb[s % block]
             drift = np.asarray(system.b(X, y_fix), dtype=np.float64)
             sig = np.asarray(system.sigma(X, y_fix), dtype=np.float64)
             X = X + drift * dtE + (sig @ z[:, None, :, None])[..., 0] * sq
@@ -200,13 +205,14 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
             raise NonFiniteCoefficient("path integrals became non-finite")
         if np.linalg.norm(X, axis=-1).max() > 1e6:
             raise BlowUp("frozen paths exceeded the norm cap 1e6")
+        # np.add.at adds path after path, so the sums do not depend on how
+        # the paths were split into chunks
         bidx = (ids.astype(np.int64) * nb) // query.n_paths
-        for b in np.unique(bidx):
-            sel = bidx == b
-            batch_sums[b] += acc[sel].sum(axis=0)
-            batch_counts[b] += int(sel.sum())
-        w1 += wacc1.sum(axis=0)
-        w2 += wacc2.sum(axis=0)
+        np.add.at(batch_sums, bidx, acc)
+        np.add.at(batch_counts, bidx, 1)
+        first = np.zeros(m, dtype=np.intp)
+        np.add.at(w1[None], first, wacc1)
+        np.add.at(w2[None], first, wacc2)
 
     values = batch_sums.sum(axis=0) / query.n_paths
     batch_means = batch_sums / batch_counts[:, None, None]
@@ -346,7 +352,7 @@ def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
     Hs = np.broadcast_to(Hs, (mu.n_samples, d2))
     outer = Hs[:, :, None] * phi_s[:, None, :]
     M = outer.mean(axis=0)
-    se_mu = chain_se(outer.reshape(mu.n_samples, -1)).reshape(d2, d2)
+    se_mu = mu.se(outer.reshape(mu.n_samples, -1)).reshape(d2, d2)
 
     nb = field.batch_means.shape[0]
     per_b = np.empty((nb, d2, d2))
@@ -536,7 +542,7 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     u_grid = field.values[:, 0].reshape(field.grid_shape)
     integrand = dyh.reshape(-1) - op_term(u_grid)
     value = float(integrand.mean())
-    se_mu = float(chain_se(integrand[:, None])[0])
+    se_mu = float(mu.se(integrand[:, None])[0])
 
     # corrector-noise contribution: recompute per path-batch of the solve
     per_batch = []

@@ -1,11 +1,14 @@
 """Invariant-measure estimation and ergodic averages.
 
-One long trajectory of the frozen equation (burn-in discarded, thinned)
-stands in for the stationary law.  The standard error of an average over
-it (:func:`chain_se`) is sized from the chain itself: each integrand
-column's sample standard deviation over the square root of that column's
-effective sample size, read off its own autocorrelation function, so the
-error widens with the correlation length that the thinned samples keep.
+The stationary law of the frozen equation is stood in for by a cloud from
+``N_CHAINS`` independent trajectories, advanced together as one vectorized
+state: each starts at x = 0, discards its own burn-in and keeps every
+``thinning``-th state.  The standard error of an average over the cloud
+(:func:`chain_se`) is taken from the chain means, so the z of an exactly
+centered integrand follows a t law with K - 1 degrees of freedom for K
+chains.  A hand-built single-chain cloud instead sizes its error from its
+own autocorrelation function.  The effective sample size of a cloud comes
+from the same estimator: variance over squared SE.
 
 The derivative transfer, which needs the auxiliary solution and its grid
 derivatives, lives with the corrector in :mod:`fastslow.corrector`.
@@ -24,10 +27,17 @@ from .model import CoupledSystem
 
 Array = np.ndarray
 
+# independent frozen chains behind one cloud; fewer when the cloud is smaller
+N_CHAINS = 64
+
 
 @dataclass
 class MeasureEnsemble:
-    """Sample cloud standing in for the stationary law at parameter ``y``."""
+    """Sample cloud standing in for the stationary law at parameter ``y``.
+
+    ``samples`` holds ``n_chains`` chains one after another, chain c in
+    rows ``n c // n_chains`` up to ``n (c + 1) // n_chains``.
+    """
 
     y: Array
     samples: Array
@@ -36,6 +46,7 @@ class MeasureEnsemble:
     dt: float
     seed: int
     ess: float
+    n_chains: int = 1
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
@@ -44,10 +55,16 @@ class MeasureEnsemble:
             raise ValueError("samples must be a non-empty (n, d1) array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
+        if not 1 <= self.n_chains <= self.samples.shape[0]:
+            raise ValueError("n_chains must lie in [1, n_samples]")
 
     @property
     def n_samples(self) -> int:
         return int(self.samples.shape[0])
+
+    def se(self, vals: Array) -> Array:
+        """:func:`chain_se` of per-sample values (n, k) laid out like ``samples``."""
+        return chain_se(vals, self.n_chains)
 
 
 def _autocorr_time(x: Array) -> tuple[float, int]:
@@ -75,18 +92,42 @@ def _autocorr_time(x: Array) -> tuple[float, int]:
     return 1.0 + 2.0 * s, m
 
 
-def _ess_estimate(samples: Array) -> float:
-    """Effective sample size n / tau of the slowest-mixing state component."""
-    tau = max(_autocorr_time(samples[:, j] - samples[:, j].mean())[0]
-              for j in range(samples.shape[1]))
-    return max(1.0, samples.shape[0] / tau)
+def _chain_bounds(n: int, n_chains: int) -> Array:
+    """Row offsets of the chains of an n-row cloud: chain c spans
+    ``[bounds[c], bounds[c + 1])``, and lengths differ by at most one."""
+    return (n * np.arange(n_chains + 1)) // n_chains
+
+
+def _ess(samples: Array, n_chains: int) -> float:
+    """Effective sample size of the slowest-mixing state component.
+
+    Each component's variance over its squared :func:`chain_se`, clipped to
+    [1, n]; a constant component counts as n independent samples.
+    """
+    n = samples.shape[0]
+    if n < 2:
+        return 1.0
+    var = samples.var(axis=0, ddof=1)
+    se2 = chain_se(samples, n_chains) ** 2
+    ess = np.full(var.shape, float(n))
+    live = se2 > 0.0
+    ess[live] = var[live] / se2[live]
+    return float(np.clip(ess.min(), 1.0, n))
 
 
 def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
                              n_samples: int = 10000, thinning: int = 10,
                              dt: float = 1e-3, seed: int = 0,
                              blowup_cap: float = 1e6) -> MeasureEnsemble:
-    """One long frozen trajectory, burn-in discarded, every ``thinning``-th state kept."""
+    """Frozen trajectories from K = min(N_CHAINS, n_samples) independent
+    chains, each with its burn-in discarded and every ``thinning``-th state
+    kept, returned chain after chain.
+
+    The K chains advance as one (K, d1) state.  Chain c draws its increments
+    on path c of ``LANE_FAST`` (step k is step k of every chain) and keeps
+    ``n (c + 1) // K - n c // K`` states, so exactly ``n_samples`` rows come
+    back.  With one chain this is the single trajectory keyed on path 0.
+    """
     if burn_in <= 0 or dt <= 0:
         raise ValueError("burn_in and dt must be > 0")
     if n_samples < 1 or thinning < 1:
@@ -95,35 +136,37 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     y_fix = np.asarray(y, dtype=np.float64).reshape(-1)
     if y_fix.shape != (system.d2,):
         raise ValueError(f"y must have shape ({system.d2},)")
-    x = np.zeros((1, d1))
+    K = min(N_CHAINS, n_samples)
+    per_chain = np.diff(_chain_bounds(n_samples, K))
+    n_keep = int(per_chain.max())
+    x = np.zeros((K, d1))
+    kept = np.empty((n_keep, K, d1))
 
     burn_steps = int(math.ceil(burn_in / dt))
-    total = burn_steps + n_samples * thinning
+    total = burn_steps + n_keep * thinning
     sq = math.sqrt(dt)
-    out = np.empty((n_samples, d1))
-    kept = 0
-    block = 32768
-    k0 = 0
-    while k0 < total:
+    chains = np.arange(K, dtype=np.uint64)[None, :]
+    block = max(1, 32768 // K)
+    for k0 in range(0, total, block):
         nb = min(block, total - k0)
-        z = rng.normals(seed, rng.LANE_FAST, 0, np.arange(k0, k0 + nb), d1) * sq
+        steps = np.arange(k0, k0 + nb, dtype=np.uint64)[:, None]
+        z = rng.normals(seed, rng.LANE_FAST, chains, steps, d1) * sq
         for j in range(nb):
-            k = k0 + j
             x = x + np.asarray(system.b(x, y_fix), dtype=np.float64) * dt \
                 + (np.asarray(system.sigma(x, y_fix), dtype=np.float64)
-                   @ z[j][:, None])[..., 0]
-            if k >= burn_steps and (k - burn_steps + 1) % thinning == 0:
-                out[kept] = x[0]
-                kept += 1
+                   @ z[j][..., None])[..., 0]
+            i, r = divmod(k0 + j - burn_steps + 1, thinning)
+            if r == 0 and i >= 1:
+                kept[i - 1] = x
         if not np.all(np.isfinite(x)):
             raise NonFiniteCoefficient("frozen trajectory became non-finite")
-        if np.linalg.norm(x) > blowup_cap:
+        if np.linalg.norm(x, axis=-1).max() > blowup_cap:
             raise BlowUp(f"frozen trajectory exceeded cap {blowup_cap:g}")
-        k0 += nb
-    assert kept == n_samples
+    # chain-major: chain c's first per_chain[c] kept states
+    out = kept.transpose(1, 0, 2)[np.arange(n_keep) < per_chain[:, None]]
     return MeasureEnsemble(y=y_fix, samples=out, burn_in=burn_in,
                            thinning=thinning, dt=dt, seed=seed,
-                           ess=_ess_estimate(out))
+                           ess=_ess(out, K), n_chains=K)
 
 
 def _eval_on(h, t: float, mu: MeasureEnsemble) -> Array:
@@ -137,47 +180,60 @@ def _eval_on(h, t: float, mu: MeasureEnsemble) -> Array:
     return vals
 
 
-def chain_se(vals: Array) -> Array:
-    """Standard error of the column means of a stationary chain.
+def chain_se(vals: Array, n_chains: int = 1) -> Array:
+    """Standard error of the column means of a cloud of stationary chains.
 
-    Each column gets its own autocorrelation time ``tau`` and window ``m``
-    from :func:`_autocorr_time`, so the error follows the correlation length
-    of the integrand itself, not that of the state.  The squared SE is the
-    windowed autocovariance sum over ``n``, divided by
-    ``(1 - m/n) (1 - (m+1)/n)`` to remove its first-order bias from the
-    estimated mean; at ``m = 0`` that is Bessel's correction, and for
-    ``m << n`` the SE is the sample standard deviation over
-    ``sqrt(n / tau)``.  A constant column has SE 0; fewer than two rows
-    give SE inf.
+    ``vals`` (n, k) holds ``n_chains`` chains one after another, laid out
+    as :class:`MeasureEnsemble` describes.  With two or more chains the SE
+    is the sample standard deviation of the K chain means over sqrt(K), so
+    for independent chains the z of a centered column is t-distributed with
+    K - 1 degrees of freedom.
+
+    A single chain sizes its error from itself: each column gets its own
+    autocorrelation time ``tau`` and window ``m`` from
+    :func:`_autocorr_time`, so the error follows the correlation length of
+    the integrand, not that of the state.  The squared SE is the windowed
+    autocovariance sum over ``n``, divided by ``(1 - m/n) (1 - (m+1)/n)``
+    to remove its first-order bias from the estimated mean; at ``m = 0``
+    that is Bessel's correction, and for ``m << n`` the SE is the sample
+    standard deviation over ``sqrt(n / tau)``.
+
+    A constant column has SE 0; fewer than two rows give SE inf.
     """
     n, k = vals.shape
     if n < 2:
         return np.full(k, np.inf)
+    live = np.any(vals != vals[0], axis=0)
     se = np.zeros(k)
-    for j in range(k):
-        col = vals[:, j]
-        if np.any(col != col[0]):
-            x = col - col.mean()
-            tau, m = _autocorr_time(x)
-            se[j] = math.sqrt(float(np.dot(x, x)) * tau
-                              / ((n - m) * (n - m - 1)))
+    if n_chains >= 2:
+        bounds = _chain_bounds(n, n_chains)
+        means = np.add.reduceat(vals, bounds[:-1], axis=0) \
+            / np.diff(bounds)[:, None]
+        se[live] = means[:, live].std(axis=0, ddof=1) / math.sqrt(n_chains)
+        return se
+    for j in np.flatnonzero(live):
+        x = vals[:, j] - vals[:, j].mean()
+        tau, m = _autocorr_time(x)
+        se[j] = math.sqrt(float(np.dot(x, x)) * tau / ((n - m) * (n - m - 1)))
     return se
 
 
 def average(h, mu: MeasureEnsemble, t: float = 0.0) -> tuple[Array, Array]:
     """Sample mean of h(t, x, y) over the cloud with its :func:`chain_se`."""
     vals = _eval_on(h, t, mu)
-    return vals.mean(axis=0), chain_se(vals)
+    return vals.mean(axis=0), mu.se(vals)
 
 
 def centering_residual(f, mu: MeasureEnsemble, t: float = 0.0) -> float:
     """Largest z = |mean| / SE of ``f`` over its components on the cloud.
 
-    With the :func:`chain_se` error, z of an exactly centered component is
-    close to the absolute value of a standard normal, so the per-call gate
-    z <= 3 of :func:`fastslow.corrector.solve_poisson_fk` rejects a centered
-    integrand with nominal probability 0.27%.  A component whose mean is
-    exactly 0 scores 0; a nonzero constant scores inf.
+    With the :func:`chain_se` error of a K-chain cloud, z of an exactly
+    centered component is the absolute value of a t variable with K - 1
+    degrees of freedom, so the per-call gate z <= 3 of
+    :func:`fastslow.corrector.solve_poisson_fk` rejects a centered
+    integrand with probability about 0.39% at K = 64 (0.27% for a normal
+    z).  A component whose mean is exactly 0 scores 0; a nonzero constant
+    scores inf.
     """
     mean, se = average(f, mu, t)
     z = np.zeros_like(mean)

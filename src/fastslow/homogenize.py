@@ -30,7 +30,7 @@ from . import rng
 from .corrector import (CorrectorQuery, codomain, grad_x_at, grad_y_at,
                         gradients, grid_grad_x, outer_product_HPhi,
                         solve_poisson_fk, _field_at)
-from .ergodic import (MeasureEnsemble, centering_residual, chain_se,
+from .ergodic import (MeasureEnsemble, centering_residual,
                       sample_invariant_measure)
 from .errors import PSDFailure
 from .model import CoupledSystem, Regime
@@ -53,6 +53,12 @@ class Budgets:
     grid_pad: float = 0.75
     n_batches: int = 20
     delta_y: float | None = None
+
+    def __post_init__(self):
+        # checked here, not only by CorrectorQuery, so that a bad budget is
+        # refused before any cloud is sampled, also in regimes with no solve
+        if self.n_batches < 2:
+            raise ValueError("n_batches must be >= 2 to estimate a standard error")
 
 
 def psd_sqrt(M: Array, tol_psd: float | None = None) -> Array:
@@ -208,7 +214,7 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
         Fv = np.broadcast_to(Fv, (mu.n_samples, system.d2)).copy()
         vals = Fv + _drift_corrections(phi, mu.n_samples, system.d2)
         fhat = vals.mean(axis=0)
-        se_mu = chain_se(vals)
+        se_mu = mu.se(vals)
         se_cor = np.zeros_like(fhat)
         if phi["gx"] or phi["gy"]:
             se_cor = _correction_batch_se(mu, phi)
@@ -223,7 +229,7 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
         else:
             GG = Gv @ np.swapaxes(Gv, -1, -2)
             cov = GG.mean(axis=0)
-            cov_se = chain_se(GG.reshape(mu.n_samples, -1)).reshape(cov.shape)
+            cov_se = mu.se(GG.reshape(mu.n_samples, -1)).reshape(cov.shape)
         if phi["vals"]:
             op = outer_product_HPhi(system, phi["field"], mu, t)
             cov = cov + op.matrix
@@ -295,7 +301,7 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
     if "field" not in phi:
         return np.zeros(k), np.zeros(k)
     vals = _drift_corrections(phi, mu.n_samples, k)
-    se_mu = chain_se(vals)
+    se_mu = mu.se(vals)
     se_cor = _correction_batch_se(mu, phi)
     return vals.mean(axis=0), np.sqrt(se_mu ** 2 + se_cor ** 2)
 

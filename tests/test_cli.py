@@ -102,3 +102,19 @@ def test_single_path_batch_exits_2(tmp_path, capsys):
     assert "n_batches must be >= 2" in capsys.readouterr().err
     summary = json.loads((out / "average_summary.json").read_text())
     assert summary["error"]["type"] == "ValueError"
+
+
+def test_single_path_batch_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    # R1 never solves the corrector, so only the budget check can refuse
+    # one path batch, and it does so before the first cloud is drawn
+    import fastslow.homogenize
+    clouds = []
+    monkeypatch.setattr(fastslow.homogenize, "sample_invariant_measure",
+                        lambda *a, **k: clouds.append(a))
+    out = tmp_path / "out"
+    cfg = average_cfg(out, budgets=dict(SMALL_BUDGETS, n_batches=1))
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "n_batches must be >= 2" in capsys.readouterr().err
+    assert clouds == []
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary["error"]["type"] == "ValueError"

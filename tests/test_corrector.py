@@ -101,6 +101,17 @@ class TestSolve:
         assert np.all(field.values == 0.0)
         assert np.all(field.tail_bound == 0.0)
 
+    def test_chunking_is_bit_identical(self):
+        # 37 steps: at 7 paths per chunk the increments come in one block
+        # per chunk, at 1000 paths per chunk in blocks of 32 steps and a
+        # short last one; the batch and tail sums add path after path
+        query = grid_query(n=5, n_paths=1000, T_max=0.37, chunk_paths=7)
+        a = solve_poisson_fk(standard_ou(), F_LIN, query, centering_z=0.0)
+        b = solve_poisson_fk(standard_ou(), F_LIN,
+                             replace(query, chunk_paths=4096), centering_z=0.0)
+        for name in ("values", "se", "batch_means", "tail_bound"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_refuses_without_evidence(self):
         with pytest.raises(NotCentered):
             solve_poisson_fk(standard_ou(), F_LIN,
@@ -255,7 +266,12 @@ class TestOuterProduct:
         assert np.all(res.matrix == 0.0)
         assert res.antisym_norm == 0.0
 
-    def test_linear_H_second_moment(self, mu):
+    def test_linear_H_second_moment(self):
+        # its own cloud: 64 chains of 250 time units put the spread of the
+        # estimated E[x^2] = 1 near sqrt(2 / 16000) = 0.011, so the
+        # tolerance 0.05 is about 4.4 of it
+        mu = sample_invariant_measure(standard_ou(), [0.0], n_samples=160000,
+                                      thinning=20, dt=5e-3, seed=55)
         sys1 = standard_ou(H=lambda t, x, y: x)
         z = centering_residual(sys1.H, mu)
         field = solve_poisson_fk(sys1, sys1.H, grid_query(n_paths=40000),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fastslow import (CoupledSystem, MeasureEnsemble, TransferConfig,
-                      average, centering_residual, sample_invariant_measure,
-                      transfer_derivative)
+                      average, centering_residual, rng,
+                      sample_invariant_measure, transfer_derivative)
+from fastslow.ergodic import N_CHAINS
 
 RT2 = math.sqrt(2.0)
 
@@ -58,15 +59,41 @@ class TestInvariantMeasure:
                                       n_samples=1, thinning=1, seed=0)
         assert mu.samples.shape == (1, 1)
         assert np.isfinite(mu.samples).all()
+        assert mu.n_chains == 1 and mu.ess == 1.0
 
     def test_deterministic(self):
         a = sample_invariant_measure(frozen_ou(), [1.0], n_samples=500, seed=7)
         b = sample_invariant_measure(frozen_ou(), [1.0], n_samples=500, seed=7)
         assert np.array_equal(a.samples, b.samples)
         assert a.ess == b.ess
+        assert a.n_chains == b.n_chains == N_CHAINS
 
     def test_ess_below_n(self, mu0):
         assert 1.0 <= mu0.ess <= mu0.n_samples
+
+    def test_chains_laid_out_one_after_another(self):
+        # 1000 rows over 64 chains: each keeps 15 or 16 states, and chain c
+        # is the lone Euler chain driven by path c of the fast lane
+        system, y = frozen_ou(), np.array([0.5])
+        n, burn_in, thinning, dt, seed = 1000, 0.5, 2, 0.01, 9
+        mu = sample_invariant_measure(system, y, burn_in=burn_in, n_samples=n,
+                                      thinning=thinning, dt=dt, seed=seed)
+        assert mu.n_chains == N_CHAINS
+        assert mu.samples.shape == (n, 1)
+        bounds = [n * c // N_CHAINS for c in range(N_CHAINS + 1)]
+        burn_steps = math.ceil(burn_in / dt)
+        for c in (0, 1, 37, N_CHAINS - 1):
+            rows = bounds[c + 1] - bounds[c]
+            assert rows in (15, 16)
+            steps = np.arange(burn_steps + rows * thinning)
+            z = rng.normals(seed, rng.LANE_FAST, c, steps, 1) * math.sqrt(dt)
+            x, kept = np.zeros((1, 1)), []
+            for k in steps:
+                x = x + np.asarray(system.b(x, y)) * dt \
+                    + (np.asarray(system.sigma(x, y)) @ z[k][None, :, None])[..., 0]
+                if k >= burn_steps and (k - burn_steps + 1) % thinning == 0:
+                    kept.append(x[0, 0])
+            assert np.array_equal(mu.samples[bounds[c]:bounds[c + 1], 0], kept)
 
 
 class TestAverage:
@@ -110,6 +137,22 @@ class TestStandardError:
                                  ess=n * (1.0 - rho) / (1.0 + rho))
         mean, se = average(lambda t, x, y: x, chains)
         assert 0.8 <= np.mean((mean / se) ** 2) <= 1.25
+
+    def test_se_calibrated_at_low_ess(self):
+        # 2000 samples every 0.005 time units: each of the 64 chains spans
+        # 0.16, well inside the unit correlation time, so one serial chain
+        # of the same budget would hold about 5 effective samples.  The
+        # chain-mean SE makes z of the centered x - y a t variable with 63
+        # degrees of freedom, E[z^2] = 63/61; over 400 clouds the sample
+        # mean of z^2 has a spread near 0.075
+        z = []
+        for seed in range(400):
+            mu = sample_invariant_measure(frozen_ou(), [0.5], burn_in=5.0,
+                                          n_samples=2000, thinning=1,
+                                          dt=0.005, seed=seed)
+            mean, se = average(lambda t, x, y: x - y, mu)
+            z.append(mean[0] / se[0])
+        assert 0.8 <= np.mean(np.square(z)) <= 1.25
 
     def test_single_sample_se_is_infinite(self):
         mu = MeasureEnsemble(y=[0.0], samples=[[0.3]], burn_in=1.0,
