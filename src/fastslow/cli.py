@@ -139,9 +139,10 @@ def _cmd_corrector(cfg: dict, out: Path, workers: int) -> int:
         system, y, n_samples=int(cfg.get("centering_samples", 20000)),
         seed=rng.derive_key(seed, rng.LANE_AUX, 43))
     z = centering_residual(system.H, mu, t)
-    field = solve_poisson_fk(system, system.H, query,
-                             mode=cfg.get("mode", "corrector"), centering_z=z)
     want_grad = bool(cfg.get("gradients", True))
+    field = solve_poisson_fk(system, system.H, query,
+                             mode=cfg.get("mode", "corrector"), centering_z=z,
+                             want_grad_y=want_grad)
     if want_grad:
         field = gradients(field)
     d1, k, d2 = system.d1, field.k, system.d2

@@ -12,7 +12,11 @@ estimate extrapolated from the last fifth of the integral.
 
 All query points share the same driving increments (common random numbers),
 so differences between nearby points - the finite-difference gradients -
-carry far less noise than independent solves would.
+carry far less noise than independent solves would.  The same holds across
+slow states: the y-gradients integrate from y +/- delta along each slow
+coordinate with the centre's increments, in the same pass as the centre
+(:func:`solve_poisson_fk` with ``want_grad_y``), so each block of increments
+is drawn once and drives every state.
 
 This module also holds the grid calculus on such solutions: one central
 difference stencil (:func:`_central`) gives the x-gradients, the
@@ -103,6 +107,7 @@ class CorrectorField:
     _system: CoupledSystem | None = None
     _f: object | None = None
     _centering_z: float | None = None
+    _delta_y: float | None = None
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -122,13 +127,148 @@ def _as_cols(vals: Array, lead_shape: tuple[int, ...], k: int) -> Array:
     vals = np.asarray(vals, dtype=np.float64)
     if vals.ndim == len(lead_shape):
         vals = vals[..., None]
+    if vals.shape == lead_shape + (k,):
+        return vals
     return np.broadcast_to(vals, lead_shape + (k,))
+
+
+def _check_delta_y(delta_y) -> None:
+    """Refuse a y-step that is neither None (the default step) nor a finite
+    number > 0; a zero step makes every y-difference 0 / 0."""
+    if delta_y is not None and not (math.isfinite(delta_y) and delta_y > 0):
+        raise ValueError(f"delta_y must be None or a finite number > 0, got {delta_y!r}")
+
+
+def _y_step(y: Array, delta_y: float | None) -> float:
+    """Step of the central y-differences: ``delta_y``, or by default
+    1e-3 * max(1, |y|)."""
+    _check_delta_y(delta_y)
+    if delta_y is not None:
+        return float(delta_y)
+    return 1e-3 * max(1.0, float(np.linalg.norm(y)))
+
+
+def _shifted_states(y: Array, delta: float) -> list[Array]:
+    """The slow states y + delta e_j and y - delta e_j, j = 0, 1, ..."""
+    states = []
+    for j in range(y.shape[0]):
+        shift = np.zeros(y.shape[0])
+        shift[j] = delta
+        states += [y + shift, y - shift]
+    return states
+
+
+def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int,
+               tails: bool):
+    """Frozen-path time integrals of ``f`` from every query point, for each
+    slow state in ``ys``.
+
+    The states advance in lockstep, each in its own (m, Q, d1) array: every
+    block of increments is drawn once and drives all of them, so a state
+    sees exactly the increments a solve of it alone would see.  Returns the
+    path-batch sums (len(ys), nb, Q, k), the batch sizes and, for the first
+    state when ``tails`` is set, the integrals over the last two tenths of
+    the horizon (zeros otherwise).
+    """
+    t0 = query.t
+    pts = query.points
+    Q, d1 = pts.shape
+    K = max(1, int(round(query.T_max / query.dt)))
+    dtE = query.T_max / K
+    sq = math.sqrt(dtE)
+    nb = query.n_batches
+    i80, i90 = int(0.8 * K), int(0.9 * K)
+
+    batch_sums = np.zeros((len(ys), nb, Q, k))
+    batch_counts = np.zeros(nb, dtype=np.int64)
+    w1 = np.zeros((Q, k))
+    w2 = np.zeros((Q, k))
+
+    for lo in range(0, query.n_paths, query.chunk_paths):
+        hi = min(lo + query.chunk_paths, query.n_paths)
+        m = hi - lo
+        ids = np.arange(lo, hi, dtype=np.uint64)
+        block = max(1, 32768 // m)
+        Xs = [np.broadcast_to(pts, (m, Q, d1)).copy() for _ in ys]
+        accs = [np.zeros((m, Q, k)) for _ in ys]
+        wacc1 = np.zeros((m, Q, k))
+        wacc2 = np.zeros((m, Q, k))
+        for s in range(K):
+            if s % block == 0:
+                steps = np.arange(s, min(s + block, K), dtype=np.uint64)
+                zb = rng.normals(query.seed, rng.LANE_FAST, ids[None, :],
+                                 steps[:, None], d1)
+            z = zb[s % block][:, None, :, None]
+            # a sigma without batch axes gives every point the same noise;
+            # it is spread over the points once and reused by every state
+            # whose sigma is equal
+            shared = None
+            for i, y_i in enumerate(ys):
+                X = Xs[i]
+                fdt = _as_cols(f(t0, X, y_i), (m, Q), k) * dtE
+                accs[i] += fdt
+                if i == 0 and tails:
+                    if s >= i90:
+                        wacc2 += fdt
+                    elif s >= i80:
+                        wacc1 += fdt
+                drift = np.asarray(system.b(X, y_i), dtype=np.float64)
+                sig = np.asarray(system.sigma(X, y_i), dtype=np.float64)
+                if shared is not None and np.array_equal(sig, shared[0]):
+                    noise = shared[1]
+                else:
+                    noise = (sig @ z)[..., 0] * sq
+                    if sig.ndim == 2:
+                        noise = np.repeat(noise, Q, axis=1)
+                        shared = (sig, noise)
+                X = X + drift * dtE
+                X += noise
+                Xs[i] = X
+            if (s & 127) == 127:
+                if not all(np.all(np.isfinite(X)) for X in Xs):
+                    raise NonFiniteCoefficient("frozen paths became non-finite")
+        if not all(np.all(np.isfinite(acc)) for acc in accs):
+            raise NonFiniteCoefficient("path integrals became non-finite")
+        if max(np.linalg.norm(X, axis=-1).max() for X in Xs) > 1e6:
+            raise BlowUp("frozen paths exceeded the norm cap 1e6")
+        # np.add.at adds path after path, so the sums do not depend on how
+        # the paths were split into chunks
+        bidx = (ids.astype(np.int64) * nb) // query.n_paths
+        for i, acc in enumerate(accs):
+            np.add.at(batch_sums[i], bidx, acc)
+        np.add.at(batch_counts, bidx, 1)
+        first = np.zeros(m, dtype=np.intp)
+        np.add.at(w1[None], first, wacc1)
+        np.add.at(w2[None], first, wacc2)
+    return batch_sums, batch_counts, w1, w2
+
+
+def _y_gradient(shifted_sums: Array, counts: Array, n_paths: int,
+                sign: float, delta: float) -> tuple[Array, Array]:
+    """Central y-differences (Q, k, d2) of the solution and their per-batch
+    values (nb, Q, k, d2), from the path-batch sums of the states laid out
+    as :func:`_shifted_states` lays them out."""
+    n_states, nb, Q, k = shifted_sums.shape
+    d2 = n_states // 2
+    grad = np.empty((Q, k, d2))
+    grad_b = np.empty((nb, Q, k, d2))
+    for j in range(d2):
+        sp, sm = shifted_sums[2 * j], shifted_sums[2 * j + 1]
+        vp = sign * (sp.sum(axis=0) / n_paths)
+        vm = sign * (sm.sum(axis=0) / n_paths)
+        bp = sign * (sp / counts[:, None, None])
+        bm = sign * (sm / counts[:, None, None])
+        grad[:, :, j] = (vp - vm) / (2 * delta)
+        grad_b[:, :, :, j] = (bp - bm) / (2 * delta)
+    return grad, grad_b
 
 
 def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
                      mode: str = "corrector", centering_z: float | None = None,
                      auto_center: bool = False,
-                     mu: MeasureEnsemble | None = None) -> CorrectorField:
+                     mu: MeasureEnsemble | None = None,
+                     want_grad_y: bool = False,
+                     delta_y: float | None = None) -> CorrectorField:
     """Truncated frozen-path time integral of ``f`` at every query point.
 
     The integrand must be centered against the stationary law at
@@ -136,9 +276,15 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     integral then grows linearly in the horizon.  Pass the z-score from
     :func:`fastslow.ergodic.centering_residual`, or set ``auto_center=True``
     together with a sample cloud ``mu`` to subtract the estimated mean.
+
+    With ``want_grad_y`` the same pass also integrates from the slow states
+    y +/- delta along each slow coordinate (``delta_y``, default
+    1e-3 * max(1, |y|)), driven by the centre's increments, and attaches
+    their central differences as ``grad_y`` and ``grad_y_batches``.
     """
     if mode not in ("corrector", "poisson"):
         raise ValueError("mode must be 'corrector' or 'poisson'")
+    delta = _y_step(query.y, delta_y) if want_grad_y else None
     if auto_center:
         if mu is None:
             raise ValueError("auto_center requires a MeasureEnsemble")
@@ -159,63 +305,19 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
             raise NotCentered(f"centering z-score {z_eff:.3g} exceeds 3")
         f_use = f
 
-    t0, y_fix = query.t, query.y
-    pts = query.points
-    Q, d1 = pts.shape
-    k = codomain(f_use, t0, pts, y_fix)
-    K = max(1, int(round(query.T_max / query.dt)))
-    dtE = query.T_max / K
-    sq = math.sqrt(dtE)
+    k = codomain(f_use, query.t, query.points, query.y)
+    ys = [query.y] + (_shifted_states(query.y, delta) if want_grad_y else [])
+    batch_sums, batch_counts, w1, w2 = _path_sums(system, f_use, query, ys, k,
+                                                  tails=True)
+
     nb = query.n_batches
-    i80, i90 = int(0.8 * K), int(0.9 * K)
-
-    batch_sums = np.zeros((nb, Q, k))
-    batch_counts = np.zeros(nb, dtype=np.int64)
-    w1 = np.zeros((Q, k))
-    w2 = np.zeros((Q, k))
-
-    for lo in range(0, query.n_paths, query.chunk_paths):
-        hi = min(lo + query.chunk_paths, query.n_paths)
-        m = hi - lo
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        block = max(1, 32768 // m)
-        X = np.broadcast_to(pts, (m, Q, d1)).copy()
-        acc = np.zeros((m, Q, k))
-        wacc1 = np.zeros((m, Q, k))
-        wacc2 = np.zeros((m, Q, k))
-        for s in range(K):
-            fv = _as_cols(f_use(t0, X, y_fix), (m, Q), k)
-            acc += fv * dtE
-            if s >= i90:
-                wacc2 += fv * dtE
-            elif s >= i80:
-                wacc1 += fv * dtE
-            if s % block == 0:
-                steps = np.arange(s, min(s + block, K), dtype=np.uint64)
-                zb = rng.normals(query.seed, rng.LANE_FAST, ids[None, :],
-                                 steps[:, None], d1)
-            z = zb[s % block]
-            drift = np.asarray(system.b(X, y_fix), dtype=np.float64)
-            sig = np.asarray(system.sigma(X, y_fix), dtype=np.float64)
-            X = X + drift * dtE + (sig @ z[:, None, :, None])[..., 0] * sq
-            if (s & 127) == 127:
-                if not np.all(np.isfinite(X)):
-                    raise NonFiniteCoefficient("frozen paths became non-finite")
-        if not np.all(np.isfinite(acc)):
-            raise NonFiniteCoefficient("path integrals became non-finite")
-        if np.linalg.norm(X, axis=-1).max() > 1e6:
-            raise BlowUp("frozen paths exceeded the norm cap 1e6")
-        # np.add.at adds path after path, so the sums do not depend on how
-        # the paths were split into chunks
-        bidx = (ids.astype(np.int64) * nb) // query.n_paths
-        np.add.at(batch_sums, bidx, acc)
-        np.add.at(batch_counts, bidx, 1)
-        first = np.zeros(m, dtype=np.intp)
-        np.add.at(w1[None], first, wacc1)
-        np.add.at(w2[None], first, wacc2)
-
-    values = batch_sums.sum(axis=0) / query.n_paths
-    batch_means = batch_sums / batch_counts[:, None, None]
+    sign = 1.0 if mode == "corrector" else -1.0
+    grad_y = grad_y_b = None
+    if want_grad_y:
+        grad_y, grad_y_b = _y_gradient(batch_sums[1:], batch_counts,
+                                       query.n_paths, sign, delta)
+    values = batch_sums[0].sum(axis=0) / query.n_paths
+    batch_means = batch_sums[0] / batch_counts[:, None, None]
     se = batch_means.std(axis=0, ddof=1) / math.sqrt(nb)
     w1 /= query.n_paths
     w2 /= query.n_paths
@@ -223,11 +325,11 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     tail = np.abs(w2) * ratio / (1.0 - ratio)
     tail[np.abs(w1) < 1e-300] = 0.0
 
-    sign = 1.0 if mode == "corrector" else -1.0
     return CorrectorField(
         query=query, mode=mode, values=sign * values, se=se,
         batch_means=sign * batch_means, tail_bound=tail, k=k,
-        _system=system, _f=f_use, _centering_z=z_eff)
+        grad_y=grad_y, grad_y_batches=grad_y_b,
+        _system=system, _f=f_use, _centering_z=z_eff, _delta_y=delta)
 
 
 def _central(vals: Array, axis: int, h: float, order: int = 1) -> Array:
@@ -284,11 +386,15 @@ def gradients(field: CorrectorField, want_grad_y: bool = True,
     """Attach state and parameter gradients to a grid-solved field.
 
     x-gradients are central differences on the tensor grid (NaN at edge
-    nodes).  y-gradients re-solve the field at y +/- delta along each slow
-    coordinate with the same seed, so the Monte Carlo noise largely cancels
-    in the difference.  Raises :class:`GridTooCoarse` when second differences
-    dominate first differences beyond a fixed tolerance of 0.5 (and clear the
-    noise floor).
+    nodes).  y-gradients are central differences between the solutions at
+    y +/- delta along each slow coordinate, driven by the centre's
+    increments, so the Monte Carlo noise largely cancels in the difference.
+    A field solved with ``want_grad_y`` already holds them for its delta;
+    otherwise all 2 * d2 shifted states are integrated here, in one pass of
+    the solver's path loop.  ``delta_y`` must be None (1e-3 * max(1, |y|))
+    or a finite number > 0.  Raises :class:`GridTooCoarse` when second
+    differences dominate first differences beyond a fixed tolerance of 0.5
+    (and clear the noise floor).
     """
     q = field.query
     if q.grid_axes is None:
@@ -303,30 +409,20 @@ def gradients(field: CorrectorField, want_grad_y: bool = True,
         _coarseness_check(scalar, p, float(ax[1] - ax[0]), se_med)
     grad_x = grid_grad_x(field, field.values)
 
-    grad_y = None
-    grad_y_b = None
-    if want_grad_y:
-        if field._system is None or field._f is None:
-            raise ValueError("field lost its provenance; cannot re-solve in y")
-        d2 = q.y.shape[0]
-        delta = delta_y if delta_y is not None else \
-            1e-3 * max(1.0, float(np.linalg.norm(q.y)))
-        grad_y = np.empty((field.values.shape[0], field.k, d2))
-        nb = field.batch_means.shape[0]
-        grad_y_b = np.empty((nb, field.values.shape[0], field.k, d2))
-        for j in range(d2):
-            shift = np.zeros(d2)
-            shift[j] = delta
-            fp = solve_poisson_fk(field._system, field._f,
-                                  replace(q, y=q.y + shift), mode=field.mode,
-                                  centering_z=field._centering_z)
-            fm = solve_poisson_fk(field._system, field._f,
-                                  replace(q, y=q.y - shift), mode=field.mode,
-                                  centering_z=field._centering_z)
-            grad_y[:, :, j] = (fp.values - fm.values) / (2 * delta)
-            grad_y_b[:, :, :, j] = (fp.batch_means - fm.batch_means) / (2 * delta)
-
-    return replace(field, grad_x=grad_x, grad_y=grad_y, grad_y_batches=grad_y_b)
+    if not want_grad_y:
+        return replace(field, grad_x=grad_x)
+    delta = _y_step(q.y, delta_y)
+    if field.grad_y is not None and field._delta_y == delta:
+        return replace(field, grad_x=grad_x)
+    if field._system is None or field._f is None:
+        raise ValueError("field lost its provenance; cannot re-solve in y")
+    shifted, counts, _, _ = _path_sums(field._system, field._f, q,
+                                       _shifted_states(q.y, delta), field.k,
+                                       tails=False)
+    sign = 1.0 if field.mode == "corrector" else -1.0
+    grad_y, grad_y_b = _y_gradient(shifted, counts, q.n_paths, sign, delta)
+    return replace(field, grad_x=grad_x, grad_y=grad_y, grad_y_batches=grad_y_b,
+                   _delta_y=delta)
 
 
 @dataclass(frozen=True)
@@ -460,6 +556,9 @@ class TransferConfig:
     seed: int = 0
     n_batches: int = 20
 
+    def __post_init__(self):
+        _check_delta_y(self.delta_y)
+
 
 @dataclass(frozen=True)
 class TransferEstimate:
@@ -517,8 +616,7 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     field = solve_poisson_fk(system, f_centered, query, mode="poisson",
                              centering_z=z)
 
-    delta = cfg.delta_y if cfg.delta_y is not None else \
-        1e-3 * max(1.0, float(np.linalg.norm(y)))
+    delta = _y_step(y, cfg.delta_y)
     yp, ym = y + delta * e, y - delta * e
     xs = mu.samples
 

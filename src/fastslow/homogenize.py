@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .corrector import (CorrectorQuery, codomain, grad_x_at, grad_y_at,
                         gradients, grid_grad_x, outer_product_HPhi,
-                        solve_poisson_fk, _field_at)
+                        solve_poisson_fk, _check_delta_y, _field_at)
 from .ergodic import (MeasureEnsemble, centering_residual,
                       sample_invariant_measure)
 from .errors import PSDFailure
@@ -59,6 +59,7 @@ class Budgets:
         # refused before any cloud is sampled, also in regimes with no solve
         if self.n_batches < 2:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
+        _check_delta_y(self.delta_y)
 
 
 def psd_sqrt(M: Array, tol_psd: float | None = None) -> Array:
@@ -149,7 +150,9 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
         n_paths=budgets.corrector_paths, dt=budgets.corrector_dt,
         seed=seed, n_batches=budgets.n_batches)
     z = centering_residual(f, mu, t)
-    fld = solve_poisson_fk(system, f, query, mode="corrector", centering_z=z)
+    # the y +/- delta states ride along in the centre's pass
+    fld = solve_poisson_fk(system, f, query, mode="corrector", centering_z=z,
+                           want_grad_y=need_gy, delta_y=budgets.delta_y)
     if need_gx or need_gy:
         fld = gradients(fld, want_grad_y=need_gy, delta_y=budgets.delta_y)
     out.update(field=fld, z=z)

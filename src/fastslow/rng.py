@@ -9,8 +9,10 @@ assumption sampling, per-cell sub-seeds) on disjoint streams.
 The hash stage maps (seed, lane, path, step, word) to a 64-bit word through
 a splitmix-style avalanche chain in wrapping uint64 numpy arithmetic, in the
 counter-based design of Salmon et al. (2011), "Parallel random numbers: as
-easy as 1, 2, 3".  Uniforms keep the top 53 bits of one word; normals take
-the Box-Muller cosine branch of two words.
+easy as 1, 2, 3".  The (seed, lane, path) part of the chain is computed
+once per path and then broadcast against the steps, and each word is mixed
+in its own contiguous buffer.  Uniforms keep the top 53 bits of one word;
+normals take the Box-Muller cosine branch of two words.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
+_S11 = np.uint64(11)
 
 
 def backend_name() -> str:
@@ -68,35 +71,50 @@ def derive_key(*words: int) -> int:
     return h
 
 
-def _mix(h: np.ndarray) -> np.ndarray:
-    # h is a private uint64 array; mutated in place.
-    h ^= h >> _S30
+def _mix(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # h is a private uint64 array of at least one dimension, mutated in
+    # place; tmp is scratch of its shape
+    np.right_shift(h, _S30, out=tmp)
+    h ^= tmp
     h *= _M1
-    h ^= h >> _S27
+    np.right_shift(h, _S27, out=tmp)
+    h ^= tmp
     h *= _M2
-    h ^= h >> _S31
+    np.right_shift(h, _S31, out=tmp)
+    h ^= tmp
     return h
 
 
-def _lattice(seed, lane, path, step, nwords):
-    """Hash words, (n, nwords) uint64, for ``path`` and ``step`` broadcast
-    together and flattened to n rows; word j of a row is a pure function of
-    (seed, lane, path, step, j).  Also returns the broadcast shape."""
-    path_a, step_a = np.broadcast_arrays(
-        np.asarray(path, dtype=np.uint64), np.asarray(step, dtype=np.uint64))
-    shape = path_a.shape
-    p = np.ascontiguousarray(path_a).ravel()
-    s = np.ascontiguousarray(step_a).ravel()
+def _row_hashes(seed, lane, path, step):
+    """Hash of (seed, lane, path, step), plus the golden-ratio increment,
+    for ``path`` and ``step`` broadcast together and flattened to n rows;
+    also returns the broadcast shape.
+
+    (seed, lane, path) is hashed once per path on the path's own shape and
+    only then broadcast against ``step``.  Both inputs are made at least
+    1-d, because numpy ufuncs return scalars for 0-d inputs and the
+    in-place mixing would then act on a copy.
+    """
+    path_a = np.atleast_1d(np.asarray(path, dtype=np.uint64))
+    step_a = np.atleast_1d(np.asarray(step, dtype=np.uint64))
+    shape = np.broadcast_shapes(np.shape(path), np.shape(step))
     base = _absorb_int(_absorb_int(_mix_int(_SEED0), int(seed)), int(lane))
-    c0 = np.uint64((base + _GOLD) & _MASK)
-    h = _mix(np.bitwise_xor(c0, p))
+    hp = np.bitwise_xor(np.uint64((base + _GOLD) & _MASK), path_a)
+    hp = _mix(hp, np.empty_like(hp))
+    hp += _GOLD_U
+    h = np.bitwise_xor(hp, step_a).reshape(-1)
+    h = _mix(h, np.empty_like(h))
     h += _GOLD_U
-    h = _mix(np.bitwise_xor(h, s))
-    words = np.empty((h.shape[0], int(nwords)), dtype=np.uint64)
-    hg = h + _GOLD_U
-    for j in range(int(nwords)):
-        words[:, j] = _mix(np.bitwise_xor(hg, np.uint64(j)))
-    return words, shape
+    return h, shape
+
+
+def _top53(h: np.ndarray, j: int, w: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Top 53 bits, as float64, of word j of every row of ``h``; the word is
+    mixed in the contiguous buffer ``w``, with ``tmp`` as scratch."""
+    np.bitwise_xor(h, np.uint64(j), out=w)
+    _mix(w, tmp)
+    w >>= _S11
+    return w.astype(np.float64)
 
 
 def normals(seed: int, lane: int, path, step, ncomp: int) -> np.ndarray:
@@ -106,15 +124,29 @@ def normals(seed: int, lane: int, path, step, ncomp: int) -> np.ndarray:
     broadcast shape plus a trailing ``(ncomp,)`` axis.  Uses the Box-Muller
     cosine branch on two hash words per normal.
     """
-    words, shape = _lattice(seed, lane, path, step, 2 * ncomp)
-    u1 = ((words[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-    u2 = (words[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+    h, shape = _row_hashes(seed, lane, path, step)
+    w, tmp = np.empty_like(h), np.empty_like(h)
+    z = np.empty((h.shape[0], ncomp))
+    for c in range(ncomp):
+        # scaling by 2**-53 is exact, so it may be folded into 2 pi
+        r = _top53(h, 2 * c, w, tmp)
+        r += 1.0
+        r *= 2.0 ** -53
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        a = _top53(h, 2 * c + 1, w, tmp)
+        a *= (2.0 * np.pi) * 2.0 ** -53
+        np.cos(a, out=a)
+        np.multiply(r, a, out=z[:, c])
     return z.reshape(shape + (ncomp,))
 
 
 def uniforms(seed: int, lane: int, path, step, ncomp: int) -> np.ndarray:
     """Uniform [0, 1) block with the same keying contract as ``normals``."""
-    words, shape = _lattice(seed, lane, path, step, ncomp)
-    u = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    h, shape = _row_hashes(seed, lane, path, step)
+    w, tmp = np.empty_like(h), np.empty_like(h)
+    u = np.empty((h.shape[0], ncomp))
+    for c in range(ncomp):
+        np.multiply(_top53(h, c, w, tmp), 2.0 ** -53, out=u[:, c])
     return u.reshape(shape + (ncomp,))

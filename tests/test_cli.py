@@ -118,3 +118,17 @@ def test_single_path_batch_exits_2_before_sampling(tmp_path, capsys, monkeypatch
     assert clouds == []
     summary = json.loads((out / "average_summary.json").read_text())
     assert summary["error"]["type"] == "ValueError"
+
+
+def test_zero_delta_y_exits_2(tmp_path, capsys):
+    # a zero y-step made every R4 drift 0 / 0 = nan
+    out = tmp_path / "out"
+    cfg = {"preset": "ou_full", "exponents": [1, 1, 1], "ys": [[0.0]],
+           "out_dir": str(out),
+           "budgets": dict(SMALL_BUDGETS, corrector_paths=40,
+                           corrector_tmax=0.5, delta_y=0)}
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "delta_y must be None or a finite number > 0" in capsys.readouterr().err
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary["error"]["type"] == "ValueError"
+    assert not (out / "average.csv").exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fastslow import (CorrectorQuery, CoupledSystem, NotCentered, GridTooCoarse,
-                      average, centering_residual, gradients,
+                      TransferConfig, average, centering_residual, gradients,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
 from fastslow.corrector import (CorrectorField, _field_at,
@@ -111,6 +111,16 @@ class TestSolve:
                              replace(query, chunk_paths=4096), centering_z=0.0)
         for name in ("values", "se", "batch_means", "tail_bound"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        # the y +/- delta states ride the same blocks of increments
+        for make in FUSED_SYSTEMS.values():
+            system, f, y = make()
+            q = replace(query, y=np.asarray(y, dtype=np.float64))
+            a = solve_poisson_fk(system, f, q, centering_z=0.0, want_grad_y=True)
+            b = solve_poisson_fk(system, f, replace(q, chunk_paths=4096),
+                                 centering_z=0.0, want_grad_y=True)
+            for name in ("values", "se", "batch_means", "tail_bound", "grad_y",
+                         "grad_y_batches"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_refuses_without_evidence(self):
         with pytest.raises(NotCentered):
@@ -186,6 +196,130 @@ class TestSolve:
         se_diff = diff.std(axis=0, ddof=1) / math.sqrt(diff.shape[0])
         delta = np.abs(f10.values - f5.values)
         assert np.all(delta <= f5.tail_bound + 3 * se_diff + 1e-12)
+
+
+def coupled_ou():
+    """d2 = 1: frozen law N(y, 1) with the centered integrand x - y."""
+    system = CoupledSystem(
+        d1=1, d2=1,
+        b=lambda x, y: y - x,
+        sigma=lambda x, y: np.array([[RT2]]),
+        c=lambda x, y: np.zeros_like(x),
+        F=lambda t, x, y: np.zeros_like(x),
+        H=lambda t, x, y: x - y,
+        G=lambda t, x, y: np.array([[1.0]]),
+        autonomous=True,
+    )
+    return system, system.H, [0.4]
+
+
+def coupled_ou_x_noise():
+    """d2 = 1 with a noise coefficient that depends on the fast state."""
+    system, H, y = coupled_ou()
+    sigma = lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None]
+    return replace(system, sigma=sigma), H, y
+
+
+def coupled_ou_2():
+    """d2 = 2: the first slow coordinate moves the mean, the second the
+    relaxation rate, the noise and the second integrand component."""
+    def b(x, y):
+        y = np.asarray(y)
+        return y[..., :1] - x * (1.0 + 0.3 * y[..., 1:] ** 2)
+
+    def H(t, x, y):
+        y = np.asarray(y)
+        dev = x - y[..., :1]
+        return np.concatenate([dev, dev * y[..., 1:]], axis=-1)
+
+    system = CoupledSystem(
+        d1=1, d2=2, b=b,
+        sigma=lambda x, y: np.array([[RT2 * (1.0 + 0.1 * y[1] ** 2)]]),
+        c=lambda x, y: np.zeros_like(x),
+        F=lambda t, x, y: np.zeros(np.shape(x)[:-1] + (2,)),
+        H=H,
+        G=lambda t, x, y: np.eye(2),
+        autonomous=True,
+    )
+    return system, H, [0.3, -0.8]
+
+
+# the noise is shared by all states, by none, and by some
+FUSED_SYSTEMS = {"d2=1": coupled_ou, "d2=1 x-noise": coupled_ou_x_noise,
+                 "d2=2": coupled_ou_2}
+
+
+class TestFusedYStates:
+    """The y +/- delta states of the y-gradient share the centre's pass."""
+
+    def query(self, y):
+        return grid_query(n=7, n_paths=600, T_max=0.8, y=y, seed=23,
+                          chunk_paths=256)
+
+    @pytest.mark.parametrize("mode", ["corrector", "poisson"])
+    @pytest.mark.parametrize("system", list(FUSED_SYSTEMS))
+    def test_equals_separate_single_state_solves(self, system, mode):
+        sys_, f, y = FUSED_SYSTEMS[system]()
+        q = self.query(y)
+        delta = 0.05
+        fused = solve_poisson_fk(sys_, f, q, mode=mode, centering_z=0.0,
+                                 want_grad_y=True, delta_y=delta)
+        centre = solve_poisson_fk(sys_, f, q, mode=mode, centering_z=0.0)
+        for name in ("values", "se", "batch_means", "tail_bound"):
+            assert np.array_equal(getattr(fused, name), getattr(centre, name)), name
+        d2 = len(y)
+        assert fused.grad_y.shape == (q.points.shape[0], fused.k, d2)
+        for j in range(d2):
+            shift = np.zeros(d2)
+            shift[j] = delta
+            fp = solve_poisson_fk(sys_, f, replace(q, y=q.y + shift), mode=mode,
+                                  centering_z=0.0)
+            fm = solve_poisson_fk(sys_, f, replace(q, y=q.y - shift), mode=mode,
+                                  centering_z=0.0)
+            assert np.array_equal(fused.grad_y[:, :, j],
+                                  (fp.values - fm.values) / (2 * delta))
+            assert np.array_equal(fused.grad_y_batches[..., j],
+                                  (fp.batch_means - fm.batch_means) / (2 * delta))
+        assert np.any(fused.grad_y != 0.0)
+
+    @pytest.mark.parametrize("delta_y", [None, 0.05])
+    @pytest.mark.parametrize("system", list(FUSED_SYSTEMS))
+    def test_gradients_on_centre_only_field(self, system, delta_y):
+        sys_, f, y = FUSED_SYSTEMS[system]()
+        q = self.query(y)
+        fused = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0,
+                                           want_grad_y=True, delta_y=delta_y),
+                          delta_y=delta_y)
+        late = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0),
+                         delta_y=delta_y)
+        for name in ("values", "se", "batch_means", "tail_bound", "grad_x",
+                     "grad_y", "grad_y_batches"):
+            assert np.array_equal(getattr(fused, name), getattr(late, name),
+                                  equal_nan=True), name
+
+    def test_other_delta_is_solved_again(self):
+        sys_, f, y = coupled_ou()
+        q = self.query(y)
+        fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
+                                 want_grad_y=True, delta_y=0.05)
+        again = gradients(fused, delta_y=0.1)
+        direct = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0),
+                           delta_y=0.1)
+        assert np.array_equal(again.grad_y, direct.grad_y)
+        assert not np.array_equal(again.grad_y, fused.grad_y)
+
+    @pytest.mark.parametrize("delta_y", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_rejects_bad_delta_y(self, delta_y):
+        sys_, f, y = coupled_ou()
+        q = grid_query(n=5, n_paths=40, T_max=0.1, y=y)
+        with pytest.raises(ValueError, match="delta_y"):
+            solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
+                             delta_y=delta_y)
+        field = solve_poisson_fk(sys_, f, q, centering_z=0.0)
+        with pytest.raises(ValueError, match="delta_y"):
+            gradients(field, delta_y=delta_y)
+        with pytest.raises(ValueError, match="delta_y"):
+            TransferConfig(delta_y=delta_y)
 
 
 class TestQuery:

@@ -344,3 +344,14 @@ class TestZeroWeightSolves:
         corrector_corrections(ou_full(), lambda t, x, y: x - y, Regime.R2, 0.0,
                               [0.3], self.BUDGETS, seed=6)
         assert solves[0] == 1
+
+    def test_r4_y_states_ride_the_one_solve(self, solves):
+        # the y +/- delta states of the y-gradient share the centre's pass
+        regime_averages(ou_full(), Regime.R4, 0.0, [0.3], self.BUDGETS, seed=6)
+        assert solves[0] == 1
+
+
+@pytest.mark.parametrize("delta_y", [0.0, -0.1, float("nan"), float("inf")])
+def test_budgets_reject_bad_delta_y(delta_y):
+    with pytest.raises(ValueError, match="delta_y"):
+        Budgets(delta_y=delta_y)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fastslow import rng
 
@@ -102,3 +103,51 @@ def test_normal_stream_pinned():
     np.testing.assert_allclose(z[:, 0], [
         0.08740941430787438, 0.5284330646940284, -0.1678976834571024,
         0.44033244704920865, 0.10671016610459863], rtol=1e-15, atol=0)
+
+
+# The keying contract, rebuilt one element at a time from the python-int
+# splitmix chain: word j of (seed, lane, path, step) absorbs seed, lane,
+# path, step and j in that order.  Inputs of every broadcasting layout,
+# 0-d ones included, must give the words of their broadcast elements.
+KEY_SHAPES = {
+    "int x array": (5, np.arange(9)),
+    "array x int": (np.arange(9), 5),
+    "int x int": (3, 12),
+    "(1, K) x (n, 1)": (np.arange(4)[None, :], np.arange(6)[:, None]),
+    "(n, 1) x (1, K)": (np.arange(6)[:, None], np.arange(4)[None, :]),
+    "2-d x scalar": (np.arange(12).reshape(3, 4), 7),
+}
+
+
+def _reference_words(seed, lane, path, step, nwords):
+    shape = np.broadcast_shapes(np.shape(path), np.shape(step))
+    paths = np.broadcast_to(path, shape).ravel().tolist()
+    steps = np.broadcast_to(step, shape).ravel().tolist()
+    base = rng._absorb_int(rng._absorb_int(rng._mix_int(rng._SEED0), seed), lane)
+    rows = []
+    for p, s in zip(paths, steps):
+        h = rng._absorb_int(rng._absorb_int(base, p), s)
+        rows.append([rng._absorb_int(h, j) for j in range(nwords)])
+    return rows, shape
+
+
+@pytest.mark.parametrize("seed, lane", [(0, rng.LANE_FAST), (2 ** 63 + 5, rng.LANE_CELL)],
+                         ids=["seed 0 fast", "seed 2^63+5 cell"])
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+@pytest.mark.parametrize("layout", list(KEY_SHAPES))
+def test_keying_contract_bit_for_bit(layout, ncomp, seed, lane):
+    path, step = KEY_SHAPES[layout]
+    rows, shape = _reference_words(seed, lane, path, step, 2 * ncomp)
+    top = np.array([[w >> 11 for w in r] for r in rows], dtype=np.float64)
+
+    u = rng.uniforms(seed, lane, path, step, ncomp)
+    assert u.shape == shape + (ncomp,)
+    assert np.array_equal(u, (top[:, :ncomp] * 2.0 ** -53).reshape(u.shape))
+
+    # the reference's Box-Muller runs through the same numpy log and cos
+    u1 = (top[:, 0::2] + 1.0) * 2.0 ** -53
+    u2 = top[:, 1::2] * 2.0 ** -53
+    expect = np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+    z = rng.normals(seed, lane, path, step, ncomp)
+    assert z.shape == shape + (ncomp,)
+    assert np.array_equal(z, expect.reshape(z.shape))
