@@ -188,6 +188,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int,
         hi = min(lo + query.chunk_paths, query.n_paths)
         m = hi - lo
         ids = np.arange(lo, hi, dtype=np.uint64)
+        paths = rng.PathIndex(ids[None, :])
         block = max(1, 32768 // m)
         Xs = [np.broadcast_to(pts, (m, Q, d1)).copy() for _ in ys]
         accs = [np.zeros((m, Q, k)) for _ in ys]
@@ -196,7 +197,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int,
         for s in range(K):
             if s % block == 0:
                 steps = np.arange(s, min(s + block, K), dtype=np.uint64)
-                zb = rng.normals(query.seed, rng.LANE_FAST, ids[None, :],
+                zb = rng.normals(query.seed, rng.LANE_FAST, paths,
                                  steps[:, None], d1)
             z = zb[s % block][:, None, :, None]
             # a sigma without batch axes gives every point the same noise;

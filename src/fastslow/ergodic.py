@@ -3,7 +3,11 @@
 The stationary law of the frozen equation is stood in for by a cloud from
 ``N_CHAINS`` independent trajectories, advanced together as one vectorized
 state: each starts at x = 0, discards its own burn-in and keeps every
-``thinning``-th state.  The standard error of an average over the cloud
+``thinning``-th state.  Increments are drawn a block of steps at a time.
+A noise coefficient without batch axes is state-independent at the frozen
+y (see :mod:`fastslow.model`), so it is evaluated once per block and the
+noise of the whole block is one product; one with batch axes is
+evaluated at every step.  The standard error of an average over the cloud
 (:func:`chain_se`) is taken from the chain means, so the z of an exactly
 centered integrand follows a t law with K - 1 degrees of freedom for K
 chains.  A hand-built single-chain cloud instead sizes its error from its
@@ -145,19 +149,35 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     burn_steps = int(math.ceil(burn_in / dt))
     total = burn_steps + n_keep * thinning
     sq = math.sqrt(dt)
-    chains = np.arange(K, dtype=np.uint64)[None, :]
+    chains = rng.PathIndex(np.arange(K)[None, :])
     block = max(1, 32768 // K)
+    # the state after step keep_at is the next one kept, in row i
+    keep_at, i = burn_steps + thinning - 1, 0
     for k0 in range(0, total, block):
         nb = min(block, total - k0)
         steps = np.arange(k0, k0 + nb, dtype=np.uint64)[:, None]
-        z = rng.normals(seed, rng.LANE_FAST, chains, steps, d1) * sq
+        z = rng.normals(seed, rng.LANE_FAST, chains, steps, d1)
+        z *= sq
+        sig = np.asarray(system.sigma(x, y_fix), dtype=np.float64)
+        per_step = sig.ndim != 2
+        if not per_step:
+            # a sigma without batch axes is state-independent (see model),
+            # so the noise of the whole block is one product; it replaces
+            # the increments, so one block-sized array stays alive
+            z = (sig @ z[..., None])[..., 0]
         for j in range(nb):
-            x = x + np.asarray(system.b(x, y_fix), dtype=np.float64) * dt \
-                + (np.asarray(system.sigma(x, y_fix), dtype=np.float64)
-                   @ z[j][..., None])[..., 0]
-            i, r = divmod(k0 + j - burn_steps + 1, thinning)
-            if r == 0 and i >= 1:
-                kept[i - 1] = x
+            if per_step:
+                if j:
+                    sig = np.asarray(system.sigma(x, y_fix), dtype=np.float64)
+                noise = (sig @ z[j][..., None])[..., 0]
+            else:
+                noise = z[j]
+            x += np.asarray(system.b(x, y_fix), dtype=np.float64) * dt
+            x += noise
+            if k0 + j == keep_at:
+                kept[i] = x
+                i += 1
+                keep_at += thinning
         if not np.all(np.isfinite(x)):
             raise NonFiniteCoefficient("frozen trajectory became non-finite")
         if np.linalg.norm(x, axis=-1).max() > blowup_cap:

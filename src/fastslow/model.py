@@ -4,8 +4,13 @@ A coupled system carries six coefficient callables.  All of them must be
 numpy-vectorized over leading batch axes and pure (no hidden state): the
 fast state ``x`` arrives with shape ``(..., d1)``, the slow state ``y``
 with shape ``(..., d2)`` or plain ``(d2,)``, and ``t`` is a scalar.
-Matrix-valued coefficients may return a single ``(d, d)`` array when they
-are state-independent; broadcasting does the rest.
+
+A matrix-valued coefficient (``sigma``, ``G``) returns either one matrix
+per batch row, ``(..., d, d)``, or a single ``(d, d)`` array without batch
+axes.  The second form is a promise: the matrix is state-independent at
+that (t, y), so a step loop that holds (t, y) fixed may evaluate it once
+per block of steps and reuse it.  A coefficient that depends on the
+state must return batch axes; broadcasting does the rest.
 """
 
 from __future__ import annotations

@@ -11,8 +11,11 @@ a splitmix-style avalanche chain in wrapping uint64 numpy arithmetic, in the
 counter-based design of Salmon et al. (2011), "Parallel random numbers: as
 easy as 1, 2, 3".  The (seed, lane, path) part of the chain is computed
 once per path and then broadcast against the steps, and each word is mixed
-in its own contiguous buffer.  Uniforms keep the top 53 bits of one word;
-normals take the Box-Muller cosine branch of two words.
+in its own contiguous buffer.  A :class:`PathIndex` keeps that part for
+its paths, so a step loop that draws for the same paths at every step
+hashes each path once per run, not once per call.  Uniforms keep the top
+53 bits of one word; normals take the Box-Muller cosine branch of two
+words.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 __all__ = [
     "LANE_FAST", "LANE_SLOW", "LANE_VALIDATE", "LANE_CELL", "LANE_AUX",
-    "normals", "uniforms", "derive_key", "backend_name",
+    "PathIndex", "normals", "uniforms", "derive_key", "backend_name",
 ]
 
 LANE_FAST = 0x01      # increments of the first driving Brownian motion
@@ -85,24 +88,54 @@ def _mix(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return h
 
 
+class PathIndex:
+    """Path indices whose (seed, lane, path) hash is computed once.
+
+    Pass it to :func:`normals` or :func:`uniforms` wherever a ``path``
+    array goes; the draws are bit-identical to passing the ids themselves.
+    The ids are copied when the object is built, and the path part of the
+    hash is kept per (seed, lane), so a step loop that draws for the same
+    paths at every step hashes each path once per run.
+    """
+
+    __slots__ = ("shape", "_ids", "_hashed")
+
+    def __init__(self, ids):
+        ids = np.array(ids, dtype=np.uint64)
+        self.shape = ids.shape
+        # at least 1-d: numpy ufuncs return scalars for 0-d inputs, and the
+        # in-place mixing would then act on a copy
+        self._ids = np.atleast_1d(ids)
+        self._hashed: dict[tuple[int, int], np.ndarray] = {}
+
+    def hashes(self, seed, lane) -> np.ndarray:
+        """Hash of (seed, lane, path) plus the golden-ratio increment, for
+        every id on the ids' own shape; computed on first use."""
+        key = (int(seed), int(lane))
+        hp = self._hashed.get(key)
+        if hp is None:
+            base = _absorb_int(_absorb_int(_mix_int(_SEED0), key[0]), key[1])
+            hp = np.bitwise_xor(np.uint64((base + _GOLD) & _MASK), self._ids)
+            hp = _mix(hp, np.empty_like(hp))
+            hp += _GOLD_U
+            self._hashed[key] = hp
+        return hp
+
+
 def _row_hashes(seed, lane, path, step):
     """Hash of (seed, lane, path, step), plus the golden-ratio increment,
     for ``path`` and ``step`` broadcast together and flattened to n rows;
     also returns the broadcast shape.
 
-    (seed, lane, path) is hashed once per path on the path's own shape and
-    only then broadcast against ``step``.  Both inputs are made at least
-    1-d, because numpy ufuncs return scalars for 0-d inputs and the
-    in-place mixing would then act on a copy.
+    (seed, lane, path) is hashed on the path's own shape, through a
+    :class:`PathIndex`, and only then broadcast against ``step``, which is
+    made at least 1-d for the same reason as the ids.
     """
-    path_a = np.atleast_1d(np.asarray(path, dtype=np.uint64))
+    if not isinstance(path, PathIndex):
+        path = PathIndex(path)
     step_a = np.atleast_1d(np.asarray(step, dtype=np.uint64))
-    shape = np.broadcast_shapes(np.shape(path), np.shape(step))
-    base = _absorb_int(_absorb_int(_mix_int(_SEED0), int(seed)), int(lane))
-    hp = np.bitwise_xor(np.uint64((base + _GOLD) & _MASK), path_a)
-    hp = _mix(hp, np.empty_like(hp))
-    hp += _GOLD_U
-    h = np.bitwise_xor(hp, step_a).reshape(-1)
+    shape = np.broadcast_shapes(path.shape, np.shape(step))
+    h = np.bitwise_xor(path.hashes(seed, lane), step_a).reshape(-1)
     h = _mix(h, np.empty_like(h))
     h += _GOLD_U
     return h, shape
@@ -120,9 +153,10 @@ def _top53(h: np.ndarray, j: int, w: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def normals(seed: int, lane: int, path, step, ncomp: int) -> np.ndarray:
     """Standard normal block keyed by (seed, lane, path, step, component).
 
-    ``path`` and ``step`` broadcast against each other; the result has their
-    broadcast shape plus a trailing ``(ncomp,)`` axis.  Uses the Box-Muller
-    cosine branch on two hash words per normal.
+    ``path`` (ids or a :class:`PathIndex`) and ``step`` broadcast against
+    each other; the result has their broadcast shape plus a trailing
+    ``(ncomp,)`` axis.  Uses the Box-Muller cosine branch on two hash words
+    per normal.
     """
     h, shape = _row_hashes(seed, lane, path, step)
     w, tmp = np.empty_like(h), np.empty_like(h)

@@ -9,7 +9,9 @@ applied, which removes most of the discretization bias of that stiff term.
 
 All Brownian increments come from counter-based streams keyed by
 (seed, lane, path index, step index), so results are bit-identical for any
-chunk size or worker count.
+chunk size or worker count.  Each chunk keys its draws through one
+:class:`fastslow.rng.PathIndex`, so the path part of the hash is computed
+once per chunk and lane, not at every step.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
 
     def body(lo: int, hi: int) -> None:
         m = hi - lo
-        ids = np.arange(lo, hi, dtype=np.uint64)
+        paths = rng.PathIndex(np.arange(lo, hi))
         X = np.tile(x_init, (m, 1))
         Y = np.tile(y_init, (m, 1))
         acc = None
@@ -228,12 +230,12 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
                     if val.ndim == 1:
                         val = val[:, None]
                     acc = val * h if acc is None else acc + val * h
-                z = rng.normals(cfg.seed, rng.LANE_FAST, ids,
+                z = rng.normals(cfg.seed, rng.LANE_FAST, paths,
                                 np.uint64(mi * n_micro + j), d1)
                 drift = (np.asarray(system.b(X, Y), dtype=np.float64) * inv_a2
                          + np.asarray(system.c(X, Y), dtype=np.float64) * inv_b)
                 X = X + drift * h + _matvec(system.sigma(X, Y), z) * sq_h
-            z2 = rng.normals(cfg.seed, rng.LANE_SLOW, ids, np.uint64(mi), d2)
+            z2 = rng.normals(cfg.seed, rng.LANE_SLOW, paths, np.uint64(mi), d2)
             Y = Y + (Fm + Hsum * (inv_g / n_micro)) * dt + _matvec(Gm, z2) * sq_dt
             _check_state("fast", X, cfg.blowup_cap, tm + dt, lo)
             _check_state("slow", Y, cfg.blowup_cap, tm + dt, lo)
@@ -279,11 +281,11 @@ def integrate_frozen(system: CoupledSystem, y, x0, T: float, dt: float,
 
     def body(lo: int, hi: int) -> None:
         m = hi - lo
-        ids = np.arange(lo, hi, dtype=np.uint64)
+        paths = rng.PathIndex(np.arange(lo, hi))
         X = np.tile(x_init, (m, 1))
         mx = np.linalg.norm(X, axis=-1)
         for k in range(n_steps):
-            z = rng.normals(seed, rng.LANE_FAST, ids, np.uint64(k), d1)
+            z = rng.normals(seed, rng.LANE_FAST, paths, np.uint64(k), d1)
             X = X + np.asarray(system.b(X, y_fix), dtype=np.float64) * hE \
                 + _matvec(system.sigma(X, y_fix), z) * sq
             if (k & 63) == 63 or k == n_steps - 1:
@@ -330,7 +332,7 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
 
     def body(lo: int, hi: int) -> None:
         m = hi - lo
-        ids = np.arange(lo, hi, dtype=np.uint64)
+        paths = rng.PathIndex(np.arange(lo, hi))
         Y = np.tile(y_init, (m, 1))
 
         def record(node: int) -> None:
@@ -344,7 +346,7 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
         for k in range(n_steps):
             tk = k * dtE
             drift, diff = avg.coefficients_batch(tk, Y)
-            z = rng.normals(seed, rng.LANE_SLOW, ids, np.uint64(k), d2)
+            z = rng.normals(seed, rng.LANE_SLOW, paths, np.uint64(k), d2)
             Y = Y + drift * dtE + _matvec(diff, z) * sq
             _check_state("limit", Y, blowup_cap, tk + dtE, lo)
             record(k + 1)

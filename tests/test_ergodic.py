@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,26 +75,80 @@ class TestInvariantMeasure:
     def test_chains_laid_out_one_after_another(self):
         # 1000 rows over 64 chains: each keeps 15 or 16 states, and chain c
         # is the lone Euler chain driven by path c of the fast lane
-        system, y = frozen_ou(), np.array([0.5])
-        n, burn_in, thinning, dt, seed = 1000, 0.5, 2, 0.01, 9
-        mu = sample_invariant_measure(system, y, burn_in=burn_in, n_samples=n,
-                                      thinning=thinning, dt=dt, seed=seed)
-        assert mu.n_chains == N_CHAINS
-        assert mu.samples.shape == (n, 1)
-        bounds = [n * c // N_CHAINS for c in range(N_CHAINS + 1)]
-        burn_steps = math.ceil(burn_in / dt)
-        for c in (0, 1, 37, N_CHAINS - 1):
-            rows = bounds[c + 1] - bounds[c]
-            assert rows in (15, 16)
-            steps = np.arange(burn_steps + rows * thinning)
-            z = rng.normals(seed, rng.LANE_FAST, c, steps, 1) * math.sqrt(dt)
-            x, kept = np.zeros((1, 1)), []
-            for k in steps:
-                x = x + np.asarray(system.b(x, y)) * dt \
-                    + (np.asarray(system.sigma(x, y)) @ z[k][None, :, None])[..., 0]
-                if k >= burn_steps and (k - burn_steps + 1) % thinning == 0:
-                    kept.append(x[0, 0])
-            assert np.array_equal(mu.samples[bounds[c]:bounds[c + 1], 0], kept)
+        check_against_per_step_chains(frozen_ou(), np.array([0.5]), burn_in=0.5)
+
+    @pytest.mark.parametrize("name", ["x-noise", "d1=2 non-diagonal"])
+    def test_per_step_reference_for_other_sigmas(self, name):
+        # over several draw blocks: a sigma with batch axes is evaluated at
+        # every step, a constant (2, 2) one once per block for all steps
+        check_against_per_step_chains(SIGMA_KINDS[name](), np.array([0.5]),
+                                      burn_in=12.0)
+
+    @pytest.mark.parametrize("name, per_step", [("constant", False), ("x-noise", True),
+                                                ("d1=2 non-diagonal", False)])
+    def test_sigma_calls(self, name, per_step):
+        # a (d1, d1) sigma is state-independent at a frozen y, so it is
+        # called once per block of draws; a batched one once per step
+        system = SIGMA_KINDS[name]()
+        calls = []
+
+        def sigma(x, y):
+            calls.append(np.shape(x))
+            return system.sigma(x, y)
+
+        burn_in, n, thinning, dt = 12.0, 1000, 2, 0.01
+        sample_invariant_measure(replace(system, sigma=sigma), [0.5],
+                                 burn_in=burn_in, n_samples=n,
+                                 thinning=thinning, dt=dt, seed=4)
+        total = math.ceil(burn_in / dt) + math.ceil(n / N_CHAINS) * thinning
+        block = 32768 // N_CHAINS
+        assert total > 2 * block
+        assert len(calls) == (total if per_step else math.ceil(total / block))
+        assert set(calls) == {(N_CHAINS, system.d1)}
+
+
+def x_noise_ou():
+    """Frozen OU whose noise coefficient has batch axes and depends on x."""
+    return replace(frozen_ou(),
+                   sigma=lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None])
+
+
+def correlated_ou_2():
+    """d1 = 2: diagonal relaxation driven by a constant non-diagonal sigma."""
+    rates = np.array([1.0, 1.5])
+    sigma = np.array([[1.3, 0.4], [-0.2, 0.9]])
+    return replace(frozen_ou(), d1=2, b=lambda x, y: y - x * rates,
+                   sigma=lambda x, y: sigma,
+                   H=lambda t, x, y: x - y)
+
+
+SIGMA_KINDS = {"constant": frozen_ou, "x-noise": x_noise_ou,
+               "d1=2 non-diagonal": correlated_ou_2}
+
+
+def check_against_per_step_chains(system, y, burn_in, n=1000, thinning=2,
+                                  dt=0.01, seed=9):
+    """Chain c of the cloud equals the lone Euler chain driven by path c of
+    the fast lane, evaluating b and sigma at every step, bit for bit."""
+    mu = sample_invariant_measure(system, y, burn_in=burn_in, n_samples=n,
+                                  thinning=thinning, dt=dt, seed=seed)
+    d1 = system.d1
+    assert mu.n_chains == N_CHAINS
+    assert mu.samples.shape == (n, d1)
+    bounds = [n * c // N_CHAINS for c in range(N_CHAINS + 1)]
+    burn_steps = math.ceil(burn_in / dt)
+    for c in (0, 1, 37, N_CHAINS - 1):
+        rows = bounds[c + 1] - bounds[c]
+        assert rows in (15, 16)
+        steps = np.arange(burn_steps + rows * thinning)
+        z = rng.normals(seed, rng.LANE_FAST, c, steps, d1) * math.sqrt(dt)
+        x, kept = np.zeros((1, d1)), []
+        for k in steps:
+            x = x + np.asarray(system.b(x, y)) * dt \
+                + (np.asarray(system.sigma(x, y)) @ z[k][None, :, None])[..., 0]
+            if k >= burn_steps and (k - burn_steps + 1) % thinning == 0:
+                kept.append(x[0])
+        assert np.array_equal(mu.samples[bounds[c]:bounds[c + 1]], kept)
 
 
 class TestAverage:

@@ -1,5 +1,6 @@
-"""Import-time guards: what ``import fastslow`` loads, and where the package
-imports its own modules."""
+"""Import-time guards: what ``import fastslow`` loads, where the package
+imports its own modules, and that every draw goes through ``rng``'s public
+entry points."""
 
 import ast
 import os
@@ -40,3 +41,43 @@ def test_no_function_local_package_imports():
                 found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if _is_package_import(node)}
     assert sorted(found) == []
+
+
+def _rng_private_uses(tree) -> list[int]:
+    """Lines that reach a private name of ``fastslow.rng``: ``rng._x`` on any
+    name the module is bound to, or ``from .rng import _x``."""
+    aliases = set()
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "rng":
+                lines += [node.lineno for a in node.names if a.name.startswith("_")]
+            elif node.level > 0 or module == "fastslow":
+                aliases |= {a.asname or a.name for a in node.names if a.name == "rng"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.name == "fastslow.rng" and a.asname}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_draws_go_through_public_rng_entry_points():
+    # a profiler or tracer that wraps rng.normals and rng.uniforms sees a
+    # draw only if no other module calls the hash kernel behind them
+    found = []
+    for path in sorted((SRC / "fastslow").glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _rng_private_uses(tree)]
+    assert found == []
+
+
+def test_private_rng_guard_sees_each_form():
+    src = ("from . import rng\nfrom .rng import _mix, normals\n"
+           "import fastslow.rng as R\nrng._row_hashes(0)\nR._top53(1)\nrng.normals(2)\n")
+    assert sorted(_rng_private_uses(ast.parse(src))) == [2, 4, 5]

@@ -151,3 +151,33 @@ def test_keying_contract_bit_for_bit(layout, ncomp, seed, lane):
     z = rng.normals(seed, lane, path, step, ncomp)
     assert z.shape == shape + (ncomp,)
     assert np.array_equal(z, expect.reshape(z.shape))
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+@pytest.mark.parametrize("layout", list(KEY_SHAPES))
+def test_path_index_bit_for_bit(layout, ncomp):
+    # the same object serves repeated draws and (seed, lane) keys that
+    # share a seed or a lane
+    path, step = KEY_SHAPES[layout]
+    paths = rng.PathIndex(path)
+    for _ in range(2):
+        for seed, lane in [(0, rng.LANE_FAST), (0, rng.LANE_CELL),
+                           (2 ** 63 + 5, rng.LANE_CELL)]:
+            for draw in (rng.normals, rng.uniforms):
+                got = draw(seed, lane, paths, step, ncomp)
+                assert np.array_equal(got, draw(seed, lane, path, step, ncomp))
+                assert got.shape == np.broadcast_shapes(np.shape(path),
+                                                        np.shape(step)) + (ncomp,)
+
+
+def test_path_index_keeps_its_own_ids():
+    ids = np.arange(8, dtype=np.uint64)
+    paths = rng.PathIndex(ids)
+    before = rng.normals(3, rng.LANE_SLOW, paths, 5, 2)
+    ids[:] = 100
+    fresh = rng.PathIndex(np.arange(8))
+    # (4, LANE_FAST) is first hashed after the caller's ids changed
+    for p in (paths, fresh):
+        assert np.array_equal(rng.normals(3, rng.LANE_SLOW, p, 5, 2), before)
+        assert np.array_equal(rng.normals(4, rng.LANE_FAST, p, 6, 1),
+                              rng.normals(4, rng.LANE_FAST, np.arange(8), 6, 1))

@@ -130,6 +130,19 @@ def test_determinism_across_chunks_and_workers():
     assert np.array_equal(a.max_abs_fast, b.max_abs_fast)
 
 
+def test_frozen_determinism_across_chunks_and_workers():
+    # each chunk keys its draws through its own rng.PathIndex; the result
+    # must not depend on how the paths are split
+    sys1 = make_system(lambda x, y: y - x,
+                       lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None])
+    runs = []
+    for chunk, workers in ((64, 2), (999, 1)):
+        res = integrate_frozen(sys1, [0.4], [0.1], T=0.5, dt=0.01, seed=6,
+                               n_paths=600, chunk_size=chunk, n_workers=workers)
+        runs.append((res.terminal_fast.tobytes(), res.max_abs_fast.tobytes()))
+    assert runs[0] == runs[1]
+
+
 def test_limit_determinism_across_chunks_and_workers():
     # a memoized limit field computes its cells in whatever order the chunks
     # visit them; values and the set of cells must not depend on that
