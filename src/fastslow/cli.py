@@ -4,7 +4,7 @@ Every subcommand except ``classify`` reads a JSON config and writes a CSV
 plus a JSON summary into the configured output directory.  Exit codes:
 0 success, 2 config error, 3 numerical failure (blow-up, PSD failure,
 centering refusal).  Outputs are byte-identical across repeated runs and
-worker counts.
+chunk sizes.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_validate(cfg: dict, out: Path, workers: int) -> int:
+def _cmd_validate(cfg: dict, out: Path) -> int:
     system = get_system(cfg.get("preset") or cfg.get("system_id"))
     report = validate_assumptions(
         system, lam=float(cfg.get("lambda", 2.0)),
@@ -87,7 +87,7 @@ def _cmd_validate(cfg: dict, out: Path, workers: int) -> int:
     return 0
 
 
-def _cmd_invariant(cfg: dict, out: Path, workers: int) -> int:
+def _cmd_invariant(cfg: dict, out: Path) -> int:
     system = get_system(cfg.get("preset") or cfg.get("system_id"))
     ys = cfg.get("ys") or [cfg.get("y", [0.0] * system.d2)]
     seed = int(cfg.get("seed", 0))
@@ -117,7 +117,7 @@ def _cmd_invariant(cfg: dict, out: Path, workers: int) -> int:
     return 0
 
 
-def _cmd_corrector(cfg: dict, out: Path, workers: int) -> int:
+def _cmd_corrector(cfg: dict, out: Path) -> int:
     system = get_system(cfg.get("preset") or cfg.get("system_id"))
     grid = cfg.get("grid")
     if not grid:
@@ -170,7 +170,7 @@ def _cmd_corrector(cfg: dict, out: Path, workers: int) -> int:
     return 0
 
 
-def _cmd_average(cfg: dict, out: Path, workers: int) -> int:
+def _cmd_average(cfg: dict, out: Path) -> int:
     system = get_system(cfg.get("preset") or cfg.get("system_id"))
     schedule = ScaleSchedule(*cfg["exponents"])
     regime = classify_regime(schedule)
@@ -202,18 +202,18 @@ def _cmd_average(cfg: dict, out: Path, workers: int) -> int:
     return 0
 
 
-def _cmd_converge(cfg: dict, out: Path, workers: int) -> int:
-    exp = ExperimentConfig.from_dict({**cfg, "workers": workers})
+def _cmd_converge(cfg: dict, out: Path) -> int:
+    exp = ExperimentConfig.from_dict(cfg)
     report = weak_error_experiment(exp)
     report.to_csv(out / "converge.csv")
     report.to_json(out / "converge_summary.json")
     return 0
 
 
-def _cmd_fluctuate(cfg: dict, out: Path, workers: int) -> int:
+def _cmd_fluctuate(cfg: dict, out: Path) -> int:
     kind = cfg.pop("kind", "lln")
     f = fluctuation_integrand(cfg.pop("f", "x_minus_y"))
-    exp = ExperimentConfig.from_dict({**cfg, "workers": workers})
+    exp = ExperimentConfig.from_dict(cfg)
     if kind == "lln":
         report = fluctuation_lln(exp, f)
     elif kind == "clt":
@@ -257,8 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads (does not affect results)")
     return parser
 
 
@@ -274,7 +272,7 @@ def run_cli(argv) -> int:
             return _cmd_classify(args)
         cfg = _load_config(args.config)
         out = _out_dir(cfg)
-        return _CONFIG_COMMANDS[args.command](cfg, out, args.workers)
+        return _CONFIG_COMMANDS[args.command](cfg, out)
     except _NUMERICAL as e:
         _error_summary(out, args.command, e)
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)

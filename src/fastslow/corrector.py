@@ -73,6 +73,8 @@ class CorrectorQuery:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
         if self.n_paths < self.n_batches:
             raise ValueError("n_paths must be >= n_batches")
+        if self.chunk_paths < 1:
+            raise ValueError(f"chunk_paths must be >= 1, got {self.chunk_paths!r}")
 
     @classmethod
     def from_grid(cls, axes, **kwargs) -> "CorrectorQuery":
@@ -89,9 +91,9 @@ class CorrectorField:
 
     ``values`` has shape (Q, k) where k is the codomain of the integrand;
     ``batch_means`` keeps per-path-batch means so that any linear
-    post-processing can propagate Monte Carlo noise correctly.  Gradients
-    are attached by :func:`gradients` (central differences on the grid for
-    x, common-random-number re-solves for y).
+    post-processing can propagate Monte Carlo noise correctly.  The
+    y-gradients come from the solve itself (:func:`solve_poisson_fk` with
+    ``want_grad_y``); :func:`gradients` attaches the x-gradients.
     """
 
     query: CorrectorQuery
@@ -104,10 +106,6 @@ class CorrectorField:
     grad_x: Array | None = None
     grad_y: Array | None = None
     grad_y_batches: Array | None = None
-    _system: CoupledSystem | None = None
-    _f: object | None = None
-    _centering_z: float | None = None
-    _delta_y: float | None = None
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -158,8 +156,7 @@ def _shifted_states(y: Array, delta: float) -> list[Array]:
     return states
 
 
-def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int,
-               tails: bool):
+def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
     """Frozen-path time integrals of ``f`` from every query point, for each
     slow state in ``ys``.
 
@@ -167,8 +164,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int,
     block of increments is drawn once and drives all of them, so a state
     sees exactly the increments a solve of it alone would see.  Returns the
     path-batch sums (len(ys), nb, Q, k), the batch sizes and, for the first
-    state when ``tails`` is set, the integrals over the last two tenths of
-    the horizon (zeros otherwise).
+    state, the integrals over the last two tenths of the horizon.
     """
     t0 = query.t
     pts = query.points
@@ -208,7 +204,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int,
                 X = Xs[i]
                 fdt = _as_cols(f(t0, X, y_i), (m, Q), k) * dtE
                 accs[i] += fdt
-                if i == 0 and tails:
+                if i == 0:
                     if s >= i90:
                         wacc2 += fdt
                     elif s >= i80:
@@ -281,7 +277,8 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     With ``want_grad_y`` the same pass also integrates from the slow states
     y +/- delta along each slow coordinate (``delta_y``, default
     1e-3 * max(1, |y|)), driven by the centre's increments, and attaches
-    their central differences as ``grad_y`` and ``grad_y_batches``.
+    their central differences as ``grad_y`` and ``grad_y_batches``.  This
+    is the one way to get y-gradients.
     """
     if mode not in ("corrector", "poisson"):
         raise ValueError("mode must be 'corrector' or 'poisson'")
@@ -294,8 +291,6 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
 
         def f_use(t, x, y, _s=shift, _f=base_f):
             return np.asarray(_f(t, x, y), dtype=np.float64) - _s
-
-        z_eff = 0.0
     else:
         if centering_z is None:
             raise NotCentered(
@@ -308,8 +303,7 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
 
     k = codomain(f_use, query.t, query.points, query.y)
     ys = [query.y] + (_shifted_states(query.y, delta) if want_grad_y else [])
-    batch_sums, batch_counts, w1, w2 = _path_sums(system, f_use, query, ys, k,
-                                                  tails=True)
+    batch_sums, batch_counts, w1, w2 = _path_sums(system, f_use, query, ys, k)
 
     nb = query.n_batches
     sign = 1.0 if mode == "corrector" else -1.0
@@ -329,8 +323,7 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     return CorrectorField(
         query=query, mode=mode, values=sign * values, se=se,
         batch_means=sign * batch_means, tail_bound=tail, k=k,
-        grad_y=grad_y, grad_y_batches=grad_y_b,
-        _system=system, _f=f_use, _centering_z=z_eff, _delta_y=delta)
+        grad_y=grad_y, grad_y_batches=grad_y_b)
 
 
 def _central(vals: Array, axis: int, h: float, order: int = 1) -> Array:
@@ -382,20 +375,14 @@ def grid_grad_x(field: CorrectorField, values: Array) -> Array:
     return grad.reshape(values.shape[0], field.k, len(gshape))
 
 
-def gradients(field: CorrectorField, want_grad_y: bool = True,
-              delta_y: float | None = None) -> CorrectorField:
-    """Attach state and parameter gradients to a grid-solved field.
+def gradients(field: CorrectorField) -> CorrectorField:
+    """Attach the x-gradient to a grid-solved field.
 
     x-gradients are central differences on the tensor grid (NaN at edge
-    nodes).  y-gradients are central differences between the solutions at
-    y +/- delta along each slow coordinate, driven by the centre's
-    increments, so the Monte Carlo noise largely cancels in the difference.
-    A field solved with ``want_grad_y`` already holds them for its delta;
-    otherwise all 2 * d2 shifted states are integrated here, in one pass of
-    the solver's path loop.  ``delta_y`` must be None (1e-3 * max(1, |y|))
-    or a finite number > 0.  Raises :class:`GridTooCoarse` when second
-    differences dominate first differences beyond a fixed tolerance of 0.5
-    (and clear the noise floor).
+    nodes).  The field's y-gradients, if it was solved with
+    ``want_grad_y``, are kept as they are.  Raises :class:`GridTooCoarse`
+    when second differences dominate first differences beyond a fixed
+    tolerance of 0.5 (and clear the noise floor).
     """
     q = field.query
     if q.grid_axes is None:
@@ -408,22 +395,7 @@ def gradients(field: CorrectorField, want_grad_y: bool = True,
         if gshape[p] < 3:
             raise GridTooCoarse(f"axis {p} has fewer than 3 nodes")
         _coarseness_check(scalar, p, float(ax[1] - ax[0]), se_med)
-    grad_x = grid_grad_x(field, field.values)
-
-    if not want_grad_y:
-        return replace(field, grad_x=grad_x)
-    delta = _y_step(q.y, delta_y)
-    if field.grad_y is not None and field._delta_y == delta:
-        return replace(field, grad_x=grad_x)
-    if field._system is None or field._f is None:
-        raise ValueError("field lost its provenance; cannot re-solve in y")
-    shifted, counts, _, _ = _path_sums(field._system, field._f, q,
-                                       _shifted_states(q.y, delta), field.k,
-                                       tails=False)
-    sign = 1.0 if field.mode == "corrector" else -1.0
-    grad_y, grad_y_b = _y_gradient(shifted, counts, q.n_paths, sign, delta)
-    return replace(field, grad_x=grad_x, grad_y=grad_y, grad_y_batches=grad_y_b,
-                   _delta_y=delta)
+    return replace(field, grad_x=grid_grad_x(field, field.values))
 
 
 @dataclass(frozen=True)
@@ -512,7 +484,7 @@ def grad_x_at(field: CorrectorField, points: Array) -> Array:
 def grad_y_at(field: CorrectorField, points: Array) -> Array:
     """Interpolated y-gradient, (n, k, d2)."""
     if field.grad_y is None:
-        raise ValueError("call gradients(want_grad_y=True) first")
+        raise ValueError("solve with solve_poisson_fk(want_grad_y=True) first")
     gvals = field.grad_y.reshape(field.grid_shape + (field.k, field.grad_y.shape[-1]))
     return _interp_axes(field.query.grid_axes, gvals,
                         np.asarray(points, dtype=np.float64))

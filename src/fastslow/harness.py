@@ -145,7 +145,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str | None = None
     chunk_size: int = 8192
-    workers: int = 1
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -158,6 +157,16 @@ class ExperimentConfig:
             raise ConfigError("T must be positive")
         if self.time_grid_n < 2:
             raise ConfigError("time_grid_n must be >= 2")
+        if self.dt_slow <= 0:
+            raise ConfigError("dt_slow must be > 0")
+        if self.micro_substeps < 1:
+            raise ConfigError("micro_substeps must be >= 1")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size must be >= 1")
+        if self.paths_coupled < 1:
+            raise ConfigError("paths_coupled must be >= 1")
+        if self.paths_limit is not None and self.paths_limit < 1:
+            raise ConfigError("paths_limit must be None (as many as coupled) or >= 1")
         for name in self.phi_names:
             get_phi(name)
         object.__setattr__(self, "theta", _as_fraction(self.theta))
@@ -205,7 +214,7 @@ class ExperimentConfig:
         if "phi" in d:
             kwargs["phi_names"] = tuple(d.pop("phi"))
         for key in ("T", "time_grid_n", "dt_slow", "micro_substeps", "x0", "y0",
-                    "seed", "out_dir", "chunk_size", "workers"):
+                    "seed", "out_dir", "chunk_size"):
             if key in d:
                 kwargs[key] = d.pop(key)
         if "x0" in kwargs:
@@ -326,7 +335,7 @@ def weak_error_experiment(cfg: ExperimentConfig) -> WeakErrorReport:
                             seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 21))
     lim_res = integrate_limit(
         limit, cfg.y0, cfg.T, cfg.dt_slow, seed=cfg.seed, n_paths=n_lim,
-        snapshot_times=grid, chunk_size=cfg.chunk_size, n_workers=cfg.workers)
+        snapshot_times=grid, chunk_size=cfg.chunk_size)
     lim_vals = np.stack([np.stack([phi(lim_res.snapshots_slow[j])
                                    for j in range(len(grid))])
                          for phi in phis], axis=-1)  # (n_t, n_paths, n_phi)
@@ -339,8 +348,7 @@ def weak_error_experiment(cfg: ExperimentConfig) -> WeakErrorReport:
         pc = PathConfig(T=cfg.T, dt_slow=cfg.dt_slow,
                         micro_substeps_per_alpha2=cfg.micro_substeps,
                         seed=cfg.seed, n_paths=cfg.paths_coupled,
-                        snapshot_times=grid, chunk_size=cfg.chunk_size,
-                        n_workers=cfg.workers)
+                        snapshot_times=grid, chunk_size=cfg.chunk_size)
         res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0, pc)
         for j in range(len(grid)):
             for p, phi in enumerate(phis):
@@ -463,7 +471,7 @@ def fluctuation_lln(cfg: ExperimentConfig, f) -> FluctuationReport:
         pc = PathConfig(T=cfg.T, dt_slow=cfg.dt_slow,
                         micro_substeps_per_alpha2=cfg.micro_substeps,
                         seed=cfg.seed, n_paths=cfg.paths_coupled,
-                        chunk_size=cfg.chunk_size, n_workers=cfg.workers)
+                        chunk_size=cfg.chunk_size)
         res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0,
                                 pc, integrand=f)
         ints = res.integrals
@@ -505,7 +513,7 @@ def fluctuation_clt(cfg: ExperimentConfig, f, regime: Regime | None = None,
         pc = PathConfig(T=cfg.T, dt_slow=cfg.dt_slow,
                         micro_substeps_per_alpha2=cfg.micro_substeps,
                         seed=cfg.seed, n_paths=cfg.paths_coupled,
-                        chunk_size=cfg.chunk_size, n_workers=cfg.workers)
+                        chunk_size=cfg.chunk_size)
         res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0,
                                 pc, integrand=f, macro_integrand=correction_fn)
         lhs = res.integrals / ga

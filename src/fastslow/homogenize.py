@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -154,7 +153,7 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
     fld = solve_poisson_fk(system, f, query, mode="corrector", centering_z=z,
                            want_grad_y=need_gy, delta_y=budgets.delta_y)
     if need_gx or need_gy:
-        fld = gradients(fld, want_grad_y=need_gy, delta_y=budgets.delta_y)
+        fld = gradients(fld)
     out.update(field=fld, z=z)
     if need_vals:
         out["phi_s"] = _field_at(fld, mu.samples)
@@ -344,15 +343,13 @@ class CellField:
 
     ``fn(t, y, cell_seed) -> 1-d array`` is evaluated once per cell at the
     cell center with a sub-seed derived from (master seed, cell index), so
-    values do not depend on visit order, batch split or thread count.
+    values do not depend on visit order or batch split.
 
     :meth:`eval_batch` is the one lookup.  It rounds the batch to integer
     cell keys, reduces them to their distinct cells in numpy, touches Python
     once per distinct cell (a dict read, or computing a missing cell) and
     gathers the records back with the inverse index.  Memory grows with the
-    number of visited cells, not with their bounding box.  Reads take no
-    lock; a miss computes its cell under the lock, so concurrent batches
-    never compute one cell twice.
+    number of visited cells, not with their bounding box.
     """
 
     def __init__(self, fn: Callable, d2: int, policy: CachePolicy, seed: int,
@@ -363,7 +360,6 @@ class CellField:
         self._seed = seed
         self._autonomous = autonomous
         self._memo: dict[tuple, Array] = {}
-        self._lock = threading.Lock()
 
     @property
     def n_cells(self) -> int:
@@ -371,18 +367,14 @@ class CellField:
 
     def _record(self, key: tuple) -> Array:
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is None:
-                ti, *yi = key
-                t_c = ti * self._policy.tq
-                y_c = np.asarray(yi, dtype=np.float64) * self._policy.quantum
-                cell_seed = rng.derive_key(self._seed, rng.LANE_CELL, ti, *yi)
-                hit = np.asarray(self._fn(t_c, y_c, cell_seed), dtype=np.float64)
-                self._memo[key] = hit
-            return hit
+        if hit is None:
+            ti, *yi = key
+            t_c = ti * self._policy.tq
+            y_c = np.asarray(yi, dtype=np.float64) * self._policy.quantum
+            cell_seed = rng.derive_key(self._seed, rng.LANE_CELL, ti, *yi)
+            hit = np.asarray(self._fn(t_c, y_c, cell_seed), dtype=np.float64)
+            self._memo[key] = hit
+        return hit
 
     def _gather(self, ti: int, keys: Array) -> Array:
         """Records of the cells (ti, *row) for the rows of ``keys``."""

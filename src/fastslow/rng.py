@@ -2,7 +2,7 @@
 
 Every random number in this package is a pure function of
 (seed, lane, path index, step index, component), so ensembles can be
-chunked, threaded or reordered without changing a single bit of output.
+chunked or reordered without changing a single bit of output.
 Lanes keep independent noise sources (the two driving Brownian motions,
 assumption sampling, per-cell sub-seeds) on disjoint streams.
 

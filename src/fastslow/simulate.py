@@ -9,16 +9,15 @@ applied, which removes most of the discretization bias of that stiff term.
 
 All Brownian increments come from counter-based streams keyed by
 (seed, lane, path index, step index), so results are bit-identical for any
-chunk size or worker count.  Each chunk keys its draws through one
-:class:`fastslow.rng.PathIndex`, so the path part of the hash is computed
-once per chunk and lane, not at every step.
+chunk size.  The chunks run one after another in one loop.  Each chunk keys
+its draws through one :class:`fastslow.rng.PathIndex`, so the path part of
+the hash is computed once per chunk and lane, not at every step.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ class PathConfig:
     ``dt_slow`` is a target: the macro step actually used is T/n for the
     nearest integer n, so the grid lands exactly on T.  The fast micro step
     is alpha**2 / micro_substeps_per_alpha2, capped at the macro step.
+    ``n_workers`` is kept for existing callers and must be 1.
     """
 
     T: float
@@ -59,6 +59,7 @@ class PathConfig:
             raise ValueError("micro_substeps_per_alpha2 must be >= 1")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        _check_one_worker(self.n_workers)
 
 
 @dataclass
@@ -139,15 +140,17 @@ def _snap_indices(times, dt: float, n_steps: int) -> list[int]:
     return idx
 
 
-def _run_chunks(n_paths: int, chunk: int, workers: int, body) -> None:
-    spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    if workers <= 1 or len(spans) == 1:
-        for lo, hi in spans:
-            body(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(body, lo, hi) for lo, hi in spans]:
-            fut.result()
+def _check_one_worker(n_workers: int) -> None:
+    if n_workers != 1:
+        raise ValueError(f"n_workers must be 1 (paths run in one loop), got {n_workers!r}")
+
+
+def _run_chunks(n_paths: int, chunk: int, body) -> None:
+    """Run ``body(lo, hi)`` over consecutive chunks of ``chunk`` paths."""
+    if chunk < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk!r}")
+    for lo in range(0, n_paths, chunk):
+        body(lo, min(lo + chunk, n_paths))
 
 
 def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float,
@@ -254,7 +257,7 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
                 macc_store[0] = np.zeros((cfg.n_paths, macc.shape[1]))
             macc_store[0][lo:hi] = macc
 
-    _run_chunks(cfg.n_paths, cfg.chunk_size, cfg.n_workers, body)
+    _run_chunks(cfg.n_paths, cfg.chunk_size, body)
     return EnsembleResult(
         terminal_slow=term_y, terminal_fast=term_x,
         snapshot_times=snap_t, snapshots_slow=snaps_y, snapshots_fast=snaps_x,
@@ -265,7 +268,7 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
 
 def integrate_frozen(system: CoupledSystem, y, x0, T: float, dt: float,
                      seed: int, n_paths: int, blowup_cap: float = 1e6,
-                     chunk_size: int = 8192, n_workers: int = 1) -> EnsembleResult:
+                     chunk_size: int = 8192) -> EnsembleResult:
     """Simulate the fast equation with the slow state held fixed at ``y``."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -294,7 +297,7 @@ def integrate_frozen(system: CoupledSystem, y, x0, T: float, dt: float,
         term_x[lo:hi] = X
         max_abs[lo:hi] = mx
 
-    _run_chunks(n_paths, chunk_size, n_workers, body)
+    _run_chunks(n_paths, chunk_size, body)
     return EnsembleResult(
         terminal_slow=None, terminal_fast=term_x,
         snapshot_times=None, snapshots_slow=None, snapshots_fast=None,
@@ -311,10 +314,12 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
     ``avg.coefficients_batch``; for a memoized limit field that is one
     vectorized lattice lookup per step.  Shares the slow-noise lane with
     :func:`integrate_coupled`, so running both with the same seed and macro
-    step pairs their driving increments.
+    step pairs their driving increments.  ``n_workers`` is kept for
+    existing callers and must be 1.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    _check_one_worker(n_workers)
     d2 = avg.d2
     y_init = _vec(y0, d2, "y0")
     n_steps = max(1, int(round(T / dt))) if T > 0 else 0
@@ -352,7 +357,7 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
             record(k + 1)
         term_y[lo:hi] = Y
 
-    _run_chunks(n_paths, chunk_size, n_workers, body)
+    _run_chunks(n_paths, chunk_size, body)
     return EnsembleResult(
         terminal_slow=term_y, terminal_fast=None,
         snapshot_times=snap_t, snapshots_slow=snaps_y, snapshots_fast=None,

@@ -22,12 +22,14 @@ def average_cfg(out_dir, **over):
     return cfg
 
 
-def converge_cfg(out_dir):
-    return {"preset": "ou_averaging", "exponents": [1, 1, 1],
-            "eps_list": [0.4, 0.3], "T": 0.1, "time_grid_n": 2,
-            "dt_slow": 0.02, "micro_substeps": 4, "quantum": 0.25, "seed": 5,
-            "y0": [0.3], "chunk_size": 64, "out_dir": str(out_dir),
-            "budgets": dict(SMALL_BUDGETS, paths_coupled=200)}
+def converge_cfg(out_dir, **over):
+    cfg = {"preset": "ou_averaging", "exponents": [1, 1, 1],
+           "eps_list": [0.4, 0.3], "T": 0.1, "time_grid_n": 2,
+           "dt_slow": 0.02, "micro_substeps": 4, "quantum": 0.25, "seed": 5,
+           "y0": [0.3], "chunk_size": 64, "out_dir": str(out_dir),
+           "budgets": dict(SMALL_BUDGETS, paths_coupled=200)}
+    cfg.update(over)
+    return cfg
 
 
 def outputs(out_dir):
@@ -47,15 +49,49 @@ def test_average_succeeds_and_repeats_byte_identical(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_converge_byte_identical_across_repeats_and_workers(tmp_path):
+def test_converge_byte_identical_across_repeats_and_chunk_sizes(tmp_path):
     runs = []
-    for rep, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+    for rep, chunk in (("a", 64), ("b", 64), ("c", 999), ("d", 7)):
         out = tmp_path / rep
-        path = write_config(tmp_path, rep, converge_cfg(out))
-        assert run_cli(["converge", "--config", path, "--workers", workers]) == 0
+        path = write_config(tmp_path, rep, converge_cfg(out, chunk_size=chunk))
+        assert run_cli(["converge", "--config", path]) == 0
         runs.append(outputs(out))
     assert set(runs[0]) == {"converge.csv", "converge_summary.json"}
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+def test_workers_config_field_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = converge_cfg(out, workers=2)
+    assert run_cli(["converge", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "unknown config fields: ['workers']" in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+
+
+def test_workers_flag_exits_2(tmp_path):
+    path = write_config(tmp_path, "c", converge_cfg(tmp_path / "out"))
+    assert run_cli(["converge", "--config", path, "--workers", "1"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("chunk_size", -1), ("dt_slow", 0),
+                                        ("micro_substeps", 0), ("paths_limit", 0)])
+def test_bad_sizes_exit_2_without_csv(tmp_path, capsys, monkeypatch, key, value):
+    # each of these once ran (or crashed) instead of being refused: a
+    # negative chunk wrote nan rows, a zero step raised ZeroDivisionError,
+    # zero micro substeps failed after the limit ensemble had run, and a
+    # zero limit ensemble silently meant "as many as coupled"
+    import fastslow.harness
+    monkeypatch.setattr(fastslow.harness, "build_limit_sde",
+                        lambda *a, **k: pytest.fail("ran before the config check"))
+    out = tmp_path / "out"
+    cfg = converge_cfg(out)
+    (cfg["budgets"] if key == "paths_limit" else cfg)[key] = value
+    assert run_cli(["converge", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+    summary = json.loads((out / "converge_summary.json").read_text())
+    assert summary["error"]["type"] == "ConfigError"
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -9,7 +9,8 @@ from fastslow import (CorrectorQuery, CoupledSystem, NotCentered, GridTooCoarse,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
 from fastslow.corrector import (CorrectorField, _field_at,
-                                _interior_derivatives, grad_x_at, grid_grad_x)
+                                _interior_derivatives, grad_x_at, grad_y_at,
+                                grid_grad_x)
 
 RT2 = math.sqrt(2.0)
 
@@ -285,28 +286,22 @@ class TestFusedYStates:
     @pytest.mark.parametrize("delta_y", [None, 0.05])
     @pytest.mark.parametrize("system", list(FUSED_SYSTEMS))
     def test_gradients_on_centre_only_field(self, system, delta_y):
+        # gradients() attaches the x-gradient only: the fused field keeps the
+        # y-gradients of its own solve, a centre-only field gets none
         sys_, f, y = FUSED_SYSTEMS[system]()
         q = self.query(y)
-        fused = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0,
-                                           want_grad_y=True, delta_y=delta_y),
-                          delta_y=delta_y)
-        late = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0),
-                         delta_y=delta_y)
-        for name in ("values", "se", "batch_means", "tail_bound", "grad_x",
-                     "grad_y", "grad_y_batches"):
-            assert np.array_equal(getattr(fused, name), getattr(late, name),
+        solved = solve_poisson_fk(sys_, f, q, centering_z=0.0,
+                                  want_grad_y=True, delta_y=delta_y)
+        fused = gradients(solved)
+        centre = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0))
+        for name in ("values", "se", "batch_means", "tail_bound", "grad_x"):
+            assert np.array_equal(getattr(fused, name), getattr(centre, name),
                                   equal_nan=True), name
-
-    def test_other_delta_is_solved_again(self):
-        sys_, f, y = coupled_ou()
-        q = self.query(y)
-        fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
-                                 want_grad_y=True, delta_y=0.05)
-        again = gradients(fused, delta_y=0.1)
-        direct = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0),
-                           delta_y=0.1)
-        assert np.array_equal(again.grad_y, direct.grad_y)
-        assert not np.array_equal(again.grad_y, fused.grad_y)
+        assert fused.grad_y is solved.grad_y
+        assert fused.grad_y_batches is solved.grad_y_batches
+        assert centre.grad_y is None and centre.grad_y_batches is None
+        with pytest.raises(ValueError, match="want_grad_y=True"):
+            grad_y_at(centre, q.points)
 
     @pytest.mark.parametrize("delta_y", [0.0, -1e-3, float("nan"), float("inf")])
     def test_rejects_bad_delta_y(self, delta_y):
@@ -315,9 +310,6 @@ class TestFusedYStates:
         with pytest.raises(ValueError, match="delta_y"):
             solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
                              delta_y=delta_y)
-        field = solve_poisson_fk(sys_, f, q, centering_z=0.0)
-        with pytest.raises(ValueError, match="delta_y"):
-            gradients(field, delta_y=delta_y)
         with pytest.raises(ValueError, match="delta_y"):
             TransferConfig(delta_y=delta_y)
 
@@ -329,22 +321,33 @@ class TestQuery:
         with pytest.raises(ValueError, match="n_batches"):
             CorrectorQuery(t=0.0, y=[0.0], points=[[0.0]], n_batches=n_batches)
 
+    @pytest.mark.parametrize("chunk_paths", [0, -5])
+    def test_rejects_chunk_below_one(self, chunk_paths):
+        # a negative chunk ran no path and reported values 0 with se NaN
+        with pytest.raises(ValueError, match="chunk_paths"):
+            CorrectorQuery(t=0.0, y=[0.0], points=[[0.0]], chunk_paths=chunk_paths)
+
 
 class TestGradients:
     def test_linear_gradient(self, field_lin):
-        fld = gradients(field_lin, want_grad_y=False)
+        fld = gradients(field_lin)
         gx = grad_x_at(fld, np.array([[-1.0], [0.0], [1.0]]))
         assert np.all(np.abs(gx[:, 0, 0] - 1.0) <= 0.05)
 
     def test_quadratic_gradient(self, field_quad):
-        fld = gradients(field_quad, want_grad_y=False)
+        fld = gradients(field_quad)
         gx = grad_x_at(fld, np.array([[1.0]]))
         assert abs(gx[0, 0, 0] - (-1.0)) <= 0.05
 
-    def test_y_gradient_vanishes_without_dependence(self, field_lin):
-        # dynamics and integrand ignore y, and the re-solves share noise
-        fld = gradients(field_lin, want_grad_y=True)
-        assert np.all(fld.grad_y == 0.0)
+    def test_y_gradient_vanishes_without_dependence(self, mu):
+        # dynamics and integrand ignore y, and the y +/- delta states share
+        # the centre's increments
+        fld = solve_poisson_fk(standard_ou(), F_LIN,
+                               grid_query(n=9, n_paths=2000, T_max=2.0),
+                               centering_z=centering_residual(F_LIN, mu),
+                               want_grad_y=True)
+        assert fld.grad_y.shape == (9, 1, 1)
+        assert np.all(fld.grad_y == 0.0) and np.all(fld.grad_y_batches == 0.0)
 
     def test_stencil_exact_on_quadratic_d1_2(self):
         # central differences are exact on quadratics, so the interior
@@ -383,10 +386,9 @@ class TestGradients:
             query=query, mode="corrector", values=bumpy,
             se=np.full_like(bumpy, 1e-6),
             batch_means=np.repeat(bumpy[None], 20, axis=0),
-            tail_bound=np.zeros_like(bumpy), k=1,
-            _system=standard_ou(), _f=F_LIN, _centering_z=0.0)
+            tail_bound=np.zeros_like(bumpy), k=1)
         with pytest.raises(GridTooCoarse):
-            gradients(fake, want_grad_y=False)
+            gradients(fake)
 
 
 class TestOuterProduct:

@@ -118,6 +118,21 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(small_cfg(preset="nope"))
 
+    def test_workers_is_an_unknown_field(self):
+        # paths run in one loop; there is no worker count to set
+        with pytest.raises(ConfigError, match=r"unknown config fields: \['workers'\]"):
+            ExperimentConfig.from_dict(small_cfg(workers=2))
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt_slow", 0), ("dt_slow", -0.01), ("micro_substeps", 0),
+        ("chunk_size", 0), ("chunk_size", -1), ("paths_coupled", 0),
+        ("paths_limit", 0)])
+    def test_rejects_bad_sizes(self, key, value):
+        d = small_cfg()
+        (d["budgets"] if key.startswith("paths_") else d)[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            ExperimentConfig.from_dict(d)
+
     def test_rejects_missing_exponents(self):
         d = small_cfg()
         del d["exponents"]
@@ -135,7 +150,7 @@ class TestWeakError:
             rep1.sup_err, rep1.err.reshape(2, -1).max(axis=1))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         rep1.to_csv(p1)
-        cfg2 = ExperimentConfig.from_dict(small_cfg(workers=3))
+        cfg2 = ExperimentConfig.from_dict(small_cfg(chunk_size=64))
         rep2 = weak_error_experiment(cfg2)
         rep2.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()

@@ -1,6 +1,6 @@
 """Import-time guards: what ``import fastslow`` loads, where the package
-imports its own modules, and that every draw goes through ``rng``'s public
-entry points."""
+imports its own modules, that it starts no threads or processes, and that
+every draw goes through ``rng``'s public entry points."""
 
 import ast
 import os
@@ -41,6 +41,42 @@ def test_no_function_local_package_imports():
                 found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if _is_package_import(node)}
     assert sorted(found) == []
+
+
+_CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def _concurrency_imports(tree) -> list[int]:
+    """Lines that import ``threading``, ``concurrent`` or ``multiprocessing``
+    (or a submodule of one), in any form."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n.split(".")[0] in _CONCURRENCY for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_threads_or_processes():
+    # every result is independent of how the paths are split, and the
+    # chunks run in one loop; no module needs a thread or process pool
+    found = []
+    for path in sorted((SRC / "fastslow").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _concurrency_imports(tree)]
+    assert found == []
+
+
+def test_concurrency_guard_sees_each_form():
+    src = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+           "import multiprocessing.pool as mp\nimport numpy\nfrom . import rng\n"
+           "def f():\n    import concurrent.futures\n")
+    assert sorted(_concurrency_imports(ast.parse(src))) == [1, 2, 3, 7]
 
 
 def _rng_private_uses(tree) -> list[int]:

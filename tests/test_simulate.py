@@ -122,9 +122,9 @@ def test_determinism_across_chunks_and_workers():
     base = dict(T=0.2, dt_slow=0.02, micro_substeps_per_alpha2=5, seed=42,
                 n_paths=600)
     a = integrate_coupled(sys1, S111, 0.3, [0.1], [0.4],
-                          PathConfig(**base, chunk_size=64, n_workers=4))
+                          PathConfig(**base, chunk_size=64))
     b = integrate_coupled(sys1, S111, 0.3, [0.1], [0.4],
-                          PathConfig(**base, chunk_size=999, n_workers=1))
+                          PathConfig(**base, chunk_size=999))
     assert np.array_equal(a.terminal_slow, b.terminal_slow)
     assert np.array_equal(a.terminal_fast, b.terminal_fast)
     assert np.array_equal(a.max_abs_fast, b.max_abs_fast)
@@ -136,9 +136,9 @@ def test_frozen_determinism_across_chunks_and_workers():
     sys1 = make_system(lambda x, y: y - x,
                        lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None])
     runs = []
-    for chunk, workers in ((64, 2), (999, 1)):
+    for chunk in (64, 999):
         res = integrate_frozen(sys1, [0.4], [0.1], T=0.5, dt=0.01, seed=6,
-                               n_paths=600, chunk_size=chunk, n_workers=workers)
+                               n_paths=600, chunk_size=chunk)
         runs.append((res.terminal_fast.tobytes(), res.max_abs_fast.tobytes()))
     assert runs[0] == runs[1]
 
@@ -150,14 +150,45 @@ def test_limit_determinism_across_chunks_and_workers():
                       invariant_thinning=2, invariant_dt=0.01)
     policy = CachePolicy(quantum=0.1)
     runs = []
-    for chunk, workers in ((64, 2), (999, 1)):
+    for chunk in (64, 999):
         avg = build_limit_sde(Regime.R1, ou_averaging(), budgets, policy, seed=5)
         res = integrate_limit(avg, [0.2], T=0.2, dt=0.02, seed=8, n_paths=600,
-                              snapshot_times=(0.0, 0.1, 0.2), chunk_size=chunk,
-                              n_workers=workers)
+                              snapshot_times=(0.0, 0.1, 0.2), chunk_size=chunk)
         runs.append((avg.provenance()["n_cells"], res.snapshots_slow.tobytes()))
     assert runs[0][0] > 1
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_chunk_below_one_is_refused(chunk):
+    # a negative chunk ran no chunk and returned the unwritten buffers
+    sys1 = make_system(lambda x, y: y - x, lambda x, y: np.array([[RT2]]))
+    avg = AveragedSDE.from_callables(
+        Regime.R1, 1, lambda t, y: -np.asarray(y), lambda t, y: [[1.0]])
+    cfg = PathConfig(T=0.1, dt_slow=0.05, seed=0, n_paths=4, chunk_size=chunk)
+    with pytest.raises(ValueError, match="chunk_size"):
+        integrate_coupled(sys1, S111, 0.3, [0.0], [0.0], cfg)
+    with pytest.raises(ValueError, match="chunk_size"):
+        integrate_frozen(sys1, [0.0], [0.0], T=0.1, dt=0.05, seed=0, n_paths=4,
+                         chunk_size=chunk)
+    with pytest.raises(ValueError, match="chunk_size"):
+        integrate_limit(avg, [0.0], T=0.1, dt=0.05, seed=0, n_paths=4,
+                        chunk_size=chunk)
+
+
+def test_n_workers_accepts_only_one():
+    # paths run in one loop; the argument stays for existing callers
+    assert PathConfig(T=0.1, dt_slow=0.05, n_workers=1).n_workers == 1
+    with pytest.raises(ValueError, match="n_workers"):
+        PathConfig(T=0.1, dt_slow=0.05, n_workers=2)
+    avg = AveragedSDE.from_callables(
+        Regime.R1, 1, lambda t, y: [0.0], lambda t, y: [[0.0]])
+    res = integrate_limit(avg, [0.7], T=0.1, dt=0.05, seed=0, n_paths=3,
+                          n_workers=1)
+    assert np.all(res.terminal_slow == 0.7)
+    with pytest.raises(ValueError, match="n_workers"):
+        integrate_limit(avg, [0.7], T=0.1, dt=0.05, seed=0, n_paths=3,
+                        n_workers=2)
 
 
 def test_integrand_accumulation_zero_is_exact():
