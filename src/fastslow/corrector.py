@@ -16,7 +16,9 @@ carry far less noise than independent solves would.  The same holds across
 slow states: the y-gradients integrate from y +/- delta along each slow
 coordinate with the centre's increments, in the same pass as the centre
 (:func:`solve_poisson_fk` with ``want_grad_y``), so each block of increments
-is drawn once and drives every state.
+is drawn once and drives every state.  Blocks are sized by
+:func:`fastslow.rng.block_steps`, and the noise coefficient is applied by
+:func:`fastslow.model.apply_matrix`; it is evaluated at every step.
 
 This module also holds the grid calculus on such solutions: one central
 difference stencil (:func:`_central`) gives the x-gradients, the
@@ -35,7 +37,7 @@ from . import rng
 from .errors import BlowUp, GridTooCoarse, NonFiniteCoefficient, NotCentered
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
-from .model import CoupledSystem
+from .model import CoupledSystem, apply_matrix
 
 Array = np.ndarray
 
@@ -185,7 +187,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
         m = hi - lo
         ids = np.arange(lo, hi, dtype=np.uint64)
         paths = rng.PathIndex(ids[None, :])
-        block = max(1, 32768 // m)
+        block = rng.block_steps(m)
         Xs = [np.broadcast_to(pts, (m, Q, d1)).copy() for _ in ys]
         accs = [np.zeros((m, Q, k)) for _ in ys]
         wacc1 = np.zeros((m, Q, k))
@@ -195,7 +197,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
                 steps = np.arange(s, min(s + block, K), dtype=np.uint64)
                 zb = rng.normals(query.seed, rng.LANE_FAST, paths,
                                  steps[:, None], d1)
-            z = zb[s % block][:, None, :, None]
+            z = zb[s % block][:, None, :]
             # a sigma without batch axes gives every point the same noise;
             # it is spread over the points once and reused by every state
             # whose sigma is equal
@@ -214,7 +216,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
                 if shared is not None and np.array_equal(sig, shared[0]):
                     noise = shared[1]
                 else:
-                    noise = (sig @ z)[..., 0] * sq
+                    noise = apply_matrix(sig, z) * sq
                     if sig.ndim == 2:
                         noise = np.repeat(noise, Q, axis=1)
                         shared = (sig, noise)

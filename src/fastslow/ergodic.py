@@ -3,11 +3,12 @@
 The stationary law of the frozen equation is stood in for by a cloud from
 ``N_CHAINS`` independent trajectories, advanced together as one vectorized
 state: each starts at x = 0, discards its own burn-in and keeps every
-``thinning``-th state.  Increments are drawn a block of steps at a time.
-A noise coefficient without batch axes is state-independent at the frozen
-y (see :mod:`fastslow.model`), so it is evaluated once per block and the
-noise of the whole block is one product; one with batch axes is
-evaluated at every step.  The standard error of an average over the cloud
+``thinning``-th state.  Increments are drawn a block of steps at a time,
+sized by :func:`fastslow.rng.block_steps`.  A noise coefficient without
+batch axes is state-independent at the frozen y (see :mod:`fastslow.model`),
+so it is evaluated once per block and the noise of the whole block is one
+:func:`fastslow.model.apply_matrix`; one with batch axes is evaluated at
+every step.  The standard error of an average over the cloud
 (:func:`chain_se`) is taken from the chain means, so the z of an exactly
 centered integrand follows a t law with K - 1 degrees of freedom for K
 chains.  A hand-built single-chain cloud instead sizes its error from its
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .errors import BlowUp, NonFiniteCoefficient
-from .model import CoupledSystem
+from .model import CoupledSystem, apply_matrix
 
 Array = np.ndarray
 
@@ -150,7 +151,7 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     total = burn_steps + n_keep * thinning
     sq = math.sqrt(dt)
     chains = rng.PathIndex(np.arange(K)[None, :])
-    block = max(1, 32768 // K)
+    block = rng.block_steps(K)
     # the state after step keep_at is the next one kept, in row i
     keep_at, i = burn_steps + thinning - 1, 0
     for k0 in range(0, total, block):
@@ -164,12 +165,12 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
             # a sigma without batch axes is state-independent (see model),
             # so the noise of the whole block is one product; it replaces
             # the increments, so one block-sized array stays alive
-            z = (sig @ z[..., None])[..., 0]
+            z = apply_matrix(sig, z)
         for j in range(nb):
             if per_step:
                 if j:
                     sig = np.asarray(system.sigma(x, y_fix), dtype=np.float64)
-                noise = (sig @ z[j][..., None])[..., 0]
+                noise = apply_matrix(sig, z[j])
             else:
                 noise = z[j]
             x += np.asarray(system.b(x, y_fix), dtype=np.float64) * dt

@@ -316,6 +316,16 @@ class CachePolicy:
     interpolate: bool = False
     t_quantum: float | None = None
 
+    def __post_init__(self):
+        # a zero, negative or non-finite quantum makes the lattice keys of
+        # eval_batch inf or nan, which all land in one meaningless cell
+        if not (math.isfinite(self.quantum) and self.quantum > 0):
+            raise ValueError(f"quantum must be a finite number > 0, got {self.quantum!r}")
+        if self.t_quantum is not None and not (math.isfinite(self.t_quantum)
+                                               and self.t_quantum > 0):
+            raise ValueError("t_quantum must be None or a finite number > 0, "
+                             f"got {self.t_quantum!r}")
+
     @property
     def tq(self) -> float:
         return self.quantum if self.t_quantum is None else self.t_quantum

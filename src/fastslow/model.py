@@ -11,6 +11,9 @@ axes.  The second form is a promise: the matrix is state-independent at
 that (t, y), so a step loop that holds (t, y) fixed may evaluate it once
 per block of steps and reuse it.  A coefficient that depends on the
 state must return batch axes; broadcasting does the rest.
+
+:func:`apply_matrix` is the one kernel that multiplies such a coefficient
+into a batch of noise vectors.
 """
 
 from __future__ import annotations
@@ -140,6 +143,25 @@ class CoupledSystem:
         """G G^T / 2 at a batch of points."""
         g = np.asarray(self.G(t, x, y), dtype=np.float64)
         return 0.5 * (g @ np.swapaxes(g, -1, -2))
+
+
+def apply_matrix(m, v: Array) -> Array:
+    """``m v`` over the last axis of ``v``: a matrix-valued coefficient,
+    ``(..., d, d)`` or ``(d, d)``, applied to a batch of vectors ``(..., d)``.
+
+    Every result is bit-identical to the stacked product
+    ``(m @ v[..., None])[..., 0]``.  A ``(1, 1)`` matrix is one elementwise
+    product: the stacked product sums from +0.0, so ``+= 0.0`` turns a -0.0
+    into +0.0 as it does.  Every other shape keeps the stacked product; a
+    per-column product of a ``(d, d)`` matrix is faster but rounds
+    differently.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape == (1, 1):
+        out = v * m[0, 0]
+        out += 0.0
+        return out
+    return (m @ v[..., None])[..., 0]
 
 
 def _require_finite(name: str, value: Array) -> Array:

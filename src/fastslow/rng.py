@@ -16,6 +16,12 @@ its paths, so a step loop that draws for the same paths at every step
 hashes each path once per run, not once per call.  Uniforms keep the top
 53 bits of one word; normals take the Box-Muller cosine branch of two
 words.
+
+Since every draw is a pure function of its key, a step loop may draw the
+increments of several steps in one call, with every bit unchanged.  The
+loops of this package size such blocks by one rule, :func:`block_steps`:
+about ``BLOCK_ROWS`` rows per call, which keeps the hash buffers of a call
+in cache and the per-call overhead small.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 __all__ = [
     "LANE_FAST", "LANE_SLOW", "LANE_VALIDATE", "LANE_CELL", "LANE_AUX",
     "PathIndex", "normals", "uniforms", "derive_key", "backend_name",
+    "BLOCK_ROWS", "block_steps",
 ]
 
 LANE_FAST = 0x01      # increments of the first driving Brownian motion
@@ -32,6 +39,11 @@ LANE_SLOW = 0x02      # increments of the second driving Brownian motion
 LANE_VALIDATE = 0x03  # assumption-checking sample draws
 LANE_CELL = 0x04      # per-cell sub-seed derivation
 LANE_AUX = 0x05
+
+# rows (path-steps) per draw call that block_steps aims at; with 4096 paths
+# per chunk, blocks of 8192 rows gave the fastest coupled ensembles, against
+# 4096 and 16384 rows (4% and 18% slower rounds, BENCH_10.json)
+BLOCK_ROWS = 8192
 
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -72,6 +84,12 @@ def derive_key(*words: int) -> int:
     for w in words:
         h = _absorb_int(h, int(w))
     return h
+
+
+def block_steps(rows_per_step: int) -> int:
+    """Steps whose increments one draw call takes when each step draws
+    ``rows_per_step`` rows: ``BLOCK_ROWS // rows_per_step``, at least 1."""
+    return max(1, BLOCK_ROWS // rows_per_step)
 
 
 def _mix(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -133,9 +151,12 @@ def _row_hashes(seed, lane, path, step):
     """
     if not isinstance(path, PathIndex):
         path = PathIndex(path)
-    step_a = np.atleast_1d(np.asarray(step, dtype=np.uint64))
-    shape = np.broadcast_shapes(path.shape, np.shape(step))
-    h = np.bitwise_xor(path.hashes(seed, lane), step_a).reshape(-1)
+    step_a = np.asarray(step, dtype=np.uint64)
+    h = np.bitwise_xor(path.hashes(seed, lane), np.atleast_1d(step_a))
+    # the at-least-1-d operands broadcast to the shape of path and step,
+    # except that two 0-d operands give (1,) instead of ()
+    shape = h.shape if path.shape or step_a.ndim else ()
+    h = h.reshape(-1)
     h = _mix(h, np.empty_like(h))
     h += _GOLD_U
     return h, shape

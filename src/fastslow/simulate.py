@@ -12,6 +12,15 @@ All Brownian increments come from counter-based streams keyed by
 chunk size.  The chunks run one after another in one loop.  Each chunk keys
 its draws through one :class:`fastslow.rng.PathIndex`, so the path part of
 the hash is computed once per chunk and lane, not at every step.
+
+Inside a macro step the coupled integrator draws the fast increments a
+block of micro steps at a time (:func:`fastslow.rng.block_steps`).  A noise
+coefficient without batch axes is state-independent at the macro step's
+frozen slow state (see :mod:`fastslow.model`), so it is evaluated once per
+macro step and multiplied into a whole block at once; one with batch axes
+is evaluated at every micro step.  Every noise product goes through
+:func:`fastslow.model.apply_matrix`, and the fast state, its drift and the
+micro-step accumulators are updated in place.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .errors import BlowUp, NonFiniteCoefficient
-from .model import CoupledSystem, ScaleSchedule
+from .model import CoupledSystem, ScaleSchedule, apply_matrix
 
 Array = np.ndarray
 
@@ -114,10 +123,6 @@ def _vec(v, d: int, name: str) -> Array:
     return arr
 
 
-def _matvec(m: Array, v: Array) -> Array:
-    return (np.asarray(m, dtype=np.float64) @ v[..., None])[..., 0]
-
-
 def _check_state(tag: str, state: Array, cap: float, t: float, lo: int) -> None:
     norms = np.linalg.norm(state, axis=-1)
     bad = ~np.isfinite(norms)
@@ -199,11 +204,15 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
     def body(lo: int, hi: int) -> None:
         m = hi - lo
         paths = rng.PathIndex(np.arange(lo, hi))
+        block = rng.block_steps(m)
         X = np.tile(x_init, (m, 1))
         Y = np.tile(y_init, (m, 1))
         acc = None
         macc = None
         mx = np.linalg.norm(X, axis=-1)
+        drift = np.empty((m, d1))
+        c_term = np.empty((m, d1))
+        Hsum = np.empty((m, d2))
 
         def record(node: int) -> None:
             if snap_idx is None:
@@ -217,29 +226,57 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
         record(0)
         for mi in range(n_macro):
             tm = mi * dt
-            Fm = np.asarray(system.F(tm, X, Y), dtype=np.float64)
-            Gm = system.G(tm, X, Y)
+            # copies: X is updated in place below, and a coefficient may
+            # return a view of it
+            Fm = np.array(system.F(tm, X, Y), dtype=np.float64)
+            Gm = np.array(system.G(tm, X, Y), dtype=np.float64)
             if macro_integrand is not None:
                 val = np.asarray(macro_integrand(tm, Y), dtype=np.float64)
                 if val.ndim == 1:
                     val = val[:, None]
                 macc = val * dt if macc is None else macc + val * dt
-            Hsum = np.zeros((m, d2))
-            for j in range(n_micro):
-                tj = tm + j * h
-                Hsum += system.H(tj, X, Y)
-                if integrand is not None:
-                    val = np.asarray(integrand(tj, X, Y), dtype=np.float64)
-                    if val.ndim == 1:
-                        val = val[:, None]
-                    acc = val * h if acc is None else acc + val * h
-                z = rng.normals(cfg.seed, rng.LANE_FAST, paths,
-                                np.uint64(mi * n_micro + j), d1)
-                drift = (np.asarray(system.b(X, Y), dtype=np.float64) * inv_a2
-                         + np.asarray(system.c(X, Y), dtype=np.float64) * inv_b)
-                X = X + drift * h + _matvec(system.sigma(X, Y), z) * sq_h
+            Hsum.fill(0.0)
+            sig = np.asarray(system.sigma(X, Y), dtype=np.float64)
+            per_step = sig.ndim != 2
+            for j0 in range(0, n_micro, block):
+                nb = min(block, n_micro - j0)
+                k0 = mi * n_micro + j0
+                steps = np.arange(k0, k0 + nb, dtype=np.uint64)[:, None]
+                z = rng.normals(cfg.seed, rng.LANE_FAST, paths, steps, d1)
+                if not per_step:
+                    # sigma is fixed for the macro step: the noise of the
+                    # whole block is one product
+                    z = apply_matrix(sig, z)
+                    z *= sq_h
+                for j in range(j0, j0 + nb):
+                    tj = tm + j * h
+                    Hsum += system.H(tj, X, Y)
+                    if integrand is not None:
+                        val = np.asarray(integrand(tj, X, Y), dtype=np.float64)
+                        if val.ndim == 1:
+                            val = val[:, None]
+                        if acc is None:
+                            acc = val * h
+                        else:
+                            acc += val * h
+                    if per_step:
+                        if j:
+                            sig = np.asarray(system.sigma(X, Y), dtype=np.float64)
+                        noise = apply_matrix(sig, z[j - j0])
+                        noise *= sq_h
+                    else:
+                        noise = z[j - j0]
+                    # X + (b / alpha^2 + c / beta) h + noise, in this order
+                    np.multiply(np.asarray(system.b(X, Y), dtype=np.float64),
+                                inv_a2, out=drift)
+                    np.multiply(np.asarray(system.c(X, Y), dtype=np.float64),
+                                inv_b, out=c_term)
+                    drift += c_term
+                    drift *= h
+                    X += drift
+                    X += noise
             z2 = rng.normals(cfg.seed, rng.LANE_SLOW, paths, np.uint64(mi), d2)
-            Y = Y + (Fm + Hsum * (inv_g / n_micro)) * dt + _matvec(Gm, z2) * sq_dt
+            Y = Y + (Fm + Hsum * (inv_g / n_micro)) * dt + apply_matrix(Gm, z2) * sq_dt
             _check_state("fast", X, cfg.blowup_cap, tm + dt, lo)
             _check_state("slow", Y, cfg.blowup_cap, tm + dt, lo)
             mx = np.maximum(mx, np.linalg.norm(X, axis=-1))
@@ -290,7 +327,7 @@ def integrate_frozen(system: CoupledSystem, y, x0, T: float, dt: float,
         for k in range(n_steps):
             z = rng.normals(seed, rng.LANE_FAST, paths, np.uint64(k), d1)
             X = X + np.asarray(system.b(X, y_fix), dtype=np.float64) * hE \
-                + _matvec(system.sigma(X, y_fix), z) * sq
+                + apply_matrix(system.sigma(X, y_fix), z) * sq
             if (k & 63) == 63 or k == n_steps - 1:
                 _check_state("fast", X, blowup_cap, (k + 1) * hE, lo)
             mx = np.maximum(mx, np.linalg.norm(X, axis=-1))
@@ -352,7 +389,7 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
             tk = k * dtE
             drift, diff = avg.coefficients_batch(tk, Y)
             z = rng.normals(seed, rng.LANE_SLOW, paths, np.uint64(k), d2)
-            Y = Y + drift * dtE + _matvec(diff, z) * sq
+            Y = Y + drift * dtE + apply_matrix(diff, z) * sq
             _check_state("limit", Y, blowup_cap, tk + dtE, lo)
             record(k + 1)
         term_y[lo:hi] = Y

@@ -94,6 +94,18 @@ def test_bad_sizes_exit_2_without_csv(tmp_path, capsys, monkeypatch, key, value)
     assert summary["error"]["type"] == "ConfigError"
 
 
+def test_zero_quantum_exits_2_without_csv(tmp_path, capsys):
+    # a zero quantum filed every limit path under one meaningless cell and
+    # exited 0
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c", converge_cfg(out, quantum=0))
+    assert run_cli(["converge", "--config", path]) == 2
+    assert "quantum must be a finite number > 0" in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+    summary = json.loads((out / "converge_summary.json").read_text())
+    assert summary["status"] == "error"
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"preset": "ou_averaging",')

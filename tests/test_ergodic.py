@@ -101,7 +101,7 @@ class TestInvariantMeasure:
                                  burn_in=burn_in, n_samples=n,
                                  thinning=thinning, dt=dt, seed=4)
         total = math.ceil(burn_in / dt) + math.ceil(n / N_CHAINS) * thinning
-        block = 32768 // N_CHAINS
+        block = rng.block_steps(N_CHAINS)
         assert total > 2 * block
         assert len(calls) == (total if per_step else math.ceil(total / block))
         assert set(calls) == {(N_CHAINS, system.d1)}

@@ -332,3 +332,18 @@ class TestZeroWeightSolves:
 def test_budgets_reject_bad_delta_y(delta_y):
     with pytest.raises(ValueError, match="delta_y"):
         Budgets(delta_y=delta_y)
+
+
+@pytest.mark.parametrize("quantum", [0.0, -0.1, float("nan"), float("inf")])
+def test_cache_policy_rejects_bad_quantum(quantum):
+    # a zero quantum divided every lattice key by zero and filed all rows
+    # under one cell
+    with pytest.raises(ValueError, match="quantum"):
+        CachePolicy(quantum=quantum)
+
+
+@pytest.mark.parametrize("t_quantum", [0.0, -0.1, float("nan"), float("inf")])
+def test_cache_policy_rejects_bad_t_quantum(t_quantum):
+    with pytest.raises(ValueError, match="t_quantum"):
+        CachePolicy(quantum=0.1, t_quantum=t_quantum)
+    assert CachePolicy(quantum=0.1, t_quantum=None).tq == 0.1

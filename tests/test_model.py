@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fastslow import (CoupledSystem, NonFiniteCoefficient, Regime,
                       ScaleSchedule, classify_regime, validate_assumptions)
+from fastslow.model import apply_matrix
 
 
 def sched(a, b, g):
@@ -113,3 +115,41 @@ class TestValidate:
         bad = _ou(b=lambda x, y: x * np.nan)
         with pytest.raises(NonFiniteCoefficient):
             validate_assumptions(bad, 2.0, 100, 5.0, seed=0)
+
+
+def _stacked(m, v):
+    return (np.asarray(m, dtype=np.float64) @ v[..., None])[..., 0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("s", [0.0, -2.0, math.sqrt(2.0)])
+@pytest.mark.parametrize("lead", [(257,), (257, 1), (9, 33)])
+def test_apply_matrix_one_by_one_is_the_stacked_product(s, lead):
+    # the elementwise path must give the stacked product's bits, signed
+    # zeros included: the product sums from +0.0, so 0 * (-x) and
+    # (-2) * (+0) come out as +0.0, not -0.0
+    v = np.random.default_rng(3).standard_normal(lead + (1,))
+    flat = v.reshape(-1)
+    flat[:4] = [0.0, -0.0, 5e-324, -5e-324]
+    got = apply_matrix(np.array([[s]]), v)
+    want = _stacked(np.array([[s]]), v)
+    assert got.shape == want.shape == lead + (1,)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.any(np.signbit(v * s) != np.signbit(want))
+
+
+@pytest.mark.parametrize("lead", [(257,), (257, 1), (9, 33)])
+def test_apply_matrix_other_shapes_are_the_stacked_product(lead):
+    r = np.random.default_rng(4)
+    v1 = r.standard_normal(lead + (1,))
+    v2 = r.standard_normal(lead + (2,))
+    batched = r.standard_normal(lead + (1, 1))
+    const2 = np.array([[1.3, 0.4], [-0.2, 0.9]])
+    batched2 = r.standard_normal(lead + (2, 2))
+    for m, v in ((batched, v1), (const2, v2), (batched2, v2)):
+        got = apply_matrix(m, v)
+        assert got.shape == v.shape
+        assert np.array_equal(_bits(got), _bits(_stacked(m, v)))

@@ -116,6 +116,8 @@ KEY_SHAPES = {
     "(1, K) x (n, 1)": (np.arange(4)[None, :], np.arange(6)[:, None]),
     "(n, 1) x (1, K)": (np.arange(6)[:, None], np.arange(4)[None, :]),
     "2-d x scalar": (np.arange(12).reshape(3, 4), 7),
+    "(1,) x int": (np.arange(1), 7),
+    "int x (n, 1)": (5, np.arange(6)[:, None]),
 }
 
 
@@ -181,3 +183,11 @@ def test_path_index_keeps_its_own_ids():
         assert np.array_equal(rng.normals(3, rng.LANE_SLOW, p, 5, 2), before)
         assert np.array_equal(rng.normals(4, rng.LANE_FAST, p, 6, 1),
                               rng.normals(4, rng.LANE_FAST, np.arange(8), 6, 1))
+
+
+def test_block_steps():
+    # about BLOCK_ROWS rows per draw call, and never less than one step
+    assert rng.block_steps(4096) == 2
+    assert rng.block_steps(999) == 8
+    assert rng.block_steps(1) == rng.BLOCK_ROWS
+    assert rng.block_steps(rng.BLOCK_ROWS + 1) == 1

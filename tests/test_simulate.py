@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fastslow import (BlowUp, CoupledSystem, PathConfig, Regime,
                       ScaleSchedule, integrate_coupled, integrate_frozen,
-                      integrate_limit)
+                      integrate_limit, rng)
 from fastslow.homogenize import (AveragedSDE, Budgets, CachePolicy,
                                  build_limit_sde)
 from fastslow.presets import ou_averaging, ou_full
@@ -118,16 +119,135 @@ class TestLimit:
 
 
 def test_determinism_across_chunks_and_workers():
+    # 134 micro steps per macro step: chunks of 64, 999 and 4096 paths draw
+    # blocks of 128, 8 and 2 micro steps, none of which divides 134
     sys1 = ou_full()
-    base = dict(T=0.2, dt_slow=0.02, micro_substeps_per_alpha2=5, seed=42,
-                n_paths=600)
-    a = integrate_coupled(sys1, S111, 0.3, [0.1], [0.4],
-                          PathConfig(**base, chunk_size=64))
-    b = integrate_coupled(sys1, S111, 0.3, [0.1], [0.4],
-                          PathConfig(**base, chunk_size=999))
-    assert np.array_equal(a.terminal_slow, b.terminal_slow)
-    assert np.array_equal(a.terminal_fast, b.terminal_fast)
-    assert np.array_equal(a.max_abs_fast, b.max_abs_fast)
+    base = dict(T=0.04, dt_slow=0.02, micro_substeps_per_alpha2=600, seed=42,
+                n_paths=4200)
+    runs = [integrate_coupled(sys1, S111, 0.3, [0.1], [0.4],
+                              PathConfig(**base, chunk_size=chunk))
+            for chunk in (64, 999, 4096)]
+    a = runs[0]
+    for b in runs[1:]:
+        assert np.array_equal(a.terminal_slow, b.terminal_slow)
+        assert np.array_equal(a.terminal_fast, b.terminal_fast)
+        assert np.array_equal(a.max_abs_fast, b.max_abs_fast)
+
+
+def x_noise_ou_full():
+    """ou_full with a noise coefficient that has batch axes and depends on x."""
+    return replace(ou_full(),
+                   sigma=lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None])
+
+
+def correlated_d1_2():
+    """d1 = 2, d2 = 1: every coupling term on, driven by a constant
+    non-diagonal sigma."""
+    rates = np.array([1.0, 1.5])
+    sigma = np.array([[1.3, 0.4], [-0.2, 0.9]])
+    return CoupledSystem(
+        d1=2, d2=1,
+        b=lambda x, y: y - x * rates,
+        sigma=lambda x, y: sigma,
+        c=lambda x, y: np.full_like(x, 0.25),
+        F=lambda t, x, y: x[..., :1] - 2.0 * y,
+        H=lambda t, x, y: x[..., :1] + 0.5 * x[..., 1:] - y,
+        G=lambda t, x, y: np.array([[1.0]]),
+        autonomous=True,
+    )
+
+
+SIGMA_KINDS = {"constant 1x1": ou_full, "x-noise": x_noise_ou_full,
+               "d1=2 non-diagonal": correlated_d1_2}
+
+
+def per_micro_step_reference(system, eps, x0, y0, cfg, integrand,
+                             macro_integrand):
+    """integrate_coupled on one chunk, written step by step: one draw call
+    per micro step, sigma at every micro step, the stacked noise product
+    and fresh arrays for every update."""
+    al, be, ga = S111.scales(eps)
+    n_macro = max(1, int(round(cfg.T / cfg.dt_slow)))
+    dt = cfg.T / n_macro
+    n_micro = max(1, int(math.ceil(dt / (al * al / cfg.micro_substeps_per_alpha2)
+                                   - 1e-12)))
+    h = dt / n_micro
+    inv_a2, inv_b, inv_g = 1.0 / (al * al), 1.0 / be, 1.0 / ga
+    sq_h, sq_dt = math.sqrt(h) / al, math.sqrt(dt)
+    ids = np.arange(cfg.n_paths)
+    X = np.tile(np.asarray(x0, dtype=np.float64), (cfg.n_paths, 1))
+    Y = np.tile(np.asarray(y0, dtype=np.float64), (cfg.n_paths, 1))
+    mx = np.linalg.norm(X, axis=-1)
+    acc = macc = None
+    for mi in range(n_macro):
+        tm = mi * dt
+        Fm = system.F(tm, X, Y)
+        Gm = system.G(tm, X, Y)
+        val = macro_integrand(tm, Y) * dt
+        macc = val if macc is None else macc + val
+        Hsum = np.zeros_like(Y)
+        for j in range(n_micro):
+            tj = tm + j * h
+            Hsum += system.H(tj, X, Y)
+            val = integrand(tj, X, Y) * h
+            acc = val if acc is None else acc + val
+            z = rng.normals(cfg.seed, rng.LANE_FAST, ids,
+                            np.uint64(mi * n_micro + j), system.d1)
+            drift = system.b(X, Y) * inv_a2 + system.c(X, Y) * inv_b
+            noise = (system.sigma(X, Y) @ z[..., None])[..., 0]
+            X = X + drift * h + noise * sq_h
+        z2 = rng.normals(cfg.seed, rng.LANE_SLOW, ids, np.uint64(mi), system.d2)
+        Y = Y + (Fm + Hsum * (inv_g / n_micro)) * dt \
+            + (Gm @ z2[..., None])[..., 0] * sq_dt
+        mx = np.maximum(mx, np.linalg.norm(X, axis=-1))
+    return X, Y, mx, acc, macc
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_KINDS))
+def test_coupled_equals_per_micro_step_loop(name):
+    # 1000 paths draw blocks of 8 micro steps; a macro step has 10, so
+    # every macro step ends on a short block
+    system = SIGMA_KINDS[name]()
+    assert rng.block_steps(1000) == 8
+    cfg = PathConfig(T=0.05, dt_slow=0.01, micro_substeps_per_alpha2=10,
+                     seed=17, n_paths=1000)
+    integrand = lambda t, x, y: x[..., :1] - y
+    macro_integrand = lambda t, y: y ** 2
+    x0 = [0.3] * system.d1
+    res = integrate_coupled(system, S111, 0.1, x0, [-0.2], cfg,
+                            integrand=integrand, macro_integrand=macro_integrand)
+    X, Y, mx, acc, macc = per_micro_step_reference(
+        system, 0.1, x0, [-0.2], cfg, integrand, macro_integrand)
+    # the 10 micro steps end on a short block in every macro step
+    assert int(math.ceil(0.01 / (0.01 / 10) - 1e-12)) == 10
+    for got, want in ((res.terminal_fast, X), (res.terminal_slow, Y),
+                      (res.max_abs_fast, mx), (res.integrals, acc),
+                      (res.macro_integrals, macc)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, per_step", [("constant 1x1", False),
+                                            ("x-noise", True),
+                                            ("d1=2 non-diagonal", False)])
+def test_coupled_sigma_calls(name, per_step):
+    # a (d1, d1) sigma is state-independent at the macro step's slow
+    # state, so it is called once per macro step; a batched one once per
+    # micro step
+    system = SIGMA_KINDS[name]()
+    calls = []
+
+    def sigma(x, y):
+        calls.append(np.shape(x))
+        return system.sigma(x, y)
+
+    cfg = PathConfig(T=0.05, dt_slow=0.01, micro_substeps_per_alpha2=10,
+                     seed=17, n_paths=300, chunk_size=200)
+    integrate_coupled(replace(system, sigma=sigma), S111, 0.1,
+                      [0.3] * system.d1, [-0.2], cfg)
+    n_macro, n_micro, n_chunks = 5, 10, 2
+    assert len(calls) == n_chunks * n_macro * (n_micro if per_step else 1)
+    assert set(calls) == {(200, system.d1), (100, system.d1)}
 
 
 def test_frozen_determinism_across_chunks_and_workers():
