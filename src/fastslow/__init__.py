@@ -19,12 +19,10 @@ from .simulate import (EnsembleResult, PathConfig, integrate_coupled,
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .corrector import (CorrectorField, CorrectorQuery, OuterProductResult,
-                        TransferConfig, TransferEstimate, gradients,
-                        outer_product_HPhi, solve_poisson_fk,
-                        transfer_derivative)
-from .homogenize import (AveragedSDE, Budgets, CachePolicy, averaged_diffusion,
-                         averaged_drift, build_limit_sde, psd_sqrt,
-                         regime_averages)
+                        gradients, outer_product_HPhi, solve_poisson_fk)
+from .homogenize import (AveragedSDE, Budgets, CachePolicy, TransferEstimate,
+                         averaged_diffusion, averaged_drift, build_limit_sde,
+                         psd_sqrt, regime_averages, transfer_derivative)
 from .harness import (ExperimentConfig, FluctuationReport, RateResult,
                       WeakErrorReport, fluctuation_clt, fluctuation_lln,
                       theoretical_rate, weak_error_experiment)
@@ -38,12 +36,13 @@ __all__ = [
     "get_system", "register_system",
     "EnsembleResult", "PathConfig", "integrate_coupled", "integrate_frozen",
     "integrate_limit",
-    "MeasureEnsemble", "TransferConfig", "TransferEstimate", "average",
-    "centering_residual", "sample_invariant_measure", "transfer_derivative",
+    "MeasureEnsemble", "average", "centering_residual",
+    "sample_invariant_measure",
     "CorrectorField", "CorrectorQuery", "OuterProductResult", "gradients",
     "outer_product_HPhi", "solve_poisson_fk",
-    "AveragedSDE", "Budgets", "CachePolicy", "averaged_diffusion",
-    "averaged_drift", "build_limit_sde", "psd_sqrt", "regime_averages",
+    "AveragedSDE", "Budgets", "CachePolicy", "TransferEstimate",
+    "averaged_diffusion", "averaged_drift", "build_limit_sde", "psd_sqrt",
+    "regime_averages", "transfer_derivative",
     "ExperimentConfig", "FluctuationReport", "RateResult", "WeakErrorReport",
     "fluctuation_clt", "fluctuation_lln", "theoretical_rate",
     "weak_error_experiment",

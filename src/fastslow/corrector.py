@@ -23,7 +23,7 @@ is drawn once and drives every state.  Blocks are sized by
 This module also holds the grid calculus on such solutions: one central
 difference stencil (:func:`_central`) gives the x-gradients, the
 :class:`GridTooCoarse` gate and the gradient and Hessian that the
-derivative transfer (:func:`transfer_derivative`) needs.
+derivative transfer (:func:`fastslow.homogenize.transfer_derivative`) needs.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import numpy as np
 
 from . import rng
 from .errors import BlowUp, GridTooCoarse, NonFiniteCoefficient, NotCentered
-from .ergodic import (MeasureEnsemble, average, centering_residual,
-                      sample_invariant_measure)
+from .ergodic import MeasureEnsemble, average
 from .model import CoupledSystem, apply_matrix
 
 Array = np.ndarray
@@ -511,120 +510,3 @@ def _interior_derivatives(u_grid: Array, steps) -> tuple[Array, Array]:
             hess[..., p, q] = hess[..., q, p] = _central(
                 _central(u_pq, q, steps[q]), p, steps[p])
     return grad, hess
-
-
-@dataclass(frozen=True)
-class TransferConfig:
-    """Budgets for the derivative-transfer estimate."""
-
-    t: float = 0.0
-    invariant_samples: int = 50000
-    burn_in: float = 10.0
-    thinning: int = 10
-    invariant_dt: float = 1e-3
-    corrector_paths: int = 20000
-    corrector_tmax: float = 10.0
-    corrector_dt: float = 0.01
-    grid_points: int = 25
-    grid_pad: float = 0.75
-    delta_y: float | None = None
-    seed: int = 0
-    n_batches: int = 20
-
-    def __post_init__(self):
-        _check_delta_y(self.delta_y)
-
-
-@dataclass(frozen=True)
-class TransferEstimate:
-    value: float
-    se: float
-    mean_term: float
-    corrector_term: float
-
-
-def transfer_derivative(h, system: CoupledSystem, y, direction,
-                        cfg: TransferConfig = TransferConfig()) -> TransferEstimate:
-    """Directional derivative of the averaged value of ``h`` without
-    differentiating the invariant measure.
-
-    Writes the derivative as the average of the directional derivative of h
-    minus the derivative of the generator applied to the auxiliary solution
-    u of (generator) u = h - (average of h), all integrated against the
-    sampled stationary cloud.  Coefficient derivatives are central finite
-    differences of the user callables; u comes from the Monte Carlo
-    corrector on a regular grid, and its gradient and Hessian at the
-    interior nodes are interpolated to the cloud.
-    """
-    if system.d1 > 2:
-        raise NotImplementedError("transfer gradients implemented for d1 <= 2")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    e = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if e.shape != y.shape:
-        raise ValueError("direction must match the slow dimension")
-    nrm = np.linalg.norm(e)
-    if not np.isclose(nrm, 1.0, atol=1e-8):
-        e = e / nrm
-    t = cfg.t
-
-    mu = sample_invariant_measure(
-        system, y, burn_in=cfg.burn_in, n_samples=cfg.invariant_samples,
-        thinning=cfg.thinning, dt=cfg.invariant_dt,
-        seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 1))
-    hbar, _ = average(h, mu, t)
-    if hbar.shape != (1,):
-        raise ValueError("transfer_derivative expects scalar-valued h")
-    hb = float(hbar[0])
-
-    def f_centered(tt, x, yy):
-        return np.asarray(h(tt, x, yy), dtype=np.float64) - hb
-
-    z = centering_residual(f_centered, mu, t)
-    axes = tuple(
-        np.linspace(mu.samples[:, j].min() - cfg.grid_pad,
-                    mu.samples[:, j].max() + cfg.grid_pad, cfg.grid_points)
-        for j in range(system.d1))
-    query = CorrectorQuery.from_grid(
-        axes, t=t, y=y, T_max=cfg.corrector_tmax, n_paths=cfg.corrector_paths,
-        dt=cfg.corrector_dt, seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 2),
-        n_batches=cfg.n_batches)
-    field = solve_poisson_fk(system, f_centered, query, mode="poisson",
-                             centering_z=z)
-
-    delta = _y_step(y, cfg.delta_y)
-    yp, ym = y + delta * e, y - delta * e
-    xs = mu.samples
-
-    dyh = (np.asarray(h(t, xs, yp), dtype=np.float64)
-           - np.asarray(h(t, xs, ym), dtype=np.float64)) / (2 * delta)
-    dyb = (np.asarray(system.b(xs, yp), dtype=np.float64)
-           - np.asarray(system.b(xs, ym), dtype=np.float64)) / (2 * delta)
-    dya = (system.fast_cov(xs, yp) - system.fast_cov(xs, ym)) / (2 * delta)
-    dya = np.broadcast_to(dya, (xs.shape[0], system.d1, system.d1))
-    steps = [float(ax[1] - ax[0]) for ax in axes]
-    inner_axes = tuple(ax[1:-1] for ax in axes)
-
-    def op_term(u_grid: Array) -> Array:
-        """(directional generator derivative) applied to u, at the cloud."""
-        grad, hess = _interior_derivatives(u_grid, steps)
-        gs = _interp_axes(inner_axes, grad, xs)     # (n, d1)
-        hs = _interp_axes(inner_axes, hess, xs)     # (n, d1, d1)
-        return (np.einsum("npq,npq->n", dya, hs)
-                + np.einsum("np,np->n", dyb, gs))
-
-    u_grid = field.values[:, 0].reshape(field.grid_shape)
-    integrand = dyh.reshape(-1) - op_term(u_grid)
-    value = float(integrand.mean())
-    se_mu = float(mu.se(integrand[:, None])[0])
-
-    # corrector-noise contribution: recompute per path-batch of the solve
-    per_batch = []
-    for bm in field.batch_means:
-        ug = bm[:, 0].reshape(field.grid_shape)
-        per_batch.append(float((dyh.reshape(-1) - op_term(ug)).mean()))
-    per_batch = np.asarray(per_batch)
-    se_cor = float(per_batch.std(ddof=1) / math.sqrt(len(per_batch)))
-    se = math.hypot(se_mu, se_cor)
-    return TransferEstimate(value=value, se=se,
-                            mean_term=float(dyh.mean()),
-                            corrector_term=float(value - dyh.mean()))

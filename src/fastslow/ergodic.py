@@ -16,7 +16,8 @@ own autocorrelation function.  The effective sample size of a cloud comes
 from the same estimator: variance over squared SE.
 
 The derivative transfer, which needs the auxiliary solution and its grid
-derivatives, lives with the corrector in :mod:`fastslow.corrector`.
+derivatives, lives with the averaged coefficients in
+:mod:`fastslow.homogenize`, where it shares their cloud, grid and solve.
 """
 
 from __future__ import annotations

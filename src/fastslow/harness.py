@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +22,9 @@ from . import __version__ as _pkg_version
 from . import rng
 from .corrector import codomain
 from .errors import ConfigError, NotCentered, ThetaOutOfRange
-from .ergodic import centering_residual, sample_invariant_measure
+from .ergodic import centering_residual
 from .homogenize import Budgets, CachePolicy, CellField, build_limit_sde, \
-    corrector_corrections
+    corrector_corrections, _cloud
 from .model import CoupledSystem, Regime, ScaleSchedule, classify_regime, \
     _as_fraction
 from .presets import get_system
@@ -181,6 +181,14 @@ class ExperimentConfig:
     @property
     def regime(self) -> Regime:
         return classify_regime(self.schedule)
+
+    def path_config(self, snapshot_times=None) -> PathConfig:
+        """Coupled-ensemble settings of this experiment."""
+        return PathConfig(T=self.T, dt_slow=self.dt_slow,
+                          micro_substeps_per_alpha2=self.micro_substeps,
+                          seed=self.seed, n_paths=self.paths_coupled,
+                          snapshot_times=snapshot_times,
+                          chunk_size=self.chunk_size)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -345,11 +353,8 @@ def weak_error_experiment(cfg: ExperimentConfig) -> WeakErrorReport:
     se = np.empty_like(err)
     paired = n_lim == cfg.paths_coupled
     for i, eps in enumerate(cfg.eps_list):
-        pc = PathConfig(T=cfg.T, dt_slow=cfg.dt_slow,
-                        micro_substeps_per_alpha2=cfg.micro_substeps,
-                        seed=cfg.seed, n_paths=cfg.paths_coupled,
-                        snapshot_times=grid, chunk_size=cfg.chunk_size)
-        res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0, pc)
+        res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0,
+                                cfg.path_config(grid))
         for j in range(len(grid)):
             for p, phi in enumerate(phis):
                 v_eps = phi(res.snapshots_slow[j])
@@ -451,11 +456,10 @@ class FluctuationReport:
 
 
 def _check_centered(cfg: ExperimentConfig, f) -> None:
-    mu = sample_invariant_measure(
-        cfg.system, cfg.y0, burn_in=cfg.budgets.invariant_burn_in,
-        n_samples=min(cfg.budgets.invariant_samples, 20000),
-        thinning=cfg.budgets.invariant_thinning, dt=cfg.budgets.invariant_dt,
-        seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 31))
+    budgets = replace(cfg.budgets,
+                      invariant_samples=min(cfg.budgets.invariant_samples, 20000))
+    mu = _cloud(cfg.system, cfg.y0, budgets,
+                rng.derive_key(cfg.seed, rng.LANE_AUX, 31))
     z = centering_residual(f, mu, 0.0)
     if z > 3.0:
         raise NotCentered(
@@ -468,12 +472,8 @@ def fluctuation_lln(cfg: ExperimentConfig, f) -> FluctuationReport:
     _check_centered(cfg, f)
     means, ses = [], []
     for eps in cfg.eps_list:
-        pc = PathConfig(T=cfg.T, dt_slow=cfg.dt_slow,
-                        micro_substeps_per_alpha2=cfg.micro_substeps,
-                        seed=cfg.seed, n_paths=cfg.paths_coupled,
-                        chunk_size=cfg.chunk_size)
         res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0,
-                                pc, integrand=f)
+                                cfg.path_config(), integrand=f)
         ints = res.integrals
         means.append(ints.mean(axis=0))
         ses.append(ints.std(axis=0, ddof=1) / math.sqrt(ints.shape[0]))
@@ -510,12 +510,9 @@ def fluctuation_clt(cfg: ExperimentConfig, f, regime: Regime | None = None,
     lhs_m, corr_m, resid_m, ses = [], [], [], []
     for eps in cfg.eps_list:
         _, _, ga = cfg.schedule.scales(eps)
-        pc = PathConfig(T=cfg.T, dt_slow=cfg.dt_slow,
-                        micro_substeps_per_alpha2=cfg.micro_substeps,
-                        seed=cfg.seed, n_paths=cfg.paths_coupled,
-                        chunk_size=cfg.chunk_size)
         res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0,
-                                pc, integrand=f, macro_integrand=correction_fn)
+                                cfg.path_config(), integrand=f,
+                                macro_integrand=correction_fn)
         lhs = res.integrals / ga
         corr = res.macro_integrals
         resid = lhs - corr

@@ -14,6 +14,9 @@ lookup: numpy reduces the batch to its distinct cells, Python touches each
 distinct cell once, and the cell records are gathered back by index.  One
 record holds drift and diffusion together, so a limit path-step costs one
 lookup.
+
+The parameter derivative of an averaged value (:func:`transfer_derivative`)
+is built on the same cloud and corrector solve as a cell.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .corrector import (CorrectorQuery, codomain, grad_x_at, grad_y_at,
-                        gradients, grid_grad_x, outer_product_HPhi,
-                        solve_poisson_fk, _check_delta_y, _field_at)
-from .ergodic import (MeasureEnsemble, centering_residual,
+from .corrector import (CorrectorField, CorrectorQuery, codomain, grad_x_at,
+                        grad_y_at, gradients, grid_grad_x, outer_product_HPhi,
+                        solve_poisson_fk, _check_delta_y, _field_at,
+                        _interior_derivatives, _interp_axes, _y_step)
+from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .errors import PSDFailure
 from .model import CoupledSystem, Regime
@@ -110,6 +114,44 @@ def _needs(regime: Regime, want_drift: bool, want_diffusion: bool):
     return gx, gy, vals
 
 
+def _cloud(system: CoupledSystem, y: Array, budgets: Budgets,
+           seed: int) -> MeasureEnsemble:
+    """Invariant cloud of the frozen fast equation at ``y``, sampled with
+    the budgets' invariant settings."""
+    return sample_invariant_measure(
+        system, y, burn_in=budgets.invariant_burn_in,
+        n_samples=budgets.invariant_samples, thinning=budgets.invariant_thinning,
+        dt=budgets.invariant_dt, seed=seed)
+
+
+def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
+                    mu: MeasureEnsemble, budgets: Budgets, seed: int,
+                    want_grad_y: bool) -> tuple[CorrectorField, float]:
+    """Corrector for ``f`` on a tensor grid spanning the cloud ``mu``.
+
+    Each axis runs from the cloud's range widened by ``grid_pad`` on both
+    sides, with ``grid_points`` nodes at d1 = 1 and max(9, grid_points // 2)
+    above.  The centering z of ``f`` on the cloud is the solve's evidence;
+    it is returned with the field.
+    """
+    if system.d1 > 3:
+        raise NotImplementedError("corrector grids implemented for d1 <= 3")
+    n_pts = budgets.grid_points if system.d1 == 1 else max(9, budgets.grid_points // 2)
+    axes = tuple(
+        np.linspace(mu.samples[:, j].min() - budgets.grid_pad,
+                    mu.samples[:, j].max() + budgets.grid_pad, n_pts)
+        for j in range(system.d1))
+    query = CorrectorQuery.from_grid(
+        axes, t=t, y=y, T_max=budgets.corrector_tmax,
+        n_paths=budgets.corrector_paths, dt=budgets.corrector_dt,
+        seed=seed, n_batches=budgets.n_batches)
+    z = centering_residual(f, mu, t)
+    # the y +/- delta states ride along in the centre's pass
+    fld = solve_poisson_fk(system, f, query, mode="corrector", centering_z=z,
+                           want_grad_y=want_grad_y, delta_y=budgets.delta_y)
+    return fld, z
+
+
 def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
                 mu: MeasureEnsemble, budgets: Budgets, seed: int,
                 need_gx: bool, need_gy: bool, need_vals: bool) -> dict:
@@ -137,21 +179,7 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
     out.update(gx=need_gx, gy=need_gy, vals=need_vals)
     if not (need_gx or need_gy or need_vals):
         return out
-    if system.d1 > 3:
-        raise NotImplementedError("corrector grids implemented for d1 <= 3")
-    n_pts = budgets.grid_points if system.d1 == 1 else max(9, budgets.grid_points // 2)
-    axes = tuple(
-        np.linspace(mu.samples[:, j].min() - budgets.grid_pad,
-                    mu.samples[:, j].max() + budgets.grid_pad, n_pts)
-        for j in range(system.d1))
-    query = CorrectorQuery.from_grid(
-        axes, t=t, y=y, T_max=budgets.corrector_tmax,
-        n_paths=budgets.corrector_paths, dt=budgets.corrector_dt,
-        seed=seed, n_batches=budgets.n_batches)
-    z = centering_residual(f, mu, t)
-    # the y +/- delta states ride along in the centre's pass
-    fld = solve_poisson_fk(system, f, query, mode="corrector", centering_z=z,
-                           want_grad_y=need_gy, delta_y=budgets.delta_y)
+    fld, z = _solve_on_cloud(system, f, t, y, mu, budgets, seed, need_gy)
     if need_gx or need_gy:
         fld = gradients(fld)
     out.update(field=fld, z=z)
@@ -197,10 +225,7 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
     if regime is Regime.UNCLASSIFIED:
         raise ValueError("cannot average an unclassified regime")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    mu = sample_invariant_measure(
-        system, y, burn_in=budgets.invariant_burn_in,
-        n_samples=budgets.invariant_samples, thinning=budgets.invariant_thinning,
-        dt=budgets.invariant_dt, seed=rng.derive_key(seed, rng.LANE_AUX, 11))
+    mu = _cloud(system, y, budgets, rng.derive_key(seed, rng.LANE_AUX, 11))
     need_gx, need_gy, need_vals = _needs(regime, want_drift, want_diffusion)
     phi = _phi_fields(system, system.H, t, y, mu, budgets,
                       rng.derive_key(seed, rng.LANE_AUX, 12),
@@ -289,14 +314,10 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     k = codomain(f, t, np.zeros((2, system.d1)), y)
-    use_gx = regime in (Regime.R2, Regime.R4)
-    use_gy = regime in (Regime.R3, Regime.R4)
+    use_gx, use_gy, _ = _needs(regime, True, False)
     if not (use_gx or use_gy):
         return np.zeros(k), np.zeros(k)
-    mu = sample_invariant_measure(
-        system, y, burn_in=budgets.invariant_burn_in,
-        n_samples=budgets.invariant_samples, thinning=budgets.invariant_thinning,
-        dt=budgets.invariant_dt, seed=rng.derive_key(seed, rng.LANE_AUX, 11))
+    mu = _cloud(system, y, budgets, rng.derive_key(seed, rng.LANE_AUX, 11))
     phi = _phi_fields(system, f, t, y, mu, budgets,
                       rng.derive_key(seed, rng.LANE_AUX, 12),
                       use_gx, use_gy, False)
@@ -306,6 +327,87 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
     se_mu = mu.se(vals)
     se_cor = _correction_batch_se(mu, phi)
     return vals.mean(axis=0), np.sqrt(se_mu ** 2 + se_cor ** 2)
+
+
+@dataclass(frozen=True)
+class TransferEstimate:
+    value: float
+    se: float
+    mean_term: float
+    corrector_term: float
+
+
+def transfer_derivative(h, system: CoupledSystem, y, direction,
+                        budgets: Budgets = Budgets(), seed: int = 0,
+                        t: float = 0.0) -> TransferEstimate:
+    """Directional derivative of the averaged value of ``h`` without
+    differentiating the invariant measure.
+
+    Writes the derivative as the average of the directional derivative of h
+    plus the derivative of the generator applied to the corrector Phi of
+    (generator) Phi = -(h - average of h), all integrated against the
+    sampled stationary cloud.  Coefficient derivatives are central finite
+    differences of the user callables with the budgets' y-step; Phi comes
+    from the same cloud, grid and solve as the cells' corrector, and its
+    gradient and Hessian at the interior nodes are interpolated to the
+    cloud.
+    """
+    if system.d1 > 2:
+        raise NotImplementedError("transfer gradients implemented for d1 <= 2")
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    e = np.asarray(direction, dtype=np.float64).reshape(-1)
+    if e.shape != y.shape:
+        raise ValueError("direction must match the slow dimension")
+    nrm = np.linalg.norm(e)
+    if not np.isclose(nrm, 1.0, atol=1e-8):
+        e = e / nrm
+
+    mu = _cloud(system, y, budgets, rng.derive_key(seed, rng.LANE_AUX, 1))
+    hbar, _ = average(h, mu, t)
+    if hbar.shape != (1,):
+        raise ValueError("transfer_derivative expects scalar-valued h")
+    hb = float(hbar[0])
+
+    def f_centered(tt, x, yy):
+        return np.asarray(h(tt, x, yy), dtype=np.float64) - hb
+
+    field, _ = _solve_on_cloud(system, f_centered, t, y, mu, budgets,
+                               rng.derive_key(seed, rng.LANE_AUX, 2), False)
+
+    delta = _y_step(y, budgets.delta_y)
+    yp, ym = y + delta * e, y - delta * e
+    xs = mu.samples
+
+    dyh = ((np.asarray(h(t, xs, yp), dtype=np.float64)
+            - np.asarray(h(t, xs, ym), dtype=np.float64)) / (2 * delta)).reshape(-1)
+    dyb = (np.asarray(system.b(xs, yp), dtype=np.float64)
+           - np.asarray(system.b(xs, ym), dtype=np.float64)) / (2 * delta)
+    dya = (system.fast_cov(xs, yp) - system.fast_cov(xs, ym)) / (2 * delta)
+    dya = np.broadcast_to(dya, (xs.shape[0], system.d1, system.d1))
+    axes = field.query.grid_axes
+    steps = [float(ax[1] - ax[0]) for ax in axes]
+    inner_axes = tuple(ax[1:-1] for ax in axes)
+
+    def op_term(phi_grid: Array) -> Array:
+        """(directional generator derivative) applied to Phi, at the cloud."""
+        grad, hess = _interior_derivatives(phi_grid, steps)
+        gs = _interp_axes(inner_axes, grad, xs)     # (n, d1)
+        hs = _interp_axes(inner_axes, hess, xs)     # (n, d1, d1)
+        return (np.einsum("npq,npq->n", dya, hs)
+                + np.einsum("np,np->n", dyb, gs))
+
+    integrand = dyh + op_term(field.values[:, 0].reshape(field.grid_shape))
+    value = float(integrand.mean())
+    se_mu = float(mu.se(integrand[:, None])[0])
+
+    # corrector-noise contribution: recompute per path-batch of the solve
+    per_batch = np.asarray([
+        float((dyh + op_term(bm[:, 0].reshape(field.grid_shape))).mean())
+        for bm in field.batch_means])
+    se_cor = float(per_batch.std(ddof=1) / math.sqrt(len(per_batch)))
+    return TransferEstimate(value=value, se=math.hypot(se_mu, se_cor),
+                            mean_term=float(dyh.mean()),
+                            corrector_term=float(value - dyh.mean()))
 
 
 @dataclass(frozen=True)
@@ -460,14 +562,21 @@ class AveragedSDE:
 
     @classmethod
     def from_callables(cls, regime: Regime, d2: int, fhat, ghat) -> "AveragedSDE":
-        """Wrap closed-form fields (mainly for tests and known limits)."""
+        """Wrap closed-form fields (mainly for tests and known limits).
+
+        ``fhat(t, Y)`` and ``ghat(t, Y)`` are called once per batch with the
+        slow states ``Y`` of shape (n, d2), as coefficients are.  They return
+        the drift as (n, d2) and the diffusion as (n, d2, d2), or anything
+        that broadcasts to these, such as one (d2,) drift or one (d2, d2)
+        matrix for every row.
+        """
 
         def coefficients(t, Y):
-            drift = np.stack([np.asarray(fhat(t, y), dtype=np.float64).reshape(-1)
-                              for y in Y])
-            diff = np.stack([np.asarray(ghat(t, y), dtype=np.float64)
-                             .reshape(d2, d2) for y in Y])
-            return drift, diff
+            n = Y.shape[0]
+            drift = np.asarray(fhat(t, Y), dtype=np.float64)
+            diff = np.asarray(ghat(t, Y), dtype=np.float64)
+            return (np.broadcast_to(drift, (n, d2)),
+                    np.broadcast_to(diff, (n, d2, d2)))
 
         return cls(regime, d2, coefficients, lambda: {"source": "callables"})
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fastslow import (CorrectorQuery, CoupledSystem, NotCentered, GridTooCoarse,
-                      TransferConfig, average, centering_residual, gradients,
+                      average, centering_residual, gradients,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
 from fastslow.corrector import (CorrectorField, _field_at,
@@ -310,8 +310,6 @@ class TestFusedYStates:
         with pytest.raises(ValueError, match="delta_y"):
             solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
                              delta_y=delta_y)
-        with pytest.raises(ValueError, match="delta_y"):
-            TransferConfig(delta_y=delta_y)
 
 
 class TestQuery:

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fastslow import (CoupledSystem, MeasureEnsemble, TransferConfig,
-                      average, centering_residual, rng,
-                      sample_invariant_measure, transfer_derivative)
+from fastslow import (Budgets, CoupledSystem, MeasureEnsemble, average,
+                      centering_residual, rng, sample_invariant_measure,
+                      transfer_derivative)
 from fastslow.ergodic import N_CHAINS
 
 RT2 = math.sqrt(2.0)
@@ -234,9 +234,8 @@ class TestCentering:
 
 
 class TestTransfer:
-    CFG = TransferConfig(invariant_samples=50000, thinning=20,
-                         corrector_paths=8000, corrector_tmax=8.0,
-                         grid_points=25, seed=3)
+    BUDGETS = Budgets(invariant_samples=50000, invariant_thinning=20,
+                      corrector_paths=8000, corrector_tmax=8.0, grid_points=25)
 
     def test_no_parameter_dependence_gives_zero(self):
         sys_flat = CoupledSystem(
@@ -250,15 +249,39 @@ class TestTransfer:
             autonomous=True,
         )
         est = transfer_derivative(lambda t, x, y: x[..., 0], sys_flat, [0.0],
-                                  [1.0], self.CFG)
+                                  [1.0], self.BUDGETS, seed=3)
         assert abs(est.value) <= max(0.05, 3 * est.se)
 
     def test_linear_observable(self):
         est = transfer_derivative(lambda t, x, y: x[..., 0], frozen_ou(), [0.0],
-                                  [1.0], self.CFG)
+                                  [1.0], self.BUDGETS, seed=3)
         assert abs(est.value - 1.0) <= max(0.1, 5 * est.se)
 
     def test_quadratic_observable(self):
         est = transfer_derivative(lambda t, x, y: x[..., 0] ** 2, frozen_ou(),
-                                  [1.0], [1.0], self.CFG)
+                                  [1.0], [1.0], self.BUDGETS, seed=3)
         assert abs(est.value - 2.0) <= max(0.15, 5 * est.se)
+
+    def test_two_fast_coordinates(self):
+        # both coordinates relax to y, so the Euler corrector of h = x1 + x2
+        # is (x - y)(1 - (1 - dt)^K) per coordinate and the derivative of the
+        # average is 2 (1 - (1 - dt)^K), K = T / dt; shared increments make
+        # the grid differences exact up to rounding
+        sys2 = CoupledSystem(
+            d1=2, d2=1,
+            b=lambda x, y: y - x,
+            sigma=lambda x, y: RT2 * np.eye(2),
+            c=lambda x, y: np.zeros_like(x),
+            F=lambda t, x, y: np.zeros(np.shape(x)[:-1] + (1,)),
+            H=lambda t, x, y: np.zeros(np.shape(x)[:-1] + (1,)),
+            G=lambda t, x, y: np.array([[1.0]]),
+            autonomous=True,
+        )
+        budgets = Budgets(invariant_samples=20000, invariant_thinning=10,
+                          corrector_paths=2000, corrector_tmax=4.0,
+                          grid_points=18)
+        est = transfer_derivative(lambda t, x, y: x[..., 0] + x[..., 1], sys2,
+                                  [0.0], [1.0], budgets, seed=3)
+        K = round(budgets.corrector_tmax / budgets.corrector_dt)
+        exact = 2.0 * (1.0 - (1.0 - budgets.corrector_dt) ** K)
+        assert abs(est.value - exact) <= 1e-9

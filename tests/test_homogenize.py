@@ -6,7 +6,7 @@ import pytest
 
 from fastslow import (Budgets, CachePolicy, CoupledSystem, PSDFailure, Regime,
                       averaged_diffusion, averaged_drift, build_limit_sde,
-                      psd_sqrt, regime_averages, rng)
+                      psd_sqrt, regime_averages, rng, transfer_derivative)
 from fastslow import homogenize
 from fastslow.homogenize import CellField, corrector_corrections
 from fastslow.presets import ou_averaging, ou_full
@@ -291,17 +291,27 @@ class TestZeroWeightSolves:
                       invariant_dt=0.01, corrector_paths=500,
                       corrector_tmax=3.0, grid_points=15)
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
+    # the benchmark's span tracer counts clouds and solves by wrapping these
+    # two names in homogenize, so the calls must go through them
+    @staticmethod
+    def _counted(monkeypatch, name):
         count = [0]
-        real = homogenize.solve_poisson_fk
+        real = getattr(homogenize, name)
 
         def counted(*args, **kwargs):
             count[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(homogenize, "solve_poisson_fk", counted)
+        monkeypatch.setattr(homogenize, name, counted)
         return count
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        return self._counted(monkeypatch, "solve_poisson_fk")
+
+    @pytest.fixture
+    def clouds(self, monkeypatch):
+        return self._counted(monkeypatch, "sample_invariant_measure")
 
     def test_r2_with_zero_c_runs_no_solve(self, solves):
         sys1 = ou_averaging()
@@ -322,10 +332,15 @@ class TestZeroWeightSolves:
                               [0.3], self.BUDGETS, seed=6)
         assert solves[0] == 1
 
-    def test_r4_y_states_ride_the_one_solve(self, solves):
+    def test_r4_y_states_ride_the_one_solve(self, solves, clouds):
         # the y +/- delta states of the y-gradient share the centre's pass
         regime_averages(ou_full(), Regime.R4, 0.0, [0.3], self.BUDGETS, seed=6)
-        assert solves[0] == 1
+        assert solves[0] == 1 and clouds[0] == 1
+
+    def test_transfer_makes_one_cloud_and_one_solve(self, solves, clouds):
+        transfer_derivative(lambda t, x, y: x[..., 0], ou_full(), [0.3], [1.0],
+                            self.BUDGETS, seed=6)
+        assert solves[0] == 1 and clouds[0] == 1
 
 
 @pytest.mark.parametrize("delta_y", [0.0, -0.1, float("nan"), float("inf")])
