@@ -32,16 +32,30 @@ from .presets import get_system
 _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
               GridTooCoarse, ThetaOutOfRange)
 
+# the keys each command reads; converge and fluctuate check theirs in
+# ExperimentConfig.from_dict
+_COMMON_KEYS = {"preset", "system_id", "out_dir", "seed"}
+_CONFIG_KEYS = {
+    "validate": _COMMON_KEYS | {"lambda", "sample_budget", "radius", "eps"},
+    "invariant": _COMMON_KEYS | {"ys", "y", "burn_in", "n_samples", "thinning", "dt"},
+    "corrector": _COMMON_KEYS | {"grid", "t", "y", "T_max", "n_paths", "dt",
+                                 "centering_samples", "gradients", "mode"},
+    "average": _COMMON_KEYS | {"exponents", "budgets", "t", "ys", "y"},
+}
+
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path!r}: line {e.lineno}, "
                           f"column {e.colno}: {e.msg}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object")
+    return cfg
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -272,6 +286,9 @@ def run_cli(argv) -> int:
             return _cmd_classify(args)
         cfg = _load_config(args.config)
         out = _out_dir(cfg)
+        unknown = sorted(set(cfg) - _CONFIG_KEYS.get(args.command, set()))
+        if args.command in _CONFIG_KEYS and unknown:
+            raise ConfigError(f"unknown config fields: {unknown}")
         return _CONFIG_COMMANDS[args.command](cfg, out)
     except _NUMERICAL as e:
         _error_summary(out, args.command, e)

@@ -24,6 +24,10 @@ This module also holds the grid calculus on such solutions: one central
 difference stencil (:func:`_central`) gives the x-gradients, the
 :class:`GridTooCoarse` gate and the gradient and Hessian that the
 derivative transfer (:func:`fastslow.homogenize.transfer_derivative`) needs.
+
+One rule, :func:`batch_se`, gives the path-batch error of every cloud
+average of a linear functional of the solution: H Phi^T, the drift
+corrections c . grad_x Phi and H . grad_y Phi, and the derivative transfer.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ class CorrectorField:
     @property
     def grid_shape(self) -> tuple[int, ...]:
         if self.query.grid_axes is None:
-            raise ValueError("field was not solved on a tensor grid")
+            raise ValueError("field was not solved on a query built with from_grid")
         return tuple(len(ax) for ax in self.query.grid_axes)
 
 
@@ -246,19 +250,11 @@ def _y_gradient(shifted_sums: Array, counts: Array, n_paths: int,
     """Central y-differences (Q, k, d2) of the solution and their per-batch
     values (nb, Q, k, d2), from the path-batch sums of the states laid out
     as :func:`_shifted_states` lays them out."""
-    n_states, nb, Q, k = shifted_sums.shape
-    d2 = n_states // 2
-    grad = np.empty((Q, k, d2))
-    grad_b = np.empty((nb, Q, k, d2))
-    for j in range(d2):
-        sp, sm = shifted_sums[2 * j], shifted_sums[2 * j + 1]
-        vp = sign * (sp.sum(axis=0) / n_paths)
-        vm = sign * (sm.sum(axis=0) / n_paths)
-        bp = sign * (sp / counts[:, None, None])
-        bm = sign * (sm / counts[:, None, None])
-        grad[:, :, j] = (vp - vm) / (2 * delta)
-        grad_b[:, :, :, j] = (bp - bm) / (2 * delta)
-    return grad, grad_b
+    vals = sign * (shifted_sums.sum(axis=1) / n_paths)        # (2 d2, Q, k)
+    batch = sign * (shifted_sums / counts[:, None, None])     # (2 d2, nb, Q, k)
+    grad = (vals[0::2] - vals[1::2]) / (2 * delta)
+    grad_b = (batch[0::2] - batch[1::2]) / (2 * delta)
+    return np.moveaxis(grad, 0, -1), np.moveaxis(grad_b, 0, -1)
 
 
 def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
@@ -385,14 +381,11 @@ def gradients(field: CorrectorField) -> CorrectorField:
     when second differences dominate first differences beyond a fixed
     tolerance of 0.5 (and clear the noise floor).
     """
-    q = field.query
-    if q.grid_axes is None:
-        raise ValueError("x-gradients need a query built with from_grid")
     gshape = field.grid_shape
     vals_g = field.values.reshape(gshape + (field.k,))
     scalar = vals_g[..., 0] if field.k == 1 else vals_g.mean(-1)
     se_med = float(np.median(field.se))
-    for p, ax in enumerate(q.grid_axes):
+    for p, ax in enumerate(field.query.grid_axes):
         if gshape[p] < 3:
             raise GridTooCoarse(f"axis {p} has fewer than 3 nodes")
         _coarseness_check(scalar, p, float(ax[1] - ax[0]), se_med)
@@ -406,6 +399,20 @@ class OuterProductResult:
     antisym_norm: float
 
 
+def batch_se(field: CorrectorField, per_sample) -> Array:
+    """Path-batch standard error, (m,), of the cloud mean of a linear
+    functional ``per_sample(values, grad_y) -> (n, m)`` of grid values and
+    y-gradients: the mean is taken again on each batch's ``batch_means``
+    and ``grad_y_batches`` (None without them), and the spread of the nb
+    means, over sqrt(nb), is returned."""
+    nb = field.batch_means.shape[0]
+    gyb = field.grad_y_batches
+    per_b = np.stack([
+        per_sample(field.batch_means[b], None if gyb is None else gyb[b]).mean(axis=0)
+        for b in range(nb)])
+    return per_b.std(axis=0, ddof=1) / math.sqrt(nb)
+
+
 def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
                        mu: MeasureEnsemble, t: float) -> OuterProductResult:
     """Symmetrized stationary average of H (solution)^T.
@@ -417,19 +424,17 @@ def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
     d2 = system.d2
     if field.k != d2:
         raise ValueError("field codomain does not match the slow dimension")
-    phi_s = _field_at(field, mu.samples)            # (n, d2)
     Hs = np.asarray(system.H(t, mu.samples, mu.y), dtype=np.float64)
     Hs = np.broadcast_to(Hs, (mu.n_samples, d2))
-    outer = Hs[:, :, None] * phi_s[:, None, :]
-    M = outer.mean(axis=0)
-    se_mu = mu.se(outer.reshape(mu.n_samples, -1)).reshape(d2, d2)
 
-    nb = field.batch_means.shape[0]
-    per_b = np.empty((nb, d2, d2))
-    for b in range(nb):
-        pb = _field_at(replace(field, values=field.batch_means[b]), mu.samples)
-        per_b[b] = (Hs[:, :, None] * pb[:, None, :]).mean(axis=0)
-    se_f = per_b.std(axis=0, ddof=1) / math.sqrt(nb)
+    def outer(values: Array, grad_y) -> Array:
+        phi_s = _grid_at(field, values, mu.samples)     # (n, d2)
+        return (Hs[:, :, None] * phi_s[:, None, :]).reshape(mu.n_samples, -1)
+
+    per = outer(field.values, field.grad_y)
+    M = per.mean(axis=0).reshape(d2, d2)
+    se_mu = mu.se(per).reshape(d2, d2)
+    se_f = batch_se(field, outer).reshape(d2, d2)
 
     sym = 0.5 * (M + M.T)
     anti = 0.5 * (M - M.T)
@@ -462,33 +467,32 @@ def _interp_axes(axes, grid_values: Array, points: Array) -> Array:
     return itp(pts).reshape((points.shape[0],) + trail)
 
 
-def _field_at(field: CorrectorField, points: Array) -> Array:
-    """Interpolate field values at arbitrary points (clamped multilinear)."""
-    q = field.query
-    if q.grid_axes is None:
-        raise ValueError("interpolation needs a tensor-grid query")
-    gvals = field.values.reshape(field.grid_shape + (field.k,))
-    return _interp_axes(q.grid_axes, gvals, np.asarray(points, dtype=np.float64))
+def _grid_at(field: CorrectorField, node_vals: Array, points: Array,
+             interior: bool = False) -> Array:
+    """Interpolate per-node arrays (Q, ...) of ``field``'s tensor grid at
+    ``points`` (clamped multilinear); ``interior`` first drops the edge
+    nodes, where an x-gradient has no central stencil."""
+    axes = field.query.grid_axes
+    gshape = field.grid_shape
+    grid = node_vals.reshape(gshape + node_vals.shape[1:])
+    if interior:
+        grid = _interior(grid, range(len(gshape)))
+        axes = tuple(ax[1:-1] for ax in axes)
+    return _interp_axes(axes, grid, np.asarray(points, dtype=np.float64))
 
 
 def grad_x_at(field: CorrectorField, points: Array) -> Array:
     """Interpolated x-gradient (interior stencil, edge-clamped), (n, k, d1)."""
     if field.grad_x is None:
         raise ValueError("call gradients() first")
-    gshape = field.grid_shape
-    d1 = len(gshape)
-    g_in = _interior(field.grad_x.reshape(gshape + (field.k, d1)), range(d1))
-    inner_axes = tuple(ax[1:-1] for ax in field.query.grid_axes)
-    return _interp_axes(inner_axes, g_in, np.asarray(points, dtype=np.float64))
+    return _grid_at(field, field.grad_x, points, interior=True)
 
 
 def grad_y_at(field: CorrectorField, points: Array) -> Array:
     """Interpolated y-gradient, (n, k, d2)."""
     if field.grad_y is None:
         raise ValueError("solve with solve_poisson_fk(want_grad_y=True) first")
-    gvals = field.grad_y.reshape(field.grid_shape + (field.k, field.grad_y.shape[-1]))
-    return _interp_axes(field.query.grid_axes, gvals,
-                        np.asarray(points, dtype=np.float64))
+    return _grid_at(field, field.grad_y, points)
 
 
 def _interior_derivatives(u_grid: Array, steps) -> tuple[Array, Array]:

@@ -22,8 +22,10 @@ class NotCentered(FastslowError):
 
     The gate asks, per call, that z = |mean| / SE <= 3 for every component
     on the sampled stationary cloud (see
-    :func:`fastslow.ergodic.centering_residual`).  An exactly centered
-    integrand trips it with nominal probability 0.27%.
+    :func:`fastslow.ergodic.centering_residual`).  On a cloud of K chains
+    the z of an exactly centered integrand is |t| with K - 1 degrees of
+    freedom, so it trips the gate with probability about 0.39% at K = 64
+    (0.27% for a normal z).
     """
 
 

@@ -17,21 +17,25 @@ lookup.
 
 The parameter derivative of an averaged value (:func:`transfer_derivative`)
 is built on the same cloud and corrector solve as a cell.
+
+Every corrector term is the cloud mean of a linear functional of Phi (c .
+grad_x Phi, H . grad_y Phi, H Phi^T, the transfer's integrand); its path-batch
+error comes from the one rule :func:`fastslow.corrector.batch_se`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import rng
-from .corrector import (CorrectorField, CorrectorQuery, codomain, grad_x_at,
-                        grad_y_at, gradients, grid_grad_x, outer_product_HPhi,
-                        solve_poisson_fk, _check_delta_y, _field_at,
+from .corrector import (CorrectorField, CorrectorQuery, batch_se, codomain,
+                        gradients, grid_grad_x, outer_product_HPhi,
+                        solve_poisson_fk, _check_delta_y, _grid_at,
                         _interior_derivatives, _interp_axes, _y_step)
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
@@ -154,52 +158,43 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
 
 def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
                 mu: MeasureEnsemble, budgets: Budgets, seed: int,
-                need_gx: bool, need_gy: bool, need_vals: bool) -> dict:
-    """Solve the corrector for ``f`` on a sample-spanning grid and pull the
-    requested fields back onto the stationary cloud.
+                need_gx: bool, need_gy: bool, need_vals: bool):
+    """Solve the corrector for ``f`` on a sample-spanning grid.
 
     Each field enters the averages contracted with a weight on the cloud:
     c for the x-gradient, H for the y-gradient and for the H Phi values.  A
     field whose weight is 0.0 at every sample contributes exactly zero, so
     it is dropped; when none remains no solve (and no centering gate) runs.
-    The result holds the weights ("c_s", "H_s"), which fields are kept
-    ("gx", "gy", "vals") and, after a solve, the field and its pull-backs.
+    Returns the field (None without a solve), its centering z, whether H Phi
+    is kept, and ``corrections(values, grad_y)``, the per-sample drift
+    corrections (n, k) of the kept gradients.
     """
-    n = mu.n_samples
-    out: dict = {}
+    n, xs = mu.n_samples, mu.samples
     if need_gx:
-        c_s = np.asarray(system.c(mu.samples, mu.y), dtype=np.float64)
-        out["c_s"] = np.broadcast_to(c_s, (n, system.d1))
-        need_gx = bool(np.any(out["c_s"] != 0.0))
+        c_s = np.broadcast_to(np.asarray(system.c(xs, mu.y), dtype=np.float64),
+                              (n, system.d1))
+        need_gx = bool(np.any(c_s != 0.0))
     if need_gy or need_vals:
-        H_s = np.asarray(system.H(t, mu.samples, mu.y), dtype=np.float64)
-        out["H_s"] = np.broadcast_to(H_s, (n, system.d2))
-        live = bool(np.any(out["H_s"] != 0.0))
+        H_s = np.broadcast_to(np.asarray(system.H(t, xs, mu.y), dtype=np.float64),
+                              (n, system.d2))
+        live = bool(np.any(H_s != 0.0))
         need_gy, need_vals = need_gy and live, need_vals and live
-    out.update(gx=need_gx, gy=need_gy, vals=need_vals)
     if not (need_gx or need_gy or need_vals):
-        return out
+        return None, None, False, None
     fld, z = _solve_on_cloud(system, f, t, y, mu, budgets, seed, need_gy)
     if need_gx or need_gy:
         fld = gradients(fld)
-    out.update(field=fld, z=z)
-    if need_vals:
-        out["phi_s"] = _field_at(fld, mu.samples)
-    if need_gx:
-        out["gx_s"] = grad_x_at(fld, mu.samples)
-    if need_gy:
-        out["gy_s"] = grad_y_at(fld, mu.samples)
-    return out
 
+    def corrections(values: Array, grad_y) -> Array:
+        corr = np.zeros((n, fld.k))
+        if need_gx:
+            gx = _grid_at(fld, grid_grad_x(fld, values), xs, interior=True)
+            corr = corr + np.einsum("nj,nkj->nk", c_s, gx)
+        if need_gy:
+            corr = corr + np.einsum("nj,nkj->nk", H_s, _grid_at(fld, grad_y, xs))
+        return corr
 
-def _drift_corrections(phi: dict, n: int, k: int) -> Array:
-    """Per-sample corrector corrections (n, k) of the fields ``phi`` keeps."""
-    corr = np.zeros((n, k))
-    if phi["gx"]:
-        corr = corr + np.einsum("nj,nkj->nk", phi["c_s"], phi["gx_s"])
-    if phi["gy"]:
-        corr = corr + np.einsum("nj,nkj->nk", phi["H_s"], phi["gy_s"])
-    return corr
+    return fld, z, need_vals, corrections
 
 
 @dataclass
@@ -227,25 +222,24 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     mu = _cloud(system, y, budgets, rng.derive_key(seed, rng.LANE_AUX, 11))
     need_gx, need_gy, need_vals = _needs(regime, want_drift, want_diffusion)
-    phi = _phi_fields(system, system.H, t, y, mu, budgets,
-                      rng.derive_key(seed, rng.LANE_AUX, 12),
-                      need_gx, need_gy, need_vals)
+    fld, z, keep_vals, corrections = _phi_fields(
+        system, system.H, t, y, mu, budgets,
+        rng.derive_key(seed, rng.LANE_AUX, 12), need_gx, need_gy, need_vals)
 
     diags: dict = {"ess": mu.ess}
-    if "field" in phi:
-        diags["centering_z"] = phi["z"]
+    if fld is not None:
+        diags["centering_z"] = z
 
     fhat = fhat_se = None
     if want_drift:
         Fv = np.asarray(system.F(t, mu.samples, mu.y), dtype=np.float64)
         Fv = np.broadcast_to(Fv, (mu.n_samples, system.d2)).copy()
-        vals = Fv + _drift_corrections(phi, mu.n_samples, system.d2)
-        fhat = vals.mean(axis=0)
-        se_mu = mu.se(vals)
-        se_cor = np.zeros_like(fhat)
-        if phi["gx"] or phi["gy"]:
-            se_cor = _correction_batch_se(mu, phi)
-        fhat_se = np.sqrt(se_mu ** 2 + se_cor ** 2)
+        se_cor = 0.0
+        if fld is not None:
+            Fv = Fv + corrections(fld.values, fld.grad_y)
+            se_cor = batch_se(fld, corrections)
+        fhat = Fv.mean(axis=0)
+        fhat_se = np.sqrt(mu.se(Fv) ** 2 + se_cor ** 2)
 
     ghat = cov = cov_se = None
     if want_diffusion:
@@ -257,8 +251,8 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
             GG = Gv @ np.swapaxes(Gv, -1, -2)
             cov = GG.mean(axis=0)
             cov_se = mu.se(GG.reshape(mu.n_samples, -1)).reshape(cov.shape)
-        if phi["vals"]:
-            op = outer_product_HPhi(system, phi["field"], mu, t)
+        if keep_vals:
+            op = outer_product_HPhi(system, fld, mu, t)
             cov = cov + op.matrix
             cov_se = np.sqrt(cov_se ** 2 + op.se ** 2)
             diags["antisym_norm"] = op.antisym_norm
@@ -266,23 +260,6 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
 
     return RegimeAverages(regime=regime, t=t, y=y, fhat=fhat, fhat_se=fhat_se,
                           ghat=ghat, cov=cov, cov_se=cov_se, diagnostics=diags)
-
-
-def _correction_batch_se(mu: MeasureEnsemble, phi: dict) -> Array:
-    """Corrector-noise part of the drift SE via per-path-batch re-averaging."""
-    fld = phi["field"]
-    nb = fld.batch_means.shape[0]
-    per_b = np.empty((nb, fld.k))
-    for b in range(nb):
-        sub = dict(phi)
-        if phi["gx"]:
-            bf = replace(fld, grad_x=grid_grad_x(fld, fld.batch_means[b]))
-            sub["gx_s"] = grad_x_at(bf, mu.samples)
-        if phi["gy"]:
-            bf = replace(fld, grad_y=fld.grad_y_batches[b])
-            sub["gy_s"] = grad_y_at(bf, mu.samples)
-        per_b[b] = _drift_corrections(sub, mu.n_samples, fld.k).mean(axis=0)
-    return per_b.std(axis=0, ddof=1) / math.sqrt(nb)
 
 
 def averaged_drift(regime: Regime, system: CoupledSystem, t: float, y,
@@ -318,19 +295,21 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
     if not (use_gx or use_gy):
         return np.zeros(k), np.zeros(k)
     mu = _cloud(system, y, budgets, rng.derive_key(seed, rng.LANE_AUX, 11))
-    phi = _phi_fields(system, f, t, y, mu, budgets,
-                      rng.derive_key(seed, rng.LANE_AUX, 12),
-                      use_gx, use_gy, False)
-    if "field" not in phi:
+    fld, _, _, corrections = _phi_fields(
+        system, f, t, y, mu, budgets, rng.derive_key(seed, rng.LANE_AUX, 12),
+        use_gx, use_gy, False)
+    if fld is None:
         return np.zeros(k), np.zeros(k)
-    vals = _drift_corrections(phi, mu.n_samples, k)
-    se_mu = mu.se(vals)
-    se_cor = _correction_batch_se(mu, phi)
-    return vals.mean(axis=0), np.sqrt(se_mu ** 2 + se_cor ** 2)
+    vals = corrections(fld.values, fld.grad_y)
+    se_cor = batch_se(fld, corrections)
+    return vals.mean(axis=0), np.sqrt(mu.se(vals) ** 2 + se_cor ** 2)
 
 
 @dataclass(frozen=True)
 class TransferEstimate:
+    """A transfer derivative and its two terms.  ``se`` is the Monte Carlo
+    error only; the horizon truncation of the corrector is not in it."""
+
     value: float
     se: float
     mean_term: float
@@ -350,7 +329,8 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     differences of the user callables with the budgets' y-step; Phi comes
     from the same cloud, grid and solve as the cells' corrector, and its
     gradient and Hessian at the interior nodes are interpolated to the
-    cloud.
+    cloud.  The ``se`` covers Monte Carlo noise only and leaves out the
+    bias of truncating the corrector at ``corrector_tmax``.
     """
     if system.d1 > 2:
         raise NotImplementedError("transfer gradients implemented for d1 <= 2")
@@ -388,23 +368,19 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     steps = [float(ax[1] - ax[0]) for ax in axes]
     inner_axes = tuple(ax[1:-1] for ax in axes)
 
-    def op_term(phi_grid: Array) -> Array:
-        """(directional generator derivative) applied to Phi, at the cloud."""
-        grad, hess = _interior_derivatives(phi_grid, steps)
+    def integrand(values: Array, grad_y) -> Array:
+        """d_e h plus (d_e generator) Phi at the cloud, (n, 1)."""
+        grad, hess = _interior_derivatives(values[:, 0].reshape(field.grid_shape),
+                                           steps)
         gs = _interp_axes(inner_axes, grad, xs)     # (n, d1)
         hs = _interp_axes(inner_axes, hess, xs)     # (n, d1, d1)
-        return (np.einsum("npq,npq->n", dya, hs)
-                + np.einsum("np,np->n", dyb, gs))
+        return (dyh + (np.einsum("npq,npq->n", dya, hs)
+                       + np.einsum("np,np->n", dyb, gs)))[:, None]
 
-    integrand = dyh + op_term(field.values[:, 0].reshape(field.grid_shape))
-    value = float(integrand.mean())
-    se_mu = float(mu.se(integrand[:, None])[0])
-
-    # corrector-noise contribution: recompute per path-batch of the solve
-    per_batch = np.asarray([
-        float((dyh + op_term(bm[:, 0].reshape(field.grid_shape))).mean())
-        for bm in field.batch_means])
-    se_cor = float(per_batch.std(ddof=1) / math.sqrt(len(per_batch)))
+    vals = integrand(field.values, None)
+    value = float(vals.mean())
+    se_mu = float(mu.se(vals)[0])
+    se_cor = float(batch_se(field, integrand)[0])
     return TransferEstimate(value=value, se=math.hypot(se_mu, se_cor),
                             mean_term=float(dyh.mean()),
                             corrector_term=float(value - dyh.mean()))

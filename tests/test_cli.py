@@ -125,6 +125,31 @@ def test_unknown_budget_field_exits_2(tmp_path, capsys, command):
     assert summary["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command, cfg, typo", [
+    ("validate", {"preset": "ou_averaging"}, "sample_budgets"),
+    ("invariant", {"preset": "ou_averaging"}, "n_sample"),
+    ("corrector", {"preset": "ou_averaging",
+                   "grid": {"lo": [-1], "hi": [1], "n": [5]}}, "npaths"),
+    ("average", average_cfg(""), "sed"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, typo):
+    # a misspelt key used to be ignored, and the command ran on its default
+    out = tmp_path / "out"
+    cfg = dict(cfg, out_dir=str(out), **{typo: 5})
+    assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"unknown config fields: ['{typo}']" in capsys.readouterr().err
+    assert not (out / f"{command}.csv").exists()
+    summary = json.loads((out / f"{command}_summary.json").read_text())
+    assert summary["error"]["type"] == "ConfigError"
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert run_cli(["average", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_blowup_exits_3(tmp_path, capsys):
     # a slow state beyond the blow-up cap fails on the first macro step
     out = tmp_path / "out"

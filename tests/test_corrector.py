@@ -8,7 +8,7 @@ from fastslow import (CorrectorQuery, CoupledSystem, NotCentered, GridTooCoarse,
                       average, centering_residual, gradients,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
-from fastslow.corrector import (CorrectorField, _field_at,
+from fastslow.corrector import (CorrectorField, _grid_at,
                                 _interior_derivatives, grad_x_at, grad_y_at,
                                 grid_grad_x)
 
@@ -169,7 +169,7 @@ class TestSolve:
 
     def test_centered_representative(self, field_lin, mu):
         # the truncated-integral solution carries no additive constant
-        vals = _field_at(field_lin, mu.samples)
+        vals = _grid_at(field_lin, field_lin.values, mu.samples)
         m = vals.mean()
         se_mu = vals.std(ddof=1) / math.sqrt(vals.shape[0])
         se_f = float(field_lin.se.mean())

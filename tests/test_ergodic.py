@@ -256,6 +256,10 @@ class TestTransfer:
         est = transfer_derivative(lambda t, x, y: x[..., 0], frozen_ou(), [0.0],
                                   [1.0], self.BUDGETS, seed=3)
         assert abs(est.value - 1.0) <= max(0.1, 5 * est.se)
+        # the gap to 1 is the corrector's horizon truncation (1 - dt)^K,
+        # K = T / dt, which se leaves out; the estimate sits on the Euler value
+        K = round(self.BUDGETS.corrector_tmax / self.BUDGETS.corrector_dt)
+        assert abs(est.value - (1.0 - (1.0 - self.BUDGETS.corrector_dt) ** K)) <= 1e-9
 
     def test_quadratic_observable(self):
         est = transfer_derivative(lambda t, x, y: x[..., 0] ** 2, frozen_ou(),

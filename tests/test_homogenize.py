@@ -343,6 +343,46 @@ class TestZeroWeightSolves:
         assert solves[0] == 1 and clouds[0] == 1
 
 
+class TestBatchSE:
+    def test_r4_errors_match_a_plain_batch_loop(self, monkeypatch):
+        # the corrector parts of fhat_se and cov_se, rebuilt from the cell's
+        # own cloud and solve with one loop over the path batches
+        seen = {}
+        for name in ("sample_invariant_measure", "solve_poisson_fk"):
+            def capture(*args, _real=getattr(homogenize, name), _name=name, **kwargs):
+                seen[_name] = _real(*args, **kwargs)
+                return seen[_name]
+            monkeypatch.setattr(homogenize, name, capture)
+        system = ou_full()
+        ra = regime_averages(system, Regime.R4, 0.0, [0.3],
+                             TestZeroWeightSolves.BUDGETS, seed=6)
+        mu, fld = seen["sample_invariant_measure"], seen["solve_poisson_fk"]
+        x, ax = mu.samples[:, 0], fld.query.grid_axes[0]
+        c = system.c(mu.samples, mu.y)[:, 0]
+        H = system.H(0.0, mu.samples, mu.y)[:, 0]
+
+        def drift(values, grad_y):
+            # per-sample c dPhi/dx + H dPhi/dy; the x-stencil is central
+            gx = (values[2:, 0] - values[:-2, 0]) / (2 * (ax[1] - ax[0]))
+            return (c * np.interp(x, ax[1:-1], gx)
+                    + H * np.interp(x, ax, grad_y[:, 0, 0]))
+
+        def outer(values):
+            return H * np.interp(x, ax, values[:, 0])
+
+        def loop_se(per_batch):
+            return np.std(per_batch, ddof=1) / math.sqrt(len(per_batch))
+
+        drift_b = [drift(bm, gy).mean()
+                   for bm, gy in zip(fld.batch_means, fld.grad_y_batches)]
+        outer_b = [outer(bm).mean() for bm in fld.batch_means]
+        F = system.F(0.0, mu.samples, mu.y)[:, 0]
+        se_mu = mu.se((F + drift(fld.values, fld.grad_y))[:, None])[0]
+        assert ra.fhat_se[0] == math.sqrt(se_mu ** 2 + loop_se(drift_b) ** 2)
+        se_mu = mu.se(outer(fld.values)[:, None])[0]
+        assert ra.cov_se[0, 0] == math.sqrt(se_mu ** 2 + loop_se(outer_b) ** 2)
+
+
 @pytest.mark.parametrize("delta_y", [0.0, -0.1, float("nan"), float("inf")])
 def test_budgets_reject_bad_delta_y(delta_y):
     with pytest.raises(ValueError, match="delta_y"):

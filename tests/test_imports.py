@@ -1,14 +1,17 @@
 """Import-time guards: what ``import fastslow`` loads, where the package
-imports its own modules, that it starts no threads or processes, and that
-every draw goes through ``rng``'s public entry points."""
+imports its own modules, that it starts no threads or processes, that
+every draw goes through ``rng``'s public entry points, and that the names
+the benchmark tracer wraps exist."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_import_loads_no_scipy():
@@ -117,3 +120,16 @@ def test_private_rng_guard_sees_each_form():
     src = ("from . import rng\nfrom .rng import _mix, normals\n"
            "import fastslow.rng as R\nrng._row_hashes(0)\nR._top53(1)\nrng.normals(2)\n")
     assert sorted(_rng_private_uses(ast.parse(src))) == [2, 4, 5]
+
+
+def test_tracer_entry_points_exist(monkeypatch):
+    # bench/spans.py wraps each entry point in the module (or class) where
+    # the program looks it up, reading owner.__dict__[attr]; a name dropped
+    # or moved there makes a traced benchmark run fail with a KeyError
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    missing = [f"{owner.__name__}.{attr}"
+               for owner, attr, *_ in spans._entry_points()
+               if attr not in owner.__dict__]
+    assert missing == []
