@@ -38,9 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .errors import BlowUp, GridTooCoarse, NonFiniteCoefficient, NotCentered
+from .errors import GridTooCoarse, NonFiniteCoefficient, NotCentered
 from .ergodic import MeasureEnsemble, average
-from .model import CoupledSystem, apply_matrix
+from .model import CoupledSystem, apply_matrix, check_state
 
 Array = np.ndarray
 
@@ -226,13 +226,11 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
                 X = X + drift * dtE
                 X += noise
                 Xs[i] = X
-            if (s & 127) == 127:
-                if not all(np.all(np.isfinite(X)) for X in Xs):
-                    raise NonFiniteCoefficient("frozen paths became non-finite")
+            if (s & 127) == 127 or s == K - 1:
+                for X in Xs:
+                    check_state("frozen", X, 1e6, (s + 1) * dtE, lo)
         if not all(np.all(np.isfinite(acc)) for acc in accs):
             raise NonFiniteCoefficient("path integrals became non-finite")
-        if max(np.linalg.norm(X, axis=-1).max() for X in Xs) > 1e6:
-            raise BlowUp("frozen paths exceeded the norm cap 1e6")
         # np.add.at adds path after path, so the sums do not depend on how
         # the paths were split into chunks
         bidx = (ids.astype(np.int64) * nb) // query.n_paths

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import BlowUp, NonFiniteCoefficient
-from .model import CoupledSystem, apply_matrix
+from .errors import NonFiniteCoefficient
+from .model import CoupledSystem, apply_matrix, check_state
 
 Array = np.ndarray
 
@@ -180,10 +180,7 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
                 kept[i] = x
                 i += 1
                 keep_at += thinning
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteCoefficient("frozen trajectory became non-finite")
-        if np.linalg.norm(x, axis=-1).max() > blowup_cap:
-            raise BlowUp(f"frozen trajectory exceeded cap {blowup_cap:g}")
+        check_state("frozen", x, blowup_cap, (k0 + nb) * dt)
     # chain-major: chain c's first per_chain[c] kept states
     out = kept.transpose(1, 0, 2)[np.arange(n_keep) < per_chain[:, None]]
     return MeasureEnsemble(y=y_fix, samples=out, burn_in=burn_in,

@@ -500,8 +500,7 @@ def fluctuation_clt(cfg: ExperimentConfig, f, regime: Regime | None = None,
                                        cfg.budgets, cell_seed)
         return val
 
-    field = CellField(cell_fn, cfg.system.d2, cfg.cache,
-                      rng.derive_key(cfg.seed, rng.LANE_AUX, 32),
+    field = CellField(cell_fn, cfg.cache, rng.derive_key(cfg.seed, rng.LANE_AUX, 32),
                       cfg.system.autonomous)
 
     def correction_fn(t, Y):

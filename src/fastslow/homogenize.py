@@ -440,10 +440,8 @@ class CellField:
     number of visited cells, not with their bounding box.
     """
 
-    def __init__(self, fn: Callable, d2: int, policy: CachePolicy, seed: int,
-                 autonomous: bool):
+    def __init__(self, fn: Callable, policy: CachePolicy, seed: int, autonomous: bool):
         self._fn = fn
-        self._d2 = d2
         self._policy = policy
         self._seed = seed
         self._autonomous = autonomous
@@ -571,17 +569,15 @@ def build_limit_sde(regime: Regime, system: CoupledSystem,
 
     def cell_fn(t_c: float, y_c: Array, cell_seed: int) -> Array:
         ra = regime_averages(system, regime, t_c, y_c, budgets, cell_seed)
-        return np.concatenate([ra.fhat, ra.cov.ravel(), ra.ghat.ravel(),
-                               ra.fhat_se, ra.cov_se.ravel()])
+        return np.concatenate([ra.fhat, ra.cov.ravel(), ra.ghat.ravel()])
 
-    field = CellField(cell_fn, d2, cache_policy, seed, system.autonomous)
-    nF, nC = d2, d2 * d2
+    field = CellField(cell_fn, cache_policy, seed, system.autonomous)
 
     def coefficients_batch(t, Y):
         rec = field.eval_batch(t, Y)
+        cov, root = np.moveaxis(rec[:, d2:].reshape(-1, 2, d2, d2), 1, 0)
         if cache_policy.interpolate:
-            cov = rec[:, nF:nF + nC].reshape(-1, d2, d2)
-            return rec[:, :nF], _psd_sqrt_batch(cov)
-        return rec[:, :nF], rec[:, nF + nC:nF + 2 * nC].reshape(-1, d2, d2)
+            root = _psd_sqrt_batch(cov)
+        return rec[:, :d2], root
 
     return AveragedSDE(regime, d2, coefficients_batch, field.provenance)

@@ -13,7 +13,8 @@ per block of steps and reuse it.  A coefficient that depends on the
 state must return batch axes; broadcasting does the rest.
 
 :func:`apply_matrix` is the one kernel that multiplies such a coefficient
-into a batch of noise vectors.
+into a batch of noise vectors; :func:`check_state` is the one state check
+of every step loop (the integrators, the invariant sampler, the corrector).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .errors import NonFiniteCoefficient
+from .errors import BlowUp, NonFiniteCoefficient
 
 Array = np.ndarray
 
@@ -162,6 +163,24 @@ def apply_matrix(m, v: Array) -> Array:
         out += 0.0
         return out
     return (m @ v[..., None])[..., 0]
+
+
+def check_state(tag: str, state: Array, cap: float, t: float, lo: int = 0) -> Array:
+    """Norms over the last axis of ``state``.  A non-finite norm raises
+    :class:`NonFiniteCoefficient`, then one above ``cap`` raises :class:`BlowUp`,
+    naming the first such path on the leading axis (from ``lo``) and ``t``."""
+    norms = np.linalg.norm(state, axis=-1)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        path = lo + int(np.nonzero(bad)[0][0])
+        raise NonFiniteCoefficient(
+            f"{tag} state became non-finite on path {path} near t={t:.6g}")
+    over = norms > cap
+    if over.any():
+        path = lo + int(np.nonzero(over)[0][0])
+        raise BlowUp(
+            f"{tag} state exceeded cap {cap:g} on path {path} near t={t:.6g}")
+    return norms
 
 
 def _require_finite(name: str, value: Array) -> Array:

@@ -1,26 +1,29 @@
-"""Stiff Euler-Maruyama integration of the coupled, frozen and limit equations.
+"""Euler-Maruyama integration of the coupled, frozen and limit equations.
 
-The coupled integrator splits time scales: the slow state advances on a
-macro grid of target step ``dt_slow`` while the fast state takes micro
-substeps of size alpha**2/nu inside each macro interval (with the slow
-state held at its macro value).  The fast-varying slow drift is evaluated
-at every micro substep and time-averaged over the interval before it is
-applied, which removes most of the discretization bias of that stiff term.
+The frozen fast equation and the averaged limit share one Euler loop,
+:func:`_euler`: each step reads the drift a and noise coefficient B of a
+chunk in one call and sets X = X + a h + B z sqrt(h), with z drawn on the
+equation's lane.  The coupled integrator splits time scales: the slow
+state advances on a macro grid of target step ``dt_slow`` while the fast
+state takes micro substeps of size alpha**2/nu inside each macro interval
+(the slow state held at its macro value).  The fast-varying slow drift is
+averaged over the micro substeps before it is applied, which removes most
+of the discretization bias of that stiff term.
 
-All Brownian increments come from counter-based streams keyed by
-(seed, lane, path index, step index), so results are bit-identical for any
-chunk size.  The chunks run one after another in one loop.  Each chunk keys
-its draws through one :class:`fastslow.rng.PathIndex`, so the path part of
-the hash is computed once per chunk and lane, not at every step.
+Increments are keyed by (seed, lane, path, step), so results are
+bit-identical for any chunk size.  Every integrator is a plain loop over
+the (lo, hi) path ranges of :func:`_chunks`; each chunk keys its draws
+through one :class:`fastslow.rng.PathIndex` and checks its state with
+:func:`fastslow.model.check_state`, whose norms give the running maximum
+of the fast state.  Per-chunk integrals are concatenated at the end.
 
-Inside a macro step the coupled integrator draws the fast increments a
-block of micro steps at a time (:func:`fastslow.rng.block_steps`).  A noise
-coefficient without batch axes is state-independent at the macro step's
-frozen slow state (see :mod:`fastslow.model`), so it is evaluated once per
-macro step and multiplied into a whole block at once; one with batch axes
-is evaluated at every micro step.  Every noise product goes through
-:func:`fastslow.model.apply_matrix`, and the fast state, its drift and the
-micro-step accumulators are updated in place.
+The coupled integrator draws fast increments a block of micro steps at a
+time (:func:`fastslow.rng.block_steps`).  A noise coefficient without batch
+axes is state-independent at the macro step's slow state (see
+:mod:`fastslow.model`), so it is evaluated once per macro step and applied
+to a whole block; one with batch axes is evaluated at every micro step.
+Noise products go through :func:`fastslow.model.apply_matrix`, and the
+fast state and its accumulators are updated in place.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import BlowUp, NonFiniteCoefficient
-from .model import CoupledSystem, ScaleSchedule, apply_matrix
+from .model import CoupledSystem, ScaleSchedule, apply_matrix, check_state
 
 Array = np.ndarray
 
@@ -71,18 +73,18 @@ class PathConfig:
         _check_one_worker(self.n_workers)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EnsembleResult:
-    """Ensemble output; arrays are indexed by global path id."""
+    """Ensemble output indexed by global path id; fields not produced are None."""
 
-    terminal_slow: Array | None
-    terminal_fast: Array | None
-    snapshot_times: Array | None
-    snapshots_slow: Array | None
-    snapshots_fast: Array | None
-    max_abs_fast: Array | None
-    integrals: Array | None
-    macro_integrals: Array | None
+    terminal_slow: Array | None = None
+    terminal_fast: Array | None = None
+    snapshot_times: Array | None = None
+    snapshots_slow: Array | None = None
+    snapshots_fast: Array | None = None
+    max_abs_fast: Array | None = None
+    integrals: Array | None = None
+    macro_integrals: Array | None = None
     stream_ids: Array
     seed: int
 
@@ -123,26 +125,16 @@ def _vec(v, d: int, name: str) -> Array:
     return arr
 
 
-def _check_state(tag: str, state: Array, cap: float, t: float, lo: int) -> None:
-    norms = np.linalg.norm(state, axis=-1)
-    bad = ~np.isfinite(norms)
-    if bad.any():
-        idx = lo + int(np.argmax(bad))
-        raise NonFiniteCoefficient(f"{tag} state became non-finite on path {idx} near t={t:.6g}")
-    over = norms > cap
-    if over.any():
-        idx = lo + int(np.argmax(over))
-        raise BlowUp(f"{tag} state exceeded cap {cap:g} on path {idx} near t={t:.6g}")
-
-
-def _snap_indices(times, dt: float, n_steps: int) -> list[int]:
-    idx = []
-    for t in times:
+def _snap_rows(times, dt: float, n_steps: int) -> dict[int, list[int]]:
+    """Grid node -> the rows of ``times`` taken there (a time may repeat)."""
+    dt = dt or 1.0  # no steps: only node 0 exists
+    rows: dict[int, list[int]] = {}
+    for r, t in enumerate(times):
         i = int(round(t / dt))
         if i < 0 or i > n_steps or abs(i * dt - t) > 0.5 * dt + 1e-12:
             raise ValueError(f"snapshot time {t} does not sit on the macro grid")
-        idx.append(i)
-    return idx
+        rows.setdefault(i, []).append(r)
+    return rows
 
 
 def _check_one_worker(n_workers: int) -> None:
@@ -150,12 +142,69 @@ def _check_one_worker(n_workers: int) -> None:
         raise ValueError(f"n_workers must be 1 (paths run in one loop), got {n_workers!r}")
 
 
-def _run_chunks(n_paths: int, chunk: int, body) -> None:
-    """Run ``body(lo, hi)`` over consecutive chunks of ``chunk`` paths."""
+def _chunks(n_paths: int, chunk: int) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges of at most ``chunk`` paths."""
     if chunk < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk!r}")
-    for lo in range(0, n_paths, chunk):
-        body(lo, min(lo + chunk, n_paths))
+    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+
+
+def _record(snaps, rows: dict, node: int, lo: int, state: Array) -> None:
+    """Copy a chunk's states into the snapshot rows taken at ``node``."""
+    if snaps is not None and node in rows:
+        snaps[rows[node], lo:lo + state.shape[0]] = state
+
+
+def _accumulate(acc, val, w: float) -> Array:
+    """``acc + val w`` with ``val`` as (paths, k) columns; None starts the sum."""
+    val = np.asarray(val, dtype=np.float64)
+    if val.ndim == 1:
+        val = val[:, None]
+    if acc is None:
+        return val * w
+    acc += val * w
+    return acc
+
+
+def _euler(coefficients, x0: Array, T: float, dt: float, seed: int, lane: int,
+           tag: str, n_paths: int, blowup_cap: float, snapshot_times,
+           chunk_size: int):
+    """Euler-Maruyama for dX = a dt + B dW, with ``coefficients(t, X) -> (a, B)``
+    read once per step and step k's normals drawn on ``lane`` at (path, k).
+
+    Returns the terminal states, the running maximum of their norms, the
+    snapshot times and the snapshots (both None without ``snapshot_times``).
+    """
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    d = x0.shape[0]
+    n_steps = max(1, int(round(T / dt))) if T > 0 else 0
+    hE = T / n_steps if n_steps else 0.0
+    sq = math.sqrt(hE)
+
+    rows, snap_t, snaps = {}, None, None
+    if snapshot_times is not None:
+        rows = _snap_rows(snapshot_times, hE, n_steps)
+        snap_t = np.asarray(snapshot_times, dtype=np.float64)
+        snaps = np.empty((len(snap_t), n_paths, d))
+    terminal = np.empty((n_paths, d))
+    max_abs = np.empty(n_paths)
+
+    for lo, hi in _chunks(n_paths, chunk_size):
+        paths = rng.PathIndex(np.arange(lo, hi))
+        X = np.tile(x0, (hi - lo, 1))
+        mx = np.linalg.norm(X, axis=-1)
+        _record(snaps, rows, 0, lo, X)
+        for k in range(n_steps):
+            drift, diff = coefficients(k * hE, X)
+            z = rng.normals(seed, lane, paths, np.uint64(k), d)
+            X = X + np.asarray(drift, dtype=np.float64) * hE \
+                + apply_matrix(diff, z) * sq
+            mx = np.maximum(mx, check_state(tag, X, blowup_cap, (k + 1) * hE, lo))
+            _record(snaps, rows, k + 1, lo, X)
+        terminal[lo:hi] = X
+        max_abs[lo:hi] = mx
+    return terminal, max_abs, snap_t, snaps
 
 
 def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float,
@@ -180,20 +229,17 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
     n_micro = max(1, int(math.ceil(dt / h_fast - 1e-12))) if n_macro else 1
     h = dt / n_micro if n_macro else 0.0
 
-    snap_idx = None
-    snaps_y = snaps_x = snap_t = None
+    rows, snap_t, snaps_y, snaps_x = {}, None, None, None
     if cfg.snapshot_times is not None:
-        snap_idx = _snap_indices(cfg.snapshot_times, dt if n_macro else 1.0, n_macro)
+        rows = _snap_rows(cfg.snapshot_times, dt, n_macro)
         snap_t = np.asarray(cfg.snapshot_times, dtype=np.float64)
-        snaps_y = np.empty((len(snap_idx), cfg.n_paths, d2))
+        snaps_y = np.empty((len(snap_t), cfg.n_paths, d2))
         if cfg.record_fast:
-            snaps_x = np.empty((len(snap_idx), cfg.n_paths, d1))
-
+            snaps_x = np.empty((len(snap_t), cfg.n_paths, d1))
     term_y = np.empty((cfg.n_paths, d2))
     term_x = np.empty((cfg.n_paths, d1))
-    max_abs = np.zeros(cfg.n_paths)
-    acc_store: list[Array | None] = [None]
-    macc_store: list[Array | None] = [None]
+    max_abs = np.empty(cfg.n_paths)
+    accs, maccs = [], []
 
     inv_a2 = 1.0 / (al * al)
     inv_b = 1.0 / be
@@ -201,29 +247,19 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
     sq_h = math.sqrt(h) / al if n_macro else 0.0
     sq_dt = math.sqrt(dt) if n_macro else 0.0
 
-    def body(lo: int, hi: int) -> None:
+    for lo, hi in _chunks(cfg.n_paths, cfg.chunk_size):
         m = hi - lo
         paths = rng.PathIndex(np.arange(lo, hi))
         block = rng.block_steps(m)
         X = np.tile(x_init, (m, 1))
         Y = np.tile(y_init, (m, 1))
-        acc = None
-        macc = None
+        acc = macc = None
         mx = np.linalg.norm(X, axis=-1)
         drift = np.empty((m, d1))
         c_term = np.empty((m, d1))
         Hsum = np.empty((m, d2))
-
-        def record(node: int) -> None:
-            if snap_idx is None:
-                return
-            for si, ni in enumerate(snap_idx):
-                if ni == node:
-                    snaps_y[si, lo:hi] = Y
-                    if snaps_x is not None:
-                        snaps_x[si, lo:hi] = X
-
-        record(0)
+        _record(snaps_y, rows, 0, lo, Y)
+        _record(snaps_x, rows, 0, lo, X)
         for mi in range(n_macro):
             tm = mi * dt
             # copies: X is updated in place below, and a coefficient may
@@ -231,10 +267,7 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
             Fm = np.array(system.F(tm, X, Y), dtype=np.float64)
             Gm = np.array(system.G(tm, X, Y), dtype=np.float64)
             if macro_integrand is not None:
-                val = np.asarray(macro_integrand(tm, Y), dtype=np.float64)
-                if val.ndim == 1:
-                    val = val[:, None]
-                macc = val * dt if macc is None else macc + val * dt
+                macc = _accumulate(macc, macro_integrand(tm, Y), dt)
             Hsum.fill(0.0)
             sig = np.asarray(system.sigma(X, Y), dtype=np.float64)
             per_step = sig.ndim != 2
@@ -252,13 +285,7 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
                     tj = tm + j * h
                     Hsum += system.H(tj, X, Y)
                     if integrand is not None:
-                        val = np.asarray(integrand(tj, X, Y), dtype=np.float64)
-                        if val.ndim == 1:
-                            val = val[:, None]
-                        if acc is None:
-                            acc = val * h
-                        else:
-                            acc += val * h
+                        acc = _accumulate(acc, integrand(tj, X, Y), h)
                     if per_step:
                         if j:
                             sig = np.asarray(system.sigma(X, Y), dtype=np.float64)
@@ -277,29 +304,22 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
                     X += noise
             z2 = rng.normals(cfg.seed, rng.LANE_SLOW, paths, np.uint64(mi), d2)
             Y = Y + (Fm + Hsum * (inv_g / n_micro)) * dt + apply_matrix(Gm, z2) * sq_dt
-            _check_state("fast", X, cfg.blowup_cap, tm + dt, lo)
-            _check_state("slow", Y, cfg.blowup_cap, tm + dt, lo)
-            mx = np.maximum(mx, np.linalg.norm(X, axis=-1))
-            record(mi + 1)
-
+            mx = np.maximum(mx, check_state("fast", X, cfg.blowup_cap, tm + dt, lo))
+            check_state("slow", Y, cfg.blowup_cap, tm + dt, lo)
+            _record(snaps_y, rows, mi + 1, lo, Y)
+            _record(snaps_x, rows, mi + 1, lo, X)
         term_y[lo:hi] = Y
         term_x[lo:hi] = X
         max_abs[lo:hi] = mx
-        if acc is not None:
-            if acc_store[0] is None:
-                acc_store[0] = np.zeros((cfg.n_paths, acc.shape[1]))
-            acc_store[0][lo:hi] = acc
-        if macc is not None:
-            if macc_store[0] is None:
-                macc_store[0] = np.zeros((cfg.n_paths, macc.shape[1]))
-            macc_store[0][lo:hi] = macc
+        accs.append(acc)
+        maccs.append(macc)
 
-    _run_chunks(cfg.n_paths, cfg.chunk_size, body)
     return EnsembleResult(
         terminal_slow=term_y, terminal_fast=term_x,
         snapshot_times=snap_t, snapshots_slow=snaps_y, snapshots_fast=snaps_x,
         max_abs_fast=max_abs,
-        integrals=acc_store[0], macro_integrals=macc_store[0],
+        integrals=None if accs[0] is None else np.concatenate(accs),
+        macro_integrals=None if maccs[0] is None else np.concatenate(maccs),
         stream_ids=np.arange(cfg.n_paths, dtype=np.uint64), seed=cfg.seed)
 
 
@@ -307,39 +327,13 @@ def integrate_frozen(system: CoupledSystem, y, x0, T: float, dt: float,
                      seed: int, n_paths: int, blowup_cap: float = 1e6,
                      chunk_size: int = 8192) -> EnsembleResult:
     """Simulate the fast equation with the slow state held fixed at ``y``."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    d1 = system.d1
-    x_init = _vec(x0, d1, "x0")
     y_fix = _vec(y, system.d2, "y")
-    n_steps = max(1, int(round(T / dt))) if T > 0 else 0
-    hE = T / n_steps if n_steps else 0.0
-    sq = math.sqrt(hE)
-
-    term_x = np.empty((n_paths, d1))
-    max_abs = np.zeros(n_paths)
-
-    def body(lo: int, hi: int) -> None:
-        m = hi - lo
-        paths = rng.PathIndex(np.arange(lo, hi))
-        X = np.tile(x_init, (m, 1))
-        mx = np.linalg.norm(X, axis=-1)
-        for k in range(n_steps):
-            z = rng.normals(seed, rng.LANE_FAST, paths, np.uint64(k), d1)
-            X = X + np.asarray(system.b(X, y_fix), dtype=np.float64) * hE \
-                + apply_matrix(system.sigma(X, y_fix), z) * sq
-            if (k & 63) == 63 or k == n_steps - 1:
-                _check_state("fast", X, blowup_cap, (k + 1) * hE, lo)
-            mx = np.maximum(mx, np.linalg.norm(X, axis=-1))
-        term_x[lo:hi] = X
-        max_abs[lo:hi] = mx
-
-    _run_chunks(n_paths, chunk_size, body)
-    return EnsembleResult(
-        terminal_slow=None, terminal_fast=term_x,
-        snapshot_times=None, snapshots_slow=None, snapshots_fast=None,
-        max_abs_fast=max_abs, integrals=None, macro_integrals=None,
-        stream_ids=np.arange(n_paths, dtype=np.uint64), seed=seed)
+    term_x, max_abs, _, _ = _euler(
+        lambda t, X: (system.b(X, y_fix), system.sigma(X, y_fix)),
+        _vec(x0, system.d1, "x0"), T, dt, seed, rng.LANE_FAST, "fast", n_paths,
+        blowup_cap, None, chunk_size)
+    return EnsembleResult(terminal_fast=term_x, max_abs_fast=max_abs,
+                          stream_ids=np.arange(n_paths, dtype=np.uint64), seed=seed)
 
 
 def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
@@ -354,49 +348,10 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
     step pairs their driving increments.  ``n_workers`` is kept for
     existing callers and must be 1.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     _check_one_worker(n_workers)
-    d2 = avg.d2
-    y_init = _vec(y0, d2, "y0")
-    n_steps = max(1, int(round(T / dt))) if T > 0 else 0
-    dtE = T / n_steps if n_steps else 0.0
-    sq = math.sqrt(dtE)
-
-    snap_idx = None
-    snaps_y = snap_t = None
-    if snapshot_times is not None:
-        snap_idx = _snap_indices(snapshot_times, dtE if n_steps else 1.0, n_steps)
-        snap_t = np.asarray(snapshot_times, dtype=np.float64)
-        snaps_y = np.empty((len(snap_idx), n_paths, d2))
-
-    term_y = np.empty((n_paths, d2))
-
-    def body(lo: int, hi: int) -> None:
-        m = hi - lo
-        paths = rng.PathIndex(np.arange(lo, hi))
-        Y = np.tile(y_init, (m, 1))
-
-        def record(node: int) -> None:
-            if snap_idx is None:
-                return
-            for si, ni in enumerate(snap_idx):
-                if ni == node:
-                    snaps_y[si, lo:hi] = Y
-
-        record(0)
-        for k in range(n_steps):
-            tk = k * dtE
-            drift, diff = avg.coefficients_batch(tk, Y)
-            z = rng.normals(seed, rng.LANE_SLOW, paths, np.uint64(k), d2)
-            Y = Y + drift * dtE + apply_matrix(diff, z) * sq
-            _check_state("limit", Y, blowup_cap, tk + dtE, lo)
-            record(k + 1)
-        term_y[lo:hi] = Y
-
-    _run_chunks(n_paths, chunk_size, body)
-    return EnsembleResult(
-        terminal_slow=term_y, terminal_fast=None,
-        snapshot_times=snap_t, snapshots_slow=snaps_y, snapshots_fast=None,
-        max_abs_fast=None, integrals=None, macro_integrals=None,
-        stream_ids=np.arange(n_paths, dtype=np.uint64), seed=seed)
+    term_y, _, snap_t, snaps_y = _euler(
+        avg.coefficients_batch, _vec(y0, avg.d2, "y0"), T, dt, seed,
+        rng.LANE_SLOW, "limit", n_paths, blowup_cap, snapshot_times, chunk_size)
+    return EnsembleResult(terminal_slow=term_y, snapshot_times=snap_t,
+                          snapshots_slow=snaps_y,
+                          stream_ids=np.arange(n_paths, dtype=np.uint64), seed=seed)

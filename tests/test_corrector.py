@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fastslow import (CorrectorQuery, CoupledSystem, NotCentered, GridTooCoarse,
-                      average, centering_residual, gradients,
+from fastslow import (BlowUp, CorrectorQuery, CoupledSystem, NotCentered,
+                      GridTooCoarse, NonFiniteCoefficient, average,
+                      centering_residual, gradients,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
 from fastslow.corrector import (CorrectorField, _grid_at,
@@ -133,6 +134,18 @@ class TestSolve:
             solve_poisson_fk(standard_ou(), F_LIN,
                              grid_query(n=3, n_paths=1000, T_max=1.0),
                              centering_z=5.0)
+
+    @pytest.mark.parametrize("b, error", [
+        (lambda x, y: x, BlowUp),
+        (lambda x, y: x ** 3 + 1.0, NonFiniteCoefficient),
+    ], ids=["cap", "non-finite"])
+    def test_refuses_a_bad_state(self, b, error):
+        # x grows like e^t and leaves the norm cap 1e6 before T_max = 16;
+        # x^3 + 1 overflows first
+        query = grid_query(n=3, n_paths=40, n_batches=2, T_max=16.0)
+        with np.errstate(all="ignore"), pytest.raises(error):
+            solve_poisson_fk(replace(standard_ou(), b=b), F_LIN, query,
+                             centering_z=0.0)
 
     def test_auto_center(self, mu):
         # the estimated-mean error is amplified by the horizon, so the

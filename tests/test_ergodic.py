@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fastslow import (Budgets, CoupledSystem, MeasureEnsemble, average,
-                      centering_residual, rng, sample_invariant_measure,
-                      transfer_derivative)
+from fastslow import (BlowUp, Budgets, CoupledSystem, MeasureEnsemble,
+                      NonFiniteCoefficient, average, centering_residual, rng,
+                      sample_invariant_measure, transfer_derivative)
 from fastslow.ergodic import N_CHAINS
 
 RT2 = math.sqrt(2.0)
@@ -105,6 +105,19 @@ class TestInvariantMeasure:
         assert total > 2 * block
         assert len(calls) == (total if per_step else math.ceil(total / block))
         assert set(calls) == {(N_CHAINS, system.d1)}
+
+    @pytest.mark.parametrize("b, cap, error", [
+        (lambda x, y: x + 1.0, 1e6, BlowUp),
+        (lambda x, y: x ** 3 + 1.0, np.inf, NonFiniteCoefficient),
+    ], ids=["cap", "non-finite"])
+    def test_refuses_a_bad_state(self, b, cap, error):
+        # the chains are checked after each block of draws; x + 1 leaves the
+        # cap near t = 14, and x^3 + 1 overflows, which an infinite cap lets
+        # through to the non-finite check
+        with np.errstate(all="ignore"), pytest.raises(error):
+            sample_invariant_measure(replace(frozen_ou(), b=b), [0.0],
+                                     burn_in=20.0, n_samples=100, thinning=1,
+                                     dt=0.01, blowup_cap=cap)
 
 
 def x_noise_ou():

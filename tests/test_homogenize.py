@@ -235,7 +235,7 @@ class TestCellStore:
     def test_matches_per_row_lookup(self, interpolate, d2, autonomous):
         gen = np.random.default_rng(d2 + 10 * interpolate + 100 * autonomous)
         policy = CachePolicy(quantum=0.1, interpolate=interpolate, t_quantum=0.05)
-        field = CellField(_seed_field, d2, policy, 1234, autonomous)
+        field = CellField(_seed_field, policy, 1234, autonomous)
         seen = set()
         # later batches first visit cells far outside the earlier ones,
         # including negative keys and a jump of many lattice units
@@ -260,7 +260,7 @@ class TestCellStore:
             calls.append(tuple(y_c))
             return _seed_field(t_c, y_c, cell_seed)
 
-        field = CellField(fn, 1, CachePolicy(quantum=0.5), 3, True)
+        field = CellField(fn, CachePolicy(quantum=0.5), 3, True)
         Y = np.array([[0.1], [0.2], [-0.1], [0.9], [1.1], [0.0]])
         out = field.eval_batch(0.0, Y)
         assert field.n_cells == 2 and len(calls) == 2
@@ -277,7 +277,7 @@ class TestCellStore:
             return _seed_field(t_c, y_c, cell_seed)
 
         policy = CachePolicy(quantum=0.05)
-        field = CellField(fn, 1, policy, 9, True)
+        field = CellField(fn, policy, 9, True)
         Y = np.random.default_rng(4).normal(size=(400, 1))
         for i in range(8):
             batch = Y[(37 * i) % 400:][::-1]

@@ -1,7 +1,8 @@
 """Import-time guards: what ``import fastslow`` loads, where the package
 imports its own modules, that it starts no threads or processes, that
-every draw goes through ``rng``'s public entry points, and that the names
-the benchmark tracer wraps exist."""
+every draw goes through ``rng``'s public entry points, that only
+``model.check_state`` raises ``BlowUp``, and that the names the benchmark
+tracer wraps exist."""
 
 import ast
 import importlib
@@ -120,6 +121,51 @@ def test_private_rng_guard_sees_each_form():
     src = ("from . import rng\nfrom .rng import _mix, normals\n"
            "import fastslow.rng as R\nrng._row_hashes(0)\nR._top53(1)\nrng.normals(2)\n")
     assert sorted(_rng_private_uses(ast.parse(src))) == [2, 4, 5]
+
+
+def _blowup_constructions(tree) -> list[str]:
+    """The function around each ``BlowUp(...)`` call ("<module>" outside
+    any), whether the name is imported plainly, under an alias or reached
+    as an attribute."""
+    names = {"BlowUp"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.asname for a in node.names if a.name == "BlowUp" and a.asname}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if ((isinstance(f, ast.Name) and f.id in names)
+                        or (isinstance(f, ast.Attribute) and f.attr == "BlowUp")):
+                    found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_blowup_is_raised_only_by_check_state():
+    # one state check serves every step loop; a loop that builds its own
+    # BlowUp has grown a second copy of it
+    found = []
+    for path in sorted((SRC / "fastslow").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{fn}" for fn in _blowup_constructions(tree)]
+    assert found == ["model.py:check_state"]
+
+
+def test_blowup_guard_sees_each_form():
+    src = ("from .errors import BlowUp, BlowUp as B\nfrom . import errors\n"
+           "def f():\n    raise BlowUp('a')\n"
+           "def g():\n    def h():\n        raise errors.BlowUp('b')\n"
+           "    return B('c')\n"
+           "kind = BlowUp\nraise kind('d') from BlowUp('e')\n")
+    assert _blowup_constructions(ast.parse(src)) == ["<module>", "f", "g", "h"]
 
 
 def test_tracer_entry_points_exist(monkeypatch):

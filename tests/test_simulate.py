@@ -263,15 +263,91 @@ def test_frozen_determinism_across_chunks_and_workers():
     assert runs[0] == runs[1]
 
 
+def per_step_euler(coefficients, x0, T, dt, seed, lane, n_paths,
+                   snapshot_times=()):
+    """Euler-Maruyama on all paths at once, written step by step: one draw
+    call per step, the stacked noise product and every node kept."""
+    n = max(1, int(round(T / dt))) if T > 0 else 0
+    h = T / n if n else 0.0
+    ids = np.arange(n_paths)
+    X = np.tile(np.asarray(x0, dtype=np.float64), (n_paths, 1))
+    mx = np.linalg.norm(X, axis=-1)
+    nodes = [X]
+    for k in range(n):
+        drift, diff = coefficients(k * h, X)
+        z = rng.normals(seed, lane, ids, np.uint64(k), X.shape[1])
+        X = X + drift * h + (diff @ z[..., None])[..., 0] * math.sqrt(h)
+        mx = np.maximum(mx, np.linalg.norm(X, axis=-1))
+        nodes.append(X)
+    snaps = [nodes[int(round(t / h)) if n else 0] for t in snapshot_times]
+    return X, mx, snaps
+
+
+@pytest.mark.parametrize("T", [0.3, 0.0])
+def test_frozen_equals_per_step_loop(T):
+    # x-dependent sigma with batch axes; 250 paths in chunks of 64
+    sys1 = make_system(lambda x, y: y - x,
+                       lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None])
+    y = np.array([0.4])
+    res = integrate_frozen(sys1, y, [0.1], T=T, dt=0.01, seed=6, n_paths=250,
+                           chunk_size=64)
+    X, mx, _ = per_step_euler(lambda t, x: (sys1.b(x, y), sys1.sigma(x, y)),
+                              [0.1], T, 0.01, 6, rng.LANE_FAST, 250)
+    assert res.terminal_fast.tobytes() == X.tobytes()
+    assert res.max_abs_fast.tobytes() == mx.tobytes()
+    assert res.terminal_slow is None and res.snapshots_slow is None
+
+
+def memoized_limit():
+    budgets = Budgets(invariant_samples=500, invariant_burn_in=2.0,
+                      invariant_thinning=2, invariant_dt=0.01)
+    return build_limit_sde(Regime.R1, ou_averaging(), budgets,
+                           CachePolicy(quantum=0.1), seed=5)
+
+
+@pytest.mark.parametrize("make_avg", [
+    lambda: AveragedSDE.from_callables(
+        Regime.R1, 1, lambda t, y: -np.asarray(y),
+        lambda t, y: (1.0 + 0.1 * np.tanh(y))[..., None]),
+    memoized_limit,
+], ids=["callables", "memoized"])
+def test_limit_equals_per_step_loop(make_avg):
+    # 0.1 is recorded twice; 250 paths in chunks of 64
+    avg = make_avg()
+    times = (0.0, 0.1, 0.1, 0.2)
+    res = integrate_limit(avg, [0.3], T=0.2, dt=0.02, seed=8, n_paths=250,
+                          snapshot_times=times, chunk_size=64)
+    Y, _, snaps = per_step_euler(avg.coefficients_batch, [0.3], 0.2, 0.02, 8,
+                                 rng.LANE_SLOW, 250, times)
+    assert res.terminal_slow.tobytes() == Y.tobytes()
+    assert res.snapshots_slow.tobytes() == np.stack(snaps).tobytes()
+    assert res.snapshot_times.tolist() == list(times)
+    assert res.terminal_fast is None and res.max_abs_fast is None
+
+
+def test_limit_increments_pair_with_the_coupled_slow_ones():
+    # with F = H = 0 and G = 1 the coupled slow state is the limit's
+    # Brownian motion: the same seed and step give the same increments
+    sys1 = make_system(b=lambda x, y: -x, sigma=lambda x, y: np.array([[RT2]]),
+                       G=lambda t, x, y: np.array([[1.0]]))
+    times = (0.0, 0.1, 0.2)
+    cfg = PathConfig(T=0.2, dt_slow=0.02, seed=9, n_paths=300,
+                     snapshot_times=times, chunk_size=128)
+    coupled = integrate_coupled(sys1, S111, 0.3, [0.5], [0.2], cfg)
+    avg = AveragedSDE.from_callables(Regime.R1, 1, lambda t, y: [0.0],
+                                     lambda t, y: [[1.0]])
+    limit = integrate_limit(avg, [0.2], T=0.2, dt=0.02, seed=9, n_paths=300,
+                            snapshot_times=times, chunk_size=128)
+    assert coupled.terminal_slow.tobytes() == limit.terminal_slow.tobytes()
+    assert coupled.snapshots_slow.tobytes() == limit.snapshots_slow.tobytes()
+
+
 def test_limit_determinism_across_chunks_and_workers():
     # a memoized limit field computes its cells in whatever order the chunks
     # visit them; values and the set of cells must not depend on that
-    budgets = Budgets(invariant_samples=500, invariant_burn_in=2.0,
-                      invariant_thinning=2, invariant_dt=0.01)
-    policy = CachePolicy(quantum=0.1)
     runs = []
     for chunk in (64, 999):
-        avg = build_limit_sde(Regime.R1, ou_averaging(), budgets, policy, seed=5)
+        avg = memoized_limit()
         res = integrate_limit(avg, [0.2], T=0.2, dt=0.02, seed=8, n_paths=600,
                               snapshot_times=(0.0, 0.1, 0.2), chunk_size=chunk)
         runs.append((avg.provenance()["n_cells"], res.snapshots_slow.tobytes()))
