@@ -145,8 +145,8 @@ def _cmd_corrector(cfg: dict, out: Path) -> int:
     t = float(cfg.get("t", 0.0))
     y = np.atleast_1d(np.asarray(cfg.get("y", [0.0] * system.d2), dtype=float))
     seed = int(cfg.get("seed", 0))
-    query = CorrectorQuery.from_grid(
-        axes, t=t, y=y, T_max=float(cfg.get("T_max", 10.0)),
+    query = CorrectorQuery(
+        t=t, y=y, grid_axes=axes, T_max=float(cfg.get("T_max", 10.0)),
         n_paths=int(cfg.get("n_paths", 10000)), dt=float(cfg.get("dt", 0.01)),
         seed=rng.derive_key(seed, rng.LANE_AUX, 42))
     mu = sample_invariant_measure(
@@ -190,7 +190,7 @@ def _cmd_average(cfg: dict, out: Path) -> int:
     regime = classify_regime(schedule)
     if regime is Regime.UNCLASSIFIED:
         raise ConfigError("exponents do not fall in a regime")
-    budgets, _, _ = parse_budgets(cfg.get("budgets", {}))
+    budgets, _ = parse_budgets(cfg.get("budgets", {}))
     t = float(cfg.get("t", 0.0))
     ys = cfg.get("ys") or [cfg.get("y", [0.0] * system.d2)]
     seed = int(cfg.get("seed", 0))

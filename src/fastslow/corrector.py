@@ -10,6 +10,9 @@ which differ only by sign.  Exponential ergodicity of the frozen process
 makes the truncation tail geometric; the solver reports a per-point tail
 estimate extrapolated from the last fifth of the integral.
 
+A query is a tensor grid of fast states.  The caller centers the integrand
+and passes its z-score from :func:`fastslow.ergodic.centering_residual`.
+
 All query points share the same driving increments (common random numbers),
 so differences between nearby points - the finite-difference gradients -
 carry far less noise than independent solves would.  The same holds across
@@ -33,13 +36,13 @@ corrections c . grad_x Phi and H . grad_y Phi, and the derivative transfer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import rng
 from .errors import GridTooCoarse, NonFiniteCoefficient, NotCentered
-from .ergodic import MeasureEnsemble, average
+from .ergodic import MeasureEnsemble
 from .model import CoupledSystem, apply_matrix, check_state
 
 Array = np.ndarray
@@ -51,43 +54,36 @@ _COARSE_TOL = 0.5
 
 @dataclass(frozen=True)
 class CorrectorQuery:
-    """Query grid and Monte Carlo budgets for one solve."""
+    """Tensor grid of fast states (one 1-d axis per coordinate) and Monte
+    Carlo budgets for one solve; ``points`` are the (Q, d1) nodes, "ij" order."""
 
     t: float
     y: Array
-    points: Array
+    grid_axes: tuple
     T_max: float = 10.0
     n_paths: int = 10000
     dt: float = 0.01
     seed: int = 0
     n_batches: int = 20
     chunk_paths: int = 4096
-    grid_axes: tuple | None = None
+    points: Array = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64).reshape(-1))
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        object.__setattr__(self, "points", pts)
+        axes = tuple(np.asarray(ax, dtype=np.float64) for ax in self.grid_axes)
+        if not axes or any(ax.ndim != 1 or ax.size < 1 for ax in axes):
+            raise ValueError("grid_axes must be non-empty 1-d axes")
+        object.__setattr__(self, "grid_axes", axes)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        object.__setattr__(self, "points", np.stack([m.ravel() for m in mesh], axis=-1))
         if self.T_max <= 0 or self.dt <= 0:
             raise ValueError("T_max and dt must be > 0")
-        if self.points.shape[0] < 1:
-            raise ValueError("points must be non-empty")
         if self.n_batches < 2:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
         if self.n_paths < self.n_batches:
             raise ValueError("n_paths must be >= n_batches")
         if self.chunk_paths < 1:
             raise ValueError(f"chunk_paths must be >= 1, got {self.chunk_paths!r}")
-
-    @classmethod
-    def from_grid(cls, axes, **kwargs) -> "CorrectorQuery":
-        """Build a query on a regular tensor grid (enables x-gradients)."""
-        axes = tuple(np.asarray(ax, dtype=np.float64) for ax in axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return cls(points=pts, grid_axes=axes, **kwargs)
 
 
 @dataclass
@@ -114,8 +110,6 @@ class CorrectorField:
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        if self.query.grid_axes is None:
-            raise ValueError("field was not solved on a query built with from_grid")
         return tuple(len(ax) for ax in self.query.grid_axes)
 
 
@@ -257,8 +251,6 @@ def _y_gradient(shifted_sums: Array, counts: Array, n_paths: int,
 
 def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
                      mode: str = "corrector", centering_z: float | None = None,
-                     auto_center: bool = False,
-                     mu: MeasureEnsemble | None = None,
                      want_grad_y: bool = False,
                      delta_y: float | None = None) -> CorrectorField:
     """Truncated frozen-path time integral of ``f`` at every query point.
@@ -266,8 +258,8 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     The integrand must be centered against the stationary law at
     (query.t, query.y); the solver refuses to run otherwise because the
     integral then grows linearly in the horizon.  Pass the z-score from
-    :func:`fastslow.ergodic.centering_residual`, or set ``auto_center=True``
-    together with a sample cloud ``mu`` to subtract the estimated mean.
+    :func:`fastslow.ergodic.centering_residual` as ``centering_z``; a
+    caller subtracts the cloud mean (:func:`fastslow.ergodic.average`) first.
 
     With ``want_grad_y`` the same pass also integrates from the slow states
     y +/- delta along each slow coordinate (``delta_y``, default
@@ -278,27 +270,14 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     if mode not in ("corrector", "poisson"):
         raise ValueError("mode must be 'corrector' or 'poisson'")
     delta = _y_step(query.y, delta_y) if want_grad_y else None
-    if auto_center:
-        if mu is None:
-            raise ValueError("auto_center requires a MeasureEnsemble")
-        shift, _ = average(f, mu, query.t)
-        base_f = f
+    if centering_z is None:
+        raise NotCentered("no centering evidence supplied; run centering_residual first")
+    if not float(centering_z) <= 3.0:  # NaN is refused too
+        raise NotCentered(f"centering z-score {float(centering_z):.3g} is not <= 3")
 
-        def f_use(t, x, y, _s=shift, _f=base_f):
-            return np.asarray(_f(t, x, y), dtype=np.float64) - _s
-    else:
-        if centering_z is None:
-            raise NotCentered(
-                "no centering evidence supplied; run centering_residual first "
-                "or pass auto_center=True with a sample cloud")
-        z_eff = float(centering_z)
-        if z_eff > 3.0:
-            raise NotCentered(f"centering z-score {z_eff:.3g} exceeds 3")
-        f_use = f
-
-    k = codomain(f_use, query.t, query.points, query.y)
+    k = codomain(f, query.t, query.points, query.y)
     ys = [query.y] + (_shifted_states(query.y, delta) if want_grad_y else [])
-    batch_sums, batch_counts, w1, w2 = _path_sums(system, f_use, query, ys, k)
+    batch_sums, batch_counts, w1, w2 = _path_sums(system, f, query, ys, k)
 
     nb = query.n_batches
     sign = 1.0 if mode == "corrector" else -1.0

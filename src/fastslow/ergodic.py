@@ -8,12 +8,13 @@ sized by :func:`fastslow.rng.block_steps`.  A noise coefficient without
 batch axes is state-independent at the frozen y (see :mod:`fastslow.model`),
 so it is evaluated once per block and the noise of the whole block is one
 :func:`fastslow.model.apply_matrix`; one with batch axes is evaluated at
-every step.  The standard error of an average over the cloud
-(:func:`chain_se`) is taken from the chain means, so the z of an exactly
-centered integrand follows a t law with K - 1 degrees of freedom for K
-chains.  A hand-built single-chain cloud instead sizes its error from its
-own autocorrelation function.  The effective sample size of a cloud comes
-from the same estimator: variance over squared SE.
+every step.  There is one error rule: the standard error of an average
+over the cloud (:func:`chain_se`) is taken from the chain means, so the z
+of an exactly centered integrand follows a t law with K - 1 degrees of
+freedom for K chains.  A single long chain is passed as K >= 2 contiguous
+segments, each much longer than its autocorrelation time, which gives
+batch means (Flegal and Jones 2010, Ann. Statist. 38).  The effective
+sample size of a cloud is variance over squared SE.
 
 The derivative transfer, which needs the auxiliary solution and its grid
 derivatives, lives with the averaged coefficients in
@@ -52,7 +53,7 @@ class MeasureEnsemble:
     dt: float
     seed: int
     ess: float
-    n_chains: int = 1
+    n_chains: int
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
@@ -61,8 +62,12 @@ class MeasureEnsemble:
             raise ValueError("samples must be a non-empty (n, d1) array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
-        if not 1 <= self.n_chains <= self.samples.shape[0]:
-            raise ValueError("n_chains must lie in [1, n_samples]")
+        n = self.samples.shape[0]
+        if not (2 <= self.n_chains <= n or self.n_chains == n == 1):
+            raise ValueError(
+                f"n_chains must lie in [2, n_samples] (1 for one sample), got "
+                f"{self.n_chains}; pass a single long chain as 2 or more contiguous "
+                "segments, each much longer than its autocorrelation time")
 
     @property
     def n_samples(self) -> int:
@@ -71,31 +76,6 @@ class MeasureEnsemble:
     def se(self, vals: Array) -> Array:
         """:func:`chain_se` of per-sample values (n, k) laid out like ``samples``."""
         return chain_se(vals, self.n_chains)
-
-
-def _autocorr_time(x: Array) -> tuple[float, int]:
-    """Integrated autocorrelation time of one centered chain column.
-
-    Sums the sample autocorrelations over the lags before the first
-    non-positive one (the single-lag form of Geyer's 1992 initial positive
-    sequence) and returns ``(tau, m)`` with ``m`` the last lag summed.  A
-    constant column, or one with fewer than four entries, gives ``(1, 0)``.
-    """
-    n = x.shape[0]
-    var = float(np.dot(x, x))
-    if n < 4 or var <= 0.0:
-        return 1.0, 0
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acf = np.fft.irfft(f * np.conj(f), nfft)[:n].real / var
-    s = 0.0
-    m = 0
-    for k in range(1, min(n - 1, 10000)):
-        if acf[k] <= 0.0:
-            break
-        s += acf[k]
-        m = k
-    return 1.0 + 2.0 * s, m
 
 
 def _chain_bounds(n: int, n_chains: int) -> Array:
@@ -199,41 +179,26 @@ def _eval_on(h, t: float, mu: MeasureEnsemble) -> Array:
     return vals
 
 
-def chain_se(vals: Array, n_chains: int = 1) -> Array:
+def chain_se(vals: Array, n_chains: int) -> Array:
     """Standard error of the column means of a cloud of stationary chains.
 
     ``vals`` (n, k) holds ``n_chains`` chains one after another, laid out
-    as :class:`MeasureEnsemble` describes.  With two or more chains the SE
-    is the sample standard deviation of the K chain means over sqrt(K), so
-    for independent chains the z of a centered column is t-distributed with
-    K - 1 degrees of freedom.
+    as :class:`MeasureEnsemble` describes.  The SE is the sample standard
+    deviation of the K chain means over sqrt(K), so for independent chains
+    the z of a centered column is t-distributed with K - 1 degrees of
+    freedom.  A constant column has SE 0; one row gives SE inf.
 
-    A single chain sizes its error from itself: each column gets its own
-    autocorrelation time ``tau`` and window ``m`` from
-    :func:`_autocorr_time`, so the error follows the correlation length of
-    the integrand, not that of the state.  The squared SE is the windowed
-    autocovariance sum over ``n``, divided by ``(1 - m/n) (1 - (m+1)/n)``
-    to remove its first-order bias from the estimated mean; at ``m = 0``
-    that is Bessel's correction, and for ``m << n`` the SE is the sample
-    standard deviation over ``sqrt(n / tau)``.
-
-    A constant column has SE 0; fewer than two rows give SE inf.
+    Two or more rows need two or more chains, which
+    :class:`MeasureEnsemble` enforces.
     """
     n, k = vals.shape
     if n < 2:
         return np.full(k, np.inf)
     live = np.any(vals != vals[0], axis=0)
     se = np.zeros(k)
-    if n_chains >= 2:
-        bounds = _chain_bounds(n, n_chains)
-        means = np.add.reduceat(vals, bounds[:-1], axis=0) \
-            / np.diff(bounds)[:, None]
-        se[live] = means[:, live].std(axis=0, ddof=1) / math.sqrt(n_chains)
-        return se
-    for j in np.flatnonzero(live):
-        x = vals[:, j] - vals[:, j].mean()
-        tau, m = _autocorr_time(x)
-        se[j] = math.sqrt(float(np.dot(x, x)) * tau / ((n - m) * (n - m - 1)))
+    bounds = _chain_bounds(n, n_chains)
+    means = np.add.reduceat(vals, bounds[:-1], axis=0) / np.diff(bounds)[:, None]
+    se[live] = means[:, live].std(axis=0, ddof=1) / math.sqrt(n_chains)
     return se
 
 

@@ -1,10 +1,11 @@
 """End-to-end experiments: weak-error rate studies and fluctuation diagnostics.
 
 The weak-error study simulates the coupled ensemble at each eps and the
-limit ensemble once (it does not depend on eps), shares the slow-noise lane
-between the two so the difference of means is low-variance, takes the sup
-of |difference| over a fixed time grid, and fits a log-log slope over the
-eps values whose error clears three standard errors.  Constants are not
+limit ensemble once (it does not depend on eps).  Weak errors are always
+paired: both run ``paths_coupled`` paths on the slow-noise lane, so each
+error and its SE come from per-path differences.  The study takes the sup
+of |error| over a fixed time grid and fits a log-log slope over the eps
+values whose error clears three standard errors.  Constants are not
 reproducible, so everything here is about shapes: monotonicity and slope.
 """
 
@@ -95,19 +96,18 @@ def theoretical_rate(regime: Regime, schedule: ScaleSchedule, theta) -> RateResu
                       warning=warning)
 
 
-def parse_budgets(d) -> tuple[Budgets, int, int | None]:
+def parse_budgets(d) -> tuple[Budgets, int]:
     """Parse a config's "budgets" object.
 
     Returns the per-cell Monte Carlo :class:`Budgets` plus the ensemble
-    sizes "paths_coupled" (default 20000) and "paths_limit" (default None:
-    as many as coupled).  "paths_corrector" is accepted for
+    size "paths_coupled" (default 20000); the limit ensemble is paired with
+    it, path for path.  "paths_corrector" is accepted for
     ``corrector_paths``; any other key must name a ``Budgets`` field.
     """
     if not isinstance(d, dict):
         raise ConfigError("'budgets' must be an object")
     d = dict(d)
     paths_coupled = int(d.pop("paths_coupled", 20000))
-    paths_limit = d.pop("paths_limit", None)
     kw = {}
     if "paths_corrector" in d:
         kw["corrector_paths"] = int(d.pop("paths_corrector"))
@@ -118,8 +118,7 @@ def parse_budgets(d) -> tuple[Budgets, int, int | None]:
             kw[key] = d.pop(key)
     if d:
         raise ConfigError(f"unknown budget fields: {sorted(d)}")
-    return (Budgets(**kw), paths_coupled,
-            None if paths_limit is None else int(paths_limit))
+    return Budgets(**kw), paths_coupled
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ class ExperimentConfig:
     dt_slow: float = 0.01
     micro_substeps: int = 10
     paths_coupled: int = 20000
-    paths_limit: int | None = None
     budgets: Budgets = dc_field(default_factory=Budgets)
     cache: CachePolicy = dc_field(default_factory=CachePolicy)
     seed: int = 0
@@ -165,8 +163,6 @@ class ExperimentConfig:
             raise ConfigError("chunk_size must be >= 1")
         if self.paths_coupled < 1:
             raise ConfigError("paths_coupled must be >= 1")
-        if self.paths_limit is not None and self.paths_limit < 1:
-            raise ConfigError("paths_limit must be None (as many as coupled) or >= 1")
         for name in self.phi_names:
             get_phi(name)
         object.__setattr__(self, "theta", _as_fraction(self.theta))
@@ -210,14 +206,14 @@ class ExperimentConfig:
         except (ValueError, TypeError) as e:
             raise ConfigError(f"bad 'exponents': {e}") from None
 
-        budgets, paths_coupled, paths_limit = parse_budgets(d.pop("budgets", {}))
+        budgets, paths_coupled = parse_budgets(d.pop("budgets", {}))
         cache = CachePolicy(quantum=float(d.pop("quantum", 1e-2)),
                             interpolate=bool(d.pop("interpolate", False)))
         kwargs = dict(
             system=system, system_name=name, schedule=schedule,
             theta=d.pop("theta", 1), eps_list=tuple(d.pop("eps_list", ())),
             budgets=budgets, cache=cache,
-            paths_coupled=paths_coupled, paths_limit=paths_limit,
+            paths_coupled=paths_coupled,
         )
         if "phi" in d:
             kwargs["phi_names"] = tuple(d.pop("phi"))
@@ -244,7 +240,6 @@ class ExperimentConfig:
             "eps_list": list(self.eps_list),
             "seed": self.seed,
             "paths_coupled": self.paths_coupled,
-            "paths_limit": self.paths_limit or self.paths_coupled,
             "budgets": {k: getattr(self.budgets, k)
                         for k in Budgets.__dataclass_fields__},
             "versions": {"fastslow": _pkg_version,
@@ -337,12 +332,11 @@ def weak_error_experiment(cfg: ExperimentConfig) -> WeakErrorReport:
     rate = theoretical_rate(regime, cfg.schedule, cfg.theta)
     grid = cfg.time_grid
     phis = [get_phi(name) for name in cfg.phi_names]
-    n_lim = cfg.paths_limit or cfg.paths_coupled
 
     limit = build_limit_sde(regime, cfg.system, cfg.budgets, cfg.cache,
                             seed=rng.derive_key(cfg.seed, rng.LANE_AUX, 21))
     lim_res = integrate_limit(
-        limit, cfg.y0, cfg.T, cfg.dt_slow, seed=cfg.seed, n_paths=n_lim,
+        limit, cfg.y0, cfg.T, cfg.dt_slow, seed=cfg.seed, n_paths=cfg.paths_coupled,
         snapshot_times=grid, chunk_size=cfg.chunk_size)
     lim_vals = np.stack([np.stack([phi(lim_res.snapshots_slow[j])
                                    for j in range(len(grid))])
@@ -351,23 +345,14 @@ def weak_error_experiment(cfg: ExperimentConfig) -> WeakErrorReport:
     n_eps = len(cfg.eps_list)
     err = np.empty((n_eps, len(grid), len(phis)))
     se = np.empty_like(err)
-    paired = n_lim == cfg.paths_coupled
     for i, eps in enumerate(cfg.eps_list):
         res = integrate_coupled(cfg.system, cfg.schedule, eps, cfg.x0, cfg.y0,
                                 cfg.path_config(grid))
         for j in range(len(grid)):
             for p, phi in enumerate(phis):
-                v_eps = phi(res.snapshots_slow[j])
-                v_lim = lim_vals[j, :, p]
-                if paired:
-                    d = v_eps - v_lim
-                    err[i, j, p] = abs(float(d.mean()))
-                    se[i, j, p] = float(d.std(ddof=1) / math.sqrt(d.shape[0]))
-                else:
-                    err[i, j, p] = abs(float(v_eps.mean() - v_lim.mean()))
-                    se[i, j, p] = math.hypot(
-                        float(v_eps.std(ddof=1) / math.sqrt(v_eps.shape[0])),
-                        float(v_lim.std(ddof=1) / math.sqrt(v_lim.shape[0])))
+                d = phi(res.snapshots_slow[j]) - lim_vals[j, :, p]
+                err[i, j, p] = abs(float(d.mean()))
+                se[i, j, p] = float(d.std(ddof=1) / math.sqrt(d.shape[0]))
 
     flat = err.reshape(n_eps, -1)
     arg = flat.argmax(axis=1)

@@ -145,8 +145,8 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
         np.linspace(mu.samples[:, j].min() - budgets.grid_pad,
                     mu.samples[:, j].max() + budgets.grid_pad, n_pts)
         for j in range(system.d1))
-    query = CorrectorQuery.from_grid(
-        axes, t=t, y=y, T_max=budgets.corrector_tmax,
+    query = CorrectorQuery(
+        t=t, y=y, grid_axes=axes, T_max=budgets.corrector_tmax,
         n_paths=budgets.corrector_paths, dt=budgets.corrector_dt,
         seed=seed, n_batches=budgets.n_batches)
     z = centering_residual(f, mu, t)

@@ -17,13 +17,14 @@ through one :class:`fastslow.rng.PathIndex` and checks its state with
 :func:`fastslow.model.check_state`, whose norms give the running maximum
 of the fast state.  Per-chunk integrals are concatenated at the end.
 
-The coupled integrator draws fast increments a block of micro steps at a
-time (:func:`fastslow.rng.block_steps`).  A noise coefficient without batch
-axes is state-independent at the macro step's slow state (see
-:mod:`fastslow.model`), so it is evaluated once per macro step and applied
-to a whole block; one with batch axes is evaluated at every micro step.
-Noise products go through :func:`fastslow.model.apply_matrix`, and the
-fast state and its accumulators are updated in place.
+Every loop draws its increments a block of steps per call
+(:func:`fastslow.rng.block_steps`).  In the coupled integrator, a noise
+coefficient without batch axes is state-independent at the macro step's
+slow state (see :mod:`fastslow.model`), so it is evaluated once per macro
+step and applied to a whole block; one with batch axes is evaluated at
+every micro step.  Noise products go through
+:func:`fastslow.model.apply_matrix`, and the fast state and its
+accumulators are updated in place.
 """
 
 from __future__ import annotations
@@ -126,12 +127,13 @@ def _vec(v, d: int, name: str) -> Array:
 
 
 def _snap_rows(times, dt: float, n_steps: int) -> dict[int, list[int]]:
-    """Grid node -> the rows of ``times`` taken there (a time may repeat)."""
+    """Grid node -> the rows of ``times`` taken there (a time may repeat);
+    a time off every node by more than rounding is refused."""
     dt = dt or 1.0  # no steps: only node 0 exists
     rows: dict[int, list[int]] = {}
     for r, t in enumerate(times):
         i = int(round(t / dt))
-        if i < 0 or i > n_steps or abs(i * dt - t) > 0.5 * dt + 1e-12:
+        if i < 0 or i > n_steps or abs(i * dt - t) > 1e-9 * max(dt, abs(t)):
             raise ValueError(f"snapshot time {t} does not sit on the macro grid")
         rows.setdefault(i, []).append(r)
     return rows
@@ -192,14 +194,17 @@ def _euler(coefficients, x0: Array, T: float, dt: float, seed: int, lane: int,
 
     for lo, hi in _chunks(n_paths, chunk_size):
         paths = rng.PathIndex(np.arange(lo, hi))
+        block = rng.block_steps(hi - lo)
         X = np.tile(x0, (hi - lo, 1))
         mx = np.linalg.norm(X, axis=-1)
         _record(snaps, rows, 0, lo, X)
         for k in range(n_steps):
+            if k % block == 0:
+                steps = np.arange(k, min(k + block, n_steps), dtype=np.uint64)
+                zb = rng.normals(seed, lane, paths, steps[:, None], d)
             drift, diff = coefficients(k * hE, X)
-            z = rng.normals(seed, lane, paths, np.uint64(k), d)
             X = X + np.asarray(drift, dtype=np.float64) * hE \
-                + apply_matrix(diff, z) * sq
+                + apply_matrix(diff, zb[k % block]) * sq
             mx = np.maximum(mx, check_state(tag, X, blowup_cap, (k + 1) * hE, lo))
             _record(snaps, rows, k + 1, lo, X)
         terminal[lo:hi] = X

@@ -68,6 +68,16 @@ def test_workers_config_field_exits_2(tmp_path, capsys):
     assert not (out / "converge.csv").exists()
 
 
+def test_paths_limit_budget_field_exits_2(tmp_path, capsys):
+    # the limit ensemble is paired with the coupled one, path for path
+    out = tmp_path / "out"
+    cfg = converge_cfg(out)
+    cfg["budgets"]["paths_limit"] = 100
+    assert run_cli(["converge", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "unknown budget fields: ['paths_limit']" in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+
+
 def test_workers_flag_exits_2(tmp_path):
     path = write_config(tmp_path, "c", converge_cfg(tmp_path / "out"))
     assert run_cli(["converge", "--config", path, "--workers", "1"]) == 2
@@ -75,18 +85,17 @@ def test_workers_flag_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("chunk_size", -1), ("dt_slow", 0),
-                                        ("micro_substeps", 0), ("paths_limit", 0)])
+                                        ("micro_substeps", 0)])
 def test_bad_sizes_exit_2_without_csv(tmp_path, capsys, monkeypatch, key, value):
     # each of these once ran (or crashed) instead of being refused: a
     # negative chunk wrote nan rows, a zero step raised ZeroDivisionError,
-    # zero micro substeps failed after the limit ensemble had run, and a
-    # zero limit ensemble silently meant "as many as coupled"
+    # and zero micro substeps failed after the limit ensemble had run
     import fastslow.harness
     monkeypatch.setattr(fastslow.harness, "build_limit_sde",
                         lambda *a, **k: pytest.fail("ran before the config check"))
     out = tmp_path / "out"
     cfg = converge_cfg(out)
-    (cfg["budgets"] if key == "paths_limit" else cfg)[key] = value
+    cfg[key] = value
     assert run_cli(["converge", "--config", write_config(tmp_path, "c", cfg)]) == 2
     assert f"config error: {key} must be" in capsys.readouterr().err
     assert not (out / "converge.csv").exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fastslow import (BlowUp, CorrectorQuery, CoupledSystem, NotCentered,
-                      GridTooCoarse, NonFiniteCoefficient, average,
+                      GridTooCoarse, NonFiniteCoefficient,
                       centering_residual, gradients,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
@@ -41,7 +41,7 @@ def grid_query(lo=-3.0, hi=3.0, n=25, **kw):
     kw.setdefault("n_paths", 30000)
     kw.setdefault("dt", 0.01)
     kw.setdefault("seed", 17)
-    return CorrectorQuery.from_grid((np.linspace(lo, hi, n),), **kw)
+    return CorrectorQuery(grid_axes=(np.linspace(lo, hi, n),), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,14 @@ class TestSolve:
                              grid_query(n=3, n_paths=1000, T_max=1.0),
                              centering_z=5.0)
 
+    def test_refuses_nan_z(self):
+        # NaN compares false with 3: the gate must require z <= 3, not
+        # refuse z > 3
+        with pytest.raises(NotCentered):
+            solve_poisson_fk(standard_ou(), F_LIN,
+                             grid_query(n=3, n_paths=1000, T_max=1.0),
+                             centering_z=math.nan)
+
     @pytest.mark.parametrize("b, error", [
         (lambda x, y: x, BlowUp),
         (lambda x, y: x ** 3 + 1.0, NonFiniteCoefficient),
@@ -147,18 +155,11 @@ class TestSolve:
             solve_poisson_fk(replace(standard_ou(), b=b), F_LIN, query,
                              centering_z=0.0)
 
-    def test_auto_center(self, mu):
-        # the estimated-mean error is amplified by the horizon, so the
-        # tolerance carries a 3 * T_max * se(mean) term
-        f_shift = lambda t, x, y: x[..., 0] + 5.0
-        _, se_mean = average(f_shift, mu)
-        field = solve_poisson_fk(standard_ou(), f_shift,
-                                 grid_query(n=9, n_paths=20000),
-                                 auto_center=True, mu=mu)
-        pts = field.query.points[:, 0]
-        q = int(np.argmin(np.abs(pts - 1.0)))
-        tol = 0.05 + 3.0 * field.query.T_max * float(se_mean[0])
-        assert abs(field.values[q, 0] - pts[q]) <= tol
+    def test_refuses_auto_center(self, mu):
+        # the caller centers the integrand; the solver takes only its z
+        with pytest.raises(TypeError, match="auto_center"):
+            solve_poisson_fk(standard_ou(), F_LIN, grid_query(n=3, n_paths=100),
+                             auto_center=True, mu=mu)
 
     def test_scaling_by_power_of_two_bit_exact(self, mu):
         query = grid_query(n=5, n_paths=2000, T_max=2.0)
@@ -330,13 +331,24 @@ class TestQuery:
     def test_rejects_fewer_than_two_batches(self, n_batches):
         # one path batch leaves no spread to estimate the standard error from
         with pytest.raises(ValueError, match="n_batches"):
-            CorrectorQuery(t=0.0, y=[0.0], points=[[0.0]], n_batches=n_batches)
+            CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), n_batches=n_batches)
 
     @pytest.mark.parametrize("chunk_paths", [0, -5])
     def test_rejects_chunk_below_one(self, chunk_paths):
         # a negative chunk ran no path and reported values 0 with se NaN
         with pytest.raises(ValueError, match="chunk_paths"):
-            CorrectorQuery(t=0.0, y=[0.0], points=[[0.0]], chunk_paths=chunk_paths)
+            CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), chunk_paths=chunk_paths)
+
+    def test_points_come_from_the_grid(self):
+        ax = ([-1.0, 0.0, 2.0], [0.5, 1.5])
+        q = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax)
+        mesh = np.meshgrid(*ax, indexing="ij")
+        assert q.points.tolist() == np.stack([m.ravel() for m in mesh], -1).tolist()
+        # a query of free points is not a form the solver takes
+        with pytest.raises(TypeError, match="points"):
+            CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax, points=q.points)
+        with pytest.raises(ValueError, match="grid_axes"):
+            CorrectorQuery(t=0.0, y=[0.0], grid_axes=())
 
 
 class TestGradients:
@@ -367,8 +379,8 @@ class TestGradients:
         ax = (np.linspace(-1.0, 2.0, 7), np.linspace(-2.0, 1.0, 6))
         X, Y = np.meshgrid(*ax, indexing="ij")
         u = X ** 2 + 3 * X * Y - 2 * Y ** 2
-        query = CorrectorQuery.from_grid(ax, t=0.0, y=[0.0], T_max=1.0,
-                                         n_paths=100, seed=0)
+        query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax, T_max=1.0,
+                               n_paths=100, seed=0)
         vals = u.reshape(-1, 1)
         fake = CorrectorField(
             query=query, mode="corrector", values=vals,
@@ -391,8 +403,8 @@ class TestGradients:
     def test_grid_too_coarse(self, field_lin):
         x = np.linspace(-3, 3, 7)
         bumpy = np.exp(-x ** 2 / 0.08)[:, None]
-        query = CorrectorQuery.from_grid((x,), t=0.0, y=[0.0], T_max=1.0,
-                                         n_paths=100, seed=0)
+        query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=(x,), T_max=1.0,
+                               n_paths=100, seed=0)
         fake = CorrectorField(
             query=query, mode="corrector", values=bumpy,
             se=np.full_like(bumpy, 1e-6),

@@ -187,25 +187,6 @@ class TestAverage:
 
 
 class TestStandardError:
-    def test_se_calibrated_on_centered_ar1_chains(self):
-        # stationary AR(1) chains with the lag-1 correlation of a unit-rate
-        # OU chain sampled every 0.025: autocorrelation time ~80 samples,
-        # so 4000 samples hold ~50 effective ones.  Each column is its own
-        # chain with mean exactly 0, so a calibrated SE gives E[z^2] ~ 1;
-        # 1000 chains keep the spread of the sample mean of z^2 near 0.06.
-        rho, n, m = math.exp(-0.025), 4000, 1000
-        g = np.random.default_rng(20100)
-        x = np.empty((n, m))
-        x[0] = g.standard_normal(m)
-        noise = g.standard_normal((n - 1, m)) * math.sqrt(1.0 - rho ** 2)
-        for k in range(1, n):
-            x[k] = rho * x[k - 1] + noise[k - 1]
-        chains = MeasureEnsemble(y=[0.0], samples=x, burn_in=0.0, thinning=1,
-                                 dt=0.025, seed=0,
-                                 ess=n * (1.0 - rho) / (1.0 + rho))
-        mean, se = average(lambda t, x, y: x, chains)
-        assert 0.8 <= np.mean((mean / se) ** 2) <= 1.25
-
     def test_se_calibrated_at_low_ess(self):
         # 2000 samples every 0.005 time units: each of the 64 chains spans
         # 0.16, well inside the unit correlation time, so one serial chain
@@ -224,9 +205,25 @@ class TestStandardError:
 
     def test_single_sample_se_is_infinite(self):
         mu = MeasureEnsemble(y=[0.0], samples=[[0.3]], burn_in=1.0,
-                             thinning=1, dt=0.1, seed=0, ess=1.0)
+                             thinning=1, dt=0.1, seed=0, ess=1.0, n_chains=1)
         _, se = average(lambda t, x, y: x, mu)
         assert se[0] == math.inf
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_one_chain_of_two_or_more_samples_is_refused(self, n):
+        # chain means are the one error rule; a single long chain is passed
+        # as segments
+        with pytest.raises(ValueError, match="segments"):
+            MeasureEnsemble(y=[0.0], samples=np.zeros((n, 1)), burn_in=1.0,
+                            thinning=1, dt=0.1, seed=0, ess=1.0, n_chains=1)
+
+    def test_segments_of_one_chain_give_batch_means(self):
+        x = np.arange(12.0)[:, None] ** 2
+        mu = MeasureEnsemble(y=[0.0], samples=x, burn_in=1.0, thinning=1,
+                             dt=0.1, seed=0, ess=1.0, n_chains=3)
+        means = x.reshape(3, 4).mean(axis=1)
+        _, se = average(lambda t, x, y: x, mu)
+        assert se[0] == pytest.approx(means.std(ddof=1) / math.sqrt(3), rel=1e-14)
 
 
 class TestCentering:

@@ -125,8 +125,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("dt_slow", 0), ("dt_slow", -0.01), ("micro_substeps", 0),
-        ("chunk_size", 0), ("chunk_size", -1), ("paths_coupled", 0),
-        ("paths_limit", 0)])
+        ("chunk_size", 0), ("chunk_size", -1), ("paths_coupled", 0)])
     def test_rejects_bad_sizes(self, key, value):
         d = small_cfg()
         (d["budgets"] if key.startswith("paths_") else d)[key] = value

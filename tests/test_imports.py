@@ -1,11 +1,14 @@
 """Import-time guards: what ``import fastslow`` loads, where the package
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
-``model.check_state`` raises ``BlowUp``, and that the names the benchmark
-tracer wraps exist."""
+``model.check_state`` raises ``BlowUp``, that the names the benchmark
+tracer wraps exist, and the public API surface."""
 
 import ast
+import dataclasses
+import enum
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -179,3 +182,104 @@ def test_tracer_entry_points_exist(monkeypatch):
                for owner, attr, *_ in spans._entry_points()
                if attr not in owner.__dict__]
     assert missing == []
+
+
+# Parameter names of every public callable and the fields of the config and
+# result types that callers construct.  A change that adds or removes a knob
+# edits this pin in the same diff.
+PUBLIC_PARAMETERS = {
+    "CoupledSystem": ("d1", "d2", "b", "sigma", "c", "F", "H", "G", "autonomous",
+                      "name"),
+    "ScaleSchedule": ("exp_alpha", "exp_beta", "exp_gamma"),
+    "ValidationReport": ("lam", "sample_budget", "radius", "seed", "eps",
+                         "a_eig_min", "a_eig_max", "a_ok", "g_eig_min",
+                         "g_eig_max", "g_ok", "recurrence_max",
+                         "recurrence_plausible", "ac_max", "ac_plausible"),
+    "classify_regime": ("schedule",),
+    "validate_assumptions": ("system", "lam", "sample_budget", "radius", "seed",
+                             "eps", "t_probe"),
+    "get_system": ("name",),
+    "register_system": ("name", "system"),
+    "EnsembleResult": ("terminal_slow", "terminal_fast", "snapshot_times",
+                       "snapshots_slow", "snapshots_fast", "max_abs_fast",
+                       "integrals", "macro_integrals", "stream_ids", "seed"),
+    "PathConfig": ("T", "dt_slow", "micro_substeps_per_alpha2", "seed", "n_paths",
+                   "blowup_cap", "snapshot_times", "record_fast", "chunk_size",
+                   "n_workers"),
+    "integrate_coupled": ("system", "schedule", "eps", "x0", "y0", "cfg",
+                          "integrand", "macro_integrand"),
+    "integrate_frozen": ("system", "y", "x0", "T", "dt", "seed", "n_paths",
+                         "blowup_cap", "chunk_size"),
+    "integrate_limit": ("avg", "y0", "T", "dt", "seed", "n_paths", "blowup_cap",
+                        "snapshot_times", "chunk_size", "n_workers"),
+    "MeasureEnsemble": ("y", "samples", "burn_in", "thinning", "dt", "seed", "ess",
+                        "n_chains"),
+    "average": ("h", "mu", "t"),
+    "centering_residual": ("f", "mu", "t"),
+    "sample_invariant_measure": ("system", "y", "burn_in", "n_samples", "thinning",
+                                 "dt", "seed", "blowup_cap"),
+    "CorrectorField": ("query", "mode", "values", "se", "batch_means", "tail_bound",
+                       "k", "grad_x", "grad_y", "grad_y_batches"),
+    "CorrectorQuery": ("t", "y", "grid_axes", "T_max", "n_paths", "dt", "seed",
+                       "n_batches", "chunk_paths"),
+    "OuterProductResult": ("matrix", "se", "antisym_norm"),
+    "gradients": ("field",),
+    "outer_product_HPhi": ("system", "field", "mu", "t"),
+    "solve_poisson_fk": ("system", "f", "query", "mode", "centering_z",
+                         "want_grad_y", "delta_y"),
+    "AveragedSDE": ("regime", "d2", "coefficients_batch", "provenance"),
+    "Budgets": ("invariant_samples", "invariant_burn_in", "invariant_thinning",
+                "invariant_dt", "corrector_paths", "corrector_tmax", "corrector_dt",
+                "grid_points", "grid_pad", "n_batches", "delta_y"),
+    "CachePolicy": ("quantum", "interpolate", "t_quantum"),
+    "TransferEstimate": ("value", "se", "mean_term", "corrector_term"),
+    "averaged_diffusion": ("regime", "system", "t", "y", "budgets", "seed"),
+    "averaged_drift": ("regime", "system", "t", "y", "budgets", "seed"),
+    "build_limit_sde": ("regime", "system", "budgets", "cache_policy", "seed"),
+    "psd_sqrt": ("M", "tol_psd"),
+    "regime_averages": ("system", "regime", "t", "y", "budgets", "seed",
+                        "want_drift", "want_diffusion"),
+    "transfer_derivative": ("h", "system", "y", "direction", "budgets", "seed", "t"),
+    "ExperimentConfig": ("system", "system_name", "schedule", "theta", "eps_list",
+                         "T", "time_grid_n", "phi_names", "x0", "y0", "dt_slow",
+                         "micro_substeps", "paths_coupled", "budgets", "cache",
+                         "seed", "out_dir", "chunk_size"),
+    "FluctuationReport": ("kind", "config", "eps", "values", "se", "bounds", "lhs",
+                          "correction"),
+    "RateResult": ("regime", "exponent", "terms", "warning"),
+    "WeakErrorReport": ("config", "regime", "time_grid", "err", "se", "sup_err",
+                        "sup_se", "rate", "fitted_slope", "slope_ci",
+                        "n_qualifying", "insufficient_signal"),
+    "fluctuation_clt": ("cfg", "f", "regime"),
+    "fluctuation_lln": ("cfg", "f"),
+    "theoretical_rate": ("regime", "schedule", "theta"),
+    "weak_error_experiment": ("cfg",),
+}
+
+# dataclass fields: the parameters, plus the points CorrectorQuery builds
+FIELDS = {
+    name: PUBLIC_PARAMETERS[name]
+    for name in ("Budgets", "CachePolicy", "PathConfig", "ExperimentConfig",
+                 "MeasureEnsemble")
+} | {"CorrectorQuery": PUBLIC_PARAMETERS["CorrectorQuery"] + ("points",)}
+
+
+def _public_parameters(module) -> dict:
+    """Parameter names of each callable in ``module.__all__``; exceptions and
+    enums are skipped, since their call signatures are Python's own."""
+    out = {}
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if not callable(obj) or (isinstance(obj, type)
+                                 and issubclass(obj, (BaseException, enum.Enum))):
+            continue
+        out[name] = tuple(inspect.signature(obj).parameters)
+    return out
+
+
+def test_public_api_surface_is_pinned():
+    import fastslow
+    assert _public_parameters(fastslow) == PUBLIC_PARAMETERS
+    for name, fields in FIELDS.items():
+        cls = getattr(fastslow, name)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields, name

@@ -305,24 +305,44 @@ def memoized_limit():
                            CachePolicy(quantum=0.1), seed=5)
 
 
-@pytest.mark.parametrize("make_avg", [
-    lambda: AveragedSDE.from_callables(
+def callables_limit():
+    return AveragedSDE.from_callables(
         Regime.R1, 1, lambda t, y: -np.asarray(y),
-        lambda t, y: (1.0 + 0.1 * np.tanh(y))[..., None]),
-    memoized_limit,
-], ids=["callables", "memoized"])
-def test_limit_equals_per_step_loop(make_avg):
-    # 0.1 is recorded twice; 250 paths in chunks of 64
+        lambda t, y: (1.0 + 0.1 * np.tanh(y))[..., None])
+
+
+@pytest.mark.parametrize("make_avg, n_paths, chunk", [
+    (callables_limit, 250, 64), (memoized_limit, 250, 64),
+    (callables_limit, 1100, 1000),
+], ids=["callables", "memoized", "short-block"])
+def test_limit_equals_per_step_loop(make_avg, n_paths, chunk):
+    # 0.1 is recorded twice.  A chunk of 1000 rows draws blocks of 8 steps,
+    # so the 10 steps end in a short block; the last chunk, of 100 rows,
+    # draws all 10 in one block
     avg = make_avg()
     times = (0.0, 0.1, 0.1, 0.2)
-    res = integrate_limit(avg, [0.3], T=0.2, dt=0.02, seed=8, n_paths=250,
-                          snapshot_times=times, chunk_size=64)
+    res = integrate_limit(avg, [0.3], T=0.2, dt=0.02, seed=8, n_paths=n_paths,
+                          snapshot_times=times, chunk_size=chunk)
     Y, _, snaps = per_step_euler(avg.coefficients_batch, [0.3], 0.2, 0.02, 8,
-                                 rng.LANE_SLOW, 250, times)
+                                 rng.LANE_SLOW, n_paths, times)
     assert res.terminal_slow.tobytes() == Y.tobytes()
     assert res.snapshots_slow.tobytes() == np.stack(snaps).tobytes()
     assert res.snapshot_times.tolist() == list(times)
     assert res.terminal_fast is None and res.max_abs_fast is None
+
+
+@pytest.mark.parametrize("T, times", [(0.1, (0.015,)), (0.1, (0.0349,)),
+                                      (0.0, (0.4,))])
+def test_snapshot_times_off_the_grid_are_refused(T, times):
+    # a time off the nodes would be reported beside the state of the
+    # nearest node
+    with pytest.raises(ValueError, match="macro grid"):
+        integrate_limit(callables_limit(), [0.3], T=T, dt=0.01, seed=8, n_paths=3,
+                        snapshot_times=times)
+    cfg = PathConfig(T=T, dt_slow=0.01, n_paths=3, snapshot_times=times)
+    with pytest.raises(ValueError, match="macro grid"):
+        integrate_coupled(make_system(lambda x, y: -x, lambda x, y: np.array([[RT2]])),
+                          S111, 0.3, [0.0], [0.0], cfg)
 
 
 def test_limit_increments_pair_with_the_coupled_slow_ones():
