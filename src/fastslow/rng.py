@@ -10,12 +10,17 @@ The hash stage maps (seed, lane, path, step, word) to a 64-bit word through
 a splitmix-style avalanche chain in wrapping uint64 numpy arithmetic, in the
 counter-based design of Salmon et al. (2011), "Parallel random numbers: as
 easy as 1, 2, 3".  The (seed, lane, path) part of the chain is computed
-once per path and then broadcast against the steps, and each word is mixed
-in its own contiguous buffer.  A :class:`PathIndex` keeps that part for
-its paths, so a step loop that draws for the same paths at every step
-hashes each path once per run, not once per call.  Uniforms keep the top
-53 bits of one word; normals take the Box-Muller cosine branch of two
-words.
+once per path and then broadcast against the steps, and all the words of a
+call are mixed in one pass over one contiguous buffer.  A
+:class:`PathIndex` keeps that part for its paths, so a step loop that
+draws for the same paths at every step hashes each path once per run, not
+once per call.  Uniforms keep the top 53 bits of one word; normals take
+the Box-Muller cosine branch (Box & Muller 1958) of two words.  The
+cosine comes from the tangent of the half angle, since numpy's float64
+``tan`` costs several times less than its ``cos`` (about 2.5 against 13 ns
+an element on an AVX-512 x86-64 machine).  The normals agree with the
+direct cosine branch to 1e-14 absolute; their last bits depend on the
+loops the numpy build dispatches to, which :func:`backend_name` records.
 
 Since every draw is a pure function of its key, a step loop may draw the
 increments of several steps in one call, with every bit unchanged.  The
@@ -59,8 +64,20 @@ _S11 = np.uint64(11)
 
 
 def backend_name() -> str:
-    """Name of the hash kernel, recorded in run provenance."""
-    return "python"
+    """The numpy version and the dispatch targets of its float64 ``log`` and
+    ``tan`` loops, on which the last bits of a normal depend, e.g.
+    ``numpy-2.4.6 log:X86_V4 tan:X86_V4``; recorded in run provenance.
+    Without ``numpy.lib.introspect.opt_func_info`` it is the version alone."""
+    name = f"numpy-{np.__version__}"
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return name
+    info = opt_func_info(func_name="^(log|tan)$", signature="float64")
+    # a loop that is not dispatched runs the build's baseline code
+    targets = [f"{f}:{info.get(f, {}).get('dd', {}).get('current', 'baseline')}"
+               for f in ("log", "tan")]
+    return " ".join([name, *targets])
 
 
 def _mix_int(z: int) -> int:
@@ -162,13 +179,13 @@ def _row_hashes(seed, lane, path, step):
     return h, shape
 
 
-def _top53(h: np.ndarray, j: int, w: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Top 53 bits, as float64, of word j of every row of ``h``; the word is
-    mixed in the contiguous buffer ``w``, with ``tmp`` as scratch."""
-    np.bitwise_xor(h, np.uint64(j), out=w)
-    _mix(w, tmp)
+def _words(h: np.ndarray, js) -> np.ndarray:
+    """Top 53 bits of words ``js`` of every row of ``h``, as a contiguous
+    ``(len(js), n)`` uint64 buffer: all the words are mixed in one pass."""
+    w = np.bitwise_xor(h, np.asarray(js, dtype=np.uint64)[:, None])
+    _mix(w, np.empty_like(w))
     w >>= _S11
-    return w.astype(np.float64)
+    return w
 
 
 def normals(seed: int, lane: int, path, step, ncomp: int) -> np.ndarray:
@@ -176,32 +193,49 @@ def normals(seed: int, lane: int, path, step, ncomp: int) -> np.ndarray:
 
     ``path`` (ids or a :class:`PathIndex`) and ``step`` broadcast against
     each other; the result has their broadcast shape plus a trailing
-    ``(ncomp,)`` axis.  Uses the Box-Muller cosine branch on two hash words
-    per normal.
+    ``(ncomp,)`` axis.  Component c is the Box-Muller cosine branch of hash
+    words 2c and 2c + 1, with the top 53 bits k0 and k1 of those words:
+    the radius is ``sqrt(-2 log((k0 + 1) 2**-53))`` and the cosine
+    ``cos(2 pi k1 2**-53)`` is taken from ``t = tan(v pi 2**-53)``, with
+    ``v = k1 - 2**52``, as ``(t - 1)(t + 1) / (t**2 + 1)``.  The result
+    is within 1e-14 of the direct cosine branch; its last bits depend on
+    numpy's float64 ``log`` and ``tan`` loops, which :func:`backend_name`
+    names.
     """
     h, shape = _row_hashes(seed, lane, path, step)
-    w, tmp = np.empty_like(h), np.empty_like(h)
+    # radius words first, then angle words: each half is one contiguous block
+    w = _words(h, [*range(0, 2 * ncomp, 2), *range(1, 2 * ncomp, 2)])
+    r = w[:ncomp].astype(np.float64)
+    r += 1.0
+    r *= 2.0 ** -53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    # v = k1 - 2**52 is exact in int64, so the angle v pi 2**-53 lies in
+    # [-pi/2, pi/2) and 2 pi k1 2**-53 is twice it plus pi; at k1 = 0 the
+    # tangent is about -1.6e16 and the cosine comes out as exactly 1;
+    # scaling by 2**-53 is exact, so it may be folded into pi
+    v = w[ncomp:].view(np.int64)
+    v -= 1 << 52
+    t = v.astype(np.float64)
+    t *= np.pi * 2.0 ** -53
+    np.tan(t, out=t)
+    # (t - 1)(t + 1) rather than t**2 - 1 keeps the relative accuracy near
+    # the cosine's zeros
+    d = np.multiply(t, t)
+    d += 1.0
+    s = t + 1.0
+    t -= 1.0
+    t *= s
+    t /= d
     z = np.empty((h.shape[0], ncomp))
-    for c in range(ncomp):
-        # scaling by 2**-53 is exact, so it may be folded into 2 pi
-        r = _top53(h, 2 * c, w, tmp)
-        r += 1.0
-        r *= 2.0 ** -53
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        a = _top53(h, 2 * c + 1, w, tmp)
-        a *= (2.0 * np.pi) * 2.0 ** -53
-        np.cos(a, out=a)
-        np.multiply(r, a, out=z[:, c])
+    np.multiply(r, t, out=z.T)
     return z.reshape(shape + (ncomp,))
 
 
 def uniforms(seed: int, lane: int, path, step, ncomp: int) -> np.ndarray:
     """Uniform [0, 1) block with the same keying contract as ``normals``."""
     h, shape = _row_hashes(seed, lane, path, step)
-    w, tmp = np.empty_like(h), np.empty_like(h)
     u = np.empty((h.shape[0], ncomp))
-    for c in range(ncomp):
-        np.multiply(_top53(h, c, w, tmp), 2.0 ** -53, out=u[:, c])
+    np.multiply(_words(h, range(ncomp)), 2.0 ** -53, out=u.T)
     return u.reshape(shape + (ncomp,))
