@@ -21,8 +21,8 @@ from .ergodic import (MeasureEnsemble, average, centering_residual,
 from .corrector import (CorrectorField, CorrectorQuery, OuterProductResult,
                         gradients, outer_product_HPhi, solve_poisson_fk)
 from .homogenize import (AveragedSDE, Budgets, CachePolicy, TransferEstimate,
-                         averaged_diffusion, averaged_drift, build_limit_sde,
-                         psd_sqrt, regime_averages, transfer_derivative)
+                         build_limit_sde, psd_sqrt, regime_averages,
+                         transfer_derivative)
 from .harness import (ExperimentConfig, FluctuationReport, RateResult,
                       WeakErrorReport, fluctuation_clt, fluctuation_lln,
                       theoretical_rate, weak_error_experiment)
@@ -41,8 +41,7 @@ __all__ = [
     "CorrectorField", "CorrectorQuery", "OuterProductResult", "gradients",
     "outer_product_HPhi", "solve_poisson_fk",
     "AveragedSDE", "Budgets", "CachePolicy", "TransferEstimate",
-    "averaged_diffusion", "averaged_drift", "build_limit_sde", "psd_sqrt",
-    "regime_averages", "transfer_derivative",
+    "build_limit_sde", "psd_sqrt", "regime_averages", "transfer_derivative",
     "ExperimentConfig", "FluctuationReport", "RateResult", "WeakErrorReport",
     "fluctuation_clt", "fluctuation_lln", "theoretical_rate",
     "weak_error_experiment",

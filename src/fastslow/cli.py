@@ -22,7 +22,7 @@ from .errors import (BlowUp, ConfigError, GridTooCoarse, NonFiniteCoefficient,
                      NotCentered, PSDFailure, ThetaOutOfRange)
 from .corrector import CorrectorQuery, gradients, solve_poisson_fk
 from .ergodic import centering_residual, sample_invariant_measure
-from .harness import (ExperimentConfig, _fmt, fluctuation_clt,
+from .harness import (ExperimentConfig, _fmt, _json_bool, fluctuation_clt,
                       fluctuation_integrand, fluctuation_lln, parse_budgets,
                       weak_error_experiment, write_summary)
 from .homogenize import regime_averages
@@ -34,12 +34,12 @@ _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
 
 # the keys each command reads; converge and fluctuate check theirs in
 # ExperimentConfig.from_dict
-_COMMON_KEYS = {"preset", "system_id", "out_dir", "seed"}
+_COMMON_KEYS = {"preset", "out_dir", "seed"}
 _CONFIG_KEYS = {
     "validate": _COMMON_KEYS | {"lambda", "sample_budget", "radius", "eps"},
     "invariant": _COMMON_KEYS | {"ys", "y", "burn_in", "n_samples", "thinning", "dt"},
     "corrector": _COMMON_KEYS | {"grid", "t", "y", "T_max", "n_paths", "dt",
-                                 "centering_samples", "gradients", "mode"},
+                                 "centering_samples", "gradients"},
     "average": _COMMON_KEYS | {"exponents", "budgets", "t", "ys", "y"},
 }
 
@@ -86,7 +86,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_validate(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset") or cfg.get("system_id"))
+    system = get_system(cfg.get("preset"))
     report = validate_assumptions(
         system, lam=float(cfg.get("lambda", 2.0)),
         sample_budget=int(cfg.get("sample_budget", 1000)),
@@ -102,7 +102,7 @@ def _cmd_validate(cfg: dict, out: Path) -> int:
 
 
 def _cmd_invariant(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset") or cfg.get("system_id"))
+    system = get_system(cfg.get("preset"))
     ys = cfg.get("ys") or [cfg.get("y", [0.0] * system.d2)]
     seed = int(cfg.get("seed", 0))
     d1, d2 = system.d1, system.d2
@@ -132,7 +132,7 @@ def _cmd_invariant(cfg: dict, out: Path) -> int:
 
 
 def _cmd_corrector(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset") or cfg.get("system_id"))
+    system = get_system(cfg.get("preset"))
     grid = cfg.get("grid")
     if not grid:
         raise ConfigError("corrector config needs 'grid': {lo, hi, n}")
@@ -142,6 +142,7 @@ def _cmd_corrector(cfg: dict, out: Path) -> int:
     if not (len(lo) == len(hi) == len(npts) == system.d1):
         raise ConfigError("grid lo/hi/n must have length d1")
     axes = tuple(np.linspace(lo[j], hi[j], npts[j]) for j in range(system.d1))
+    want_grad = _json_bool("gradients", cfg.get("gradients", True))
     t = float(cfg.get("t", 0.0))
     y = np.atleast_1d(np.asarray(cfg.get("y", [0.0] * system.d2), dtype=float))
     seed = int(cfg.get("seed", 0))
@@ -153,9 +154,7 @@ def _cmd_corrector(cfg: dict, out: Path) -> int:
         system, y, n_samples=int(cfg.get("centering_samples", 20000)),
         seed=rng.derive_key(seed, rng.LANE_AUX, 43))
     z = centering_residual(system.H, mu, t)
-    want_grad = bool(cfg.get("gradients", True))
-    field = solve_poisson_fk(system, system.H, query,
-                             mode=cfg.get("mode", "corrector"), centering_z=z,
+    field = solve_poisson_fk(system, system.H, query, centering_z=z,
                              want_grad_y=want_grad)
     if want_grad:
         field = gradients(field)
@@ -177,7 +176,7 @@ def _cmd_corrector(cfg: dict, out: Path) -> int:
                 row += [_fmt(v) for v in field.grad_y[q].ravel()]
             fh.write(",".join(row) + "\n")
     write_summary(out / "corrector_summary.json", {
-        "status": "ok", "centering_z": z, "mode": field.mode,
+        "status": "ok", "centering_z": z,
         "tail_bound_max": float(field.tail_bound.max()), "seed": seed,
         "preset": system.name,
     })
@@ -185,7 +184,7 @@ def _cmd_corrector(cfg: dict, out: Path) -> int:
 
 
 def _cmd_average(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset") or cfg.get("system_id"))
+    system = get_system(cfg.get("preset"))
     schedule = ScaleSchedule(*cfg["exponents"])
     regime = classify_regime(schedule)
     if regime is Regime.UNCLASSIFIED:

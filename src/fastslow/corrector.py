@@ -1,14 +1,10 @@
 """Monte Carlo solution of the auxiliary equation via frozen-path integrals.
 
-The time integral of a centered integrand along frozen trajectories,
-truncated at a finite horizon, estimates the auxiliary solution:
-
-* ``mode="corrector"`` returns Phi with  (generator) Phi = -f,
-* ``mode="poisson"``   returns u   with  (generator) u   =  f,
-
-which differ only by sign.  Exponential ergodicity of the frozen process
-makes the truncation tail geometric; the solver reports a per-point tail
-estimate extrapolated from the last fifth of the integral.
+The time integral of a centered integrand f along frozen trajectories,
+truncated at a finite horizon, estimates the corrector Phi of the Poisson
+equation (generator) Phi = -f.  Exponential ergodicity of the frozen
+process makes the truncation tail geometric; the solver reports a
+per-point tail estimate extrapolated from the last fifth of the integral.
 
 A query is a tensor grid of fast states.  The caller centers the integrand
 and passes its z-score from :func:`fastslow.ergodic.centering_residual`.
@@ -44,12 +40,17 @@ from . import rng
 from .errors import GridTooCoarse, NonFiniteCoefficient, NotCentered
 from .ergodic import MeasureEnsemble
 from .model import CoupledSystem, apply_matrix, check_state
+from .simulate import _chunks
 
 Array = np.ndarray
 
 # gradients() refuses a grid whose median second difference exceeds this
 # fraction of the median first difference (and clears the noise floor)
 _COARSE_TOL = 0.5
+
+# paths integrated together; the sums add path after path, so results do
+# not depend on it
+_CHUNK_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class CorrectorQuery:
     dt: float = 0.01
     seed: int = 0
     n_batches: int = 20
-    chunk_paths: int = 4096
     points: Array = dc_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -82,13 +82,11 @@ class CorrectorQuery:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
         if self.n_paths < self.n_batches:
             raise ValueError("n_paths must be >= n_batches")
-        if self.chunk_paths < 1:
-            raise ValueError(f"chunk_paths must be >= 1, got {self.chunk_paths!r}")
 
 
 @dataclass
 class CorrectorField:
-    """Estimated auxiliary solution on the query points.
+    """Estimated corrector on the query points.
 
     ``values`` has shape (Q, k) where k is the codomain of the integrand;
     ``batch_means`` keeps per-path-batch means so that any linear
@@ -98,15 +96,17 @@ class CorrectorField:
     """
 
     query: CorrectorQuery
-    mode: str
     values: Array
     se: Array
     batch_means: Array
     tail_bound: Array
-    k: int
     grad_x: Array | None = None
     grad_y: Array | None = None
     grad_y_batches: Array | None = None
+
+    @property
+    def k(self) -> int:
+        return self.values.shape[1]
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -179,8 +179,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
     w1 = np.zeros((Q, k))
     w2 = np.zeros((Q, k))
 
-    for lo in range(0, query.n_paths, query.chunk_paths):
-        hi = min(lo + query.chunk_paths, query.n_paths)
+    for lo, hi in _chunks(query.n_paths, _CHUNK_PATHS):
         m = hi - lo
         ids = np.arange(lo, hi, dtype=np.uint64)
         paths = rng.PathIndex(ids[None, :])
@@ -238,22 +237,23 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
 
 
 def _y_gradient(shifted_sums: Array, counts: Array, n_paths: int,
-                sign: float, delta: float) -> tuple[Array, Array]:
+                delta: float) -> tuple[Array, Array]:
     """Central y-differences (Q, k, d2) of the solution and their per-batch
     values (nb, Q, k, d2), from the path-batch sums of the states laid out
     as :func:`_shifted_states` lays them out."""
-    vals = sign * (shifted_sums.sum(axis=1) / n_paths)        # (2 d2, Q, k)
-    batch = sign * (shifted_sums / counts[:, None, None])     # (2 d2, nb, Q, k)
+    vals = shifted_sums.sum(axis=1) / n_paths               # (2 d2, Q, k)
+    batch = shifted_sums / counts[:, None, None]            # (2 d2, nb, Q, k)
     grad = (vals[0::2] - vals[1::2]) / (2 * delta)
     grad_b = (batch[0::2] - batch[1::2]) / (2 * delta)
     return np.moveaxis(grad, 0, -1), np.moveaxis(grad_b, 0, -1)
 
 
 def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
-                     mode: str = "corrector", centering_z: float | None = None,
+                     centering_z: float | None = None,
                      want_grad_y: bool = False,
                      delta_y: float | None = None) -> CorrectorField:
-    """Truncated frozen-path time integral of ``f`` at every query point.
+    """Corrector Phi of (generator) Phi = -f at every query point: the
+    truncated frozen-path time integral of ``f``.
 
     The integrand must be centered against the stationary law at
     (query.t, query.y); the solver refuses to run otherwise because the
@@ -267,8 +267,6 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     their central differences as ``grad_y`` and ``grad_y_batches``.  This
     is the one way to get y-gradients.
     """
-    if mode not in ("corrector", "poisson"):
-        raise ValueError("mode must be 'corrector' or 'poisson'")
     delta = _y_step(query.y, delta_y) if want_grad_y else None
     if centering_z is None:
         raise NotCentered("no centering evidence supplied; run centering_residual first")
@@ -280,11 +278,10 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     batch_sums, batch_counts, w1, w2 = _path_sums(system, f, query, ys, k)
 
     nb = query.n_batches
-    sign = 1.0 if mode == "corrector" else -1.0
     grad_y = grad_y_b = None
     if want_grad_y:
         grad_y, grad_y_b = _y_gradient(batch_sums[1:], batch_counts,
-                                       query.n_paths, sign, delta)
+                                       query.n_paths, delta)
     values = batch_sums[0].sum(axis=0) / query.n_paths
     batch_means = batch_sums[0] / batch_counts[:, None, None]
     se = batch_means.std(axis=0, ddof=1) / math.sqrt(nb)
@@ -295,9 +292,8 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     tail[np.abs(w1) < 1e-300] = 0.0
 
     return CorrectorField(
-        query=query, mode=mode, values=sign * values, se=se,
-        batch_means=sign * batch_means, tail_bound=tail, k=k,
-        grad_y=grad_y, grad_y_batches=grad_y_b)
+        query=query, values=values, se=se, batch_means=batch_means,
+        tail_bound=tail, grad_y=grad_y, grad_y_batches=grad_y_b)
 
 
 def _central(vals: Array, axis: int, h: float, order: int = 1) -> Array:
@@ -456,20 +452,6 @@ def _grid_at(field: CorrectorField, node_vals: Array, points: Array,
         grid = _interior(grid, range(len(gshape)))
         axes = tuple(ax[1:-1] for ax in axes)
     return _interp_axes(axes, grid, np.asarray(points, dtype=np.float64))
-
-
-def grad_x_at(field: CorrectorField, points: Array) -> Array:
-    """Interpolated x-gradient (interior stencil, edge-clamped), (n, k, d1)."""
-    if field.grad_x is None:
-        raise ValueError("call gradients() first")
-    return _grid_at(field, field.grad_x, points, interior=True)
-
-
-def grad_y_at(field: CorrectorField, points: Array) -> Array:
-    """Interpolated y-gradient, (n, k, d2)."""
-    if field.grad_y is None:
-        raise ValueError("solve with solve_poisson_fk(want_grad_y=True) first")
-    return _grid_at(field, field.grad_y, points)
 
 
 def _interior_derivatives(u_grid: Array, steps) -> tuple[Array, Array]:

@@ -101,24 +101,25 @@ def parse_budgets(d) -> tuple[Budgets, int]:
 
     Returns the per-cell Monte Carlo :class:`Budgets` plus the ensemble
     size "paths_coupled" (default 20000); the limit ensemble is paired with
-    it, path for path.  "paths_corrector" is accepted for
-    ``corrector_paths``; any other key must name a ``Budgets`` field.
+    it, path for path.  Every other key names a ``Budgets`` field, whose
+    values ``Budgets`` checks itself.
     """
     if not isinstance(d, dict):
         raise ConfigError("'budgets' must be an object")
     d = dict(d)
     paths_coupled = int(d.pop("paths_coupled", 20000))
-    kw = {}
-    if "paths_corrector" in d:
-        kw["corrector_paths"] = int(d.pop("paths_corrector"))
-    if "invariant_samples" in d:
-        kw["invariant_samples"] = int(d.pop("invariant_samples"))
-    for key in list(d):
-        if key in Budgets.__dataclass_fields__:
-            kw[key] = d.pop(key)
-    if d:
-        raise ConfigError(f"unknown budget fields: {sorted(d)}")
-    return Budgets(**kw), paths_coupled
+    unknown = sorted(set(d) - set(Budgets.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown budget fields: {unknown}")
+    return Budgets(**d), paths_coupled
+
+
+def _json_bool(key: str, value) -> bool:
+    """``value`` of config key ``key`` if it is a JSON boolean; any other
+    value, such as the string "false", is refused."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be a JSON boolean, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Resolve a converge or fluctuate config: "preset" names the
+        system, "budgets" goes through :func:`parse_budgets`, "quantum" and
+        the JSON boolean "interpolate" make the :class:`CachePolicy`, "phi"
+        sets ``phi_names``, and the other keys name fields.  An unknown key
+        is refused with :class:`ConfigError`."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         d = dict(d)
-        name = d.pop("preset", None) or d.pop("system_id", None)
+        name = d.pop("preset", None)
         if not name:
-            raise ConfigError("config needs 'preset' or 'system_id'")
+            raise ConfigError("config needs 'preset'")
         try:
             system = get_system(name)
         except KeyError as e:
@@ -208,7 +214,8 @@ class ExperimentConfig:
 
         budgets, paths_coupled = parse_budgets(d.pop("budgets", {}))
         cache = CachePolicy(quantum=float(d.pop("quantum", 1e-2)),
-                            interpolate=bool(d.pop("interpolate", False)))
+                            interpolate=_json_bool("interpolate",
+                                                   d.pop("interpolate", False)))
         kwargs = dict(
             system=system, system_name=name, schedule=schedule,
             theta=d.pop("theta", 1), eps_list=tuple(d.pop("eps_list", ())),

@@ -64,6 +64,11 @@ class Budgets:
     def __post_init__(self):
         # checked here, not only by CorrectorQuery, so that a bad budget is
         # refused before any cloud is sampled, also in regimes with no solve
+        for name in ("invariant_samples", "invariant_thinning", "corrector_paths",
+                     "grid_points", "n_batches"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.n_batches < 2:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
         _check_delta_y(self.delta_y)
@@ -151,7 +156,7 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
         seed=seed, n_batches=budgets.n_batches)
     z = centering_residual(f, mu, t)
     # the y +/- delta states ride along in the centre's pass
-    fld = solve_poisson_fk(system, f, query, mode="corrector", centering_z=z,
+    fld = solve_poisson_fk(system, f, query, centering_z=z,
                            want_grad_y=want_grad_y, delta_y=budgets.delta_y)
     return fld, z
 
@@ -260,24 +265,6 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
 
     return RegimeAverages(regime=regime, t=t, y=y, fhat=fhat, fhat_se=fhat_se,
                           ghat=ghat, cov=cov, cov_se=cov_se, diagnostics=diags)
-
-
-def averaged_drift(regime: Regime, system: CoupledSystem, t: float, y,
-                   budgets: Budgets = Budgets(), seed: int = 0,
-                   ) -> tuple[Array, Array]:
-    """Averaged drift at (t, y) with its standard error."""
-    ra = regime_averages(system, regime, t, y, budgets, seed,
-                         want_drift=True, want_diffusion=False)
-    return ra.fhat, ra.fhat_se
-
-
-def averaged_diffusion(regime: Regime, system: CoupledSystem, t: float, y,
-                       budgets: Budgets = Budgets(), seed: int = 0,
-                       ) -> tuple[Array, Array]:
-    """Averaged diffusion matrix at (t, y); the SE refers to the covariance."""
-    ra = regime_averages(system, regime, t, y, budgets, seed,
-                         want_drift=False, want_diffusion=True)
-    return ra.ghat, ra.cov_se
 
 
 def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
@@ -506,7 +493,7 @@ class AveragedSDE:
 
     ``coefficients_batch(t, Y)`` returns the drift (n, d2) and diffusion
     (n, d2, d2) of a batch of slow states from one pass over the fields;
-    the drift and diffusion accessors are views of it.
+    ``Fhat`` and ``Ghat`` read one slow state from it.
     """
 
     def __init__(self, regime: Regime, d2: int, coefficients_batch: Callable,
@@ -519,17 +506,11 @@ class AveragedSDE:
     def coefficients_batch(self, t: float, Y: Array) -> tuple[Array, Array]:
         return self._coefficients(t, np.asarray(Y, dtype=np.float64))
 
-    def drift_batch(self, t: float, Y: Array) -> Array:
-        return self.coefficients_batch(t, Y)[0]
-
-    def diffusion_batch(self, t: float, Y: Array) -> Array:
-        return self.coefficients_batch(t, Y)[1]
-
     def Fhat(self, t: float, y) -> Array:
-        return self.drift_batch(t, np.asarray(y, dtype=np.float64).reshape(1, -1))[0]
+        return self.coefficients_batch(t, np.reshape(y, (1, -1)))[0][0]
 
     def Ghat(self, t: float, y) -> Array:
-        return self.diffusion_batch(t, np.asarray(y, dtype=np.float64).reshape(1, -1))[0]
+        return self.coefficients_batch(t, np.reshape(y, (1, -1)))[1][0]
 
     def provenance(self) -> dict:
         return self._prov()

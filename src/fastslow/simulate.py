@@ -29,7 +29,6 @@ accumulators are updated in place.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -92,29 +91,6 @@ class EnsembleResult:
     @property
     def n_paths(self) -> int:
         return int(self.stream_ids.shape[0])
-
-    def write_csv(self, path, include_fast: bool = False) -> None:
-        """Dump recorded macro-node snapshots, one row per (path, node)."""
-        if self.snapshots_slow is None:
-            raise ValueError("no snapshots were recorded")
-        d2 = self.snapshots_slow.shape[-1]
-        header = ["path_id", "t"] + [f"y_{j + 1}" for j in range(d2)]
-        fast = None
-        if include_fast:
-            if self.snapshots_fast is None:
-                raise ValueError("fast snapshots were not recorded")
-            fast = self.snapshots_fast
-            header += [f"x_{j + 1}" for j in range(fast.shape[-1])]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for p in range(self.n_paths):
-                for i, t in enumerate(self.snapshot_times):
-                    row = [p, repr(float(t))]
-                    row += [repr(float(v)) for v in self.snapshots_slow[i, p]]
-                    if fast is not None:
-                        row += [repr(float(v)) for v in fast[i, p]]
-                    w.writerow(row)
 
 
 def _vec(v, d: int, name: str) -> Array:

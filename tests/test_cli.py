@@ -85,11 +85,14 @@ def test_workers_flag_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("chunk_size", -1), ("dt_slow", 0),
-                                        ("micro_substeps", 0)])
+                                        ("micro_substeps", 0),
+                                        ("interpolate", "false"),
+                                        ("interpolate", 0)])
 def test_bad_sizes_exit_2_without_csv(tmp_path, capsys, monkeypatch, key, value):
     # each of these once ran (or crashed) instead of being refused: a
     # negative chunk wrote nan rows, a zero step raised ZeroDivisionError,
-    # and zero micro substeps failed after the limit ensemble had run
+    # zero micro substeps failed after the limit ensemble had run, and
+    # bool() read the string "false" as true
     import fastslow.harness
     monkeypatch.setattr(fastslow.harness, "build_limit_sde",
                         lambda *a, **k: pytest.fail("ran before the config check"))
@@ -122,13 +125,17 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["average", "converge"])
-def test_unknown_budget_field_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, field", [
+    ("average", "bogus_paths"), ("converge", "bogus_paths"),
+    # the old spelling of corrector_paths
+    ("converge", "paths_corrector"),
+], ids=["average", "converge", "converge-paths_corrector"])
+def test_unknown_budget_field_exits_2(tmp_path, capsys, command, field):
     out = tmp_path / "out"
     cfg = average_cfg(out) if command == "average" else converge_cfg(out)
-    cfg["budgets"]["bogus_paths"] = 10
+    cfg["budgets"][field] = 10
     assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
-    assert "unknown budget fields: ['bogus_paths']" in capsys.readouterr().err
+    assert f"unknown budget fields: ['{field}']" in capsys.readouterr().err
     summary = json.loads((out / f"{command}_summary.json").read_text())
     assert summary["status"] == "error"
     assert summary["error"]["type"] == "ConfigError"
@@ -140,6 +147,11 @@ def test_unknown_budget_field_exits_2(tmp_path, capsys, command):
     ("corrector", {"preset": "ou_averaging",
                    "grid": {"lo": [-1], "hi": [1], "n": [5]}}, "npaths"),
     ("average", average_cfg(""), "sed"),
+    # keys that were removed: the solve has one sign, and "preset" names
+    # the system
+    ("corrector", {"preset": "ou_averaging",
+                   "grid": {"lo": [-1], "hi": [1], "n": [5]}}, "mode"),
+    ("validate", {"preset": "ou_averaging"}, "system_id"),
 ])
 def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, typo):
     # a misspelt key used to be ignored, and the command ran on its default
@@ -200,6 +212,44 @@ def test_single_path_batch_exits_2_before_sampling(tmp_path, capsys, monkeypatch
     assert clouds == []
     summary = json.loads((out / "average_summary.json").read_text())
     assert summary["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("invariant_samples", 2000.7), ("invariant_thinning", 2.5),
+    ("corrector_paths", 1000.5), ("grid_points", 20.5), ("n_batches", 20.0),
+])
+def test_non_integer_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                    field, value):
+    # a fractional count was truncated, or failed only after the first
+    # cloud, or in R1 never failed at all
+    import fastslow.homogenize
+    clouds = []
+    monkeypatch.setattr(fastslow.homogenize, "sample_invariant_measure",
+                        lambda *a, **k: clouds.append(a))
+    out = tmp_path / "out"
+    cfg = average_cfg(out, budgets=dict(SMALL_BUDGETS, **{field: value}))
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert clouds == []
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary["error"]["type"] == "ValueError"
+    assert not (out / "average.csv").exists()
+
+
+def test_non_boolean_gradients_exits_2_before_sampling(tmp_path, capsys,
+                                                       monkeypatch):
+    # bool() read the string "false" as true and solved for the gradients
+    import fastslow.cli
+    monkeypatch.setattr(fastslow.cli, "sample_invariant_measure",
+                        lambda *a, **k: pytest.fail("sampled before the check"))
+    out = tmp_path / "out"
+    cfg = {"preset": "ou_averaging", "grid": {"lo": [-1], "hi": [1], "n": [5]},
+           "gradients": "false", "out_dir": str(out)}
+    assert run_cli(["corrector", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "gradients must be a JSON boolean, got 'false'" in capsys.readouterr().err
+    assert not (out / "corrector.csv").exists()
+    summary = json.loads((out / "corrector_summary.json").read_text())
+    assert summary["error"]["type"] == "ConfigError"
 
 
 def test_zero_delta_y_exits_2(tmp_path, capsys):

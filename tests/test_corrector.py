@@ -9,9 +9,9 @@ from fastslow import (BlowUp, CorrectorQuery, CoupledSystem, NotCentered,
                       centering_residual, gradients,
                       outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
+import fastslow.corrector
 from fastslow.corrector import (CorrectorField, _grid_at,
-                                _interior_derivatives, grad_x_at, grad_y_at,
-                                grid_grad_x)
+                                _interior_derivatives, grid_grad_x)
 
 RT2 = math.sqrt(2.0)
 
@@ -60,38 +60,27 @@ def mu_long():
 @pytest.fixture(scope="module")
 def field_lin(mu):
     z = centering_residual(F_LIN, mu)
-    return solve_poisson_fk(standard_ou(), F_LIN, grid_query(),
-                            mode="corrector", centering_z=z)
+    return solve_poisson_fk(standard_ou(), F_LIN, grid_query(), centering_z=z)
 
 
 @pytest.fixture(scope="module")
 def field_quad(mu):
     z = centering_residual(F_QUAD, mu)
-    return solve_poisson_fk(standard_ou(), F_QUAD, grid_query(),
-                            mode="poisson", centering_z=z)
+    return solve_poisson_fk(standard_ou(), F_QUAD, grid_query(), centering_z=z)
 
 
 class TestSolve:
     def test_linear_oracle(self, field_lin):
-        # corrector-mode solution of the linear integrand is the identity
+        # the corrector of the linear integrand is the identity
         pts = field_lin.query.points[:, 0]
         for target in (-1.0, 0.0, 1.0):
             q = int(np.argmin(np.abs(pts - target)))
             assert abs(field_lin.values[q, 0] - pts[q]) <= 0.05
 
-    def test_poisson_mode_flips_sign(self, mu):
-        z = centering_residual(F_LIN, mu)
-        query = grid_query(n=5, n_paths=2000, T_max=2.0)
-        cor = solve_poisson_fk(standard_ou(), F_LIN, query, "corrector",
-                               centering_z=z)
-        poi = solve_poisson_fk(standard_ou(), F_LIN, query, "poisson",
-                               centering_z=z)
-        assert np.array_equal(cor.values, -poi.values)
-
     def test_quadratic_oracle(self, field_quad):
-        # poisson mode: u = -(x^2 - 1)/2 is the zero-mean representative
+        # Phi = (x^2 - 1)/2 is the zero-mean corrector
         pts = field_quad.query.points[:, 0]
-        for target, expect in ((0.0, 0.5), (1.0, 0.0)):
+        for target, expect in ((0.0, -0.5), (1.0, 0.0)):
             q = int(np.argmin(np.abs(pts - target)))
             assert abs(field_quad.values[q, 0] - expect) <= 0.05
 
@@ -103,23 +92,27 @@ class TestSolve:
         assert np.all(field.values == 0.0)
         assert np.all(field.tail_bound == 0.0)
 
-    def test_chunking_is_bit_identical(self):
+    def test_chunking_is_bit_identical(self, monkeypatch):
         # 37 steps: at 7 paths per chunk the increments come in one block
-        # per chunk, at 1000 paths per chunk in blocks of 32 steps and a
-        # short last one; the batch and tail sums add path after path
-        query = grid_query(n=5, n_paths=1000, T_max=0.37, chunk_paths=7)
-        a = solve_poisson_fk(standard_ou(), F_LIN, query, centering_z=0.0)
-        b = solve_poisson_fk(standard_ou(), F_LIN,
-                             replace(query, chunk_paths=4096), centering_z=0.0)
+        # per chunk, with all 1000 paths in one chunk in blocks of 32 steps
+        # and a short last one; the batch and tail sums add path after path
+        query = grid_query(n=5, n_paths=1000, T_max=0.37)
+
+        def solve_at_chunks(system, f, q, **kw):
+            fields = []
+            for chunk in (7, 4096):
+                monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", chunk)
+                fields.append(solve_poisson_fk(system, f, q, centering_z=0.0, **kw))
+            return fields
+
+        a, b = solve_at_chunks(standard_ou(), F_LIN, query)
         for name in ("values", "se", "batch_means", "tail_bound"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         # the y +/- delta states ride the same blocks of increments
         for make in FUSED_SYSTEMS.values():
             system, f, y = make()
             q = replace(query, y=np.asarray(y, dtype=np.float64))
-            a = solve_poisson_fk(system, f, q, centering_z=0.0, want_grad_y=True)
-            b = solve_poisson_fk(system, f, replace(q, chunk_paths=4096),
-                                 centering_z=0.0, want_grad_y=True)
+            a, b = solve_at_chunks(system, f, q, want_grad_y=True)
             for name in ("values", "se", "batch_means", "tail_bound", "grad_y",
                          "grad_y_batches"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -267,19 +260,23 @@ FUSED_SYSTEMS = {"d2=1": coupled_ou, "d2=1 x-noise": coupled_ou_x_noise,
 class TestFusedYStates:
     """The y +/- delta states of the y-gradient share the centre's pass."""
 
-    def query(self, y):
-        return grid_query(n=7, n_paths=600, T_max=0.8, y=y, seed=23,
-                          chunk_paths=256)
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 600 paths in chunks of 256: the states advance in lockstep
+        # across chunk boundaries too
+        monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", 256)
 
-    @pytest.mark.parametrize("mode", ["corrector", "poisson"])
+    def query(self, y):
+        return grid_query(n=7, n_paths=600, T_max=0.8, y=y, seed=23)
+
     @pytest.mark.parametrize("system", list(FUSED_SYSTEMS))
-    def test_equals_separate_single_state_solves(self, system, mode):
+    def test_equals_separate_single_state_solves(self, system):
         sys_, f, y = FUSED_SYSTEMS[system]()
         q = self.query(y)
         delta = 0.05
-        fused = solve_poisson_fk(sys_, f, q, mode=mode, centering_z=0.0,
+        fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
                                  want_grad_y=True, delta_y=delta)
-        centre = solve_poisson_fk(sys_, f, q, mode=mode, centering_z=0.0)
+        centre = solve_poisson_fk(sys_, f, q, centering_z=0.0)
         for name in ("values", "se", "batch_means", "tail_bound"):
             assert np.array_equal(getattr(fused, name), getattr(centre, name)), name
         d2 = len(y)
@@ -287,9 +284,9 @@ class TestFusedYStates:
         for j in range(d2):
             shift = np.zeros(d2)
             shift[j] = delta
-            fp = solve_poisson_fk(sys_, f, replace(q, y=q.y + shift), mode=mode,
+            fp = solve_poisson_fk(sys_, f, replace(q, y=q.y + shift),
                                   centering_z=0.0)
-            fm = solve_poisson_fk(sys_, f, replace(q, y=q.y - shift), mode=mode,
+            fm = solve_poisson_fk(sys_, f, replace(q, y=q.y - shift),
                                   centering_z=0.0)
             assert np.array_equal(fused.grad_y[:, :, j],
                                   (fp.values - fm.values) / (2 * delta))
@@ -314,8 +311,6 @@ class TestFusedYStates:
         assert fused.grad_y is solved.grad_y
         assert fused.grad_y_batches is solved.grad_y_batches
         assert centre.grad_y is None and centre.grad_y_batches is None
-        with pytest.raises(ValueError, match="want_grad_y=True"):
-            grad_y_at(centre, q.points)
 
     @pytest.mark.parametrize("delta_y", [0.0, -1e-3, float("nan"), float("inf")])
     def test_rejects_bad_delta_y(self, delta_y):
@@ -333,12 +328,6 @@ class TestQuery:
         with pytest.raises(ValueError, match="n_batches"):
             CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), n_batches=n_batches)
 
-    @pytest.mark.parametrize("chunk_paths", [0, -5])
-    def test_rejects_chunk_below_one(self, chunk_paths):
-        # a negative chunk ran no path and reported values 0 with se NaN
-        with pytest.raises(ValueError, match="chunk_paths"):
-            CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), chunk_paths=chunk_paths)
-
     def test_points_come_from_the_grid(self):
         ax = ([-1.0, 0.0, 2.0], [0.5, 1.5])
         q = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax)
@@ -354,13 +343,14 @@ class TestQuery:
 class TestGradients:
     def test_linear_gradient(self, field_lin):
         fld = gradients(field_lin)
-        gx = grad_x_at(fld, np.array([[-1.0], [0.0], [1.0]]))
+        gx = _grid_at(fld, fld.grad_x, np.array([[-1.0], [0.0], [1.0]]),
+                      interior=True)
         assert np.all(np.abs(gx[:, 0, 0] - 1.0) <= 0.05)
 
     def test_quadratic_gradient(self, field_quad):
         fld = gradients(field_quad)
-        gx = grad_x_at(fld, np.array([[1.0]]))
-        assert abs(gx[0, 0, 0] - (-1.0)) <= 0.05
+        gx = _grid_at(fld, fld.grad_x, np.array([[1.0]]), interior=True)
+        assert abs(gx[0, 0, 0] - 1.0) <= 0.05
 
     def test_y_gradient_vanishes_without_dependence(self, mu):
         # dynamics and integrand ignore y, and the y +/- delta states share
@@ -383,9 +373,9 @@ class TestGradients:
                                n_paths=100, seed=0)
         vals = u.reshape(-1, 1)
         fake = CorrectorField(
-            query=query, mode="corrector", values=vals,
+            query=query, values=vals,
             se=np.zeros_like(vals), batch_means=np.repeat(vals[None], 20, axis=0),
-            tail_bound=np.zeros_like(vals), k=1)
+            tail_bound=np.zeros_like(vals))
         g = grid_grad_x(fake, vals).reshape(7, 6, 2)
         exact = np.stack([2 * X + 3 * Y, 3 * X - 4 * Y], axis=-1)
         np.testing.assert_allclose(g[1:-1, :, 0], exact[1:-1, :, 0], rtol=0, atol=1e-12)
@@ -406,10 +396,10 @@ class TestGradients:
         query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=(x,), T_max=1.0,
                                n_paths=100, seed=0)
         fake = CorrectorField(
-            query=query, mode="corrector", values=bumpy,
+            query=query, values=bumpy,
             se=np.full_like(bumpy, 1e-6),
             batch_means=np.repeat(bumpy[None], 20, axis=0),
-            tail_bound=np.zeros_like(bumpy), k=1)
+            tail_bound=np.zeros_like(bumpy))
         with pytest.raises(GridTooCoarse):
             gradients(fake)
 

@@ -87,7 +87,7 @@ def small_cfg(**over):
         "dt_slow": 0.02,
         "micro_substeps": 4,
         "phi": ["tanh"],
-        "budgets": {"paths_coupled": 400, "paths_corrector": 500,
+        "budgets": {"paths_coupled": 400, "corrector_paths": 500,
                     "invariant_samples": 2000, "corrector_tmax": 3.0,
                     "invariant_burn_in": 5.0},
         "quantum": 0.2,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fastslow import (Budgets, CachePolicy, CoupledSystem, PSDFailure, Regime,
-                      averaged_diffusion, averaged_drift, build_limit_sde,
-                      psd_sqrt, regime_averages, rng, transfer_derivative)
+                      build_limit_sde, psd_sqrt, regime_averages, rng,
+                      transfer_derivative)
 from fastslow import homogenize
 from fastslow.homogenize import CellField, corrector_corrections
 from fastslow.presets import ou_averaging, ou_full
@@ -74,63 +74,65 @@ class TestAveragedDrift:
     def test_r1_gaussian_mean(self):
         sys1 = make_system(b=lambda x, y: y - x, F=lambda t, x, y: x)
         for y in (-1.0, 0.0, 2.0):
-            fh, se = averaged_drift(Regime.R1, sys1, 0.0, [y],
-                                    FAST_BUDGETS, seed=5)
-            assert abs(fh[0] - y) <= 3 * se[0] + 0.01
+            ra = regime_averages(sys1, Regime.R1, 0.0, [y], FAST_BUDGETS,
+                                 seed=5, want_diffusion=False)
+            assert abs(ra.fhat[0] - y) <= 3 * ra.fhat_se[0] + 0.01
 
     def test_r1_centered_slow_drift(self):
         sys1 = make_system(b=lambda x, y: y - x, F=lambda t, x, y: x - y)
         for y in (-1.0, 0.0, 1.0):
-            fh, se = averaged_drift(Regime.R1, sys1, 0.0, [y],
-                                    FAST_BUDGETS, seed=8)
-            assert abs(fh[0]) <= 3 * se[0] + 0.01
+            ra = regime_averages(sys1, Regime.R1, 0.0, [y], FAST_BUDGETS,
+                                 seed=8, want_diffusion=False)
+            assert abs(ra.fhat[0]) <= 3 * ra.fhat_se[0] + 0.01
 
     def test_r2_with_zero_c_matches_r1_bitwise(self):
         sys1 = make_system(b=lambda x, y: y - x, F=lambda t, x, y: x,
                            H=lambda t, x, y: x - y)
-        f1, _ = averaged_drift(Regime.R1, sys1, 0.0, [0.5], FAST_BUDGETS, seed=3)
-        f2, _ = averaged_drift(Regime.R2, sys1, 0.0, [0.5], FAST_BUDGETS, seed=3)
-        assert np.array_equal(f1, f2)
+        r1, r2 = (regime_averages(sys1, reg, 0.0, [0.5], FAST_BUDGETS, seed=3,
+                                  want_diffusion=False)
+                  for reg in (Regime.R1, Regime.R2))
+        assert np.array_equal(r1.fhat, r2.fhat)
 
     def test_r2_correction_oracle(self):
         # H = x gives the identity corrector, so the correction is E[c]
         sys1 = make_system(H=lambda t, x, y: x, c=lambda x, y: x ** 2)
-        fh, se = averaged_drift(Regime.R2, sys1, 0.0, [0.0],
-                                GOOD_BUDGETS, seed=11)
-        assert abs(fh[0] - 1.0) <= max(0.1, 4 * se[0])
+        ra = regime_averages(sys1, Regime.R2, 0.0, [0.0], GOOD_BUDGETS,
+                             seed=11, want_diffusion=False)
+        assert abs(ra.fhat[0] - 1.0) <= max(0.1, 4 * ra.fhat_se[0])
 
     def test_r3_no_parameter_dependence_matches_r1_bitwise(self):
         sys1 = make_system(H=lambda t, x, y: x, F=lambda t, x, y: x)
-        f1, _ = averaged_drift(Regime.R1, sys1, 0.0, [0.0], FAST_BUDGETS, seed=4)
-        f3, _ = averaged_drift(Regime.R3, sys1, 0.0, [0.0], FAST_BUDGETS, seed=4)
-        assert np.array_equal(f1, f3)
+        r1, r3 = (regime_averages(sys1, reg, 0.0, [0.0], FAST_BUDGETS, seed=4,
+                                  want_diffusion=False)
+                  for reg in (Regime.R1, Regime.R3))
+        assert np.array_equal(r1.fhat, r3.fhat)
 
     def test_r4_full_benchmark_oracle(self):
         # corrected drift of the fully coupled benchmark is -y + 1/2
-        fh, se = averaged_drift(Regime.R4, ou_full(), 0.0, [1.0],
-                                GOOD_BUDGETS, seed=13)
-        assert abs(fh[0] - (-0.5)) <= max(0.1, 4 * se[0])
+        ra = regime_averages(ou_full(), Regime.R4, 0.0, [1.0], GOOD_BUDGETS,
+                             seed=13, want_diffusion=False)
+        assert abs(ra.fhat[0] - (-0.5)) <= max(0.1, 4 * ra.fhat_se[0])
 
 
 class TestAveragedDiffusion:
     def test_constant_matrix_exact(self):
         sys1 = make_system(G=lambda t, x, y: RT2 * np.eye(1))
-        gh, se = averaged_diffusion(Regime.R1, sys1, 0.0, [0.0],
-                                    FAST_BUDGETS, seed=2)
-        assert gh[0, 0] == pytest.approx(RT2, abs=1e-15)
-        assert np.all(se == 0.0)
+        ra = regime_averages(sys1, Regime.R1, 0.0, [0.0], FAST_BUDGETS,
+                             seed=2, want_drift=False)
+        assert ra.ghat[0, 0] == pytest.approx(RT2, abs=1e-15)
+        assert np.all(ra.cov_se == 0.0)
 
     def test_state_free_factor_exact(self):
         sys1 = make_system(G=lambda t, x, y: (1.0 + float(y[..., 0]) ** 2) * np.eye(1))
-        gh, _ = averaged_diffusion(Regime.R1, sys1, 0.0, [2.0],
-                                   FAST_BUDGETS, seed=2)
-        assert gh[0, 0] == pytest.approx(5.0, abs=1e-12)
+        ra = regime_averages(sys1, Regime.R1, 0.0, [2.0], FAST_BUDGETS,
+                             seed=2, want_drift=False)
+        assert ra.ghat[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_augmented_diffusion_oracle(self):
         sys1 = make_system(H=lambda t, x, y: x)
-        gh, _ = averaged_diffusion(Regime.R3, sys1, 0.0, [0.0],
-                                   GOOD_BUDGETS, seed=21)
-        assert abs(gh[0, 0] - RT2) <= 0.05
+        ra = regime_averages(sys1, Regime.R3, 0.0, [0.0], GOOD_BUDGETS,
+                             seed=21, want_drift=False)
+        assert abs(ra.ghat[0, 0] - RT2) <= 0.05
 
     def test_augmentation_is_psd(self):
         sys1 = make_system(H=lambda t, x, y: x)
@@ -170,7 +172,7 @@ class TestLimitField:
     def test_batch_matches_pointwise(self):
         avg = build_limit_sde(Regime.R1, ou_averaging(), FAST_BUDGETS, seed=7)
         Y = np.array([[0.1], [0.3]])
-        batch = avg.drift_batch(0.0, Y)
+        batch, _ = avg.coefficients_batch(0.0, Y)
         assert np.array_equal(batch[0], avg.Fhat(0.0, [0.1]))
         assert np.array_equal(batch[1], avg.Fhat(0.0, [0.3]))
 

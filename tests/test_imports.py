@@ -2,7 +2,8 @@
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
 ``model.check_state`` raises ``BlowUp``, that the names the benchmark
-tracer wraps exist, and the public API surface."""
+tracer wraps exist, and the public API surface with the CLI's config
+keys."""
 
 import ast
 import dataclasses
@@ -218,23 +219,21 @@ PUBLIC_PARAMETERS = {
     "centering_residual": ("f", "mu", "t"),
     "sample_invariant_measure": ("system", "y", "burn_in", "n_samples", "thinning",
                                  "dt", "seed", "blowup_cap"),
-    "CorrectorField": ("query", "mode", "values", "se", "batch_means", "tail_bound",
-                       "k", "grad_x", "grad_y", "grad_y_batches"),
+    "CorrectorField": ("query", "values", "se", "batch_means", "tail_bound",
+                       "grad_x", "grad_y", "grad_y_batches"),
     "CorrectorQuery": ("t", "y", "grid_axes", "T_max", "n_paths", "dt", "seed",
-                       "n_batches", "chunk_paths"),
+                       "n_batches"),
     "OuterProductResult": ("matrix", "se", "antisym_norm"),
     "gradients": ("field",),
     "outer_product_HPhi": ("system", "field", "mu", "t"),
-    "solve_poisson_fk": ("system", "f", "query", "mode", "centering_z",
-                         "want_grad_y", "delta_y"),
+    "solve_poisson_fk": ("system", "f", "query", "centering_z", "want_grad_y",
+                         "delta_y"),
     "AveragedSDE": ("regime", "d2", "coefficients_batch", "provenance"),
     "Budgets": ("invariant_samples", "invariant_burn_in", "invariant_thinning",
                 "invariant_dt", "corrector_paths", "corrector_tmax", "corrector_dt",
                 "grid_points", "grid_pad", "n_batches", "delta_y"),
     "CachePolicy": ("quantum", "interpolate", "t_quantum"),
     "TransferEstimate": ("value", "se", "mean_term", "corrector_term"),
-    "averaged_diffusion": ("regime", "system", "t", "y", "budgets", "seed"),
-    "averaged_drift": ("regime", "system", "t", "y", "budgets", "seed"),
     "build_limit_sde": ("regime", "system", "budgets", "cache_policy", "seed"),
     "psd_sqrt": ("M", "tol_psd"),
     "regime_averages": ("system", "regime", "t", "y", "budgets", "seed",
@@ -254,6 +253,20 @@ PUBLIC_PARAMETERS = {
     "fluctuation_lln": ("cfg", "f"),
     "theoretical_rate": ("regime", "schedule", "theta"),
     "weak_error_experiment": ("cfg",),
+}
+
+# The config keys each CLI command reads (converge and fluctuate check theirs
+# in ExperimentConfig.from_dict); a change that adds or removes one edits
+# this pin in the same diff, as for a knob above.
+CONFIG_KEYS = {
+    "validate": {"preset", "out_dir", "seed", "lambda", "sample_budget", "radius",
+                 "eps"},
+    "invariant": {"preset", "out_dir", "seed", "ys", "y", "burn_in", "n_samples",
+                  "thinning", "dt"},
+    "corrector": {"preset", "out_dir", "seed", "grid", "t", "y", "T_max",
+                  "n_paths", "dt", "centering_samples", "gradients"},
+    "average": {"preset", "out_dir", "seed", "exponents", "budgets", "t", "ys",
+                "y"},
 }
 
 # dataclass fields: the parameters, plus the points CorrectorQuery builds
@@ -279,7 +292,9 @@ def _public_parameters(module) -> dict:
 
 def test_public_api_surface_is_pinned():
     import fastslow
+    import fastslow.cli
     assert _public_parameters(fastslow) == PUBLIC_PARAMETERS
     for name, fields in FIELDS.items():
         cls = getattr(fastslow, name)
         assert tuple(f.name for f in dataclasses.fields(cls)) == fields, name
+    assert fastslow.cli._CONFIG_KEYS == CONFIG_KEYS

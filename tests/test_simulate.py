@@ -435,16 +435,20 @@ def test_moment_bound_uniform_in_eps():
     assert max(means) / min(means) < 2.0
 
 
-def test_snapshot_csv(tmp_path):
+def test_snapshot_csv():
     sys1 = ou_full()
     cfg = PathConfig(T=0.1, dt_slow=0.05, seed=0, n_paths=3,
                      snapshot_times=(0.0, 0.05, 0.1), record_fast=True)
     res = integrate_coupled(sys1, S111, 0.3, [0.2], [0.4], cfg)
-    out = tmp_path / "paths.csv"
-    res.write_csv(out, include_fast=True)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path_id,t,y_1,x_1"
-    assert len(lines) == 1 + 3 * 3
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.0
-    assert float(first[2]) == 0.4 and float(first[3]) == 0.2
+    assert res.snapshot_times.tolist() == [0.0, 0.05, 0.1]
+    assert res.snapshots_slow.shape == (3, 3, 1)
+    assert res.snapshots_fast.shape == (3, 3, 1)
+    # node 0 holds the initial states, the last node the terminal ones
+    assert np.all(res.snapshots_slow[0] == 0.4) and np.all(res.snapshots_fast[0] == 0.2)
+    assert np.array_equal(res.snapshots_slow[-1], res.terminal_slow)
+    assert np.array_equal(res.snapshots_fast[-1], res.terminal_fast)
+    # the middle node holds the terminal states of a run that stops there
+    half = integrate_coupled(sys1, S111, 0.3, [0.2], [0.4],
+                             replace(cfg, T=0.05, snapshot_times=None))
+    assert np.array_equal(res.snapshots_slow[1], half.terminal_slow)
+    assert np.array_equal(res.snapshots_fast[1], half.terminal_fast)
