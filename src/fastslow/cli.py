@@ -5,6 +5,13 @@ plus a JSON summary into the configured output directory.  Exit codes:
 0 success, 2 config error, 3 numerical failure (blow-up, PSD failure,
 centering refusal).  Outputs are byte-identical across repeated runs and
 chunk sizes.
+
+One reader checks each config key against its kind (``_CONFIG_KEYS``) before
+anything runs: a count is a JSON integer, a real a JSON number, a flag a JSON
+boolean, a text, list or object that JSON type, and a vector a number or a
+list of numbers; "exponents" and "theta" may hold fraction strings such as
+"1/2".  An absent key is not passed on, so the called function's default
+applies; the CLI's own defaults are ``_DEFAULTS``.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ from .errors import (BlowUp, ConfigError, GridTooCoarse, NonFiniteCoefficient,
                      NotCentered, PSDFailure, ThetaOutOfRange)
 from .corrector import CorrectorQuery, gradients, solve_poisson_fk
 from .ergodic import centering_residual, sample_invariant_measure
-from .harness import (ExperimentConfig, _fmt, _json_bool, fluctuation_clt,
-                      fluctuation_integrand, fluctuation_lln, parse_budgets,
-                      weak_error_experiment, write_summary)
+from .harness import (_EXPERIMENT_KEYS, ExperimentConfig, _fmt, _need, _read_config,
+                      _take, fluctuation_clt, fluctuation_integrand,
+                      fluctuation_lln, parse_budgets, weak_error_experiment,
+                      write_summary)
 from .homogenize import regime_averages
 from .model import Regime, ScaleSchedule, classify_regime, validate_assumptions
 from .presets import get_system
@@ -32,16 +40,25 @@ from .presets import get_system
 _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
               GridTooCoarse, ThetaOutOfRange)
 
-# the keys each command reads; converge and fluctuate check theirs in
-# ExperimentConfig.from_dict
-_COMMON_KEYS = {"preset", "out_dir", "seed"}
+# the kind of each key a command reads (converge and fluctuate: from_dict's)
 _CONFIG_KEYS = {
-    "validate": _COMMON_KEYS | {"lambda", "sample_budget", "radius", "eps"},
-    "invariant": _COMMON_KEYS | {"ys", "y", "burn_in", "n_samples", "thinning", "dt"},
-    "corrector": _COMMON_KEYS | {"grid", "t", "y", "T_max", "n_paths", "dt",
-                                 "centering_samples", "gradients"},
-    "average": _COMMON_KEYS | {"exponents", "budgets", "t", "ys", "y"},
+    "validate": {"preset": "text", "out_dir": "text", "seed": "count", "lambda": "real",
+                 "sample_budget": "count", "radius": "real", "eps": "real"},
+    "invariant": {"preset": "text", "out_dir": "text", "seed": "count", "ys": "vectors",
+                  "y": "vector", "burn_in": "real", "n_samples": "count",
+                  "thinning": "count", "dt": "real"},
+    "corrector": {"preset": "text", "out_dir": "text", "seed": "count", "grid": "object",
+                  "t": "real", "y": "vector", "T_max": "real", "n_paths": "count",
+                  "dt": "real", "centering_samples": "count", "gradients": "flag"},
+    "average": {"preset": "text", "out_dir": "text", "seed": "count", "exponents": "list",
+                "budgets": "object", "t": "real", "ys": "vectors", "y": "vector"},
+    "converge": _EXPERIMENT_KEYS,
+    "fluctuate": _EXPERIMENT_KEYS | {"kind": "text", "f": "text"},
 }
+
+# the corrector command centers on a larger cloud than the sampler's default
+_DEFAULTS = {"seed": 0, "t": 0.0, "lambda": 2.0, "sample_budget": 1000,
+             "radius": 10.0, "centering_samples": 20000, "gradients": True}
 
 
 def _load_config(path: str) -> dict:
@@ -76,6 +93,14 @@ def _error_summary(out: Path | None, name: str, exc: Exception) -> None:
     })
 
 
+def _with_defaults(cfg: dict):
+    """``cfg`` over ``_DEFAULTS``, y = 0 and ys = [y], and its preset's system."""
+    cfg = _DEFAULTS | cfg
+    system = get_system(_need(cfg, "preset"))
+    cfg = {"y": [0.0] * system.d2} | cfg
+    return cfg | {"ys": cfg.get("ys") or [cfg["y"]]}, system
+
+
 def _cmd_classify(args) -> int:
     parts = [p.strip() for p in args.exponents.split(",")]
     if len(parts) != 3:
@@ -86,12 +111,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_validate(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset"))
+    cfg, system = _with_defaults(cfg)
     report = validate_assumptions(
-        system, lam=float(cfg.get("lambda", 2.0)),
-        sample_budget=int(cfg.get("sample_budget", 1000)),
-        radius=float(cfg.get("radius", 10.0)), seed=int(cfg.get("seed", 0)),
-        eps=float(cfg.get("eps", 0.1)))
+        system, lam=cfg["lambda"], sample_budget=cfg["sample_budget"],
+        radius=cfg["radius"], seed=cfg["seed"], **_take(cfg, "eps"))
     rows = report.as_dict()
     with open(out / "validate.csv", "w", newline="") as fh:
         fh.write("metric,value\n")
@@ -102,21 +125,16 @@ def _cmd_validate(cfg: dict, out: Path) -> int:
 
 
 def _cmd_invariant(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset"))
-    ys = cfg.get("ys") or [cfg.get("y", [0.0] * system.d2)]
-    seed = int(cfg.get("seed", 0))
+    cfg, system = _with_defaults(cfg)
     d1, d2 = system.d1, system.d2
     header = ([f"y_{j+1}" for j in range(d2)]
               + [f"mean_{j+1}" for j in range(d1)]
               + [f"var_{j+1}" for j in range(d1)] + ["ess"])
     lines = []
-    for i, y in enumerate(ys):
+    budget = _take(cfg, "burn_in", "n_samples", "thinning", "dt")
+    for i, y in enumerate(cfg["ys"]):
         mu = sample_invariant_measure(
-            system, y, burn_in=float(cfg.get("burn_in", 10.0)),
-            n_samples=int(cfg.get("n_samples", 10000)),
-            thinning=int(cfg.get("thinning", 10)),
-            dt=float(cfg.get("dt", 1e-3)),
-            seed=rng.derive_key(seed, rng.LANE_AUX, 41, i))
+            system, y, seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 41, i), **budget)
         mean = mu.samples.mean(axis=0)
         var = mu.samples.var(axis=0, ddof=1)
         lines.append([_fmt(v) for v in list(mu.y) + list(mean) + list(var)]
@@ -127,32 +145,25 @@ def _cmd_invariant(cfg: dict, out: Path) -> int:
             fh.write(",".join(row) + "\n")
     write_summary(out / "invariant_summary.json",
                   {"status": "ok", "header": header, "rows": lines,
-                   "seed": seed, "preset": system.name})
+                   "seed": cfg["seed"], "preset": system.name})
     return 0
 
 
 def _cmd_corrector(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset"))
-    grid = cfg.get("grid")
-    if not grid:
-        raise ConfigError("corrector config needs 'grid': {lo, hi, n}")
-    lo = np.atleast_1d(np.asarray(grid["lo"], dtype=float))
-    hi = np.atleast_1d(np.asarray(grid["hi"], dtype=float))
-    npts = np.atleast_1d(np.asarray(grid["n"], dtype=int))
+    cfg, system = _with_defaults(cfg)
+    grid = _read_config(_need(cfg, "grid", ": {lo, hi, n}"),
+                        {"lo": "vector", "hi": "vector", "n": "counts"}, "grid")
+    lo, hi, npts = (np.atleast_1d(_need(grid, key)) for key in ("lo", "hi", "n"))
     if not (len(lo) == len(hi) == len(npts) == system.d1):
         raise ConfigError("grid lo/hi/n must have length d1")
     axes = tuple(np.linspace(lo[j], hi[j], npts[j]) for j in range(system.d1))
-    want_grad = _json_bool("gradients", cfg.get("gradients", True))
-    t = float(cfg.get("t", 0.0))
-    y = np.atleast_1d(np.asarray(cfg.get("y", [0.0] * system.d2), dtype=float))
-    seed = int(cfg.get("seed", 0))
+    want_grad, t, y = cfg["gradients"], cfg["t"], cfg["y"]
     query = CorrectorQuery(
-        t=t, y=y, grid_axes=axes, T_max=float(cfg.get("T_max", 10.0)),
-        n_paths=int(cfg.get("n_paths", 10000)), dt=float(cfg.get("dt", 0.01)),
-        seed=rng.derive_key(seed, rng.LANE_AUX, 42))
+        t=t, y=y, grid_axes=axes, seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 42),
+        **_take(cfg, "T_max", "n_paths", "dt"))
     mu = sample_invariant_measure(
-        system, y, n_samples=int(cfg.get("centering_samples", 20000)),
-        seed=rng.derive_key(seed, rng.LANE_AUX, 43))
+        system, y, n_samples=cfg["centering_samples"],
+        seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 43))
     z = centering_residual(system.H, mu, t)
     field = solve_poisson_fk(system, system.H, query, centering_z=z,
                              want_grad_y=want_grad)
@@ -177,22 +188,18 @@ def _cmd_corrector(cfg: dict, out: Path) -> int:
             fh.write(",".join(row) + "\n")
     write_summary(out / "corrector_summary.json", {
         "status": "ok", "centering_z": z,
-        "tail_bound_max": float(field.tail_bound.max()), "seed": seed,
+        "tail_bound_max": field.tail_bound.max().item(), "seed": cfg["seed"],
         "preset": system.name,
     })
     return 0
 
 
 def _cmd_average(cfg: dict, out: Path) -> int:
-    system = get_system(cfg.get("preset"))
-    schedule = ScaleSchedule(*cfg["exponents"])
-    regime = classify_regime(schedule)
+    cfg, system = _with_defaults(cfg)
+    regime = classify_regime(ScaleSchedule(*_need(cfg, "exponents", ": [a, b, g]")))
     if regime is Regime.UNCLASSIFIED:
         raise ConfigError("exponents do not fall in a regime")
     budgets, _ = parse_budgets(cfg.get("budgets", {}))
-    t = float(cfg.get("t", 0.0))
-    ys = cfg.get("ys") or [cfg.get("y", [0.0] * system.d2)]
-    seed = int(cfg.get("seed", 0))
     d2 = system.d2
     header = (["regime", "t"] + [f"y_{j+1}" for j in range(d2)]
               + [f"fhat_{j+1}" for j in range(d2)]
@@ -200,17 +207,17 @@ def _cmd_average(cfg: dict, out: Path) -> int:
               + [f"se_{j+1}" for j in range(d2)])
     with open(out / "average.csv", "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i, y in enumerate(ys):
-            ra = regime_averages(system, regime, t, y, budgets,
-                                 seed=rng.derive_key(seed, rng.LANE_AUX, 44, i))
-            row = [str(regime), _fmt(t)]
+        for i, y in enumerate(cfg["ys"]):
+            ra = regime_averages(system, regime, cfg["t"], y, budgets,
+                                 seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 44, i))
+            row = [str(regime), _fmt(cfg["t"])]
             row += [_fmt(v) for v in np.atleast_1d(np.asarray(y, dtype=float))]
             row += [_fmt(v) for v in ra.fhat]
             row += [_fmt(v) for v in ra.ghat.ravel()]
             row += [_fmt(v) for v in ra.fhat_se]
             fh.write(",".join(row) + "\n")
     write_summary(out / "average_summary.json",
-                  {"status": "ok", "regime": str(regime), "seed": seed,
+                  {"status": "ok", "regime": str(regime), "seed": cfg["seed"],
                    "preset": system.name})
     return 0
 
@@ -224,15 +231,11 @@ def _cmd_converge(cfg: dict, out: Path) -> int:
 
 
 def _cmd_fluctuate(cfg: dict, out: Path) -> int:
-    kind = cfg.pop("kind", "lln")
-    f = fluctuation_integrand(cfg.pop("f", "x_minus_y"))
-    exp = ExperimentConfig.from_dict(cfg)
-    if kind == "lln":
-        report = fluctuation_lln(exp, f)
-    elif kind == "clt":
-        report = fluctuation_clt(exp, f)
-    else:
+    run = {"lln": fluctuation_lln, "clt": fluctuation_clt}.get(cfg.pop("kind", "lln"))
+    if run is None:
         raise ConfigError("fluctuate kind must be 'lln' or 'clt'")
+    f = fluctuation_integrand(cfg.pop("f", "x_minus_y"))
+    report = run(ExperimentConfig.from_dict(cfg), f)
     report.to_csv(out / "fluctuate.csv")
     report.to_json(out / "fluctuate_summary.json")
     return 0
@@ -285,9 +288,7 @@ def run_cli(argv) -> int:
             return _cmd_classify(args)
         cfg = _load_config(args.config)
         out = _out_dir(cfg)
-        unknown = sorted(set(cfg) - _CONFIG_KEYS.get(args.command, set()))
-        if args.command in _CONFIG_KEYS and unknown:
-            raise ConfigError(f"unknown config fields: {unknown}")
+        cfg = _read_config(cfg, _CONFIG_KEYS[args.command])
         return _CONFIG_COMMANDS[args.command](cfg, out)
     except _NUMERICAL as e:
         _error_summary(out, args.command, e)
@@ -301,3 +302,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

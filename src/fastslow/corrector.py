@@ -17,7 +17,7 @@ coordinate with the centre's increments, in the same pass as the centre
 (:func:`solve_poisson_fk` with ``want_grad_y``), so each block of increments
 is drawn once and drives every state.  Blocks are sized by
 :func:`fastslow.rng.block_steps`, and the noise coefficient is applied by
-:func:`fastslow.model.apply_matrix`; it is evaluated at every step.
+:func:`fastslow.model.apply_matrix`, once per block if it has no batch axes.
 
 This module also holds the grid calculus on such solutions: one central
 difference stencil (:func:`_central`) gives the x-gradients, the
@@ -189,15 +189,16 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
         wacc1 = np.zeros((m, Q, k))
         wacc2 = np.zeros((m, Q, k))
         for s in range(K):
-            if s % block == 0:
+            j = s % block
+            if j == 0:
                 steps = np.arange(s, min(s + block, K), dtype=np.uint64)
                 zb = rng.normals(query.seed, rng.LANE_FAST, paths,
-                                 steps[:, None], d1)
-            z = zb[s % block][:, None, :]
-            # a sigma without batch axes gives every point the same noise;
-            # it is spread over the points once and reused by every state
-            # whose sigma is equal
-            shared = None
+                                 steps[:, None], d1)[:, :, None, :]
+                # a sigma without batch axes is state-independent (see model):
+                # one product per block, each step's (m, 1, d1) noise broadcast
+                sigs = [system.sigma(X, y_i) for X, y_i in zip(Xs, ys)]
+                noises = [apply_matrix(sg, zb) * sq if np.ndim(sg) == 2 else None
+                          for sg in sigs]
             for i, y_i in enumerate(ys):
                 X = Xs[i]
                 fdt = _as_cols(f(t0, X, y_i), (m, Q), k) * dtE
@@ -208,16 +209,11 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
                     elif s >= i80:
                         wacc1 += fdt
                 drift = np.asarray(system.b(X, y_i), dtype=np.float64)
-                sig = np.asarray(system.sigma(X, y_i), dtype=np.float64)
-                if shared is not None and np.array_equal(sig, shared[0]):
-                    noise = shared[1]
-                else:
-                    noise = apply_matrix(sig, z) * sq
-                    if sig.ndim == 2:
-                        noise = np.repeat(noise, Q, axis=1)
-                        shared = (sig, noise)
+                if noises[i] is None:  # a sigma with batch axes, at every step
+                    sig = sigs[i] if j == 0 else system.sigma(X, y_i)
+                    noise = apply_matrix(sig, zb[j]) * sq
                 X = X + drift * dtE
-                X += noise
+                X += noise if noises[i] is None else noises[i][j]
                 Xs[i] = X
             if (s & 127) == 127 or s == K - 1:
                 for X in Xs:

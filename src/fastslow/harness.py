@@ -96,30 +96,76 @@ def theoretical_rate(regime: Regime, schedule: ScaleSchedule, theta) -> RateResu
                       warning=warning)
 
 
-def parse_budgets(d) -> tuple[Budgets, int]:
-    """Parse a config's "budgets" object.
+def _num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    Returns the per-cell Monte Carlo :class:`Budgets` plus the ensemble
-    size "paths_coupled" (default 20000); the limit ensemble is paired with
-    it, path for path.  Every other key names a ``Budgets`` field, whose
-    values ``Budgets`` checks itself.
-    """
+
+def _each(ok):
+    return lambda v: ok(v) or isinstance(v, (list, tuple)) and all(map(ok, v))
+
+
+# each kind of config value: what it must be, its check, and its form if changed
+_KINDS = {
+    "count": ("a JSON integer", lambda v: _num(v) and isinstance(v, int), None),
+    "counts": ("an integer or a list of integers",
+               _each(lambda v: _num(v) and isinstance(v, int)), None),
+    "real": ("a JSON number", _num, float),
+    "vector": ("a number or a list of numbers", _each(_num),
+               lambda v: tuple(np.atleast_1d(v).astype(float))),
+    "vectors": ("a list of vectors", lambda v: isinstance(v, (list, tuple))
+                and all(map(_each(_num), v)), None),
+    "rational": ("a number or a fraction string", lambda v: _num(v) or isinstance(v, str),
+                 None),
+    "flag": ("a JSON boolean", lambda v: isinstance(v, bool), None),
+    "text": ("a JSON string", lambda v: isinstance(v, str), None),
+    "list": ("a JSON list", lambda v: isinstance(v, (list, tuple)), None),
+    "object": ("a JSON object", lambda v: isinstance(v, dict), None),
+    "budget": ("", lambda v: True, None),  # Budgets checks its own fields
+}
+
+
+def _read_config(d, kinds: dict, what: str = "config") -> dict:
+    """The entries of the JSON object ``d`` checked against, and cast by, their
+    kinds in ``kinds``; an unknown key or a wrong kind raises ConfigError."""
     if not isinstance(d, dict):
-        raise ConfigError("'budgets' must be an object")
-    d = dict(d)
-    paths_coupled = int(d.pop("paths_coupled", 20000))
-    unknown = sorted(set(d) - set(Budgets.__dataclass_fields__))
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(d) - set(kinds))
     if unknown:
-        raise ConfigError(f"unknown budget fields: {unknown}")
-    return Budgets(**d), paths_coupled
+        raise ConfigError(f"unknown {what} fields: {unknown}")
+    out = {}
+    for key, value in d.items():
+        phrase, ok, cast = _KINDS[kinds[key]]
+        if not ok(value):
+            raise ConfigError(f"{key} must be {phrase}, got {value!r}")
+        out[key] = value if cast is None else cast(value)
+    return out
 
 
-def _json_bool(key: str, value) -> bool:
-    """``value`` of config key ``key`` if it is a JSON boolean; any other
-    value, such as the string "false", is refused."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be a JSON boolean, got {value!r}")
-    return value
+def _take(d: dict, *keys) -> dict:
+    return {k: d.pop(k) for k in keys if k in d}
+
+
+def _need(d: dict, key: str, form: str = ""):
+    if key not in d:
+        raise ConfigError(f"config needs '{key}'{form}")
+    return d.pop(key)
+
+
+_EXPERIMENT_KEYS = {
+    "preset": "text", "out_dir": "text", "seed": "count", "exponents": "list",
+    "theta": "rational", "eps_list": "vector", "budgets": "object", "quantum": "real",
+    "interpolate": "flag", "phi": "list", "T": "real", "time_grid_n": "count",
+    "dt_slow": "real", "micro_substeps": "count", "x0": "vector", "y0": "vector",
+    "chunk_size": "count"}
+
+
+def parse_budgets(d) -> tuple[Budgets, dict]:
+    """A config's "budgets": the :class:`Budgets`, which checks its own fields,
+    and the count "paths_coupled" of :class:`ExperimentConfig` if it is set."""
+    d = _read_config(d, dict.fromkeys(Budgets.__dataclass_fields__, "budget")
+                     | {"paths_coupled": "count"}, "budget")
+    sizes = _take(d, "paths_coupled")
+    return Budgets(**d), sizes
 
 
 @dataclass(frozen=True)
@@ -189,53 +235,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Resolve a converge or fluctuate config: "preset" names the
-        system, "budgets" goes through :func:`parse_budgets`, "quantum" and
-        the JSON boolean "interpolate" make the :class:`CachePolicy`, "phi"
-        sets ``phi_names``, and the other keys name fields.  An unknown key
-        is refused with :class:`ConfigError`."""
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        d = dict(d)
-        name = d.pop("preset", None)
-        if not name:
-            raise ConfigError("config needs 'preset'")
-        try:
-            system = get_system(name)
-        except KeyError as e:
-            raise ConfigError(str(e)) from None
-        try:
-            exps = d.pop("exponents")
-            schedule = ScaleSchedule(*[_as_fraction(q) for q in exps])
-        except KeyError:
-            raise ConfigError("config needs 'exponents': [a, b, g]") from None
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad 'exponents': {e}") from None
-
-        budgets, paths_coupled = parse_budgets(d.pop("budgets", {}))
-        cache = CachePolicy(quantum=float(d.pop("quantum", 1e-2)),
-                            interpolate=_json_bool("interpolate",
-                                                   d.pop("interpolate", False)))
-        kwargs = dict(
-            system=system, system_name=name, schedule=schedule,
-            theta=d.pop("theta", 1), eps_list=tuple(d.pop("eps_list", ())),
-            budgets=budgets, cache=cache,
-            paths_coupled=paths_coupled,
-        )
+        """Resolve a converge or fluctuate config, each key read by its kind in
+        ``_EXPERIMENT_KEYS``: "preset" names the system, "exponents" the schedule,
+        "budgets" goes through :func:`parse_budgets`, "quantum" and "interpolate"
+        make the :class:`CachePolicy`, "phi" sets ``phi_names`` and the other keys
+        name fields.  "theta" defaults to 1; other absent keys are not passed on."""
+        d = {"theta": 1} | _read_config(d, _EXPERIMENT_KEYS)
+        name = _need(d, "preset")
+        exponents = _need(d, "exponents", ": [a, b, g]")
+        budgets, sizes = parse_budgets(d.pop("budgets", {}))
+        cache = CachePolicy(**_take(d, "quantum", "interpolate"))
         if "phi" in d:
-            kwargs["phi_names"] = tuple(d.pop("phi"))
-        for key in ("T", "time_grid_n", "dt_slow", "micro_substeps", "x0", "y0",
-                    "seed", "out_dir", "chunk_size"):
-            if key in d:
-                kwargs[key] = d.pop(key)
-        if "x0" in kwargs:
-            kwargs["x0"] = tuple(np.atleast_1d(kwargs["x0"]).astype(float))
-        if "y0" in kwargs:
-            kwargs["y0"] = tuple(np.atleast_1d(kwargs["y0"]).astype(float))
-        if d:
-            raise ConfigError(f"unknown config fields: {sorted(d)}")
+            d["phi_names"] = tuple(d.pop("phi"))
         try:
-            return cls(**kwargs)
+            return cls(system=get_system(name), system_name=name,
+                       schedule=ScaleSchedule(*exponents), budgets=budgets,
+                       cache=cache, **sizes, **d)
         except (TypeError, ValueError, KeyError) as e:
             raise ConfigError(f"bad config value: {e}") from None
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,51 +70,36 @@ class Budgets:
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
+        for name in ("invariant_burn_in", "invariant_dt", "corrector_tmax",
+                     "corrector_dt", "grid_pad"):
+            real = getattr(self, name)
+            if isinstance(real, bool) or not isinstance(real, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {real!r}")
         if self.n_batches < 2:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
         _check_delta_y(self.delta_y)
 
 
 def psd_sqrt(M: Array, tol_psd: float | None = None) -> Array:
-    """Symmetric PSD square root with small negative eigenvalues clamped.
-
-    ``tol_psd`` defaults to 1e-6 * |trace|; an eigenvalue below -tol_psd
-    raises :class:`PSDFailure` (the estimate is not a covariance).
+    """Symmetric PSD square root of each (d, d) matrix in ``M``, with small
+    negative eigenvalues clamped.  ``tol_psd`` defaults to 1e-6 * |trace|; an
+    eigenvalue below -tol_psd raises :class:`PSDFailure` (not a covariance).
     """
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("expected a square matrix")
     scale = float(np.abs(M).max()) if M.size else 0.0
-    if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
+    if not np.allclose(M, M.swapaxes(-1, -2), atol=1e-8 * max(scale, 1.0)):
         raise ValueError("matrix is not symmetric")
-    Ms = 0.5 * (M + M.T)
+    Ms = 0.5 * (M + M.swapaxes(-1, -2))
     w, V = np.linalg.eigh(Ms)
-    tol = 1e-6 * abs(float(np.trace(Ms))) if tol_psd is None else float(tol_psd)
-    if w.min() < -tol:
+    tol = 1e-6 * np.abs(np.trace(Ms, axis1=-2, axis2=-1)) if tol_psd is None else tol_psd
+    if np.any(w[..., 0] < -tol):
         raise PSDFailure(
-            f"eigenvalue {w.min():.3g} below -{tol:.3g}; increase the MC "
+            f"eigenvalue {w.min():.3g} below -{np.min(tol):.3g}; increase the MC "
             "budget or check the diffusion non-degeneracy")
-    wc = np.clip(w, 0.0, None)
-    S = (V * np.sqrt(wc)) @ V.T
-    return 0.5 * (S + S.T)
-
-
-def _psd_sqrt_batch(cov: Array, tol_rel: float = 1e-6) -> Array:
-    """Batched PSD square root for (n, d, d) covariance stacks."""
-    d = cov.shape[-1]
-    if d == 1:
-        v = cov[..., 0, 0]
-        tol = tol_rel * np.abs(v)
-        if np.any(v < -tol):
-            raise PSDFailure("negative scalar covariance in batch evaluation")
-        return np.sqrt(np.clip(v, 0.0, None))[..., None, None]
-    sym = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    w, V = np.linalg.eigh(sym)
-    tr = np.trace(sym, axis1=-2, axis2=-1)
-    if np.any(w[..., 0] < -tol_rel * np.abs(tr)):
-        raise PSDFailure("negative covariance eigenvalue in batch evaluation")
-    wc = np.sqrt(np.clip(w, 0.0, None))
-    return (V * wc[..., None, :]) @ np.swapaxes(V, -1, -2)
+    S = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 def _needs(regime: Regime, want_drift: bool, want_diffusion: bool):
@@ -558,7 +544,7 @@ def build_limit_sde(regime: Regime, system: CoupledSystem,
         rec = field.eval_batch(t, Y)
         cov, root = np.moveaxis(rec[:, d2:].reshape(-1, 2, d2, d2), 1, 0)
         if cache_policy.interpolate:
-            root = _psd_sqrt_batch(cov)
+            root = psd_sqrt(cov)
         return rec[:, :d2], root
 
     return AveragedSDE(regime, d2, coefficients_batch, field.provenance)

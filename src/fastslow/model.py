@@ -36,9 +36,7 @@ def _as_fraction(q) -> Fraction:
     """Exact rational coercion; floats convert by their binary value."""
     if isinstance(q, Fraction):
         return q
-    if isinstance(q, (int, str)):
-        return Fraction(q)
-    if isinstance(q, float):
+    if isinstance(q, (int, float, str)) and not isinstance(q, bool):
         return Fraction(q)
     raise TypeError(f"cannot interpret {q!r} as a rational exponent")
 

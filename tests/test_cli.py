@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fastslow.cli
 from fastslow.cli import run_cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL_BUDGETS = {"invariant_samples": 1000, "invariant_thinning": 5,
                  "invariant_dt": 0.01, "invariant_burn_in": 5.0}
@@ -264,3 +271,128 @@ def test_zero_delta_y_exits_2(tmp_path, capsys):
     summary = json.loads((out / "average_summary.json").read_text())
     assert summary["error"]["type"] == "ValueError"
     assert not (out / "average.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["invariant_burn_in", "invariant_dt",
+                                   "corrector_tmax", "corrector_dt", "grid_pad"])
+@pytest.mark.parametrize("value", ["0.01", True, None], ids=["string", "bool", "null"])
+def test_non_number_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                   field, value):
+    # a string real failed only after the first cloud, with a message about
+    # '<=' between str and int
+    import fastslow.homogenize
+    clouds = []
+    monkeypatch.setattr(fastslow.homogenize, "sample_invariant_measure",
+                        lambda *a, **k: clouds.append(a))
+    out = tmp_path / "out"
+    cfg = average_cfg(out, budgets=dict(SMALL_BUDGETS, **{field: value}))
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"{field} must be a number, got {value!r}" in capsys.readouterr().err
+    assert clouds == []
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary["error"]["type"] == "ValueError"
+    assert not (out / "average.csv").exists()
+
+
+GRID = {"lo": [-1], "hi": [1], "n": [5]}
+# a config of each command that runs as it is
+VALID = {
+    "validate": lambda out: {"preset": "ou_full", "out_dir": str(out)},
+    "invariant": lambda out: {"preset": "ou_averaging", "out_dir": str(out)},
+    "corrector": lambda out: {"preset": "ou_full", "grid": dict(GRID),
+                              "out_dir": str(out)},
+    "average": average_cfg,
+    "converge": converge_cfg,
+    "fluctuate": lambda out: converge_cfg(out, kind="lln"),
+}
+# values of another kind: a fraction, a boolean and a string number for
+# counts and reals, and their like for the other kinds
+WRONG = {
+    "count": [10.5, True, "10"],
+    "counts": [5.5, [True], "5"],
+    "real": [True, "0.5", None],
+    "vector": ["0.5", True, [0.5, None]],
+    "vectors": [0.5, [["0.5"]], [[True]]],
+    "rational": [True, [1], None],
+    "flag": ["false", 0, None],
+    "text": [5, True, ["a"]],
+    "list": ["1,1,1", 5, {"a": 1}],
+    "object": [[1], "x", 5],
+}
+# out_dir is where the error summary goes; a non-string is refused by Path
+WRONG_KINDS = [
+    (command, key, value)
+    for command, kinds in fastslow.cli._CONFIG_KEYS.items()
+    for key, kind in kinds.items() if key != "out_dir"
+    for value in WRONG[kind]
+] + [("corrector", f"grid.{key}", value)
+     for key, kind in {"lo": "vector", "hi": "vector", "n": "counts"}.items()
+     for value in WRONG[kind]]
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    """Fail the test if a command samples, solves or simulates anything."""
+    import fastslow.harness
+    import fastslow.homogenize
+
+    def ran(*a, **k):
+        pytest.fail("ran before the config check")
+
+    for module, name in [(fastslow.cli, "sample_invariant_measure"),
+                         (fastslow.cli, "validate_assumptions"),
+                         (fastslow.cli, "regime_averages"),
+                         (fastslow.homogenize, "sample_invariant_measure"),
+                         (fastslow.harness, "integrate_coupled"),
+                         (fastslow.harness, "integrate_limit")]:
+        monkeypatch.setattr(module, name, ran)
+
+
+@pytest.mark.parametrize("command, key, value", WRONG_KINDS)
+def test_value_of_another_kind_exits_2(tmp_path, capsys, nothing_runs, command,
+                                       key, value):
+    # each of these once ran as another run: int() truncated a count of
+    # 10.5, float() read "0.5", and a boolean passed for the number 1
+    out = tmp_path / "out"
+    cfg = VALID[command](out)
+    if key.startswith("grid."):
+        key = key.removeprefix("grid.")
+        cfg["grid"][key] = value
+    else:
+        cfg[key] = value
+    assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"config error: {key} must be " in capsys.readouterr().err
+    assert not (out / f"{command}.csv").exists()
+    summary = json.loads((out / f"{command}_summary.json").read_text())
+    assert summary["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_missing_preset_exits_2(tmp_path, capsys, nothing_runs, command):
+    # the four commands outside from_dict said "unknown system None"
+    out = tmp_path / "out"
+    cfg = VALID[command](out)
+    del cfg["preset"]
+    assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "config error: config needs 'preset'" in capsys.readouterr().err
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_average_without_exponents_says_what_from_dict_says(tmp_path, capsys,
+                                                             nothing_runs):
+    out = tmp_path / "out"
+    cfg = average_cfg(out)
+    del cfg["exponents"]
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "config needs 'exponents': [a, b, g]" in capsys.readouterr().err
+
+
+def test_runs_as_a_module():
+    # without the __main__ guard, python -m fastslow.cli did nothing and
+    # exited 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "fastslow.cli", "classify",
+                           "--exponents", "1,1,1"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "R4"

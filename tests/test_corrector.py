@@ -7,7 +7,7 @@ import pytest
 from fastslow import (BlowUp, CorrectorQuery, CoupledSystem, NotCentered,
                       GridTooCoarse, NonFiniteCoefficient,
                       centering_residual, gradients,
-                      outer_product_HPhi, sample_invariant_measure,
+                      outer_product_HPhi, rng, sample_invariant_measure,
                       solve_poisson_fk)
 import fastslow.corrector
 from fastslow.corrector import (CorrectorField, _grid_at,
@@ -311,6 +311,44 @@ class TestFusedYStates:
         assert fused.grad_y is solved.grad_y
         assert fused.grad_y_batches is solved.grad_y_batches
         assert centre.grad_y is None and centre.grad_y_batches is None
+
+    @pytest.mark.parametrize("system, per_step", [
+        ("d2=1", False), ("d2=1 x-noise", True), ("d2=2", False)])
+    def test_sigma_calls(self, system, per_step):
+        # a sigma without batch axes is state-independent at each slow
+        # state, so it is called once per block of draws and state; a
+        # batched one once per step and state
+        sys_, f, y = FUSED_SYSTEMS[system]()
+        calls = []
+
+        def sigma(x, yy):
+            calls.append(1)
+            return sys_.sigma(x, yy)
+
+        q = self.query(y)
+        solve_poisson_fk(replace(sys_, sigma=sigma), f, q, centering_z=0.0,
+                         want_grad_y=True, delta_y=0.05)
+        K = round(q.T_max / q.dt)
+        chunks = (256, 256, 88)
+        assert K > 2 * rng.block_steps(256)
+        per_state = sum(K if per_step else math.ceil(K / rng.block_steps(m))
+                        for m in chunks)
+        assert len(calls) == (1 + 2 * len(y)) * per_state
+
+    @pytest.mark.parametrize("system", ["d2=1", "d2=2"])
+    def test_block_noise_equals_per_step_noise(self, system):
+        # the same sigma given batch axes is evaluated at every step; the
+        # noise applied once per block must match it bit for bit
+        sys_, f, y = FUSED_SYSTEMS[system]()
+        batched = replace(sys_, sigma=lambda x, yy: np.broadcast_to(
+            sys_.sigma(x, yy), x.shape[:-1] + (1, 1)))
+        q = self.query(y)
+        per_block, per_step = (
+            solve_poisson_fk(s, f, q, centering_z=0.0, want_grad_y=True,
+                             delta_y=0.05) for s in (sys_, batched))
+        for name in ("values", "se", "batch_means", "tail_bound", "grad_y",
+                     "grad_y_batches"):
+            assert np.array_equal(getattr(per_block, name), getattr(per_step, name)), name
 
     @pytest.mark.parametrize("delta_y", [0.0, -1e-3, float("nan"), float("inf")])
     def test_rejects_bad_delta_y(self, delta_y):

@@ -65,6 +65,23 @@ class TestPsdSqrt:
         with pytest.raises(PSDFailure):
             psd_sqrt(np.diag([1.0, -0.1]))
 
+    def test_stack_equals_each_matrix(self):
+        gen = np.random.default_rng(7)
+        for d in (1, 2, 3):
+            a = gen.normal(size=(4, 3, d, d))
+            M = a @ np.swapaxes(a, -1, -2)
+            M[0, 0] = 0.0
+            S = psd_sqrt(M)
+            for idx in np.ndindex(4, 3):
+                assert np.array_equal(S[idx], psd_sqrt(M[idx]))
+            if d == 1:
+                # the root of a 1 x 1 covariance is its square root, bit for bit
+                assert np.array_equal(S[..., 0, 0], np.sqrt(M[..., 0, 0]))
+
+    def test_stack_psd_failure(self):
+        with pytest.raises(PSDFailure):
+            psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.1])]))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))

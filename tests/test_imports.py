@@ -1,9 +1,10 @@
 """Import-time guards: what ``import fastslow`` loads, where the package
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
-``model.check_state`` raises ``BlowUp``, that the names the benchmark
-tracer wraps exist, and the public API surface with the CLI's config
-keys."""
+``model.check_state`` raises ``BlowUp``, that no config command coerces a
+value or writes a numeric default of its own, that the names the benchmark
+tracer wraps exist, and the public API surface with the kinds of the CLI's
+config keys."""
 
 import ast
 import dataclasses
@@ -172,6 +173,59 @@ def test_blowup_guard_sees_each_form():
     assert _blowup_constructions(ast.parse(src)) == ["<module>", "f", "g", "h"]
 
 
+def _config_coercions(tree) -> list[str]:
+    """``<function>:<line>`` of each call of ``int``, ``float`` or ``bool``,
+    and of each ``.get`` or ``.pop`` with a numeric literal default, inside a
+    ``_cmd_*`` function or ``from_dict``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and (fn.name.startswith("_cmd_") or fn.name == "from_dict")):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in ("int", "float", "bool"):
+                found.append(f"{fn.name}:{node.lineno}")
+            elif (isinstance(f, ast.Attribute) and f.attr in ("get", "pop")
+                    and len(node.args) == 2):
+                default = node.args[1]
+                if isinstance(default, ast.UnaryOp):
+                    default = default.operand
+                if (isinstance(default, ast.Constant)
+                        and isinstance(default.value, (int, float))):
+                    found.append(f"{fn.name}:{node.lineno}")
+    return sorted(set(found))
+
+
+def test_config_commands_coerce_nothing():
+    # every config value is checked by its kind in one reader, and an absent
+    # key is left to the called function's default; an int() here would
+    # truncate a count, and a literal default would be a second copy
+    found = []
+    for name in ("cli.py", "harness.py"):
+        path = SRC / "fastslow" / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{name}:{where}" for where in _config_coercions(tree)]
+    assert found == []
+
+
+def test_coercion_guard_sees_each_form():
+    src = ("def _cmd_a(cfg):\n    n = int(cfg['n'])\n    x = float(cfg['x'])\n"
+           "    g = bool(cfg['g'])\n    s = cfg.get('s', 0)\n"
+           "    t = cfg.pop('t', -1.5)\n    u = cfg.get('u', True)\n"
+           "    k = cfg.pop('kind', 'lln')\n    y = cfg.get('y', [0.0])\n"
+           "    return cfg.get('z')\n"
+           "class C:\n    def from_dict(cls, d):\n"
+           "        def inner():\n            return int(d)\n"
+           "        return d.get('theta', 1)\n"
+           "def helper(v):\n    return float(v)\n")
+    assert _config_coercions(ast.parse(src)) == [
+        "_cmd_a:2", "_cmd_a:3", "_cmd_a:4", "_cmd_a:5", "_cmd_a:6", "_cmd_a:7",
+        "from_dict:14", "from_dict:15"]
+
+
 def test_tracer_entry_points_exist(monkeypatch):
     # bench/spans.py wraps each entry point in the module (or class) where
     # the program looks it up, reading owner.__dict__[attr]; a name dropped
@@ -255,18 +309,33 @@ PUBLIC_PARAMETERS = {
     "weak_error_experiment": ("cfg",),
 }
 
-# The config keys each CLI command reads (converge and fluctuate check theirs
-# in ExperimentConfig.from_dict); a change that adds or removes one edits
-# this pin in the same diff, as for a knob above.
+# The kind of each config key each CLI command reads (converge and fluctuate
+# read theirs through ExperimentConfig.from_dict); a change that adds or
+# removes a key, or changes its kind, edits this pin in the same diff, as for
+# a knob above.
+EXPERIMENT_KEYS = {
+    "preset": "text", "out_dir": "text", "seed": "count", "exponents": "list",
+    "theta": "rational", "eps_list": "vector", "budgets": "object",
+    "quantum": "real", "interpolate": "flag", "phi": "list", "T": "real",
+    "time_grid_n": "count", "dt_slow": "real", "micro_substeps": "count",
+    "x0": "vector", "y0": "vector", "chunk_size": "count",
+}
 CONFIG_KEYS = {
-    "validate": {"preset", "out_dir", "seed", "lambda", "sample_budget", "radius",
-                 "eps"},
-    "invariant": {"preset", "out_dir", "seed", "ys", "y", "burn_in", "n_samples",
-                  "thinning", "dt"},
-    "corrector": {"preset", "out_dir", "seed", "grid", "t", "y", "T_max",
-                  "n_paths", "dt", "centering_samples", "gradients"},
-    "average": {"preset", "out_dir", "seed", "exponents", "budgets", "t", "ys",
-                "y"},
+    "validate": {"preset": "text", "out_dir": "text", "seed": "count",
+                 "lambda": "real", "sample_budget": "count", "radius": "real",
+                 "eps": "real"},
+    "invariant": {"preset": "text", "out_dir": "text", "seed": "count",
+                  "ys": "vectors", "y": "vector", "burn_in": "real",
+                  "n_samples": "count", "thinning": "count", "dt": "real"},
+    "corrector": {"preset": "text", "out_dir": "text", "seed": "count",
+                  "grid": "object", "t": "real", "y": "vector", "T_max": "real",
+                  "n_paths": "count", "dt": "real", "centering_samples": "count",
+                  "gradients": "flag"},
+    "average": {"preset": "text", "out_dir": "text", "seed": "count",
+                "exponents": "list", "budgets": "object", "t": "real",
+                "ys": "vectors", "y": "vector"},
+    "converge": EXPERIMENT_KEYS,
+    "fluctuate": EXPERIMENT_KEYS | {"kind": "text", "f": "text"},
 }
 
 # dataclass fields: the parameters, plus the points CorrectorQuery builds
