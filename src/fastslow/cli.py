@@ -1,17 +1,27 @@
 """Command line front end.
 
-Every subcommand except ``classify`` reads a JSON config and writes a CSV
-plus a JSON summary into the configured output directory.  Exit codes:
-0 success, 2 config error, 3 numerical failure (blow-up, PSD failure,
-centering refusal).  Outputs are byte-identical across repeated runs and
-chunk sizes.
+Every subcommand except ``classify`` reads a JSON config, runs, and returns
+its table and summary; :func:`run_cli` alone writes them, into the
+directory the config names as "out_dir":
+
+- ``<command>.csv``: a header line, then one line per row; a text cell is
+  written as it is and every other cell as ``repr(float(v))``;
+- ``<command>_summary.json``: the summary as sorted, indented JSON with a
+  final newline.  A run that succeeds writes ``{"status": "ok"}`` and its
+  summary; one that fails after "out_dir" was read writes only this file,
+  as ``{"status": "error", "error": {"type", "message"}}``.
+
+Exit codes: 0 success, 2 config error, 3 numerical failure (blow-up, PSD
+failure, centering refusal).  Outputs are byte-identical across repeated
+runs and chunk sizes.
 
 One reader checks each config key against its kind (``_CONFIG_KEYS``) before
 anything runs: a count is a JSON integer, a real a JSON number, a flag a JSON
 boolean, a text, list or object that JSON type, and a vector a number or a
 list of numbers; "exponents" and "theta" may hold fraction strings such as
-"1/2".  An absent key is not passed on, so the called function's default
-applies; the CLI's own defaults are ``_DEFAULTS``.
+"1/2".  "out_dir" belongs to the run and is read first, as text.  An absent
+key is not passed on, so the called function's default applies; the CLI's
+own defaults are ``_DEFAULTS``.
 """
 
 from __future__ import annotations
@@ -29,10 +39,9 @@ from .errors import (BlowUp, ConfigError, GridTooCoarse, NonFiniteCoefficient,
                      NotCentered, PSDFailure, ThetaOutOfRange)
 from .corrector import CorrectorQuery, gradients, solve_poisson_fk
 from .ergodic import centering_residual, sample_invariant_measure
-from .harness import (_EXPERIMENT_KEYS, ExperimentConfig, _fmt, _need, _read_config,
+from .harness import (_EXPERIMENT_KEYS, ExperimentConfig, _need, _read_config,
                       _take, fluctuation_clt, fluctuation_integrand,
-                      fluctuation_lln, parse_budgets, weak_error_experiment,
-                      write_summary)
+                      fluctuation_lln, parse_budgets, weak_error_experiment)
 from .homogenize import regime_averages
 from .model import Regime, ScaleSchedule, classify_regime, validate_assumptions
 from .presets import get_system
@@ -42,15 +51,15 @@ _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
 
 # the kind of each key a command reads (converge and fluctuate: from_dict's)
 _CONFIG_KEYS = {
-    "validate": {"preset": "text", "out_dir": "text", "seed": "count", "lambda": "real",
+    "validate": {"preset": "text", "seed": "count", "lambda": "real",
                  "sample_budget": "count", "radius": "real", "eps": "real"},
-    "invariant": {"preset": "text", "out_dir": "text", "seed": "count", "ys": "vectors",
-                  "y": "vector", "burn_in": "real", "n_samples": "count",
-                  "thinning": "count", "dt": "real"},
-    "corrector": {"preset": "text", "out_dir": "text", "seed": "count", "grid": "object",
-                  "t": "real", "y": "vector", "T_max": "real", "n_paths": "count",
-                  "dt": "real", "centering_samples": "count", "gradients": "flag"},
-    "average": {"preset": "text", "out_dir": "text", "seed": "count", "exponents": "list",
+    "invariant": {"preset": "text", "seed": "count", "ys": "vectors", "y": "vector",
+                  "burn_in": "real", "n_samples": "count", "thinning": "count",
+                  "dt": "real"},
+    "corrector": {"preset": "text", "seed": "count", "grid": "object", "t": "real",
+                  "y": "vector", "T_max": "real", "n_paths": "count", "dt": "real",
+                  "centering_samples": "count", "gradients": "flag"},
+    "average": {"preset": "text", "seed": "count", "exponents": "list",
                 "budgets": "object", "t": "real", "ys": "vectors", "y": "vector"},
     "converge": _EXPERIMENT_KEYS,
     "fluctuate": _EXPERIMENT_KEYS | {"kind": "text", "f": "text"},
@@ -59,6 +68,27 @@ _CONFIG_KEYS = {
 # the corrector command centers on a larger cloud than the sampler's default
 _DEFAULTS = {"seed": 0, "t": 0.0, "lambda": 2.0, "sample_budget": 1000,
              "radius": 10.0, "centering_samples": 20000, "gradients": True}
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def write_summary(path, payload: dict) -> None:
+    """Write a run summary as sorted, indented JSON with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_run(out: Path, name: str, header, rows, summary: dict) -> None:
+    """Write ``<name>.csv`` (text cells as they are, others as repr(float))
+    and ``<name>_summary.json`` with ``"status": "ok"`` into ``out``."""
+    with open(out / f"{name}.csv", "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+    write_summary(out / f"{name}_summary.json", {"status": "ok"} | summary)
 
 
 def _load_config(path: str) -> dict:
@@ -76,11 +106,15 @@ def _load_config(path: str) -> dict:
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = cfg.get("out_dir")
+    """Pop the run's "out_dir" from ``cfg``, check that it is text, and make it."""
+    out = _read_config(_take(cfg, "out_dir"), {"out_dir": "text"}).get("out_dir")
     if not out:
         raise ConfigError("config needs 'out_dir'")
     p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make out_dir {out!r}: {e}") from None
     return p
 
 
@@ -110,46 +144,37 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_validate(cfg: dict, out: Path) -> int:
+def _cmd_validate(cfg: dict) -> tuple:
     cfg, system = _with_defaults(cfg)
     report = validate_assumptions(
         system, lam=cfg["lambda"], sample_budget=cfg["sample_budget"],
         radius=cfg["radius"], seed=cfg["seed"], **_take(cfg, "eps"))
-    rows = report.as_dict()
-    with open(out / "validate.csv", "w", newline="") as fh:
-        fh.write("metric,value\n")
-        for key, val in rows.items():
-            fh.write(f"{key},{val if isinstance(val, bool) else _fmt(val)}\n")
-    write_summary(out / "validate_summary.json", {"status": "ok", **rows})
-    return 0
+    summary = report.as_dict()
+    rows = [[key, str(val) if isinstance(val, bool) else val]
+            for key, val in summary.items()]
+    return ["metric", "value"], rows, summary
 
 
-def _cmd_invariant(cfg: dict, out: Path) -> int:
+def _cmd_invariant(cfg: dict) -> tuple:
     cfg, system = _with_defaults(cfg)
     d1, d2 = system.d1, system.d2
     header = ([f"y_{j+1}" for j in range(d2)]
               + [f"mean_{j+1}" for j in range(d1)]
               + [f"var_{j+1}" for j in range(d1)] + ["ess"])
-    lines = []
+    rows = []
     budget = _take(cfg, "burn_in", "n_samples", "thinning", "dt")
     for i, y in enumerate(cfg["ys"]):
         mu = sample_invariant_measure(
             system, y, seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 41, i), **budget)
         mean = mu.samples.mean(axis=0)
         var = mu.samples.var(axis=0, ddof=1)
-        lines.append([_fmt(v) for v in list(mu.y) + list(mean) + list(var)]
-                     + [_fmt(mu.ess)])
-    with open(out / "invariant.csv", "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in lines:
-            fh.write(",".join(row) + "\n")
-    write_summary(out / "invariant_summary.json",
-                  {"status": "ok", "header": header, "rows": lines,
-                   "seed": cfg["seed"], "preset": system.name})
-    return 0
+        # the summary repeats the table's cells as text
+        rows.append([_fmt(v) for v in [*mu.y, *mean, *var, mu.ess]])
+    return header, rows, {"header": header, "rows": rows, "seed": cfg["seed"],
+                          "preset": system.name}
 
 
-def _cmd_corrector(cfg: dict, out: Path) -> int:
+def _cmd_corrector(cfg: dict) -> tuple:
     cfg, system = _with_defaults(cfg)
     grid = _read_config(_need(cfg, "grid", ": {lo, hi, n}"),
                         {"lo": "vector", "hi": "vector", "n": "counts"}, "grid")
@@ -173,28 +198,18 @@ def _cmd_corrector(cfg: dict, out: Path) -> int:
     header = ([f"x_{j+1}" for j in range(d1)]
               + [f"phi_{j+1}" for j in range(k)]
               + [f"se_{j+1}" for j in range(k)])
+    blocks = [field.query.points, field.values, field.se]
     if want_grad:
         header += [f"grad_x_{i+1}{j+1}" for i in range(k) for j in range(d1)]
         header += [f"grad_y_{i+1}{j+1}" for i in range(k) for j in range(d2)]
-    with open(out / "corrector.csv", "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for q in range(field.values.shape[0]):
-            row = [_fmt(v) for v in field.query.points[q]]
-            row += [_fmt(v) for v in field.values[q]]
-            row += [_fmt(v) for v in field.se[q]]
-            if want_grad:
-                row += [_fmt(v) for v in field.grad_x[q].ravel()]
-                row += [_fmt(v) for v in field.grad_y[q].ravel()]
-            fh.write(",".join(row) + "\n")
-    write_summary(out / "corrector_summary.json", {
-        "status": "ok", "centering_z": z,
-        "tail_bound_max": field.tail_bound.max().item(), "seed": cfg["seed"],
-        "preset": system.name,
-    })
-    return 0
+        n = field.values.shape[0]
+        blocks += [field.grad_x.reshape(n, -1), field.grad_y.reshape(n, -1)]
+    return header, np.hstack(blocks), {
+        "centering_z": z, "tail_bound_max": field.tail_bound.max().item(),
+        "seed": cfg["seed"], "preset": system.name}
 
 
-def _cmd_average(cfg: dict, out: Path) -> int:
+def _cmd_average(cfg: dict) -> tuple:
     cfg, system = _with_defaults(cfg)
     regime = classify_regime(ScaleSchedule(*_need(cfg, "exponents", ": [a, b, g]")))
     if regime is Regime.UNCLASSIFIED:
@@ -205,40 +220,28 @@ def _cmd_average(cfg: dict, out: Path) -> int:
               + [f"fhat_{j+1}" for j in range(d2)]
               + [f"ghat_{i+1}{j+1}" for i in range(d2) for j in range(d2)]
               + [f"se_{j+1}" for j in range(d2)])
-    with open(out / "average.csv", "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, y in enumerate(cfg["ys"]):
-            ra = regime_averages(system, regime, cfg["t"], y, budgets,
-                                 seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 44, i))
-            row = [str(regime), _fmt(cfg["t"])]
-            row += [_fmt(v) for v in np.atleast_1d(np.asarray(y, dtype=float))]
-            row += [_fmt(v) for v in ra.fhat]
-            row += [_fmt(v) for v in ra.ghat.ravel()]
-            row += [_fmt(v) for v in ra.fhat_se]
-            fh.write(",".join(row) + "\n")
-    write_summary(out / "average_summary.json",
-                  {"status": "ok", "regime": str(regime), "seed": cfg["seed"],
-                   "preset": system.name})
-    return 0
+    rows = []
+    for i, y in enumerate(cfg["ys"]):
+        ra = regime_averages(system, regime, cfg["t"], y, budgets,
+                             seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 44, i))
+        rows.append([str(regime), cfg["t"], *np.atleast_1d(y), *ra.fhat,
+                     *ra.ghat.ravel(), *ra.fhat_se])
+    return header, rows, {"regime": str(regime), "seed": cfg["seed"],
+                          "preset": system.name}
 
 
-def _cmd_converge(cfg: dict, out: Path) -> int:
-    exp = ExperimentConfig.from_dict(cfg)
-    report = weak_error_experiment(exp)
-    report.to_csv(out / "converge.csv")
-    report.to_json(out / "converge_summary.json")
-    return 0
+def _cmd_converge(cfg: dict) -> tuple:
+    report = weak_error_experiment(ExperimentConfig.from_dict(cfg))
+    return *report.table(), report.summary()
 
 
-def _cmd_fluctuate(cfg: dict, out: Path) -> int:
+def _cmd_fluctuate(cfg: dict) -> tuple:
     run = {"lln": fluctuation_lln, "clt": fluctuation_clt}.get(cfg.pop("kind", "lln"))
     if run is None:
         raise ConfigError("fluctuate kind must be 'lln' or 'clt'")
     f = fluctuation_integrand(cfg.pop("f", "x_minus_y"))
     report = run(ExperimentConfig.from_dict(cfg), f)
-    report.to_csv(out / "fluctuate.csv")
-    report.to_json(out / "fluctuate_summary.json")
-    return 0
+    return *report.table(), report.summary()
 
 
 _CONFIG_COMMANDS = {
@@ -289,7 +292,8 @@ def run_cli(argv) -> int:
         cfg = _load_config(args.config)
         out = _out_dir(cfg)
         cfg = _read_config(cfg, _CONFIG_KEYS[args.command])
-        return _CONFIG_COMMANDS[args.command](cfg, out)
+        _write_run(out, args.command, *_CONFIG_COMMANDS[args.command](cfg))
+        return 0
     except _NUMERICAL as e:
         _error_summary(out, args.command, e)
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)

@@ -39,7 +39,7 @@ import numpy as np
 from . import rng
 from .errors import GridTooCoarse, NonFiniteCoefficient, NotCentered
 from .ergodic import MeasureEnsemble
-from .model import CoupledSystem, apply_matrix, check_state
+from .model import CoupledSystem, _count, apply_matrix, check_state
 from .simulate import _chunks
 
 Array = np.ndarray
@@ -78,6 +78,8 @@ class CorrectorQuery:
         object.__setattr__(self, "points", np.stack([m.ravel() for m in mesh], axis=-1))
         if self.T_max <= 0 or self.dt <= 0:
             raise ValueError("T_max and dt must be > 0")
+        _count("n_paths", self.n_paths)
+        _count("n_batches", self.n_batches)
         if self.n_batches < 2:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
         if self.n_paths < self.n_batches:

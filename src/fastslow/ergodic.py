@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .errors import NonFiniteCoefficient
-from .model import CoupledSystem, apply_matrix, check_state
+from .model import CoupledSystem, _count, apply_matrix, check_state
 
 Array = np.ndarray
 
@@ -116,7 +116,7 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     """
     if burn_in <= 0 or dt <= 0:
         raise ValueError("burn_in and dt must be > 0")
-    if n_samples < 1 or thinning < 1:
+    if _count("n_samples", n_samples) < 1 or _count("thinning", thinning) < 1:
         raise ValueError("n_samples and thinning must be >= 1")
     d1 = system.d1
     y_fix = np.asarray(y, dtype=np.float64).reshape(-1)

@@ -7,11 +7,14 @@ error and its SE come from per-path differences.  The study takes the sup
 of |error| over a fixed time grid and fits a log-log slope over the eps
 values whose error clears three standard errors.  Constants are not
 reproducible, so everything here is about shapes: monotonicity and slope.
+
+A report returns its table as ``table()`` -> (header, rows) and its summary
+as ``summary()``, and writes nothing; the command line front end
+(:mod:`fastslow.cli`) writes every output file.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
@@ -38,17 +41,6 @@ CONVERGE_CSV_HEADER = ("eps,t,phi,err,se,sup_err,theoretical_exponent,"
                        "fitted_slope,slope_ci_lo,slope_ci_hi")
 LLN_CSV_HEADER = "kind,eps,comp,value,se,bound_shape"
 CLT_CSV_HEADER = "kind,eps,comp,lhs,correction,residual,se,bound_shape"
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def write_summary(path, payload: dict) -> None:
-    """Write a run summary as sorted, indented JSON with a final newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ def _need(d: dict, key: str, form: str = ""):
 
 
 _EXPERIMENT_KEYS = {
-    "preset": "text", "out_dir": "text", "seed": "count", "exponents": "list",
+    "preset": "text", "seed": "count", "exponents": "list",
     "theta": "rational", "eps_list": "vector", "budgets": "object", "quantum": "real",
     "interpolate": "flag", "phi": "list", "T": "real", "time_grid_n": "count",
     "dt_slow": "real", "micro_substeps": "count", "x0": "vector", "y0": "vector",
@@ -188,7 +180,6 @@ class ExperimentConfig:
     budgets: Budgets = dc_field(default_factory=Budgets)
     cache: CachePolicy = dc_field(default_factory=CachePolicy)
     seed: int = 0
-    out_dir: str | None = None
     chunk_size: int = 8192
 
     def __post_init__(self):
@@ -287,25 +278,18 @@ class WeakErrorReport:
     n_qualifying: int
     insufficient_signal: bool
 
-    def to_csv(self, path) -> None:
+    def table(self) -> tuple[list, list]:
+        """(header, rows): one row per (eps, t, phi), the phi name as text."""
         cfg = self.config
-        with open(path, "w", newline="") as fh:
-            fh.write(CONVERGE_CSV_HEADER + "\n")
-            for i, eps in enumerate(cfg.eps_list):
-                for j, t in enumerate(self.time_grid):
-                    for p, name in enumerate(cfg.phi_names):
-                        fh.write(",".join([
-                            _fmt(eps), _fmt(t), name,
-                            _fmt(self.err[i, j, p]), _fmt(self.se[i, j, p]),
-                            _fmt(self.sup_err[i]),
-                            _fmt(float(self.rate.exponent)),
-                            _fmt(self.fitted_slope),
-                            _fmt(self.slope_ci[0]), _fmt(self.slope_ci[1]),
-                        ]) + "\n")
+        rows = [[eps, t, name, self.err[i, j, p], self.se[i, j, p], self.sup_err[i],
+                 self.rate.exponent, self.fitted_slope, *self.slope_ci]
+                for i, eps in enumerate(cfg.eps_list)
+                for j, t in enumerate(self.time_grid)
+                for p, name in enumerate(cfg.phi_names)]
+        return CONVERGE_CSV_HEADER.split(","), rows
 
     def summary(self) -> dict:
         return {
-            "status": "ok",
             "regime": str(self.regime),
             "theoretical_exponent": float(self.rate.exponent),
             "rate_terms": {k: float(v) for k, v in self.rate.terms.items()},
@@ -323,9 +307,6 @@ class WeakErrorReport:
             "insufficient_signal": self.insufficient_signal,
             "provenance": self.config.provenance(),
         }
-
-    def to_json(self, path) -> None:
-        write_summary(path, self.summary())
 
 
 def _fit_loglog(eps: Array, sup_err: Array, sup_se: Array):
@@ -423,29 +404,19 @@ class FluctuationReport:
     lhs: Array | None = None       # clt only: rescaled integral mean
     correction: Array | None = None
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            if self.kind == "lln":
-                fh.write(LLN_CSV_HEADER + "\n")
-                for i, eps in enumerate(self.eps):
-                    for c in range(self.values.shape[1]):
-                        fh.write(",".join([
-                            "lln", _fmt(eps), str(c + 1),
-                            _fmt(self.values[i, c]), _fmt(self.se[i, c]),
-                            _fmt(self.bounds[i])]) + "\n")
-            else:
-                fh.write(CLT_CSV_HEADER + "\n")
-                for i, eps in enumerate(self.eps):
-                    for c in range(self.values.shape[1]):
-                        fh.write(",".join([
-                            "clt", _fmt(eps), str(c + 1),
-                            _fmt(self.lhs[i, c]), _fmt(self.correction[i, c]),
-                            _fmt(self.values[i, c]), _fmt(self.se[i, c]),
-                            _fmt(self.bounds[i])]) + "\n")
+    def table(self) -> tuple[list, list]:
+        """(header, rows): one row per (eps, component), kind and component
+        as text."""
+        clt = self.kind == "clt"
+        rows = [[self.kind, eps, str(c + 1),
+                 *([self.lhs[i, c], self.correction[i, c]] if clt else []),
+                 self.values[i, c], self.se[i, c], self.bounds[i]]
+                for i, eps in enumerate(self.eps)
+                for c in range(self.values.shape[1])]
+        return (CLT_CSV_HEADER if clt else LLN_CSV_HEADER).split(","), rows
 
     def summary(self) -> dict:
         out = {
-            "status": "ok",
             "kind": self.kind,
             "eps": list(self.eps),
             "values": self.values.tolist(),
@@ -457,9 +428,6 @@ class FluctuationReport:
             out["lhs"] = self.lhs.tolist()
             out["correction"] = self.correction.tolist()
         return out
-
-    def to_json(self, path) -> None:
-        write_summary(path, self.summary())
 
 
 def _check_centered(cfg: ExperimentConfig, f) -> None:

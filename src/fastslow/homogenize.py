@@ -41,7 +41,7 @@ from .corrector import (CorrectorField, CorrectorQuery, batch_se, codomain,
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .errors import PSDFailure
-from .model import CoupledSystem, Regime
+from .model import CoupledSystem, Regime, _count
 
 Array = np.ndarray
 
@@ -67,9 +67,7 @@ class Budgets:
         # refused before any cloud is sampled, also in regimes with no solve
         for name in ("invariant_samples", "invariant_thinning", "corrector_paths",
                      "grid_points", "n_batches"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
+            _count(name, getattr(self, name))
         for name in ("invariant_burn_in", "invariant_dt", "corrector_tmax",
                      "corrector_dt", "grid_pad"):
             real = getattr(self, name)

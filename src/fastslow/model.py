@@ -19,7 +19,7 @@ of every step loop (the integrators, the invariant sampler, the corrector).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -181,6 +181,14 @@ def check_state(tag: str, state: Array, cap: float, t: float, lo: int = 0) -> Ar
     return norms
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int if it is an int or numpy integer (not a bool);
+    anything else, a whole float included, raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_finite(name: str, value: Array) -> Array:
     value = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(value)):
@@ -214,24 +222,9 @@ class ValidationReport:
                 and self.ac_plausible)
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "sample_budget": self.sample_budget,
-            "radius": self.radius,
-            "seed": self.seed,
-            "eps": self.eps,
-            "a_eig_min": self.a_eig_min,
-            "a_eig_max": self.a_eig_max,
-            "a_ok": self.a_ok,
-            "g_eig_min": self.g_eig_min,
-            "g_eig_max": self.g_eig_max,
-            "g_ok": self.g_ok,
-            "recurrence_max": self.recurrence_max,
-            "recurrence_plausible": self.recurrence_plausible,
-            "ac_max": self.ac_max,
-            "ac_plausible": self.ac_plausible,
-            "passed": self.passed,
-        }
+        """The fields in order, ``lam`` written as "lambda", then "passed"."""
+        return {("lambda" if f.name == "lam" else f.name): getattr(self, f.name)
+                for f in fields(self)} | {"passed": self.passed}
 
 
 def validate_assumptions(system: CoupledSystem, lam: float, sample_budget: int,
@@ -247,9 +240,9 @@ def validate_assumptions(system: CoupledSystem, lam: float, sample_budget: int,
     """
     if lam <= 1.0:
         raise ValueError("lam must exceed 1")
-    if sample_budget < 1:
+    n = _count("sample_budget", sample_budget)
+    if n < 1:
         raise ValueError("sample_budget must be >= 1")
-    n = int(sample_budget)
     d1, d2 = system.d1, system.d2
 
     u = rng.uniforms(seed, rng.LANE_VALIDATE, 0, np.arange(n), d1 + d2)

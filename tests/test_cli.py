@@ -43,6 +43,19 @@ def outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
+# the first line of each command's CSV
+GOLDEN_HEADER = {
+    "validate": "metric,value",
+    "invariant": "y_1,mean_1,var_1,ess",
+    "corrector": "x_1,phi_1,se_1,grad_x_11,grad_y_11",
+    "average": "regime,t,y_1,fhat_1,ghat_11,se_1",
+    "converge": ("eps,t,phi,err,se,sup_err,theoretical_exponent,fitted_slope,"
+                 "slope_ci_lo,slope_ci_hi"),
+    "fluctuate-lln": "kind,eps,comp,value,se,bound_shape",
+    "fluctuate-clt": "kind,eps,comp,lhs,correction,residual,se,bound_shape",
+}
+
+
 def test_average_succeeds_and_repeats_byte_identical(tmp_path):
     runs = []
     for rep in ("a", "b"):
@@ -53,6 +66,7 @@ def test_average_succeeds_and_repeats_byte_identical(tmp_path):
     assert set(runs[0]) == {"average.csv", "average_summary.json"}
     assert json.loads(runs[0]["average_summary.json"])["status"] == "ok"
     assert len(runs[0]["average.csv"].splitlines()) == 3
+    assert runs[0]["average.csv"].decode().splitlines()[0] == GOLDEN_HEADER["average"]
     assert runs[0] == runs[1]
 
 
@@ -64,7 +78,93 @@ def test_converge_byte_identical_across_repeats_and_chunk_sizes(tmp_path):
         assert run_cli(["converge", "--config", path]) == 0
         runs.append(outputs(out))
     assert set(runs[0]) == {"converge.csv", "converge_summary.json"}
+    assert runs[0]["converge.csv"].decode().splitlines()[0] == GOLDEN_HEADER["converge"]
     assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+GRID = {"lo": [-1], "hi": [1], "n": [5]}
+R4_BUDGETS = dict(SMALL_BUDGETS, corrector_paths=200, corrector_tmax=1.0,
+                  grid_points=9, paths_coupled=100)
+# small configs of the commands the two tests above do not repeat
+REPEATED = {
+    "validate": {"preset": "ou_full", "sample_budget": 500, "seed": 2},
+    "invariant": {"preset": "ou_averaging", "ys": [[0.0], [0.7]],
+                  "n_samples": 2000, "seed": 4},
+    "corrector": {"preset": "ou_full", "grid": GRID, "n_paths": 400,
+                  "T_max": 2.0, "centering_samples": 4000, "seed": 1},
+    "fluctuate-lln": converge_cfg("", kind="lln"),
+    "fluctuate-clt": converge_cfg("", kind="clt", budgets=R4_BUDGETS),
+}
+
+
+@pytest.mark.parametrize("name", list(REPEATED))
+def test_repeats_byte_identical(tmp_path, name):
+    command = name.split("-")[0]
+    runs = []
+    for rep in ("a", "b"):
+        out = tmp_path / rep
+        cfg = dict(REPEATED[name], out_dir=str(out))
+        assert run_cli([command, "--config", write_config(tmp_path, rep, cfg)]) == 0
+        runs.append(outputs(out))
+    assert set(runs[0]) == {f"{command}.csv", f"{command}_summary.json"}
+    assert json.loads(runs[0][f"{command}_summary.json"])["status"] == "ok"
+    lines = runs[0][f"{command}.csv"].decode().splitlines()
+    assert lines[0] == GOLDEN_HEADER[name]
+    assert len(lines) > 1
+    assert runs[0] == runs[1]
+
+
+def test_failure_after_a_row_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # the table is written only once the command has returned, so a run that
+    # fails on its second slow state leaves its error summary and no rows
+    import fastslow.cli
+    from fastslow.errors import PSDFailure
+    real, calls = fastslow.cli.regime_averages, []
+
+    def second_fails(*a, **k):
+        calls.append(a)
+        if len(calls) == 2:
+            raise PSDFailure("not a covariance")
+        return real(*a, **k)
+
+    monkeypatch.setattr(fastslow.cli, "regime_averages", second_fails)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c", average_cfg(out))
+    assert run_cli(["average", "--config", path]) == 3
+    assert "PSDFailure: not a covariance" in capsys.readouterr().err
+    assert outputs(out).keys() == {"average_summary.json"}
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary == {"status": "error", "error": {"type": "PSDFailure",
+                                                   "message": "not a covariance"}}
+
+
+@pytest.mark.parametrize("value", [5, True, ["a"]], ids=["number", "boolean", "list"])
+def test_out_dir_of_another_kind_exits_2(tmp_path, capsys, value):
+    # a number reached Path() and failed with a message that named no key
+    cfg = dict(REPEATED["validate"], out_dir=value)
+    assert run_cli(["validate", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert (f"config error: out_dir must be a JSON string, got {value!r}"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    # mkdir raised FileExistsError past run_cli, and the run exited 1
+    (tmp_path / "taken").write_text("")
+    cfg = dict(REPEATED["validate"], out_dir=str(tmp_path / "taken"))
+    assert run_cli(["validate", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "config error: cannot make out_dir" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == ""
+
+
+@pytest.mark.parametrize("value", [None, ""], ids=["absent", "empty"])
+def test_missing_out_dir_exits_2(tmp_path, capsys, value):
+    cfg = dict(REPEATED["validate"])
+    if value is not None:
+        cfg["out_dir"] = value
+    assert run_cli(["validate", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "config error: config needs 'out_dir'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_workers_config_field_exits_2(tmp_path, capsys):
@@ -294,7 +394,6 @@ def test_non_number_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch
     assert not (out / "average.csv").exists()
 
 
-GRID = {"lo": [-1], "hi": [1], "n": [5]}
 # a config of each command that runs as it is
 VALID = {
     "validate": lambda out: {"preset": "ou_full", "out_dir": str(out)},
@@ -319,11 +418,10 @@ WRONG = {
     "list": ["1,1,1", 5, {"a": 1}],
     "object": [[1], "x", 5],
 }
-# out_dir is where the error summary goes; a non-string is refused by Path
 WRONG_KINDS = [
     (command, key, value)
     for command, kinds in fastslow.cli._CONFIG_KEYS.items()
-    for key, kind in kinds.items() if key != "out_dir"
+    for key, kind in kinds.items()
     for value in WRONG[kind]
 ] + [("corrector", f"grid.{key}", value)
      for key, kind in {"lo": "vector", "hi": "vector", "n": "counts"}.items()

@@ -366,6 +366,14 @@ class TestQuery:
         with pytest.raises(ValueError, match="n_batches"):
             CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), n_batches=n_batches)
 
+    @pytest.mark.parametrize("name", ["n_paths", "n_batches"])
+    @pytest.mark.parametrize("value", [100.5, True])
+    def test_fractional_count_is_refused(self, name, value):
+        # 100.5 paths were accepted and failed later, inside range()
+        with pytest.raises(ValueError, match=f"{name} must be an integer, "
+                                             f"got {value!r}"):
+            CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), **{name: value})
+
     def test_points_come_from_the_grid(self):
         ax = ([-1.0, 0.0, 2.0], [0.5, 1.5])
         q = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax)

@@ -62,6 +62,14 @@ class TestInvariantMeasure:
         assert np.isfinite(mu.samples).all()
         assert mu.n_chains == 1 and mu.ess == 1.0
 
+    @pytest.mark.parametrize("name", ["n_samples", "thinning"])
+    @pytest.mark.parametrize("value", [10.5, True])
+    def test_fractional_count_is_refused(self, name, value):
+        # 300.9 samples came back as 300
+        with pytest.raises(ValueError, match=f"{name} must be an integer, "
+                                             f"got {value!r}"):
+            sample_invariant_measure(frozen_ou(), [0.0], **{name: value})
+
     def test_deterministic(self):
         a = sample_invariant_measure(frozen_ou(), [1.0], n_samples=500, seed=7)
         b = sample_invariant_measure(frozen_ou(), [1.0], n_samples=500, seed=7)

@@ -10,6 +10,7 @@ from fastslow.harness import (CONVERGE_CSV_HEADER, ExperimentConfig,
                               clt_bound_shape, fluctuation_clt,
                               fluctuation_lln, lln_bound_shape,
                               weak_error_experiment)
+from fastslow.cli import _write_run
 from fastslow.model import classify_regime
 
 
@@ -148,17 +149,17 @@ class TestWeakError:
         np.testing.assert_array_equal(
             rep1.sup_err, rep1.err.reshape(2, -1).max(axis=1))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        rep1.to_csv(p1)
+        _write_run(tmp_path, "a", *rep1.table(), rep1.summary())
         cfg2 = ExperimentConfig.from_dict(small_cfg(chunk_size=64))
         rep2 = weak_error_experiment(cfg2)
-        rep2.to_csv(p2)
+        _write_run(tmp_path, "b", *rep2.table(), rep2.summary())
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_header_golden(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_cfg(eps_list=[0.4]))
         rep = weak_error_experiment(cfg)
         out = tmp_path / "c.csv"
-        rep.to_csv(out)
+        _write_run(tmp_path, "c", *rep.table(), rep.summary())
         lines = out.read_text().splitlines()
         assert lines[0] == CONVERGE_CSV_HEADER
         assert lines[0] == ("eps,t,phi,err,se,sup_err,theoretical_exponent,"

@@ -2,9 +2,9 @@
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
 ``model.check_state`` raises ``BlowUp``, that no config command coerces a
-value or writes a numeric default of its own, that the names the benchmark
-tracer wraps exist, and the public API surface with the kinds of the CLI's
-config keys."""
+value or writes a numeric default of its own, that only the CLI opens a file
+for writing, that the names the benchmark tracer wraps exist, and the public
+API surface with the kinds of the CLI's config keys."""
 
 import ast
 import dataclasses
@@ -226,6 +226,55 @@ def test_coercion_guard_sees_each_form():
         "from_dict:14", "from_dict:15"]
 
 
+_WRITE_MODES = set("wax+")
+_WRITE_CALLS = {"write_text", "write_bytes", "save", "savez", "savez_compressed",
+                "savetxt", "tofile", "to_csv", "to_json"}
+
+
+def _file_writes(tree) -> list[int]:
+    """Lines that open a file for writing: ``open`` or ``<x>.open`` with a
+    mode that writes, appends, creates or updates, given by position or as
+    ``mode=``, and calls such as ``write_text``, ``np.save`` or ``tofile``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in _WRITE_CALLS:
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(path, mode) names the file first; path.open(mode) does not
+            at = 1 if isinstance(f, ast.Name) else 0
+            mode = node.args[at] if len(node.args) > at else None
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), mode)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not _WRITE_MODES & set(str(mode.value))):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_cli_writes_files():
+    # a command returns its table and summary, and one writer in cli.py
+    # gives every output file its format; a second writer would be a second
+    # copy of that format
+    found = []
+    for path in sorted((SRC / "fastslow").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _file_writes(tree)]
+    assert found == []
+
+
+def test_write_guard_sees_each_form():
+    src = ("open(p)\nopen(p, 'w')\nopen(p, mode='a', newline='')\n"
+           "p.open('rb')\np.open('x')\np.write_text(s)\nnp.save(p, a)\n"
+           "a.tofile(p)\nopen(p, m)\nopen(p, 'r+')\np.open(mode='w')\n"
+           "open(p, 'rb')\np.read_text()\n")
+    assert _file_writes(ast.parse(src)) == [2, 3, 5, 6, 7, 8, 9, 10, 11]
+
+
 def test_tracer_entry_points_exist(monkeypatch):
     # bench/spans.py wraps each entry point in the module (or class) where
     # the program looks it up, reading owner.__dict__[attr]; a name dropped
@@ -296,7 +345,7 @@ PUBLIC_PARAMETERS = {
     "ExperimentConfig": ("system", "system_name", "schedule", "theta", "eps_list",
                          "T", "time_grid_n", "phi_names", "x0", "y0", "dt_slow",
                          "micro_substeps", "paths_coupled", "budgets", "cache",
-                         "seed", "out_dir", "chunk_size"),
+                         "seed", "chunk_size"),
     "FluctuationReport": ("kind", "config", "eps", "values", "se", "bounds", "lhs",
                           "correction"),
     "RateResult": ("regime", "exponent", "terms", "warning"),
@@ -310,30 +359,28 @@ PUBLIC_PARAMETERS = {
 }
 
 # The kind of each config key each CLI command reads (converge and fluctuate
-# read theirs through ExperimentConfig.from_dict); a change that adds or
-# removes a key, or changes its kind, edits this pin in the same diff, as for
-# a knob above.
+# read theirs through ExperimentConfig.from_dict); "out_dir" belongs to the
+# run and is read apart.  A change that adds or removes a key, or changes its
+# kind, edits this pin in the same diff, as for a knob above.
 EXPERIMENT_KEYS = {
-    "preset": "text", "out_dir": "text", "seed": "count", "exponents": "list",
+    "preset": "text", "seed": "count", "exponents": "list",
     "theta": "rational", "eps_list": "vector", "budgets": "object",
     "quantum": "real", "interpolate": "flag", "phi": "list", "T": "real",
     "time_grid_n": "count", "dt_slow": "real", "micro_substeps": "count",
     "x0": "vector", "y0": "vector", "chunk_size": "count",
 }
 CONFIG_KEYS = {
-    "validate": {"preset": "text", "out_dir": "text", "seed": "count",
-                 "lambda": "real", "sample_budget": "count", "radius": "real",
-                 "eps": "real"},
-    "invariant": {"preset": "text", "out_dir": "text", "seed": "count",
-                  "ys": "vectors", "y": "vector", "burn_in": "real",
-                  "n_samples": "count", "thinning": "count", "dt": "real"},
-    "corrector": {"preset": "text", "out_dir": "text", "seed": "count",
-                  "grid": "object", "t": "real", "y": "vector", "T_max": "real",
+    "validate": {"preset": "text", "seed": "count", "lambda": "real",
+                 "sample_budget": "count", "radius": "real", "eps": "real"},
+    "invariant": {"preset": "text", "seed": "count", "ys": "vectors",
+                  "y": "vector", "burn_in": "real", "n_samples": "count",
+                  "thinning": "count", "dt": "real"},
+    "corrector": {"preset": "text", "seed": "count", "grid": "object",
+                  "t": "real", "y": "vector", "T_max": "real",
                   "n_paths": "count", "dt": "real", "centering_samples": "count",
                   "gradients": "flag"},
-    "average": {"preset": "text", "out_dir": "text", "seed": "count",
-                "exponents": "list", "budgets": "object", "t": "real",
-                "ys": "vectors", "y": "vector"},
+    "average": {"preset": "text", "seed": "count", "exponents": "list",
+                "budgets": "object", "t": "real", "ys": "vectors", "y": "vector"},
     "converge": EXPERIMENT_KEYS,
     "fluctuate": EXPERIMENT_KEYS | {"kind": "text", "f": "text"},
 }

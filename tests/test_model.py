@@ -111,6 +111,24 @@ class TestValidate:
         r2 = validate_assumptions(_ou(), 2.0, 300, 10.0, seed=9)
         assert r1 == r2
 
+    @pytest.mark.parametrize("budget", [10.5, True, 10.0])
+    def test_fractional_budget_is_refused(self, budget):
+        # int() read 10.5 samples as 10
+        with pytest.raises(ValueError, match=f"sample_budget must be an integer, "
+                                             f"got {budget!r}"):
+            validate_assumptions(_ou(), 2.0, budget, 10.0, seed=0)
+
+    def test_as_dict_keys(self):
+        # the order is the validate command's CSV rows
+        rep = validate_assumptions(_ou(), 2.0, np.int64(50), 10.0, seed=9)
+        assert list(rep.as_dict()) == [
+            "lambda", "sample_budget", "radius", "seed", "eps", "a_eig_min",
+            "a_eig_max", "a_ok", "g_eig_min", "g_eig_max", "g_ok",
+            "recurrence_max", "recurrence_plausible", "ac_max", "ac_plausible",
+            "passed"]
+        assert rep.as_dict()["lambda"] == 2.0 and rep.as_dict()["passed"] is True
+        assert type(rep.sample_budget) is int
+
     def test_non_finite(self):
         bad = _ou(b=lambda x, y: x * np.nan)
         with pytest.raises(NonFiniteCoefficient):
