@@ -7,9 +7,10 @@ directory the config names as "out_dir":
 - ``<command>.csv``: a header line, then one line per row; a text cell is
   written as it is and every other cell as ``repr(float(v))``;
 - ``<command>_summary.json``: the summary as sorted, indented JSON with a
-  final newline.  A run that succeeds writes ``{"status": "ok"}`` and its
-  summary; one that fails after "out_dir" was read writes only this file,
-  as ``{"status": "error", "error": {"type", "message"}}``.
+  final newline; a non-finite number is written as null.  A run that
+  succeeds writes ``{"status": "ok"}`` and its summary; one that fails
+  after "out_dir" was read writes only this file, as
+  ``{"status": "error", "error": {"type", "message"}}``.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (blow-up, PSD
 failure, centering refusal).  Outputs are byte-identical across repeated
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -74,10 +76,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, in any list or dict, as None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_summary(path, payload: dict) -> None:
-    """Write a run summary as sorted, indented JSON with a final newline."""
+    """Write a run summary as sorted, indented, strict JSON with a final
+    newline; a non-finite number, such as a slope that could not be fitted,
+    is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -19,6 +19,15 @@ is drawn once and drives every state.  Blocks are sized by
 :func:`fastslow.rng.block_steps`, and the noise coefficient is applied by
 :func:`fastslow.model.apply_matrix`, once per block if it has no batch axes.
 
+The step loop (:func:`_path_sums`) is laid out for the cache.  A state of
+m paths from Q points is a points-major (Q, m, d1) array, so a step's
+(m, d1) noise is added to each point's contiguous (m, d1) slab.  Each state
+takes all steps of a block before the next state starts, so only one
+state's arrays are in use at a time, and ``f dt`` and ``b dt`` go into two
+buffers allocated once per chunk of paths and added in place.  The
+arithmetic is that of a plain Euler pass, in the same order, so the results
+do not depend on the layout.
+
 This module also holds the grid calculus on such solutions: one central
 difference stencil (:func:`_central`) gives the x-gradients, the
 :class:`GridTooCoarse` gate and the gradient and Hessian that the
@@ -49,8 +58,15 @@ Array = np.ndarray
 _COARSE_TOL = 0.5
 
 # paths integrated together; the sums add path after path, so results do
-# not depend on it
-_CHUNK_PATHS = 4096
+# not depend on it.  1024 keeps one state's arrays in cache: a default-budget
+# R4 solve of ou_full (4000 paths, 21 points, 800 steps, three fused states)
+# took 0.73-0.75 s at 1024 against 1.19-1.27 s at 4096 (best of 5 runs,
+# 2-vCPU VM); at 4096 the points-major layout alone did not make it faster
+_CHUNK_PATHS = 1024
+
+# the path states are checked after every step s with
+# s % _CHECK_EVERY == _CHECK_EVERY - 1, and after the last step
+_CHECK_EVERY = 128
 
 
 @dataclass(frozen=True)
@@ -157,15 +173,28 @@ def _shifted_states(y: Array, delta: float) -> list[Array]:
     return states
 
 
+def _segments(K: int, block: int) -> list[tuple[int, int]]:
+    """Step ranges ``(s0, s1)`` covering ``range(K)``, cut at every start of
+    a block of ``block`` draws and after every check step."""
+    cuts = set(range(block, K, block)) | set(range(_CHECK_EVERY, K, _CHECK_EVERY))
+    edges = [0, *sorted(cuts), K]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
     """Frozen-path time integrals of ``f`` from every query point, for each
     slow state in ``ys``.
 
-    The states advance in lockstep, each in its own (m, Q, d1) array: every
-    block of increments is drawn once and drives all of them, so a state
-    sees exactly the increments a solve of it alone would see.  Returns the
-    path-batch sums (len(ys), nb, Q, k), the batch sizes and, for the first
-    state, the integrals over the last two tenths of the horizon.
+    Each state lives in its own points-major (Q, m, d1) array.  Every block
+    of increments is drawn once and drives all the states, so a state sees
+    exactly the increments a solve of it alone would see; the states take
+    the block's steps one after another, so only one state's arrays are in
+    use at a time.  A block is split after each check step, and each state
+    is checked there as soon as it reaches it, so the states are checked,
+    and the first bad one reported, in the order of a lockstep pass.
+    Returns the path-batch sums (len(ys), nb, Q, k), the batch sizes and,
+    for the first state, the integrals over the last two tenths of the
+    horizon.
     """
     t0 = query.t
     pts = query.points
@@ -186,51 +215,61 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
         ids = np.arange(lo, hi, dtype=np.uint64)
         paths = rng.PathIndex(ids[None, :])
         block = rng.block_steps(m)
-        Xs = [np.broadcast_to(pts, (m, Q, d1)).copy() for _ in ys]
-        accs = [np.zeros((m, Q, k)) for _ in ys]
-        wacc1 = np.zeros((m, Q, k))
-        wacc2 = np.zeros((m, Q, k))
-        for s in range(K):
-            j = s % block
-            if j == 0:
-                steps = np.arange(s, min(s + block, K), dtype=np.uint64)
-                zb = rng.normals(query.seed, rng.LANE_FAST, paths,
-                                 steps[:, None], d1)[:, :, None, :]
-                # a sigma without batch axes is state-independent (see model):
-                # one product per block, each step's (m, 1, d1) noise broadcast
-                sigs = [system.sigma(X, y_i) for X, y_i in zip(Xs, ys)]
-                noises = [apply_matrix(sg, zb) * sq if np.ndim(sg) == 2 else None
-                          for sg in sigs]
+        Xs = [np.broadcast_to(pts[:, None, :], (Q, m, d1)).copy() for _ in ys]
+        accs = [np.zeros((Q, m, k)) for _ in ys]
+        wacc1 = np.zeros((Q, m, k))
+        wacc2 = np.zeros((Q, m, k))
+        # f dt and b dt of the state in use; each is added in place
+        fbuf = np.empty((Q, m, k))
+        dbuf = np.empty((Q, m, d1))
+        sigs = [None] * len(ys)
+        noises = [None] * len(ys)
+        for s0, s1 in _segments(K, block):
+            new_block = s0 % block == 0
+            if new_block:
+                steps = np.arange(s0, min(s0 + block, K), dtype=np.uint64)
+                zb = rng.normals(query.seed, rng.LANE_FAST, paths, steps[:, None], d1)
             for i, y_i in enumerate(ys):
-                X = Xs[i]
-                fdt = _as_cols(f(t0, X, y_i), (m, Q), k) * dtE
-                accs[i] += fdt
-                if i == 0:
-                    if s >= i90:
-                        wacc2 += fdt
-                    elif s >= i80:
-                        wacc1 += fdt
-                drift = np.asarray(system.b(X, y_i), dtype=np.float64)
-                if noises[i] is None:  # a sigma with batch axes, at every step
-                    sig = sigs[i] if j == 0 else system.sigma(X, y_i)
-                    noise = apply_matrix(sig, zb[j]) * sq
-                X = X + drift * dtE
-                X += noise if noises[i] is None else noises[i][j]
-                Xs[i] = X
-            if (s & 127) == 127 or s == K - 1:
-                for X in Xs:
-                    check_state("frozen", X, 1e6, (s + 1) * dtE, lo)
+                X, acc = Xs[i], accs[i]
+                if new_block:
+                    # a sigma without batch axes is state-independent (see
+                    # model): one product per block, each step's (m, d1)
+                    # noise added over the points
+                    sigs[i] = system.sigma(X, y_i)
+                    noises[i] = (apply_matrix(sigs[i], zb) * sq
+                                 if np.ndim(sigs[i]) == 2 else None)
+                for s in range(s0, s1):
+                    j = s % block
+                    # f, b and sigma all read the state before the step
+                    np.multiply(_as_cols(f(t0, X, y_i), (Q, m), k), dtE, out=fbuf)
+                    acc += fbuf
+                    if i == 0:
+                        if s >= i90:
+                            wacc2 += fbuf
+                        elif s >= i80:
+                            wacc1 += fbuf
+                    np.multiply(np.asarray(system.b(X, y_i), dtype=np.float64),
+                                dtE, out=dbuf)
+                    if noises[i] is None:  # a sigma with batch axes, at every step
+                        sig = sigs[i] if j == 0 else system.sigma(X, y_i)
+                        noise = apply_matrix(sig, zb[j]) * sq
+                    else:
+                        noise = noises[i][j]
+                    X += dbuf
+                    X += noise
+                if s1 % _CHECK_EVERY == 0 or s1 == K:
+                    check_state("frozen", X.swapaxes(0, 1), 1e6, s1 * dtE, lo)
         if not all(np.all(np.isfinite(acc)) for acc in accs):
             raise NonFiniteCoefficient("path integrals became non-finite")
         # np.add.at adds path after path, so the sums do not depend on how
         # the paths were split into chunks
         bidx = (ids.astype(np.int64) * nb) // query.n_paths
         for i, acc in enumerate(accs):
-            np.add.at(batch_sums[i], bidx, acc)
+            np.add.at(batch_sums[i], bidx, acc.swapaxes(0, 1))
         np.add.at(batch_counts, bidx, 1)
         first = np.zeros(m, dtype=np.intp)
-        np.add.at(w1[None], first, wacc1)
-        np.add.at(w2[None], first, wacc2)
+        np.add.at(w1[None], first, wacc1.swapaxes(0, 1))
+        np.add.at(w2[None], first, wacc2.swapaxes(0, 1))
     return batch_sums, batch_counts, w1, w2
 
 

@@ -15,6 +15,19 @@ SMALL_BUDGETS = {"invariant_samples": 1000, "invariant_thinning": 5,
                  "invariant_dt": 0.01, "invariant_burn_in": 5.0}
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+@pytest.fixture(autouse=True)
+def summaries_are_strict_json(tmp_path):
+    """Every summary a test here writes is strict JSON (RFC 8259): no NaN
+    or Infinity tokens, which parsers such as JSON.parse refuse."""
+    yield
+    for path in sorted(tmp_path.rglob("*_summary.json")):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def write_config(tmp_path, name, cfg):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
@@ -80,6 +93,9 @@ def test_converge_byte_identical_across_repeats_and_chunk_sizes(tmp_path):
     assert set(runs[0]) == {"converge.csv", "converge_summary.json"}
     assert runs[0]["converge.csv"].decode().splitlines()[0] == GOLDEN_HEADER["converge"]
     assert runs[0] == runs[1] == runs[2] == runs[3]
+    # two eps values leave no slope to fit: the summary holds null, not NaN
+    summary = json.loads(runs[0]["converge_summary.json"])
+    assert summary["fitted_slope"] is None and summary["slope_ci"] == [None, None]
 
 
 GRID = {"lo": [-1], "hi": [1], "n": [5]}

@@ -94,13 +94,13 @@ class TestSolve:
 
     def test_chunking_is_bit_identical(self, monkeypatch):
         # 37 steps: at 7 paths per chunk the increments come in one block
-        # per chunk, with all 1000 paths in one chunk in blocks of 32 steps
+        # per chunk, with all 1000 paths in one chunk in blocks of 8 steps
         # and a short last one; the batch and tail sums add path after path
         query = grid_query(n=5, n_paths=1000, T_max=0.37)
 
         def solve_at_chunks(system, f, q, **kw):
             fields = []
-            for chunk in (7, 4096):
+            for chunk in (7, 1024):
                 monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", chunk)
                 fields.append(solve_poisson_fk(system, f, q, centering_z=0.0, **kw))
             return fields
@@ -111,7 +111,8 @@ class TestSolve:
         # the y +/- delta states ride the same blocks of increments
         for make in FUSED_SYSTEMS.values():
             system, f, y = make()
-            q = replace(query, y=np.asarray(y, dtype=np.float64))
+            q = replace(query, y=np.asarray(y, dtype=np.float64),
+                        grid_axes=fused_axes(system.d1, n=5))
             a, b = solve_at_chunks(system, f, q, want_grad_y=True)
             for name in ("values", "se", "batch_means", "tail_bound", "grad_y",
                          "grad_y_batches"):
@@ -147,6 +148,24 @@ class TestSolve:
         with np.errstate(all="ignore"), pytest.raises(error):
             solve_poisson_fk(replace(standard_ou(), b=b), F_LIN, query,
                              centering_z=0.0)
+
+    def test_states_are_checked_in_lockstep_order(self):
+        # 20 paths draw blocks of 409 steps, so one block spans the checks
+        # after steps 127, 255 and 383.  Without noise, y + delta grows like
+        # e^(7 t) and leaves the cap between the checks at t = 1.28 and
+        # 2.56; the centre (and y - delta) blows up in finite time, within
+        # the cap at 2.56 and non-finite by 3.84.  Checked state by state at
+        # each check step, y + delta fails first.
+        def b(x, y):
+            return 7.0 * x if y[0] > 0.0 else 0.039 * x ** 3
+
+        system = replace(standard_ou(), b=b, sigma=lambda x, y: np.array([[0.0]]))
+        query = grid_query(lo=1.0, hi=2.0, n=3, n_paths=20, n_batches=2, T_max=5.0)
+        assert rng.block_steps(20) > 3 * 128
+        with np.errstate(all="ignore"), \
+                pytest.raises(BlowUp, match=r"on path 0 near t=2\.56$"):
+            solve_poisson_fk(system, F_LIN, query, centering_z=0.0,
+                             want_grad_y=True)
 
     def test_refuses_auto_center(self, mu):
         # the caller centers the integrand; the solver takes only its z
@@ -252,9 +271,47 @@ def coupled_ou_2():
     return system, H, [0.3, -0.8]
 
 
-# the noise is shared by all states, by none, and by some
+def correlated_ou_2():
+    """d1 = 2: the slow state moves the mean of a diagonal relaxation driven
+    by a constant non-diagonal sigma; the integrand x - y has two
+    components."""
+    rates = np.array([1.0, 1.5])
+    sigma = np.array([[1.3, 0.4], [-0.2, 0.9]])
+    system = CoupledSystem(
+        d1=2, d2=1,
+        b=lambda x, y: y - x * rates,
+        sigma=lambda x, y: sigma,
+        c=lambda x, y: np.zeros(np.shape(x)[:-1] + (1,)),
+        F=lambda t, x, y: np.zeros(np.shape(x)[:-1] + (1,)),
+        H=lambda t, x, y: x - y,
+        G=lambda t, x, y: np.array([[1.0]]),
+        autonomous=True,
+    )
+    return system, system.H, [0.4]
+
+
+def correlated_ou_2_x_noise():
+    """d1 = 2 with a non-diagonal noise coefficient that depends on the fast
+    state: row i of the constant sigma scaled by 1 + 0.2 tanh(x_i)."""
+    system, H, y = correlated_ou_2()
+    const = system.sigma(None, None)
+    sigma = lambda x, y: const * (1.0 + 0.2 * np.tanh(x))[..., None]
+    return replace(system, sigma=sigma), H, y
+
+
+# the noise is shared by all states, by none, and by some; at d1 = 2 a
+# constant and a batched non-diagonal sigma
 FUSED_SYSTEMS = {"d2=1": coupled_ou, "d2=1 x-noise": coupled_ou_x_noise,
-                 "d2=2": coupled_ou_2}
+                 "d2=2": coupled_ou_2, "d1=2": correlated_ou_2,
+                 "d1=2 x-noise": correlated_ou_2_x_noise}
+
+
+def fused_axes(d1, n=7):
+    """Grid axes of the fused-state tests: n nodes on [-3, 3] at d1 = 1, a
+    5 x 4 grid at d1 = 2."""
+    if d1 == 1:
+        return (np.linspace(-3.0, 3.0, n),)
+    return (np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 4))
 
 
 class TestFusedYStates:
@@ -266,13 +323,14 @@ class TestFusedYStates:
         # across chunk boundaries too
         monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", 256)
 
-    def query(self, y):
-        return grid_query(n=7, n_paths=600, T_max=0.8, y=y, seed=23)
+    def query(self, system, y):
+        return CorrectorQuery(t=0.0, y=y, grid_axes=fused_axes(system.d1),
+                              T_max=0.8, n_paths=600, seed=23)
 
     @pytest.mark.parametrize("system", list(FUSED_SYSTEMS))
     def test_equals_separate_single_state_solves(self, system):
         sys_, f, y = FUSED_SYSTEMS[system]()
-        q = self.query(y)
+        q = self.query(sys_, y)
         delta = 0.05
         fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
                                  want_grad_y=True, delta_y=delta)
@@ -300,7 +358,7 @@ class TestFusedYStates:
         # gradients() attaches the x-gradient only: the fused field keeps the
         # y-gradients of its own solve, a centre-only field gets none
         sys_, f, y = FUSED_SYSTEMS[system]()
-        q = self.query(y)
+        q = self.query(sys_, y)
         solved = solve_poisson_fk(sys_, f, q, centering_z=0.0,
                                   want_grad_y=True, delta_y=delta_y)
         fused = gradients(solved)
@@ -313,7 +371,8 @@ class TestFusedYStates:
         assert centre.grad_y is None and centre.grad_y_batches is None
 
     @pytest.mark.parametrize("system, per_step", [
-        ("d2=1", False), ("d2=1 x-noise", True), ("d2=2", False)])
+        ("d2=1", False), ("d2=1 x-noise", True), ("d2=2", False),
+        ("d1=2", False), ("d1=2 x-noise", True)])
     def test_sigma_calls(self, system, per_step):
         # a sigma without batch axes is state-independent at each slow
         # state, so it is called once per block of draws and state; a
@@ -325,7 +384,7 @@ class TestFusedYStates:
             calls.append(1)
             return sys_.sigma(x, yy)
 
-        q = self.query(y)
+        q = self.query(sys_, y)
         solve_poisson_fk(replace(sys_, sigma=sigma), f, q, centering_z=0.0,
                          want_grad_y=True, delta_y=0.05)
         K = round(q.T_max / q.dt)
@@ -335,14 +394,15 @@ class TestFusedYStates:
                         for m in chunks)
         assert len(calls) == (1 + 2 * len(y)) * per_state
 
-    @pytest.mark.parametrize("system", ["d2=1", "d2=2"])
+    @pytest.mark.parametrize("system", ["d2=1", "d2=2", "d1=2"])
     def test_block_noise_equals_per_step_noise(self, system):
         # the same sigma given batch axes is evaluated at every step; the
         # noise applied once per block must match it bit for bit
         sys_, f, y = FUSED_SYSTEMS[system]()
+        d1 = sys_.d1
         batched = replace(sys_, sigma=lambda x, yy: np.broadcast_to(
-            sys_.sigma(x, yy), x.shape[:-1] + (1, 1)))
-        q = self.query(y)
+            sys_.sigma(x, yy), x.shape[:-1] + (d1, d1)))
+        q = self.query(sys_, y)
         per_block, per_step = (
             solve_poisson_fk(s, f, q, centering_z=0.0, want_grad_y=True,
                              delta_y=0.05) for s in (sys_, batched))
@@ -357,6 +417,56 @@ class TestFusedYStates:
         with pytest.raises(ValueError, match="delta_y"):
             solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
                              delta_y=delta_y)
+
+
+def per_path_batch_means(system, f, query, ys):
+    """Path-batch means (len(ys), nb, Q, k) of the integrals of ``f`` from a
+    plain Euler loop, one path at a time from all query points: f, b and
+    sigma are read at the state before each step, and sigma multiplies the
+    path's increment of that step."""
+    pts = query.points
+    Q, d1 = pts.shape
+    k = fastslow.corrector.codomain(f, query.t, pts, query.y)
+    K = max(1, round(query.T_max / query.dt))
+    dt = query.T_max / K
+    nb, n = query.n_batches, query.n_paths
+    sums = np.zeros((len(ys), nb, Q, k))
+    counts = np.zeros(nb, dtype=np.int64)
+    for p in range(n):
+        z = rng.normals(query.seed, rng.LANE_FAST, p, np.arange(K), d1)
+        batch = p * nb // n
+        counts[batch] += 1
+        for i, y in enumerate(ys):
+            x, integral = pts.copy(), np.zeros((Q, k))
+            for s in range(K):
+                integral += np.asarray(f(query.t, x, y)).reshape(Q, k) * dt
+                x = x + np.asarray(system.b(x, y)) * dt \
+                    + (np.asarray(system.sigma(x, y)) @ z[s][None, :, None])[..., 0] \
+                    * math.sqrt(dt)
+            sums[i, batch] += integral
+    return sums / counts[:, None, None]
+
+
+class TestPerPathReference:
+    """The fused step loop is the plain Euler scheme, path by path."""
+
+    @pytest.mark.parametrize("system", ["d2=1 x-noise", "d1=2", "d1=2 x-noise"])
+    def test_fused_solve_equals_per_path_euler(self, system, monkeypatch):
+        # chunks of 16 and 4 paths draw blocks of 512 and 2048 steps: the
+        # 600 steps cross a block start at step 512, and the blocks are cut
+        # after the check steps 127, 255, 383 and 511
+        monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", 16)
+        sys_, f, y = FUSED_SYSTEMS[system]()
+        assert sys_.d2 == 1
+        q = CorrectorQuery(t=0.0, y=y, grid_axes=(np.linspace(-1.5, 1.5, 3),) * sys_.d1,
+                           T_max=6.0, n_paths=20, n_batches=4, seed=31)
+        delta = 0.05
+        field = solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
+                                 delta_y=delta)
+        ref = per_path_batch_means(sys_, f, q, [q.y, q.y + delta, q.y - delta])
+        assert np.array_equal(field.batch_means, ref[0])
+        assert np.array_equal(field.grad_y_batches,
+                              ((ref[1] - ref[2]) / (2 * delta))[..., None])
 
 
 class TestQuery:
