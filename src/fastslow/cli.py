@@ -182,12 +182,11 @@ def _cmd_invariant(cfg: dict) -> tuple:
     for i, y in enumerate(cfg["ys"]):
         mu = sample_invariant_measure(
             system, y, seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 41, i), **budget)
-        mean = mu.samples.mean(axis=0)
-        var = mu.samples.var(axis=0, ddof=1)
-        # the summary repeats the table's cells as text
-        rows.append([_fmt(v) for v in [*mu.y, *mean, *var, mu.ess]])
-    return header, rows, {"header": header, "rows": rows, "seed": cfg["seed"],
-                          "preset": system.name}
+        rows.append([*mu.y, *mu.samples.mean(axis=0), *mu.samples.var(axis=0, ddof=1),
+                     mu.ess])
+    # every cloud has the same number of chains
+    return header, rows, {"n_chains": mu.n_chains, "min_ess": min(r[-1] for r in rows),
+                          "seed": cfg["seed"], "preset": system.name}
 
 
 def _cmd_corrector(cfg: dict) -> tuple:

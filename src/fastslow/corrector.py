@@ -16,8 +16,8 @@ slow states: the y-gradients integrate from y +/- delta along each slow
 coordinate with the centre's increments, in the same pass as the centre
 (:func:`solve_poisson_fk` with ``want_grad_y``), so each block of increments
 is drawn once and drives every state.  Blocks are sized by
-:func:`fastslow.rng.block_steps`, and the noise coefficient is applied by
-:func:`fastslow.model.apply_matrix`, once per block if it has no batch axes.
+:func:`fastslow.rng.block_steps`, and each state takes the noise of a
+block from :func:`fastslow.model.block_noise`.
 
 The step loop (:func:`_path_sums`) is laid out for the cache.  A state of
 m paths from Q points is a points-major (Q, m, d1) array, so a step's
@@ -40,15 +40,17 @@ corrections c . grad_x Phi and H . grad_y Phi, and the derivative transfer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
 from . import rng
 from .errors import GridTooCoarse, NonFiniteCoefficient, NotCentered
 from .ergodic import MeasureEnsemble
-from .model import CoupledSystem, _count, apply_matrix, check_state
+from .model import CoupledSystem, _count, block_noise, check_state
 from .simulate import _chunks
 
 Array = np.ndarray
@@ -92,8 +94,8 @@ class CorrectorQuery:
         object.__setattr__(self, "grid_axes", axes)
         mesh = np.meshgrid(*axes, indexing="ij")
         object.__setattr__(self, "points", np.stack([m.ravel() for m in mesh], axis=-1))
-        if self.T_max <= 0 or self.dt <= 0:
-            raise ValueError("T_max and dt must be > 0")
+        if not (0 < self.T_max < math.inf and 0 < self.dt < math.inf):
+            raise ValueError("T_max and dt must be finite and > 0")
         _count("n_paths", self.n_paths)
         _count("n_batches", self.n_batches)
         if self.n_batches < 2:
@@ -207,8 +209,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
 
     batch_sums = np.zeros((len(ys), nb, Q, k))
     batch_counts = np.zeros(nb, dtype=np.int64)
-    w1 = np.zeros((Q, k))
-    w2 = np.zeros((Q, k))
+    w1, w2 = np.zeros((2, Q, k))
 
     for lo, hi in _chunks(query.n_paths, _CHUNK_PATHS):
         m = hi - lo
@@ -217,29 +218,19 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
         block = rng.block_steps(m)
         Xs = [np.broadcast_to(pts[:, None, :], (Q, m, d1)).copy() for _ in ys]
         accs = [np.zeros((Q, m, k)) for _ in ys]
-        wacc1 = np.zeros((Q, m, k))
-        wacc2 = np.zeros((Q, m, k))
+        wacc1, wacc2 = np.zeros((2, Q, m, k))
         # f dt and b dt of the state in use; each is added in place
         fbuf = np.empty((Q, m, k))
         dbuf = np.empty((Q, m, d1))
-        sigs = [None] * len(ys)
-        noises = [None] * len(ys)
         for s0, s1 in _segments(K, block):
-            new_block = s0 % block == 0
-            if new_block:
+            if s0 % block == 0:
                 steps = np.arange(s0, min(s0 + block, K), dtype=np.uint64)
                 zb = rng.normals(query.seed, rng.LANE_FAST, paths, steps[:, None], d1)
-            for i, y_i in enumerate(ys):
-                X, acc = Xs[i], accs[i]
-                if new_block:
-                    # a sigma without batch axes is state-independent (see
-                    # model): one product per block, each step's (m, d1)
-                    # noise added over the points
-                    sigs[i] = system.sigma(X, y_i)
-                    noises[i] = (apply_matrix(sigs[i], zb) * sq
-                                 if np.ndim(sigs[i]) == 2 else None)
+                # each state's noise of the block, resumed in its next segment
+                noises = [block_noise(partial(system.sigma, X, y_i), zb, sq)
+                          for X, y_i in zip(Xs, ys)]
+            for i, (X, acc, y_i, state_noise) in enumerate(zip(Xs, accs, ys, noises)):
                 for s in range(s0, s1):
-                    j = s % block
                     # f, b and sigma all read the state before the step
                     np.multiply(_as_cols(f(t0, X, y_i), (Q, m), k), dtE, out=fbuf)
                     acc += fbuf
@@ -250,11 +241,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
                             wacc1 += fbuf
                     np.multiply(np.asarray(system.b(X, y_i), dtype=np.float64),
                                 dtE, out=dbuf)
-                    if noises[i] is None:  # a sigma with batch axes, at every step
-                        sig = sigs[i] if j == 0 else system.sigma(X, y_i)
-                        noise = apply_matrix(sig, zb[j]) * sq
-                    else:
-                        noise = noises[i][j]
+                    noise = next(state_noise)
                     X += dbuf
                     X += noise
                 if s1 % _CHECK_EVERY == 0 or s1 == K:
@@ -454,27 +441,53 @@ def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
                               antisym_norm=float(np.linalg.norm(anti)))
 
 
+def multilinear(base: Array, frac: Array, gather) -> Array:
+    """Multilinear blend of the 2^d corner records of n cells.
+
+    ``base`` (n, d) holds each cell's lowest corner index and ``frac``
+    (n, d) the point's place in the cell, in [0, 1] per axis.
+    ``gather(keys)`` returns the (2^d n, k) records at the integer keys
+    (2^d n, d), corner after corner in ``itertools.product`` order.  Each
+    weight is the product of ``frac`` or ``1 - frac`` over the axes, in
+    axis order, and the weighted records are summed in corner order.
+    """
+    n, d = base.shape
+    corners = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)
+    rows = gather((base + corners[:, None, :]).reshape(-1, d)).reshape(2 ** d, n, -1)
+    out = None
+    for corner, row in zip(corners, rows):
+        w = np.ones(n)
+        for j, o in enumerate(corner):
+            w = w * (frac[:, j] if o else 1.0 - frac[:, j])
+        out = w[:, None] * row if out is None else out + w[:, None] * row
+    return out
+
+
 def _interp_axes(axes, grid_values: Array, points: Array) -> Array:
     """Multilinear interpolation on a tensor grid, clamped at the edges.
 
     ``grid_values`` has the grid shape followed by arbitrary trailing axes.
+    Above d = 1, ``searchsorted`` finds each point's cell for
+    :func:`multilinear`.  At d = 1 it is ``np.interp``, which rounds half of
+    the values differently in the last bit, so d1 = 1 cells stay unchanged.
     """
     d = len(axes)
     gshape = tuple(len(ax) for ax in axes)
-    trail = grid_values.shape[d:]
+    flat = grid_values.reshape(gshape + (-1,))
     if d == 1:
-        flat = grid_values.reshape(gshape[0], -1)
-        cols = [np.interp(points[:, 0], axes[0], flat[:, j])
-                for j in range(flat.shape[1])]
-        return np.stack(cols, axis=-1).reshape((points.shape[0],) + trail)
-    # imported here, not at the top, so that importing fastslow stays fast
-    from scipy.interpolate import RegularGridInterpolator  # noqa: PLC0415
-    pts = points.copy()
+        out = np.stack([np.interp(points[:, 0], axes[0], col) for col in flat.T], axis=-1)
+        return out.reshape((points.shape[0],) + grid_values.shape[d:])
+    base = np.zeros(points.shape, dtype=np.int64)
+    frac = np.zeros(points.shape)
     for j, ax in enumerate(axes):
-        pts[:, j] = np.clip(pts[:, j], ax[0], ax[-1])
-    itp = RegularGridInterpolator(axes, grid_values.reshape(gshape + (-1,)),
-                                  method="linear")
-    return itp(pts).reshape((points.shape[0],) + trail)
+        if len(ax) > 1:  # a one-node axis keeps base 0 and weight 0 on node 1
+            p = np.clip(points[:, j], ax[0], ax[-1])
+            i = base[:, j] = np.clip(np.searchsorted(ax, p, side="right") - 1,
+                                     0, len(ax) - 2)
+            frac[:, j] = (p - ax[i]) / (ax[i + 1] - ax[i])
+    top = np.asarray(gshape) - 1
+    out = multilinear(base, frac, lambda keys: flat[tuple(np.minimum(keys, top).T)])
+    return out.reshape((points.shape[0],) + grid_values.shape[d:])
 
 
 def _grid_at(field: CorrectorField, node_vals: Array, points: Array,

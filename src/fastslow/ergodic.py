@@ -4,17 +4,15 @@ The stationary law of the frozen equation is stood in for by a cloud from
 ``N_CHAINS`` independent trajectories, advanced together as one vectorized
 state: each starts at x = 0, discards its own burn-in and keeps every
 ``thinning``-th state.  Increments are drawn a block of steps at a time,
-sized by :func:`fastslow.rng.block_steps`.  A noise coefficient without
-batch axes is state-independent at the frozen y (see :mod:`fastslow.model`),
-so it is evaluated once per block and the noise of the whole block is one
-:func:`fastslow.model.apply_matrix`; one with batch axes is evaluated at
-every step.  There is one error rule: the standard error of an average
-over the cloud (:func:`chain_se`) is taken from the chain means, so the z
-of an exactly centered integrand follows a t law with K - 1 degrees of
-freedom for K chains.  A single long chain is passed as K >= 2 contiguous
-segments, each much longer than its autocorrelation time, which gives
-batch means (Flegal and Jones 2010, Ann. Statist. 38).  The effective
-sample size of a cloud is variance over squared SE.
+sized by :func:`fastslow.rng.block_steps`, and the noise of each block
+comes from :func:`fastslow.model.block_noise`.  There is one error rule:
+the standard error of an average over the cloud (:func:`chain_se`) is
+taken from the chain means, so the z of an exactly centered integrand
+follows a t law with K - 1 degrees of freedom for K chains.  A single
+long chain is passed as K >= 2 contiguous segments, each much longer than
+its autocorrelation time, which gives batch means (Flegal and Jones 2010,
+Ann. Statist. 38).  The effective sample size of a cloud is variance over
+squared SE.
 
 The derivative transfer, which needs the auxiliary solution and its grid
 derivatives, lives with the averaged coefficients in
@@ -25,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import rng
 from .errors import NonFiniteCoefficient
-from .model import CoupledSystem, _count, apply_matrix, check_state
+from .model import CoupledSystem, _count, block_noise, check_state
 
 Array = np.ndarray
 
@@ -140,20 +139,7 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
         steps = np.arange(k0, k0 + nb, dtype=np.uint64)[:, None]
         z = rng.normals(seed, rng.LANE_FAST, chains, steps, d1)
         z *= sq
-        sig = np.asarray(system.sigma(x, y_fix), dtype=np.float64)
-        per_step = sig.ndim != 2
-        if not per_step:
-            # a sigma without batch axes is state-independent (see model),
-            # so the noise of the whole block is one product; it replaces
-            # the increments, so one block-sized array stays alive
-            z = apply_matrix(sig, z)
-        for j in range(nb):
-            if per_step:
-                if j:
-                    sig = np.asarray(system.sigma(x, y_fix), dtype=np.float64)
-                noise = apply_matrix(sig, z[j])
-            else:
-                noise = z[j]
+        for j, noise in enumerate(block_noise(partial(system.sigma, x, y_fix), z, 1.0)):
             x += np.asarray(system.b(x, y_fix), dtype=np.float64) * dt
             x += noise
             if k0 + j == keep_at:

@@ -89,7 +89,8 @@ def theoretical_rate(regime: Regime, schedule: ScaleSchedule, theta) -> RateResu
 
 
 def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: json reads Infinity and NaN as floats."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
 
 
 def _each(ok):
@@ -101,13 +102,13 @@ _KINDS = {
     "count": ("a JSON integer", lambda v: _num(v) and isinstance(v, int), None),
     "counts": ("an integer or a list of integers",
                _each(lambda v: _num(v) and isinstance(v, int)), None),
-    "real": ("a JSON number", _num, float),
-    "vector": ("a number or a list of numbers", _each(_num),
+    "real": ("a finite JSON number", _num, float),
+    "vector": ("a finite number or a list of finite numbers", _each(_num),
                lambda v: tuple(np.atleast_1d(v).astype(float))),
     "vectors": ("a list of vectors", lambda v: isinstance(v, (list, tuple))
                 and all(map(_each(_num), v)), None),
-    "rational": ("a number or a fraction string", lambda v: _num(v) or isinstance(v, str),
-                 None),
+    "rational": ("a finite number or a fraction string",
+                 lambda v: _num(v) or isinstance(v, str), None),
     "flag": ("a JSON boolean", lambda v: isinstance(v, bool), None),
     "text": ("a JSON string", lambda v: isinstance(v, str), None),
     "list": ("a JSON list", lambda v: isinstance(v, (list, tuple)), None),

@@ -25,7 +25,6 @@ error comes from the one rule :func:`fastslow.corrector.batch_se`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import rng
 from .corrector import (CorrectorField, CorrectorQuery, batch_se, codomain,
-                        gradients, grid_grad_x, outer_product_HPhi,
+                        gradients, grid_grad_x, multilinear, outer_product_HPhi,
                         solve_poisson_fk, _check_delta_y, _grid_at,
                         _interior_derivatives, _interp_axes, _y_step)
 from .ergodic import (MeasureEnsemble, average, centering_residual,
@@ -71,8 +70,9 @@ class Budgets:
         for name in ("invariant_burn_in", "invariant_dt", "corrector_tmax",
                      "corrector_dt", "grid_pad"):
             real = getattr(self, name)
-            if isinstance(real, bool) or not isinstance(real, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {real!r}")
+            if (isinstance(real, bool) or not isinstance(real, numbers.Real)
+                    or not -math.inf < real < math.inf):
+                raise ValueError(f"{name} must be a finite number, got {real!r}")
         if self.n_batches < 2:
             raise ValueError("n_batches must be >= 2 to estimate a standard error")
         _check_delta_y(self.delta_y)
@@ -407,7 +407,9 @@ class CellField:
     :meth:`eval_batch` is the one lookup.  It rounds the batch to integer
     cell keys, reduces them to their distinct cells in numpy, touches Python
     once per distinct cell (a dict read, or computing a missing cell) and
-    gathers the records back with the inverse index.  Memory grows with the
+    gathers the records back with the inverse index.  With interpolation
+    it reads the 2^d2 corner cells of each row in that one lookup and blends
+    them with :func:`fastslow.corrector.multilinear`.  Memory grows with the
     number of visited cells, not with their bounding box.
     """
 
@@ -446,22 +448,9 @@ class CellField:
         ti = 0 if self._autonomous else int(round(t / self._policy.tq))
         if not self._policy.interpolate:
             return self._gather(ti, np.round(Y / q).astype(np.int64))
-        # multilinear blend of the 2^d2 corner cells, gathered in one lookup
-        n, d2 = Y.shape
+        # the 2^d2 corner cells of every row, gathered in one lookup
         base = np.floor(Y / q).astype(np.int64)
-        frac = Y / q - base
-        corners = list(itertools.product((0, 1), repeat=d2))
-        offs = np.asarray(corners, dtype=np.int64)
-        keys = (base[None, :, :] + offs[:, None, :]).reshape(-1, d2)
-        rows = self._gather(ti, keys).reshape(len(corners), n, -1)
-        out = None
-        for c, corner in enumerate(corners):
-            w = np.ones(n)
-            for j, o in enumerate(corner):
-                w = w * (frac[:, j] if o else 1.0 - frac[:, j])
-            contrib = w[:, None] * rows[c]
-            out = contrib if out is None else out + contrib
-        return out
+        return multilinear(base, Y / q - base, lambda keys: self._gather(ti, keys))
 
     def provenance(self) -> dict:
         return {

@@ -11,6 +11,9 @@ axes.  The second form is a promise: the matrix is state-independent at
 that (t, y), so a step loop that holds (t, y) fixed may evaluate it once
 per block of steps and reuse it.  A coefficient that depends on the
 state must return batch axes; broadcasting does the rest.
+For sigma, :func:`block_noise` is the one user of that promise: the
+invariant sampler, the corrector and the coupled integrator take the
+noise of a block of draws from it.
 
 :func:`apply_matrix` is the one kernel that multiplies such a coefficient
 into a batch of noise vectors; :func:`check_state` is the one state check
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -70,7 +73,10 @@ class ScaleSchedule:
 
     def __post_init__(self):
         for name in ("exp_alpha", "exp_beta", "exp_gamma"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+            q = getattr(self, name)
+            if isinstance(q, float) and not -np.inf < q < np.inf:
+                raise ValueError(f"exponents must be finite, got {name}={q!r}")
+            object.__setattr__(self, name, _as_fraction(q))
         if self.exp_alpha <= 0:
             raise ValueError("exp_alpha must be > 0")
         if self.exp_beta < 0 or self.exp_gamma < 0:
@@ -161,6 +167,25 @@ def apply_matrix(m, v: Array) -> Array:
         out += 0.0
         return out
     return (m @ v[..., None])[..., 0]
+
+
+def block_noise(sigma_at: Callable[[], Array], z: Array, scale: float) -> Iterator[Array]:
+    """Yield ``scale * sigma z[j]`` for each step j of a block of draws ``z``
+    (steps on the leading axis).  ``sigma_at()`` reads sigma at the caller's
+    state, which the caller moves only after taking the step's noise.  Sigma
+    is read at the block's first state; a ``(d, d)`` one gives the whole
+    block's noise as one product, and a batched one is read again before
+    every later step."""
+    sig = np.asarray(sigma_at(), dtype=np.float64)
+    if sig.ndim == 2:
+        noise = apply_matrix(sig, z)
+        noise *= scale
+        yield from noise
+        return
+    for j in range(z.shape[0]):
+        noise = apply_matrix(sig if j == 0 else sigma_at(), z[j])
+        noise *= scale
+        yield noise
 
 
 def check_state(tag: str, state: Array, cap: float, t: float, lo: int = 0) -> Array:

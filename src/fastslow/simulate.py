@@ -18,11 +18,10 @@ through one :class:`fastslow.rng.PathIndex` and checks its state with
 of the fast state.  Per-chunk integrals are concatenated at the end.
 
 Every loop draws its increments a block of steps per call
-(:func:`fastslow.rng.block_steps`).  In the coupled integrator, a noise
-coefficient without batch axes is state-independent at the macro step's
-slow state (see :mod:`fastslow.model`), so it is evaluated once per macro
-step and applied to a whole block; one with batch axes is evaluated at
-every micro step.  Noise products go through
+(:func:`fastslow.rng.block_steps`).  The coupled integrator takes the
+micro steps' noise from :func:`fastslow.model.block_noise`, so a noise
+coefficient without batch axes is evaluated once per block of draws and
+one with batch axes at every micro step.  Noise products go through
 :func:`fastslow.model.apply_matrix`, and the fast state and its
 accumulators are updated in place.
 """
@@ -31,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import rng
-from .model import CoupledSystem, ScaleSchedule, apply_matrix, check_state
+from .model import CoupledSystem, ScaleSchedule, apply_matrix, block_noise, check_state
 
 Array = np.ndarray
 
@@ -250,30 +250,17 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
             if macro_integrand is not None:
                 macc = _accumulate(macc, macro_integrand(tm, Y), dt)
             Hsum.fill(0.0)
-            sig = np.asarray(system.sigma(X, Y), dtype=np.float64)
-            per_step = sig.ndim != 2
             for j0 in range(0, n_micro, block):
                 nb = min(block, n_micro - j0)
                 k0 = mi * n_micro + j0
                 steps = np.arange(k0, k0 + nb, dtype=np.uint64)[:, None]
                 z = rng.normals(cfg.seed, rng.LANE_FAST, paths, steps, d1)
-                if not per_step:
-                    # sigma is fixed for the macro step: the noise of the
-                    # whole block is one product
-                    z = apply_matrix(sig, z)
-                    z *= sq_h
-                for j in range(j0, j0 + nb):
+                noises = block_noise(partial(system.sigma, X, Y), z, sq_h)
+                for j, noise in enumerate(noises, j0):
                     tj = tm + j * h
                     Hsum += system.H(tj, X, Y)
                     if integrand is not None:
                         acc = _accumulate(acc, integrand(tj, X, Y), h)
-                    if per_step:
-                        if j:
-                            sig = np.asarray(system.sigma(X, Y), dtype=np.float64)
-                        noise = apply_matrix(sig, z[j - j0])
-                        noise *= sq_h
-                    else:
-                        noise = z[j - j0]
                     # X + (b / alpha^2 + c / beta) h + noise, in this order
                     np.multiply(np.asarray(system.b(X, Y), dtype=np.float64),
                                 inv_a2, out=drift)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -391,11 +392,13 @@ def test_zero_delta_y_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["invariant_burn_in", "invariant_dt",
                                    "corrector_tmax", "corrector_dt", "grid_pad"])
-@pytest.mark.parametrize("value", ["0.01", True, None], ids=["string", "bool", "null"])
+@pytest.mark.parametrize("value", ["0.01", True, None, math.inf, -math.inf, math.nan],
+                         ids=["string", "bool", "null", "inf", "-inf", "nan"])
 def test_non_number_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
                                                    field, value):
     # a string real failed only after the first cloud, with a message about
-    # '<=' between str and int
+    # '<=' between str and int; an Infinity (which json reads) ended in an
+    # OverflowError traceback and exit 1
     import fastslow.homogenize
     clouds = []
     monkeypatch.setattr(fastslow.homogenize, "sample_invariant_measure",
@@ -403,7 +406,7 @@ def test_non_number_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch
     out = tmp_path / "out"
     cfg = average_cfg(out, budgets=dict(SMALL_BUDGETS, **{field: value}))
     assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
-    assert f"{field} must be a number, got {value!r}" in capsys.readouterr().err
+    assert f"{field} must be a finite number, got {value!r}" in capsys.readouterr().err
     assert clouds == []
     summary = json.loads((out / "average_summary.json").read_text())
     assert summary["error"]["type"] == "ValueError"
@@ -442,6 +445,18 @@ WRONG_KINDS = [
 ] + [("corrector", f"grid.{key}", value)
      for key, kind in {"lo": "vector", "hi": "vector", "n": "counts"}.items()
      for value in WRONG[kind]]
+# the non-finite numbers that json reads (Infinity, -Infinity, NaN), for the
+# kinds that hold numbers; an Infinity ended in an OverflowError traceback
+# and exit 1, or ran as a numerical failure
+NON_FINITE = {"real": [math.inf, math.nan], "vector": [-math.inf, [0.5, math.inf]],
+              "vectors": [[[math.nan]]], "rational": [math.inf, math.nan]}
+WRONG_KINDS += [
+    (command, key, value)
+    for command, kinds in fastslow.cli._CONFIG_KEYS.items()
+    for key, kind in kinds.items()
+    for value in NON_FINITE.get(kind, [])
+] + [("corrector", f"grid.{key}", value) for key in ("lo", "hi")
+     for value in NON_FINITE["vector"]]
 
 
 @pytest.fixture
@@ -479,6 +494,35 @@ def test_value_of_another_kind_exits_2(tmp_path, capsys, nothing_runs, command,
     assert not (out / f"{command}.csv").exists()
     summary = json.loads((out / f"{command}_summary.json").read_text())
     assert summary["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["average", "converge", "fluctuate"])
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_exponent_exits_2(tmp_path, capsys, nothing_runs, command, value):
+    # "exponents" is a list whose entries the schedule reads; an Infinity
+    # there ended in an OverflowError traceback and exit 1, and a NaN named
+    # no key
+    out = tmp_path / "out"
+    cfg = VALID[command](out)
+    cfg["exponents"] = [1, value, 1]
+    assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"exponents must be finite, got exp_beta={value!r}" in capsys.readouterr().err
+    summary = json.loads((out / f"{command}_summary.json").read_text())
+    assert summary["status"] == "error"
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_invariant_summary_holds_the_cloud_diagnostics(tmp_path):
+    # the summary repeated every cell of the CSV as text; it holds the
+    # chains per cloud and the smallest cloud ESS as numbers instead
+    out = tmp_path / "out"
+    cfg = dict(REPEATED["invariant"], out_dir=str(out))
+    assert run_cli(["invariant", "--config", write_config(tmp_path, "c", cfg)]) == 0
+    summary = json.loads((out / "invariant_summary.json").read_text())
+    assert summary == {"status": "ok", "n_chains": 64, "min_ess": summary["min_ess"],
+                       "seed": 4, "preset": "ou_averaging"}
+    rows = (out / "invariant.csv").read_text().splitlines()[1:]
+    assert summary["min_ess"] == min(float(row.split(",")[-1]) for row in rows)
 
 
 @pytest.mark.parametrize("command", list(VALID))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from fastslow import (BlowUp, CorrectorQuery, CoupledSystem, NotCentered,
                       outer_product_HPhi, rng, sample_invariant_measure,
                       solve_poisson_fk)
 import fastslow.corrector
-from fastslow.corrector import (CorrectorField, _grid_at,
-                                _interior_derivatives, grid_grad_x)
+from fastslow.corrector import (CorrectorField, _grid_at, _interior_derivatives,
+                                _interp_axes, grid_grad_x, multilinear)
 
 RT2 = math.sqrt(2.0)
 
@@ -484,6 +485,14 @@ class TestQuery:
                                              f"got {value!r}"):
             CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), **{name: value})
 
+    @pytest.mark.parametrize("name", ["T_max", "dt"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_and_step_must_be_finite_and_positive(self, name, value):
+        # an infinite horizon ended in an OverflowError when the solve
+        # counted its steps
+        with pytest.raises(ValueError, match="T_max and dt must be finite and > 0"):
+            CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), **{name: value})
+
     def test_points_come_from_the_grid(self):
         ax = ([-1.0, 0.0, 2.0], [0.5, 1.5])
         q = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax)
@@ -591,3 +600,68 @@ class TestOuterProduct:
                                  centering_z=z)
         res = outer_product_HPhi(sys1, field, mu_long, 0.0)
         assert abs(res.matrix[0, 0] - 1.0) <= 0.1
+
+
+def multilinear_fn(x):
+    """A multilinear function of the columns of x (degree <= 1 in each),
+    two components."""
+    prod = np.prod(x, axis=-1)
+    first = 0.7 - 1.3 * x[:, 0] + 0.4 * x[:, -1] + 2.1 * x[:, 0] * x[:, 1] - prod
+    return np.stack([first, 0.5 * prod + x[:, 1]], axis=-1)
+
+
+def uneven_axes(d):
+    return tuple(np.sort(np.random.default_rng(d).uniform(-2.0, 2.0, 5 + j))
+                 for j in range(d))
+
+
+def grid_of(axes, fn):
+    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return fn(mesh).reshape(tuple(len(ax) for ax in axes) + (-1,))
+
+
+class TestMultilinear:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reproduces_a_multilinear_function(self, d):
+        # on the nodes, and anywhere inside, the blend of a multilinear
+        # function is that function
+        axes = uneven_axes(d)
+        r = np.random.default_rng(7)
+        nodes = np.stack([r.choice(ax, 300) for ax in axes], axis=-1)
+        inside = np.stack([r.uniform(ax[0], ax[-1], 300) for ax in axes], axis=-1)
+        pts = np.concatenate([nodes, inside])
+        got = _interp_axes(axes, grid_of(axes, multilinear_fn), pts)
+        assert np.abs(got - multilinear_fn(pts)).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_clamps_outside_the_grid(self, d):
+        axes = uneven_axes(d)
+        pts = np.random.default_rng(8).uniform(-5.0, 5.0, (400, d))
+        clamped = np.stack([np.clip(pts[:, j], ax[0], ax[-1])
+                            for j, ax in enumerate(axes)], axis=-1)
+        assert not np.array_equal(pts, clamped)
+        grid = grid_of(axes, multilinear_fn)
+        assert np.array_equal(_interp_axes(axes, grid, pts),
+                              _interp_axes(axes, grid, clamped))
+        assert np.abs(_interp_axes(axes, grid, pts)
+                      - multilinear_fn(clamped)).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_a_per_point_corner_loop(self, d):
+        # the weights multiply in axis order from 1.0 and the weighted
+        # corners add in itertools.product order, from the first corner
+        r = np.random.default_rng(9)
+        table = r.standard_normal((4,) * d + (3,))
+        base = r.integers(0, 3, (200, d))
+        frac = r.uniform(0.0, 1.0, (200, d))
+        frac[:20] = r.integers(0, 2, (20, d))   # on the cell's corners
+        got = multilinear(base, frac, lambda keys: table[tuple(keys.T)])
+        for n in range(200):
+            want = None
+            for corner in itertools.product((0, 1), repeat=d):
+                w = 1.0
+                for j, o in enumerate(corner):
+                    w = w * (frac[n, j] if o else 1.0 - frac[n, j])
+                term = w * table[tuple(base[n] + corner)]
+                want = term if want is None else want + term
+            assert got[n].tobytes() == want.tobytes(), n

@@ -408,6 +408,16 @@ def test_budgets_reject_bad_delta_y(delta_y):
         Budgets(delta_y=delta_y)
 
 
+@pytest.mark.parametrize("name", ["invariant_burn_in", "invariant_dt", "corrector_tmax",
+                                  "corrector_dt", "grid_pad"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_budgets_reject_non_finite_reals(name, value):
+    # an infinite corrector_tmax ended in an OverflowError when the solve
+    # counted its steps
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        Budgets(**{name: value})
+
+
 @pytest.mark.parametrize("quantum", [0.0, -0.1, float("nan"), float("inf")])
 def test_cache_policy_rejects_bad_quantum(quantum):
     # a zero quantum divided every lattice key by zero and filed all rows

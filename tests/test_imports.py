@@ -21,14 +21,50 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported lazily by the multilinear interpolation; loading it
-    # at import time would add its start-up cost to every run
+    # numpy is the one dependency; a scipy module in sys.modules after the
+    # import would mean that some module reaches for it
     probe = ("import sys, fastslow; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# a d1 = 2 system whose cells interpolate the corrector on a 2-d grid, the
+# one place that once imported scipy; run with scipy made unimportable
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from fastslow import (Budgets, CoupledSystem, Regime, regime_averages,
+                      transfer_derivative)
+sigma = np.array([[1.3, 0.4], [-0.2, 0.9]])
+system = CoupledSystem(
+    d1=2, d2=1, b=lambda x, y: y - x * np.array([1.0, 1.5]),
+    sigma=lambda x, y: sigma, c=lambda x, y: 0.3 * np.tanh(x),
+    F=lambda t, x, y: x[..., :1] - 2.0 * y, H=lambda t, x, y: x[..., :1] - y,
+    G=lambda t, x, y: np.array([[1.0]]), autonomous=True)
+budgets = Budgets(invariant_samples=500, invariant_burn_in=1.0, invariant_dt=0.02,
+                  corrector_paths=40, corrector_tmax=0.5, corrector_dt=0.05,
+                  grid_points=9, n_batches=4)
+ra = regime_averages(system, Regime.R4, 0.0, [0.3], budgets, seed=1)
+td = transfer_derivative(lambda t, x, y: x[..., 0] * x[..., 1], system, [0.3],
+                         [1.0], budgets, seed=2)
+print(np.isfinite([*ra.fhat, *ra.ghat.ravel(), td.value]).all())
+"""
+
+
+def test_runs_without_scipy():
+    # pyproject.toml lists numpy alone, so a d1 = 2 R4 cell and a d1 = 2
+    # transfer derivative must run where scipy cannot be imported
+    deps = (SRC.parent / "pyproject.toml").read_text()
+    assert "scipy" not in deps
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 def _is_package_import(node) -> bool:

@@ -6,7 +6,7 @@ import pytest
 
 from fastslow import (CoupledSystem, NonFiniteCoefficient, Regime,
                       ScaleSchedule, classify_regime, validate_assumptions)
-from fastslow.model import apply_matrix
+from fastslow.model import apply_matrix, block_noise
 
 
 def sched(a, b, g):
@@ -171,3 +171,45 @@ def test_apply_matrix_other_shapes_are_the_stacked_product(lead):
         got = apply_matrix(m, v)
         assert got.shape == v.shape
         assert np.array_equal(_bits(got), _bits(_stacked(m, v)))
+
+
+# sigma kinds of block_noise: (1, 1) and (2, 2) without batch axes, and a
+# batched sigma that depends on the state, row i scaled by 1 + 0.2 tanh(x_i)
+CONST2 = np.array([[1.3, 0.4], [-0.2, 0.9]])
+BLOCK_SIGMAS = {
+    "(1, 1)": (1, lambda x: np.array([[math.sqrt(2.0)]]), False),
+    "constant (2, 2)": (2, lambda x: CONST2, False),
+    "batched": (2, lambda x: CONST2 * (1.0 + 0.2 * np.tanh(x))[..., None], True),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SIGMAS))
+def test_block_noise_is_the_per_step_product(name):
+    # the caller moves X in place after each step's noise; every step must
+    # see apply_matrix(sigma(X_j), z_j) * scale, bit for bit, and a sigma
+    # without batch axes must be read once per block
+    d, sigma, batched = BLOCK_SIGMAS[name]
+    r = np.random.default_rng(5)
+    z = r.standard_normal((6, 40, d))
+    scale = 0.1
+    x0 = r.standard_normal((40, d))
+    calls = []
+
+    def sigma_at(x):
+        calls.append(1)
+        return sigma(x)
+
+    X = x0.copy()
+    got = []
+    for noise in block_noise(lambda: sigma_at(X), z, scale):
+        got.append(noise.copy())
+        X += 0.05 * np.tanh(X) + noise
+    Xr = x0.copy()
+    for j in range(z.shape[0]):
+        want = apply_matrix(sigma(Xr), z[j]) * scale
+        assert np.array_equal(_bits(got[j]), _bits(want)), j
+        Xr += 0.05 * np.tanh(Xr) + want
+    assert len(got) == z.shape[0]
+    assert len(calls) == (z.shape[0] if batched else 1)
+    assert np.array_equal(_bits(X), _bits(Xr))
+

@@ -227,13 +227,18 @@ def test_coupled_equals_per_micro_step_loop(name):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name, per_step", [("constant 1x1", False),
-                                            ("x-noise", True),
-                                            ("d1=2 non-diagonal", False)])
-def test_coupled_sigma_calls(name, per_step):
+@pytest.mark.parametrize("name, per_step, n_paths, chunk, blocks", [
+    pytest.param(name, per_step, n_paths, chunk, blocks,
+                 id=f"{name}-{per_step}" + ("-two blocks" if blocks > 1 else ""))
+    for n_paths, chunk, blocks in [(300, 200, 1), (2000, 1000, 2)]
+    for name, per_step in [("constant 1x1", False), ("x-noise", True),
+                           ("d1=2 non-diagonal", False)]])
+def test_coupled_sigma_calls(name, per_step, n_paths, chunk, blocks):
     # a (d1, d1) sigma is state-independent at the macro step's slow
-    # state, so it is called once per macro step; a batched one once per
-    # micro step
+    # state, so it is called once per block of draws: once per macro step
+    # when the 10 micro steps fit in one block (chunks of 200 and 100
+    # paths draw blocks of 40 and 81 steps), twice when they do not (1000
+    # paths draw blocks of 8); a batched one is called once per micro step
     system = SIGMA_KINDS[name]()
     calls = []
 
@@ -242,12 +247,14 @@ def test_coupled_sigma_calls(name, per_step):
         return system.sigma(x, y)
 
     cfg = PathConfig(T=0.05, dt_slow=0.01, micro_substeps_per_alpha2=10,
-                     seed=17, n_paths=300, chunk_size=200)
+                     seed=17, n_paths=n_paths, chunk_size=chunk)
     integrate_coupled(replace(system, sigma=sigma), S111, 0.1,
                       [0.3] * system.d1, [-0.2], cfg)
-    n_macro, n_micro, n_chunks = 5, 10, 2
-    assert len(calls) == n_chunks * n_macro * (n_micro if per_step else 1)
-    assert set(calls) == {(200, system.d1), (100, system.d1)}
+    sizes = [min(chunk, n_paths - lo) for lo in range(0, n_paths, chunk)]
+    assert blocks == max(math.ceil(10 / rng.block_steps(m)) for m in sizes)
+    n_macro, n_micro = 5, 10
+    assert len(calls) == len(sizes) * n_macro * (n_micro if per_step else blocks)
+    assert set(calls) == {(m, system.d1) for m in sizes}
 
 
 def test_frozen_determinism_across_chunks_and_workers():
