@@ -17,10 +17,10 @@ failure, centering refusal).  Outputs are byte-identical across repeated
 runs and chunk sizes.
 
 One reader checks each config key against its kind (``_CONFIG_KEYS``) before
-anything runs: a count is a JSON integer, a real a JSON number, a flag a JSON
-boolean, a text, list or object that JSON type, and a vector a number or a
-list of numbers; "exponents" and "theta" may hold fraction strings such as
-"1/2".  "out_dir" belongs to the run and is read first, as text.  An absent
+anything runs: a count is a JSON integer, a real a JSON number within float
+range, a flag a JSON boolean, a text, list or object that JSON type, and a
+vector a number or a list of numbers; "exponents" and "theta" may hold
+fraction strings such as "1/2".  "out_dir" belongs to the run and is read first, as text.  An absent
 key is not passed on, so the called function's default applies; the CLI's
 own defaults are ``_DEFAULTS``.
 """
@@ -190,6 +190,10 @@ def _cmd_invariant(cfg: dict) -> tuple:
 
 
 def _cmd_corrector(cfg: dict) -> tuple:
+    """Phi of the preset's H on the config's grid.  "gradients" is true by
+    default, and then the solve integrates only y +/- delta, so phi and se
+    are those of the pair's mean, O(delta^2) from the centre's solution
+    (see :func:`fastslow.corrector.solve_poisson_fk`)."""
     cfg, system = _with_defaults(cfg)
     grid = _read_config(_need(cfg, "grid", ": {lo, hi, n}"),
                         {"lo": "vector", "hi": "vector", "n": "counts"}, "grid")

@@ -13,20 +13,22 @@ All query points share the same driving increments (common random numbers),
 so differences between nearby points - the finite-difference gradients -
 carry far less noise than independent solves would.  The same holds across
 slow states: the y-gradients integrate from y +/- delta along each slow
-coordinate with the centre's increments, in the same pass as the centre
-(:func:`solve_poisson_fk` with ``want_grad_y``), so each block of increments
-is drawn once and drives every state.  Blocks are sized by
-:func:`fastslow.rng.block_steps`, and each state takes the noise of a
-block from :func:`fastslow.model.block_noise`.
+coordinate with shared increments, in one pass (:func:`solve_poisson_fk`
+with ``want_grad_y``), so each block of increments is drawn once and drives
+every state.  That pass has no centre state: the field it returns is the
+mean of the 2 d2 shifted states' solutions, which differs from the centre's
+by O(delta^2).  Blocks are sized by :func:`fastslow.rng.block_steps`, and
+each state takes the noise of a block from :func:`fastslow.model.block_noise`.
 
 The step loop (:func:`_path_sums`) is laid out for the cache.  A state of
 m paths from Q points is a points-major (Q, m, d1) array, so a step's
 (m, d1) noise is added to each point's contiguous (m, d1) slab.  Each state
-takes all steps of a block before the next state starts, so only one
-state's arrays are in use at a time, and ``f dt`` and ``b dt`` go into two
-buffers allocated once per chunk of paths and added in place.  The
-arithmetic is that of a plain Euler pass, in the same order, so the results
-do not depend on the layout.
+takes all the steps of a block segment before the next state starts, so
+only one state's arrays are in use at a time.  ``b dt`` goes into one buffer
+allocated per chunk of paths and is added in place; f is added unscaled,
+and each path's sums are multiplied by dt once, at the end of the chunk.
+The path arithmetic is that of a plain Euler pass, in the same order, so
+the results do not depend on the layout.
 
 This module also holds the grid calculus on such solutions: one central
 difference stencil (:func:`_central`) gives the x-gradients, the
@@ -61,9 +63,9 @@ _COARSE_TOL = 0.5
 
 # paths integrated together; the sums add path after path, so results do
 # not depend on it.  1024 keeps one state's arrays in cache: a default-budget
-# R4 solve of ou_full (4000 paths, 21 points, 800 steps, three fused states)
-# took 0.73-0.75 s at 1024 against 1.19-1.27 s at 4096 (best of 5 runs,
-# 2-vCPU VM); at 4096 the points-major layout alone did not make it faster
+# R4 solve of ou_full (4000 paths, 21 points, 800 steps, the two y +/- delta
+# states) took 0.420 s of CPU at 1024, 0.444 s at 512 and 0.479 s at 2048
+# (best of 5 alternated runs, 2-vCPU VM, numpy 2.4)
 _CHUNK_PATHS = 1024
 
 # the path states are checked after every step s with
@@ -112,7 +114,9 @@ class CorrectorField:
     ``batch_means`` keeps per-path-batch means so that any linear
     post-processing can propagate Monte Carlo noise correctly.  The
     y-gradients come from the solve itself (:func:`solve_poisson_fk` with
-    ``want_grad_y``); :func:`gradients` attaches the x-gradients.
+    ``want_grad_y``), and then ``values``, ``batch_means`` and
+    ``tail_bound`` are the means over the y +/- delta states, O(delta^2)
+    from the centre's; :func:`gradients` attaches the x-gradients.
     """
 
     query: CorrectorQuery
@@ -194,9 +198,9 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
     use at a time.  A block is split after each check step, and each state
     is checked there as soon as it reaches it, so the states are checked,
     and the first bad one reported, in the order of a lockstep pass.
-    Returns the path-batch sums (len(ys), nb, Q, k), the batch sizes and,
-    for the first state, the integrals over the last two tenths of the
-    horizon.
+    Returns the path-batch sums (len(ys), nb, Q, k), the batch sizes and
+    each state's integrals over the last two tenths of the horizon,
+    (len(ys), 2, Q, k).
     """
     t0 = query.t
     pts = query.points
@@ -209,7 +213,7 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
 
     batch_sums = np.zeros((len(ys), nb, Q, k))
     batch_counts = np.zeros(nb, dtype=np.int64)
-    w1, w2 = np.zeros((2, Q, k))
+    windows = np.zeros((len(ys), 2, Q, k))
 
     for lo, hi in _chunks(query.n_paths, _CHUNK_PATHS):
         m = hi - lo
@@ -217,11 +221,10 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
         paths = rng.PathIndex(ids[None, :])
         block = rng.block_steps(m)
         Xs = [np.broadcast_to(pts[:, None, :], (Q, m, d1)).copy() for _ in ys]
-        accs = [np.zeros((Q, m, k)) for _ in ys]
-        wacc1, wacc2 = np.zeros((2, Q, m, k))
-        # f dt and b dt of the state in use; each is added in place
-        fbuf = np.empty((Q, m, k))
-        dbuf = np.empty((Q, m, d1))
+        # per state, the sums of f over all steps and over the two tail
+        # windows, each scaled by dt once, at the end of the chunk
+        sums = [[np.zeros((Q, m, k)) for _ in range(3)] for _ in ys]
+        dbuf = np.empty((Q, m, d1))  # b dt of the state in use, added in place
         for s0, s1 in _segments(K, block):
             if s0 % block == 0:
                 steps = np.arange(s0, min(s0 + block, K), dtype=np.uint64)
@@ -229,16 +232,15 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
                 # each state's noise of the block, resumed in its next segment
                 noises = [block_noise(partial(system.sigma, X, y_i), zb, sq)
                           for X, y_i in zip(Xs, ys)]
-            for i, (X, acc, y_i, state_noise) in enumerate(zip(Xs, accs, ys, noises)):
+            for X, (acc, win1, win2), y_i, state_noise in zip(Xs, sums, ys, noises):
                 for s in range(s0, s1):
                     # f, b and sigma all read the state before the step
-                    np.multiply(_as_cols(f(t0, X, y_i), (Q, m), k), dtE, out=fbuf)
-                    acc += fbuf
-                    if i == 0:
-                        if s >= i90:
-                            wacc2 += fbuf
-                        elif s >= i80:
-                            wacc1 += fbuf
+                    fx = _as_cols(f(t0, X, y_i), (Q, m), k)
+                    acc += fx
+                    if s >= i90:
+                        win2 += fx
+                    elif s >= i80:
+                        win1 += fx
                     np.multiply(np.asarray(system.b(X, y_i), dtype=np.float64),
                                 dtE, out=dbuf)
                     noise = next(state_noise)
@@ -246,30 +248,20 @@ def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
                     X += noise
                 if s1 % _CHECK_EVERY == 0 or s1 == K:
                     check_state("frozen", X.swapaxes(0, 1), 1e6, s1 * dtE, lo)
-        if not all(np.all(np.isfinite(acc)) for acc in accs):
-            raise NonFiniteCoefficient("path integrals became non-finite")
         # np.add.at adds path after path, so the sums do not depend on how
         # the paths were split into chunks
         bidx = (ids.astype(np.int64) * nb) // query.n_paths
-        for i, acc in enumerate(accs):
-            np.add.at(batch_sums[i], bidx, acc.swapaxes(0, 1))
-        np.add.at(batch_counts, bidx, 1)
         first = np.zeros(m, dtype=np.intp)
-        np.add.at(w1[None], first, wacc1.swapaxes(0, 1))
-        np.add.at(w2[None], first, wacc2.swapaxes(0, 1))
-    return batch_sums, batch_counts, w1, w2
-
-
-def _y_gradient(shifted_sums: Array, counts: Array, n_paths: int,
-                delta: float) -> tuple[Array, Array]:
-    """Central y-differences (Q, k, d2) of the solution and their per-batch
-    values (nb, Q, k, d2), from the path-batch sums of the states laid out
-    as :func:`_shifted_states` lays them out."""
-    vals = shifted_sums.sum(axis=1) / n_paths               # (2 d2, Q, k)
-    batch = shifted_sums / counts[:, None, None]            # (2 d2, nb, Q, k)
-    grad = (vals[0::2] - vals[1::2]) / (2 * delta)
-    grad_b = (batch[0::2] - batch[1::2]) / (2 * delta)
-    return np.moveaxis(grad, 0, -1), np.moveaxis(grad_b, 0, -1)
+        for i, (acc, *wins) in enumerate(sums):
+            acc *= dtE
+            if not np.all(np.isfinite(acc)):
+                raise NonFiniteCoefficient("path integrals became non-finite")
+            np.add.at(batch_sums[i], bidx, acc.swapaxes(0, 1))
+            for j, win in enumerate(wins):
+                win *= dtE
+                np.add.at(windows[i, j][None], first, win.swapaxes(0, 1))
+        np.add.at(batch_counts, bidx, 1)
+    return batch_sums, batch_counts, windows
 
 
 def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
@@ -285,11 +277,19 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     :func:`fastslow.ergodic.centering_residual` as ``centering_z``; a
     caller subtracts the cloud mean (:func:`fastslow.ergodic.average`) first.
 
-    With ``want_grad_y`` the same pass also integrates from the slow states
+    With ``want_grad_y`` the pass integrates only from the slow states
     y +/- delta along each slow coordinate (``delta_y``, default
-    1e-3 * max(1, |y|)), driven by the centre's increments, and attaches
-    their central differences as ``grad_y`` and ``grad_y_batches``.  This
-    is the one way to get y-gradients.
+    1e-3 * max(1, |y|)), all driven by the same increments, and attaches
+    their central differences as ``grad_y`` and ``grad_y_batches``; this is
+    the one way to get y-gradients.  Such a field has no centre solve: its
+    ``values``, ``batch_means`` and ``tail_bound`` are each the mean over
+    those 2 d2 states of the state's own result, and ``se`` comes from
+    those batch means.  Phi is smooth in y, so that mean differs from the
+    centre's solution by delta^2 / 2 times the mean over j of
+    d^2 Phi / dy_j^2, the order of the gradient's own error: far below the
+    standard error at the default step, but a large ``delta_y`` makes it
+    visible (0.24 SE at delta_y = 0.1 with the default ``Budgets``, on a 2-d
+    slow state that sets the relaxation rate and the noise).
     """
     delta = _y_step(query.y, delta_y) if want_grad_y else None
     if centering_z is None:
@@ -298,26 +298,27 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
         raise NotCentered(f"centering z-score {float(centering_z):.3g} is not <= 3")
 
     k = codomain(f, query.t, query.points, query.y)
-    ys = [query.y] + (_shifted_states(query.y, delta) if want_grad_y else [])
-    batch_sums, batch_counts, w1, w2 = _path_sums(system, f, query, ys, k)
+    ys = _shifted_states(query.y, delta) if want_grad_y else [query.y]
+    batch_sums, batch_counts, windows = _path_sums(system, f, query, ys, k)
 
-    nb = query.n_batches
-    grad_y = grad_y_b = None
-    if want_grad_y:
-        grad_y, grad_y_b = _y_gradient(batch_sums[1:], batch_counts,
-                                       query.n_paths, delta)
-    values = batch_sums[0].sum(axis=0) / query.n_paths
-    batch_means = batch_sums[0] / batch_counts[:, None, None]
-    se = batch_means.std(axis=0, ddof=1) / math.sqrt(nb)
-    w1 /= query.n_paths
-    w2 /= query.n_paths
+    # each state's own solution, batch means and tail bound
+    vals = batch_sums.sum(axis=1) / query.n_paths        # (len(ys), Q, k)
+    batch = batch_sums / batch_counts[:, None, None]     # (len(ys), nb, Q, k)
+    w1, w2 = windows[:, 0] / query.n_paths, windows[:, 1] / query.n_paths
     ratio = np.clip(np.abs(w2) / np.maximum(np.abs(w1), 1e-300), 0.0, 0.97)
     tail = np.abs(w2) * ratio / (1.0 - ratio)
     tail[np.abs(w1) < 1e-300] = 0.0
 
+    grad_y = grad_y_b = None
+    if want_grad_y:
+        grad_y = np.moveaxis((vals[0::2] - vals[1::2]) / (2 * delta), 0, -1)
+        grad_y_b = np.moveaxis((batch[0::2] - batch[1::2]) / (2 * delta), 0, -1)
+    batch_means = batch.mean(axis=0)
+    se = batch_means.std(axis=0, ddof=1) / math.sqrt(query.n_batches)
+    # the mean of the states' tail bounds bounds the tail of their mean
     return CorrectorField(
-        query=query, values=values, se=se, batch_means=batch_means,
-        tail_bound=tail, grad_y=grad_y, grad_y_batches=grad_y_b)
+        query=query, values=vals.mean(axis=0), se=se, batch_means=batch_means,
+        tail_bound=tail.mean(axis=0), grad_y=grad_y, grad_y_batches=grad_y_b)
 
 
 def _central(vals: Array, axis: int, h: float, order: int = 1) -> Array:

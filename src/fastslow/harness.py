@@ -16,6 +16,7 @@ as ``summary()``, and writes nothing; the command line front end
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
@@ -88,9 +89,14 @@ def theoretical_rate(regime: Regime, schedule: ScaleSchedule, theta) -> RateResu
                       warning=warning)
 
 
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _num(v) -> bool:
-    """A finite JSON number: json reads Infinity and NaN as floats."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+    """A JSON number that casts to a finite float: json reads Infinity and
+    NaN as floats, and an integer of any size as an int."""
+    return (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 def _each(ok):
@@ -99,9 +105,8 @@ def _each(ok):
 
 # each kind of config value: what it must be, its check, and its form if changed
 _KINDS = {
-    "count": ("a JSON integer", lambda v: _num(v) and isinstance(v, int), None),
-    "counts": ("an integer or a list of integers",
-               _each(lambda v: _num(v) and isinstance(v, int)), None),
+    "count": ("a JSON integer", _int, None),
+    "counts": ("an integer or a list of integers", _each(_int), None),
     "real": ("a finite JSON number", _num, float),
     "vector": ("a finite number or a list of finite numbers", _each(_num),
                lambda v: tuple(np.atleast_1d(v).astype(float))),

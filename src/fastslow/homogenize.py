@@ -139,7 +139,8 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
         n_paths=budgets.corrector_paths, dt=budgets.corrector_dt,
         seed=seed, n_batches=budgets.n_batches)
     z = centering_residual(f, mu, t)
-    # the y +/- delta states ride along in the centre's pass
+    # with want_grad_y only the y +/- delta states are integrated, and the
+    # field is their mean, O(delta^2) from the centre's solution
     fld = solve_poisson_fk(system, f, query, centering_z=z,
                            want_grad_y=want_grad_y, delta_y=budgets.delta_y)
     return fld, z

@@ -457,6 +457,16 @@ WRONG_KINDS += [
     for value in NON_FINITE.get(kind, [])
 ] + [("corrector", f"grid.{key}", value) for key in ("lo", "hi")
      for value in NON_FINITE["vector"]]
+# a 400-digit integer, beyond float range, for each key of those kinds; it
+# passed as finite and ended in an OverflowError traceback and exit 1
+HUGE = {"real": 10 ** 400, "vector": [0.5, -10 ** 400], "vectors": [[10 ** 400]],
+        "rational": -10 ** 400}
+WRONG_KINDS += [
+    pytest.param(command, key, HUGE[kind], id=f"{command}-{key}-huge")
+    for command, kinds in fastslow.cli._CONFIG_KEYS.items()
+    for key, kind in kinds.items() if kind in HUGE
+] + [pytest.param("corrector", f"grid.{key}", HUGE["vector"], id=f"corrector-grid.{key}-huge")
+     for key in ("lo", "hi")]
 
 
 @pytest.fixture

@@ -152,13 +152,14 @@ class TestSolve:
 
     def test_states_are_checked_in_lockstep_order(self):
         # 20 paths draw blocks of 409 steps, so one block spans the checks
-        # after steps 127, 255 and 383.  Without noise, y + delta grows like
+        # after steps 127, 255 and 383.  Without noise, y - delta grows like
         # e^(7 t) and leaves the cap between the checks at t = 1.28 and
-        # 2.56; the centre (and y - delta) blows up in finite time, within
-        # the cap at 2.56 and non-finite by 3.84.  Checked state by state at
-        # each check step, y + delta fails first.
+        # 2.56; y + delta grows like e^(4 t) and leaves it between 2.56 and
+        # 3.84.  Checked state by state at each check step, the later-listed
+        # y - delta fails first; a state run through the whole block before
+        # the next would report y + delta at 3.84.
         def b(x, y):
-            return 7.0 * x if y[0] > 0.0 else 0.039 * x ** 3
+            return (7.0 if y[0] < 0.0 else 4.0) * x
 
         system = replace(standard_ou(), b=b, sigma=lambda x, y: np.array([[0.0]]))
         query = grid_query(lo=1.0, hi=2.0, n=3, n_paths=20, n_batches=2, T_max=5.0)
@@ -315,8 +316,35 @@ def fused_axes(d1, n=7):
     return (np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 4))
 
 
+def shifted_ys(y, delta):
+    """The slow states y + delta e_j and y - delta e_j, j = 0, 1, ..."""
+    ys = []
+    for j in range(y.size):
+        shift = np.zeros(y.size)
+        shift[j] = delta
+        ys += [y + shift, y - shift]
+    return ys
+
+
+def shifted_solves(system, f, query, delta):
+    """Single-state solves at each of :func:`shifted_ys`."""
+    return [solve_poisson_fk(system, f, replace(query, y=y_s), centering_z=0.0)
+            for y_s in shifted_ys(query.y, delta)]
+
+
+def pair_field(query, solves):
+    """The mean of single-state solves: their values, batch means and tail
+    bounds, with the standard error of those batch means."""
+    bm = np.mean([s.batch_means for s in solves], axis=0)
+    return CorrectorField(
+        query=query, values=np.mean([s.values for s in solves], axis=0),
+        se=bm.std(axis=0, ddof=1) / math.sqrt(bm.shape[0]), batch_means=bm,
+        tail_bound=np.mean([s.tail_bound for s in solves], axis=0))
+
+
 class TestFusedYStates:
-    """The y +/- delta states of the y-gradient share the centre's pass."""
+    """The y +/- delta states of the y-gradient share one pass, and no
+    centre state is integrated."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -335,18 +363,14 @@ class TestFusedYStates:
         delta = 0.05
         fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
                                  want_grad_y=True, delta_y=delta)
-        centre = solve_poisson_fk(sys_, f, q, centering_z=0.0)
+        singles = shifted_solves(sys_, f, q, delta)
+        pair = pair_field(q, singles)
         for name in ("values", "se", "batch_means", "tail_bound"):
-            assert np.array_equal(getattr(fused, name), getattr(centre, name)), name
+            assert np.array_equal(getattr(fused, name), getattr(pair, name)), name
         d2 = len(y)
         assert fused.grad_y.shape == (q.points.shape[0], fused.k, d2)
         for j in range(d2):
-            shift = np.zeros(d2)
-            shift[j] = delta
-            fp = solve_poisson_fk(sys_, f, replace(q, y=q.y + shift),
-                                  centering_z=0.0)
-            fm = solve_poisson_fk(sys_, f, replace(q, y=q.y - shift),
-                                  centering_z=0.0)
+            fp, fm = singles[2 * j], singles[2 * j + 1]
             assert np.array_equal(fused.grad_y[:, :, j],
                                   (fp.values - fm.values) / (2 * delta))
             assert np.array_equal(fused.grad_y_batches[..., j],
@@ -357,19 +381,53 @@ class TestFusedYStates:
     @pytest.mark.parametrize("system", list(FUSED_SYSTEMS))
     def test_gradients_on_centre_only_field(self, system, delta_y):
         # gradients() attaches the x-gradient only: the fused field keeps the
-        # y-gradients of its own solve, a centre-only field gets none
+        # y-gradients of its own solve and gets the x-gradient of the field
+        # built from the pair's single-state solves; a centre-only field
+        # gets no y-gradients
         sys_, f, y = FUSED_SYSTEMS[system]()
         q = self.query(sys_, y)
         solved = solve_poisson_fk(sys_, f, q, centering_z=0.0,
                                   want_grad_y=True, delta_y=delta_y)
         fused = gradients(solved)
-        centre = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0))
+        delta = fastslow.corrector._y_step(q.y, delta_y)
+        pair = gradients(pair_field(q, shifted_solves(sys_, f, q, delta)))
         for name in ("values", "se", "batch_means", "tail_bound", "grad_x"):
-            assert np.array_equal(getattr(fused, name), getattr(centre, name),
+            assert np.array_equal(getattr(fused, name), getattr(pair, name),
                                   equal_nan=True), name
         assert fused.grad_y is solved.grad_y
         assert fused.grad_y_batches is solved.grad_y_batches
+        centre = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0))
         assert centre.grad_y is None and centre.grad_y_batches is None
+
+    def test_pair_mean_is_the_centre_when_linear_in_y(self):
+        # each Euler state, and so each integral, is affine in y, so the mean
+        # of the y +/- delta integrals is the centre's integral up to rounding
+        sys_, f, y = coupled_ou()
+        q = self.query(sys_, y)
+        centre = solve_poisson_fk(sys_, f, q, centering_z=0.0)
+        for delta_y in (None, 0.1):
+            fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
+                                     want_grad_y=True, delta_y=delta_y)
+            assert np.max(np.abs(fused.values - centre.values)) <= 1e-12
+
+    def test_pair_mean_gap_is_second_order_in_delta(self):
+        # on a system nonlinear in y the pair's mean misses the centre by
+        # delta^2 / 2 times the mean second y-derivative, so the gap falls
+        # fourfold per halving of delta; at the default step it is far
+        # below the standard error
+        sys_, f, y = coupled_ou_2()
+        q = self.query(sys_, y)
+        centre = solve_poisson_fk(sys_, f, q, centering_z=0.0)
+
+        def gap(delta_y):
+            fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
+                                     want_grad_y=True, delta_y=delta_y)
+            return np.abs(fused.values - centre.values)
+
+        gaps = [float(gap(d).max()) for d in (0.1, 0.05, 0.025)]
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert narrow > 0.0 and abs(wide / narrow - 4.0) <= 0.2
+        assert np.max(gap(None) / centre.se) < 1e-3
 
     @pytest.mark.parametrize("system, per_step", [
         ("d2=1", False), ("d2=1 x-noise", True), ("d2=2", False),
@@ -393,7 +451,7 @@ class TestFusedYStates:
         assert K > 2 * rng.block_steps(256)
         per_state = sum(K if per_step else math.ceil(K / rng.block_steps(m))
                         for m in chunks)
-        assert len(calls) == (1 + 2 * len(y)) * per_state
+        assert len(calls) == 2 * len(y) * per_state
 
     @pytest.mark.parametrize("system", ["d2=1", "d2=2", "d1=2"])
     def test_block_noise_equals_per_step_noise(self, system):
@@ -438,36 +496,36 @@ def per_path_batch_means(system, f, query, ys):
         batch = p * nb // n
         counts[batch] += 1
         for i, y in enumerate(ys):
+            # the sum of f over the steps, times dt
             x, integral = pts.copy(), np.zeros((Q, k))
             for s in range(K):
-                integral += np.asarray(f(query.t, x, y)).reshape(Q, k) * dt
+                integral += np.asarray(f(query.t, x, y)).reshape(Q, k)
                 x = x + np.asarray(system.b(x, y)) * dt \
                     + (np.asarray(system.sigma(x, y)) @ z[s][None, :, None])[..., 0] \
                     * math.sqrt(dt)
-            sums[i, batch] += integral
+            sums[i, batch] += integral * dt
     return sums / counts[:, None, None]
 
 
 class TestPerPathReference:
     """The fused step loop is the plain Euler scheme, path by path."""
 
-    @pytest.mark.parametrize("system", ["d2=1 x-noise", "d1=2", "d1=2 x-noise"])
+    @pytest.mark.parametrize("system", ["d2=1 x-noise", "d2=2", "d1=2", "d1=2 x-noise"])
     def test_fused_solve_equals_per_path_euler(self, system, monkeypatch):
         # chunks of 16 and 4 paths draw blocks of 512 and 2048 steps: the
         # 600 steps cross a block start at step 512, and the blocks are cut
         # after the check steps 127, 255, 383 and 511
         monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", 16)
         sys_, f, y = FUSED_SYSTEMS[system]()
-        assert sys_.d2 == 1
         q = CorrectorQuery(t=0.0, y=y, grid_axes=(np.linspace(-1.5, 1.5, 3),) * sys_.d1,
                            T_max=6.0, n_paths=20, n_batches=4, seed=31)
         delta = 0.05
         field = solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
                                  delta_y=delta)
-        ref = per_path_batch_means(sys_, f, q, [q.y, q.y + delta, q.y - delta])
-        assert np.array_equal(field.batch_means, ref[0])
+        ref = per_path_batch_means(sys_, f, q, shifted_ys(q.y, delta))
+        assert np.array_equal(field.batch_means, ref.mean(axis=0))
         assert np.array_equal(field.grad_y_batches,
-                              ((ref[1] - ref[2]) / (2 * delta))[..., None])
+                              np.moveaxis((ref[0::2] - ref[1::2]) / (2 * delta), 0, -1))
 
 
 class TestQuery:
@@ -519,7 +577,7 @@ class TestGradients:
 
     def test_y_gradient_vanishes_without_dependence(self, mu):
         # dynamics and integrand ignore y, and the y +/- delta states share
-        # the centre's increments
+        # their increments
         fld = solve_poisson_fk(standard_ou(), F_LIN,
                                grid_query(n=9, n_paths=2000, T_max=2.0),
                                centering_z=centering_residual(F_LIN, mu),
