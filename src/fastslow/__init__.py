@@ -15,7 +15,7 @@ from .model import (CoupledSystem, Regime, ScaleSchedule, ValidationReport,
                     classify_regime, validate_assumptions)
 from .presets import get_system, register_system
 from .simulate import (EnsembleResult, PathConfig, integrate_coupled,
-                       integrate_frozen, integrate_limit)
+                       integrate_limit)
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .corrector import (CorrectorField, CorrectorQuery, OuterProductResult,
@@ -34,8 +34,7 @@ __all__ = [
     "CoupledSystem", "Regime", "ScaleSchedule", "ValidationReport",
     "classify_regime", "validate_assumptions",
     "get_system", "register_system",
-    "EnsembleResult", "PathConfig", "integrate_coupled", "integrate_frozen",
-    "integrate_limit",
+    "EnsembleResult", "PathConfig", "integrate_coupled", "integrate_limit",
     "MeasureEnsemble", "average", "centering_residual",
     "sample_invariant_measure",
     "CorrectorField", "CorrectorQuery", "OuterProductResult", "gradients",

@@ -17,12 +17,12 @@ failure, centering refusal).  Outputs are byte-identical across repeated
 runs and chunk sizes.
 
 One reader checks each config key against its kind (``_CONFIG_KEYS``) before
-anything runs: a count is a JSON integer, a real a JSON number within float
-range, a flag a JSON boolean, a text, list or object that JSON type, and a
-vector a number or a list of numbers; "exponents" and "theta" may hold
-fraction strings such as "1/2".  "out_dir" belongs to the run and is read first, as text.  An absent
-key is not passed on, so the called function's default applies; the CLI's
-own defaults are ``_DEFAULTS``.
+anything runs: a count is a JSON integer, a seed one in [0, 2**64), a real a
+JSON number within float range, a flag a JSON boolean, a text, list or object
+that JSON type, and a vector a number or a list of numbers; "exponents" and
+"theta" may hold fraction strings such as "1/2".  "out_dir" belongs to the
+run and is read first, as text.  An absent key is not passed on, so the
+called function's default applies; the CLI's own defaults are ``_DEFAULTS``.
 """
 
 from __future__ import annotations
@@ -53,15 +53,15 @@ _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
 
 # the kind of each key a command reads (converge and fluctuate: from_dict's)
 _CONFIG_KEYS = {
-    "validate": {"preset": "text", "seed": "count", "lambda": "real",
+    "validate": {"preset": "text", "seed": "seed", "lambda": "real",
                  "sample_budget": "count", "radius": "real", "eps": "real"},
-    "invariant": {"preset": "text", "seed": "count", "ys": "vectors", "y": "vector",
+    "invariant": {"preset": "text", "seed": "seed", "ys": "vectors", "y": "vector",
                   "burn_in": "real", "n_samples": "count", "thinning": "count",
                   "dt": "real"},
-    "corrector": {"preset": "text", "seed": "count", "grid": "object", "t": "real",
+    "corrector": {"preset": "text", "seed": "seed", "grid": "object", "t": "real",
                   "y": "vector", "T_max": "real", "n_paths": "count", "dt": "real",
                   "centering_samples": "count", "gradients": "flag"},
-    "average": {"preset": "text", "seed": "count", "exponents": "list",
+    "average": {"preset": "text", "seed": "seed", "exponents": "list",
                 "budgets": "object", "t": "real", "ys": "vectors", "y": "vector"},
     "converge": _EXPERIMENT_KEYS,
     "fluctuate": _EXPERIMENT_KEYS | {"kind": "text", "f": "text"},
@@ -233,7 +233,10 @@ def _cmd_average(cfg: dict) -> tuple:
     regime = classify_regime(ScaleSchedule(*_need(cfg, "exponents", ": [a, b, g]")))
     if regime is Regime.UNCLASSIFIED:
         raise ConfigError("exponents do not fall in a regime")
-    budgets, _ = parse_budgets(cfg.get("budgets", {}))
+    budgets, sizes = parse_budgets(cfg.get("budgets", {}))
+    if sizes:
+        # paths_coupled sizes an experiment's ensembles; average runs none
+        raise ConfigError(f"unknown budget fields: {sorted(sizes)}")
     d2 = system.d2
     header = (["regime", "t"] + [f"y_{j+1}" for j in range(d2)]
               + [f"fhat_{j+1}" for j in range(d2)]

@@ -30,14 +30,15 @@ and each path's sums are multiplied by dt once, at the end of the chunk.
 The path arithmetic is that of a plain Euler pass, in the same order, so
 the results do not depend on the layout.
 
-This module also holds the grid calculus on such solutions: one central
-difference stencil (:func:`_central`) gives the x-gradients, the
-:class:`GridTooCoarse` gate and the gradient and Hessian that the
-derivative transfer (:func:`fastslow.homogenize.transfer_derivative`) needs.
-
-One rule, :func:`batch_se`, gives the path-batch error of every cloud
-average of a linear functional of the solution: H Phi^T, the drift
-corrections c . grad_x Phi and H . grad_y Phi, and the derivative transfer.
+This module also holds the one read-out of a grid-solved corrector at
+free points such as a cloud's samples.  :func:`_node_derivatives` gives the
+x-gradient and Hessian on the grid (NaN where the central stencil does not
+reach); :func:`_grid_at` carries node arrays to the points, and derivatives
+through the interior nodes alone; :func:`cloud_mean` gives the mean of a
+linear functional of the solution (H Phi^T, c . grad_x Phi, H . grad_y Phi,
+the derivative transfer's integrand) with the chain and path-batch errors
+in quadrature.  The :class:`GridTooCoarse` gate keeps its own unit-spacing
+differences.
 """
 
 from __future__ import annotations
@@ -358,16 +359,34 @@ def _coarseness_check(grid_vals: Array, axis: int, h: float,
             f"{_COARSE_TOL} x median first difference {s1:.3g} at spacing {h:g}")
 
 
-def grid_grad_x(field: CorrectorField, values: Array) -> Array:
-    """Central-difference x-gradient, (Q, k, d1), of grid values (Q, k)
-    laid out on ``field``'s tensor grid; edge nodes hold NaN."""
+def _node_derivatives(field: CorrectorField, values: Array,
+                      order: int) -> tuple[Array, ...]:
+    """Central-difference x-derivatives of grid values (Q, k) laid out on
+    ``field``'s tensor grid, up to ``order``: the gradient (Q, k, d1) and, at
+    order 2, the Hessian (Q, k, d1, d1).
+
+    A node where a stencil does not reach holds NaN: the edge nodes of axis
+    p for the p-th partials, and those of axes p and q for a mixed one.  A
+    mixed partial is a difference along the later axis, then along the
+    earlier one.
+    """
     gshape = field.grid_shape
-    vals_g = values.reshape(gshape + (field.k,))
-    grad = np.full(gshape + (field.k, len(gshape)), np.nan)
-    for p, ax in enumerate(field.query.grid_axes):
-        _interior(grad[..., p], (p,))[...] = _central(vals_g, p,
-                                                      float(ax[1] - ax[0]))
-    return grad.reshape(values.shape[0], field.k, len(gshape))
+    d, k, Q = len(gshape), field.k, values.shape[0]
+    vals_g = values.reshape(gshape + (k,))
+    steps = [float(ax[1] - ax[0]) for ax in field.query.grid_axes]
+    grad = np.full(gshape + (k, d), np.nan)
+    for p in range(d):
+        _interior(grad[..., p], (p,))[...] = _central(vals_g, p, steps[p])
+    if order < 2:
+        return (grad.reshape(Q, k, d),)
+    hess = np.full(gshape + (k, d, d), np.nan)
+    for p in range(d):
+        _interior(hess[..., p, p], (p,))[...] = _central(vals_g, p, steps[p], order=2)
+        for q in range(p + 1, d):
+            mixed = _central(_central(vals_g, q, steps[q]), p, steps[p])
+            _interior(hess[..., p, q], (p, q))[...] = mixed
+            _interior(hess[..., q, p], (p, q))[...] = mixed
+    return grad.reshape(Q, k, d), hess.reshape(Q, k, d, d)
 
 
 def gradients(field: CorrectorField) -> CorrectorField:
@@ -387,7 +406,7 @@ def gradients(field: CorrectorField) -> CorrectorField:
         if gshape[p] < 3:
             raise GridTooCoarse(f"axis {p} has fewer than 3 nodes")
         _coarseness_check(scalar, p, float(ax[1] - ax[0]), se_med)
-    return replace(field, grad_x=grid_grad_x(field, field.values))
+    return replace(field, grad_x=_node_derivatives(field, field.values, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -397,18 +416,29 @@ class OuterProductResult:
     antisym_norm: float
 
 
-def batch_se(field: CorrectorField, per_sample) -> Array:
-    """Path-batch standard error, (m,), of the cloud mean of a linear
-    functional ``per_sample(values, grad_y) -> (n, m)`` of grid values and
-    y-gradients: the mean is taken again on each batch's ``batch_means``
-    and ``grad_y_batches`` (None without them), and the spread of the nb
-    means, over sqrt(nb), is returned."""
-    nb = field.batch_means.shape[0]
-    gyb = field.grad_y_batches
-    per_b = np.stack([
-        per_sample(field.batch_means[b], None if gyb is None else gyb[b]).mean(axis=0)
-        for b in range(nb)])
-    return per_b.std(axis=0, ddof=1) / math.sqrt(nb)
+def cloud_mean(mu: MeasureEnsemble, field: CorrectorField | None, per_sample,
+               base: Array | None = None) -> tuple[Array, Array]:
+    """Mean (m,) over the cloud ``mu`` of ``base`` (n, m), which carries no
+    path noise, plus ``per_sample(values, grad_y) -> (n, m)``, a linear
+    functional of ``field``'s grid values and y-gradients; with no field,
+    the mean of ``base``.  The error adds in quadrature the chain error
+    (``mu.se``) and the spread over sqrt(nb) of the nb means taken again on
+    each batch's ``batch_means`` and ``grad_y_batches``.
+    """
+    se_f = 0.0
+    if field is None:
+        vals = base
+    else:
+        vals = per_sample(field.values, field.grad_y)
+        if base is not None:
+            vals = base + vals
+        nb = field.batch_means.shape[0]
+        gyb = field.grad_y_batches
+        per_b = np.stack([
+            per_sample(field.batch_means[b], None if gyb is None else gyb[b]).mean(axis=0)
+            for b in range(nb)])
+        se_f = per_b.std(axis=0, ddof=1) / math.sqrt(nb)
+    return vals.mean(axis=0), np.sqrt(mu.se(vals) ** 2 + se_f ** 2)
 
 
 def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
@@ -418,6 +448,10 @@ def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
     ``field`` must hold the corrector solution for f = H at the same
     (t, y) as ``mu``.  The antisymmetric remainder is returned as a
     diagnostic only; the limit law depends on the symmetric part.
+
+    The cells add this matrix once to G G^T; the coupled law takes it twice
+    (ROADMAP direction 1).  ``bench/reference.r4_cell`` uses the same halved
+    convention, so the factor changes only together with it.
     """
     d2 = system.d2
     if field.k != d2:
@@ -429,14 +463,11 @@ def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
         phi_s = _grid_at(field, values, mu.samples)     # (n, d2)
         return (Hs[:, :, None] * phi_s[:, None, :]).reshape(mu.n_samples, -1)
 
-    per = outer(field.values, field.grad_y)
-    M = per.mean(axis=0).reshape(d2, d2)
-    se_mu = mu.se(per).reshape(d2, d2)
-    se_f = batch_se(field, outer).reshape(d2, d2)
-
+    mean, se = cloud_mean(mu, field, outer)
+    M = mean.reshape(d2, d2)
     sym = 0.5 * (M + M.T)
     anti = 0.5 * (M - M.T)
-    se = np.sqrt(se_mu ** 2 + se_f ** 2)
+    se = se.reshape(d2, d2)
     se = 0.5 * (se + se.T)
     return OuterProductResult(matrix=sym, se=se,
                               antisym_norm=float(np.linalg.norm(anti)))
@@ -492,35 +523,18 @@ def _interp_axes(axes, grid_values: Array, points: Array) -> Array:
 
 
 def _grid_at(field: CorrectorField, node_vals: Array, points: Array,
-             interior: bool = False) -> Array:
-    """Interpolate per-node arrays (Q, ...) of ``field``'s tensor grid at
-    ``points`` (clamped multilinear); ``interior`` first drops the edge
-    nodes, where an x-gradient has no central stencil."""
+             derivative: int = 0) -> Array:
+    """The one route from ``field``'s tensor grid to ``points``: clamped
+    multilinear interpolation of per-node arrays (Q, ...), or with
+    ``derivative`` 1 or 2 of the x-gradient (n, k, d1) or Hessian
+    (n, k, d1, d1) of grid values (Q, k), read on the interior nodes alone.
+    """
     axes = field.query.grid_axes
     gshape = field.grid_shape
+    if derivative:
+        node_vals = _node_derivatives(field, node_vals, derivative)[-1]
     grid = node_vals.reshape(gshape + node_vals.shape[1:])
-    if interior:
+    if derivative:
         grid = _interior(grid, range(len(gshape)))
         axes = tuple(ax[1:-1] for ax in axes)
     return _interp_axes(axes, grid, np.asarray(points, dtype=np.float64))
-
-
-def _interior_derivatives(u_grid: Array, steps) -> tuple[Array, Array]:
-    """Gradient (..., d) and Hessian (..., d, d) of a scalar grid field at
-    the interior nodes, from :func:`_central` with grid spacings ``steps``.
-
-    A mixed partial is a first difference along the later axis followed by
-    one along the earlier axis.
-    """
-    d = u_grid.ndim
-    grad = np.empty(tuple(n - 2 for n in u_grid.shape) + (d,))
-    hess = np.empty(grad.shape + (d,))
-    for p in range(d):
-        u_p = _interior(u_grid, [a for a in range(d) if a != p])
-        grad[..., p] = _central(u_p, p, steps[p])
-        hess[..., p, p] = _central(u_p, p, steps[p], order=2)
-        for q in range(p + 1, d):
-            u_pq = _interior(u_grid, [a for a in range(d) if a not in (p, q)])
-            hess[..., p, q] = hess[..., q, p] = _central(
-                _central(u_pq, q, steps[q]), p, steps[p])
-    return grad, hess

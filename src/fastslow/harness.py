@@ -106,6 +106,9 @@ def _each(ok):
 # each kind of config value: what it must be, its check, and its form if changed
 _KINDS = {
     "count": ("a JSON integer", _int, None),
+    # rng.derive_key keeps a seed mod 2**64, so no two accepted seeds alias
+    "seed": ("a JSON integer in [0, 2**64)", lambda v: _int(v) and 0 <= v < 2 ** 64,
+             None),
     "counts": ("an integer or a list of integers", _each(_int), None),
     "real": ("a finite JSON number", _num, float),
     "vector": ("a finite number or a list of finite numbers", _each(_num),
@@ -150,7 +153,7 @@ def _need(d: dict, key: str, form: str = ""):
 
 
 _EXPERIMENT_KEYS = {
-    "preset": "text", "seed": "count", "exponents": "list",
+    "preset": "text", "seed": "seed", "exponents": "list",
     "theta": "rational", "eps_list": "vector", "budgets": "object", "quantum": "real",
     "interpolate": "flag", "phi": "list", "T": "real", "time_grid_n": "count",
     "dt_slow": "real", "micro_substeps": "count", "x0": "vector", "y0": "vector",

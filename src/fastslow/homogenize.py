@@ -19,8 +19,14 @@ The parameter derivative of an averaged value (:func:`transfer_derivative`)
 is built on the same cloud and corrector solve as a cell.
 
 Every corrector term is the cloud mean of a linear functional of Phi (c .
-grad_x Phi, H . grad_y Phi, H Phi^T, the transfer's integrand); its path-batch
-error comes from the one rule :func:`fastslow.corrector.batch_se`.
+grad_x Phi, H . grad_y Phi, H Phi^T, the transfer's d_e h + (d_e L) Phi),
+written here per sample; Phi is read only through the corrector module's
+one read-out (:func:`fastslow.corrector._grid_at` and
+:func:`fastslow.corrector.cloud_mean`).
+
+The squared diffusion adds sym E[H Phi^T] once; the coupled law takes it
+twice (ROADMAP direction 1).  ``bench/reference.r4_cell`` is written in the
+same halved convention, so the factor changes only together with it.
 """
 
 from __future__ import annotations
@@ -33,10 +39,9 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .corrector import (CorrectorField, CorrectorQuery, batch_se, codomain,
-                        gradients, grid_grad_x, multilinear, outer_product_HPhi,
-                        solve_poisson_fk, _check_delta_y, _grid_at,
-                        _interior_derivatives, _interp_axes, _y_step)
+from .corrector import (CorrectorField, CorrectorQuery, cloud_mean, codomain,
+                        gradients, multilinear, outer_product_HPhi,
+                        solve_poisson_fk, _check_delta_y, _grid_at, _y_step)
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .errors import PSDFailure
@@ -62,7 +67,7 @@ class Budgets:
     delta_y: float | None = None
 
     def __post_init__(self):
-        # checked here, not only by CorrectorQuery, so that a bad budget is
+        # checked here, not only by their consumers, so that a bad budget is
         # refused before any cloud is sampled, also in regimes with no solve
         for name in ("invariant_samples", "invariant_thinning", "corrector_paths",
                      "grid_points", "n_batches"):
@@ -73,8 +78,16 @@ class Budgets:
             if (isinstance(real, bool) or not isinstance(real, numbers.Real)
                     or not -math.inf < real < math.inf):
                 raise ValueError(f"{name} must be a finite number, got {real!r}")
-        if self.n_batches < 2:
-            raise ValueError("n_batches must be >= 2 to estimate a standard error")
+            # grid_pad may be 0; a negative one turns the grid axes around
+            if not (real > 0 or real == 0 and name == "grid_pad"):
+                bound = ">= 0" if name == "grid_pad" else "> 0"
+                raise ValueError(f"{name} must be {bound}, got {real!r}")
+        for name, least in (("invariant_samples", 1), ("invariant_thinning", 1),
+                            ("n_batches", 2), ("grid_points", 3)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if self.corrector_paths < self.n_batches:
+            raise ValueError("corrector_paths must be >= n_batches")
         _check_delta_y(self.delta_y)
 
 
@@ -178,7 +191,7 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
     def corrections(values: Array, grad_y) -> Array:
         corr = np.zeros((n, fld.k))
         if need_gx:
-            gx = _grid_at(fld, grid_grad_x(fld, values), xs, interior=True)
+            gx = _grid_at(fld, values, xs, derivative=1)
             corr = corr + np.einsum("nj,nkj->nk", c_s, gx)
         if need_gy:
             corr = corr + np.einsum("nj,nkj->nk", H_s, _grid_at(fld, grad_y, xs))
@@ -224,12 +237,7 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
     if want_drift:
         Fv = np.asarray(system.F(t, mu.samples, mu.y), dtype=np.float64)
         Fv = np.broadcast_to(Fv, (mu.n_samples, system.d2)).copy()
-        se_cor = 0.0
-        if fld is not None:
-            Fv = Fv + corrections(fld.values, fld.grad_y)
-            se_cor = batch_se(fld, corrections)
-        fhat = Fv.mean(axis=0)
-        fhat_se = np.sqrt(mu.se(Fv) ** 2 + se_cor ** 2)
+        fhat, fhat_se = cloud_mean(mu, fld, corrections, base=Fv)
 
     ghat = cov = cov_se = None
     if want_diffusion:
@@ -242,6 +250,7 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
             cov = GG.mean(axis=0)
             cov_se = mu.se(GG.reshape(mu.n_samples, -1)).reshape(cov.shape)
         if keep_vals:
+            # two cloud means add, and their errors add in quadrature
             op = outer_product_HPhi(system, fld, mu, t)
             cov = cov + op.matrix
             cov_se = np.sqrt(cov_se ** 2 + op.se ** 2)
@@ -272,9 +281,7 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
         use_gx, use_gy, False)
     if fld is None:
         return np.zeros(k), np.zeros(k)
-    vals = corrections(fld.values, fld.grad_y)
-    se_cor = batch_se(fld, corrections)
-    return vals.mean(axis=0), np.sqrt(mu.se(vals) ** 2 + se_cor ** 2)
+    return cloud_mean(mu, fld, corrections)
 
 
 @dataclass(frozen=True)
@@ -300,9 +307,9 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     sampled stationary cloud.  Coefficient derivatives are central finite
     differences of the user callables with the budgets' y-step; Phi comes
     from the same cloud, grid and solve as the cells' corrector, and its
-    gradient and Hessian at the interior nodes are interpolated to the
-    cloud.  The ``se`` covers Monte Carlo noise only and leaves out the
-    bias of truncating the corrector at ``corrector_tmax``.
+    gradient and Hessian reach the cloud by the cells' route.  The ``se``
+    covers Monte Carlo noise only and leaves out the bias of truncating the
+    corrector at ``corrector_tmax``.
     """
     if system.d1 > 2:
         raise NotImplementedError("transfer gradients implemented for d1 <= 2")
@@ -336,24 +343,17 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
            - np.asarray(system.b(xs, ym), dtype=np.float64)) / (2 * delta)
     dya = (system.fast_cov(xs, yp) - system.fast_cov(xs, ym)) / (2 * delta)
     dya = np.broadcast_to(dya, (xs.shape[0], system.d1, system.d1))
-    axes = field.query.grid_axes
-    steps = [float(ax[1] - ax[0]) for ax in axes]
-    inner_axes = tuple(ax[1:-1] for ax in axes)
 
     def integrand(values: Array, grad_y) -> Array:
         """d_e h plus (d_e generator) Phi at the cloud, (n, 1)."""
-        grad, hess = _interior_derivatives(values[:, 0].reshape(field.grid_shape),
-                                           steps)
-        gs = _interp_axes(inner_axes, grad, xs)     # (n, d1)
-        hs = _interp_axes(inner_axes, hess, xs)     # (n, d1, d1)
+        gs = _grid_at(field, values, xs, derivative=1)[:, 0]     # (n, d1)
+        hs = _grid_at(field, values, xs, derivative=2)[:, 0]     # (n, d1, d1)
         return (dyh + (np.einsum("npq,npq->n", dya, hs)
                        + np.einsum("np,np->n", dyb, gs)))[:, None]
 
-    vals = integrand(field.values, None)
-    value = float(vals.mean())
-    se_mu = float(mu.se(vals)[0])
-    se_cor = float(batch_se(field, integrand)[0])
-    return TransferEstimate(value=value, se=math.hypot(se_mu, se_cor),
+    mean, se = cloud_mean(mu, field, integrand)
+    value = float(mean[0])
+    return TransferEstimate(value=value, se=float(se[0]),
                             mean_term=float(dyh.mean()),
                             corrector_term=float(value - dyh.mean()))
 

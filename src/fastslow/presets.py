@@ -42,8 +42,10 @@ def ou_full() -> CoupledSystem:
     """Fully coupled benchmark exercising every correction term.
 
     With frozen law N(y, 1) the auxiliary solution for H = x - y is x - y,
-    so the corrected drift is -y + 1/2 and the corrected squared diffusion
-    is 1 + 1 under the construction used here.
+    so the corrected drift is -y + 1/2.  The cells' squared diffusion is
+    G G^T + sym E[H Phi^T] = 1 + 1; the coupled law's is 1 + 2 = 3, with
+    2 sym E[H Phi^T] (ROADMAP direction 1).  ``bench/reference.r4_cell``
+    shares the halved convention, so the factor changes only with it.
     """
     return CoupledSystem(
         d1=1, d2=1,

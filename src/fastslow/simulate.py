@@ -1,21 +1,26 @@
-"""Euler-Maruyama integration of the coupled, frozen and limit equations.
+"""Euler-Maruyama integration of the coupled and limit equations.
 
-The frozen fast equation and the averaged limit share one Euler loop,
-:func:`_euler`: each step reads the drift a and noise coefficient B of a
-chunk in one call and sets X = X + a h + B z sqrt(h), with z drawn on the
-equation's lane.  The coupled integrator splits time scales: the slow
-state advances on a macro grid of target step ``dt_slow`` while the fast
-state takes micro substeps of size alpha**2/nu inside each macro interval
-(the slow state held at its macro value).  The fast-varying slow drift is
-averaged over the micro substeps before it is applied, which removes most
-of the discretization bias of that stiff term.
+The averaged limit takes plain Euler steps (:func:`integrate_limit`): each
+step reads the drift a and noise coefficient B of a chunk in one call and
+sets Y = Y + a h + B z sqrt(h), with z drawn on the slow-noise lane.  The
+frozen fast equation is integrated where it is used: by the invariant-cloud
+sampler (:func:`fastslow.ergodic.sample_invariant_measure`) and by the
+corrector's path integrals.
+
+The coupled integrator splits time scales: the slow state advances on a
+macro grid of target step ``dt_slow`` while the fast state takes micro
+substeps of size alpha**2/nu inside each macro interval (the slow state
+held at its macro value).  The fast-varying slow drift is averaged over the
+micro substeps before it is applied, which removes most of the
+discretization bias of that stiff term.
 
 Increments are keyed by (seed, lane, path, step), so results are
 bit-identical for any chunk size.  Every integrator is a plain loop over
 the (lo, hi) path ranges of :func:`_chunks`; each chunk keys its draws
 through one :class:`fastslow.rng.PathIndex` and checks its state with
-:func:`fastslow.model.check_state`, whose norms give the running maximum
-of the fast state.  Per-chunk integrals are concatenated at the end.
+:func:`fastslow.model.check_state`, whose norms give the coupled
+integrator's running maximum of the fast state.  Per-chunk integrals are
+concatenated at the end.
 
 Every loop draws its increments a block of steps per call
 (:func:`fastslow.rng.block_steps`).  The coupled integrator takes the
@@ -144,50 +149,6 @@ def _accumulate(acc, val, w: float) -> Array:
     return acc
 
 
-def _euler(coefficients, x0: Array, T: float, dt: float, seed: int, lane: int,
-           tag: str, n_paths: int, blowup_cap: float, snapshot_times,
-           chunk_size: int):
-    """Euler-Maruyama for dX = a dt + B dW, with ``coefficients(t, X) -> (a, B)``
-    read once per step and step k's normals drawn on ``lane`` at (path, k).
-
-    Returns the terminal states, the running maximum of their norms, the
-    snapshot times and the snapshots (both None without ``snapshot_times``).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    d = x0.shape[0]
-    n_steps = max(1, int(round(T / dt))) if T > 0 else 0
-    hE = T / n_steps if n_steps else 0.0
-    sq = math.sqrt(hE)
-
-    rows, snap_t, snaps = {}, None, None
-    if snapshot_times is not None:
-        rows = _snap_rows(snapshot_times, hE, n_steps)
-        snap_t = np.asarray(snapshot_times, dtype=np.float64)
-        snaps = np.empty((len(snap_t), n_paths, d))
-    terminal = np.empty((n_paths, d))
-    max_abs = np.empty(n_paths)
-
-    for lo, hi in _chunks(n_paths, chunk_size):
-        paths = rng.PathIndex(np.arange(lo, hi))
-        block = rng.block_steps(hi - lo)
-        X = np.tile(x0, (hi - lo, 1))
-        mx = np.linalg.norm(X, axis=-1)
-        _record(snaps, rows, 0, lo, X)
-        for k in range(n_steps):
-            if k % block == 0:
-                steps = np.arange(k, min(k + block, n_steps), dtype=np.uint64)
-                zb = rng.normals(seed, lane, paths, steps[:, None], d)
-            drift, diff = coefficients(k * hE, X)
-            X = X + np.asarray(drift, dtype=np.float64) * hE \
-                + apply_matrix(diff, zb[k % block]) * sq
-            mx = np.maximum(mx, check_state(tag, X, blowup_cap, (k + 1) * hE, lo))
-            _record(snaps, rows, k + 1, lo, X)
-        terminal[lo:hi] = X
-        max_abs[lo:hi] = mx
-    return terminal, max_abs, snap_t, snaps
-
-
 def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float,
                       x0, y0, cfg: PathConfig, integrand=None,
                       macro_integrand=None) -> EnsembleResult:
@@ -291,19 +252,6 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
         stream_ids=np.arange(cfg.n_paths, dtype=np.uint64), seed=cfg.seed)
 
 
-def integrate_frozen(system: CoupledSystem, y, x0, T: float, dt: float,
-                     seed: int, n_paths: int, blowup_cap: float = 1e6,
-                     chunk_size: int = 8192) -> EnsembleResult:
-    """Simulate the fast equation with the slow state held fixed at ``y``."""
-    y_fix = _vec(y, system.d2, "y")
-    term_x, max_abs, _, _ = _euler(
-        lambda t, X: (system.b(X, y_fix), system.sigma(X, y_fix)),
-        _vec(x0, system.d1, "x0"), T, dt, seed, rng.LANE_FAST, "fast", n_paths,
-        blowup_cap, None, chunk_size)
-    return EnsembleResult(terminal_fast=term_x, max_abs_fast=max_abs,
-                          stream_ids=np.arange(n_paths, dtype=np.uint64), seed=seed)
-
-
 def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
                     blowup_cap: float = 1e6, snapshot_times=None,
                     chunk_size: int = 8192, n_workers: int = 1) -> EnsembleResult:
@@ -317,9 +265,36 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
     existing callers and must be 1.
     """
     _check_one_worker(n_workers)
-    term_y, _, snap_t, snaps_y = _euler(
-        avg.coefficients_batch, _vec(y0, avg.d2, "y0"), T, dt, seed,
-        rng.LANE_SLOW, "limit", n_paths, blowup_cap, snapshot_times, chunk_size)
-    return EnsembleResult(terminal_slow=term_y, snapshot_times=snap_t,
-                          snapshots_slow=snaps_y,
+    y_init = _vec(y0, avg.d2, "y0")
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    d = y_init.shape[0]
+    n_steps = max(1, int(round(T / dt))) if T > 0 else 0
+    h = T / n_steps if n_steps else 0.0
+    sq = math.sqrt(h)
+
+    rows, snap_t, snaps = {}, None, None
+    if snapshot_times is not None:
+        rows = _snap_rows(snapshot_times, h, n_steps)
+        snap_t = np.asarray(snapshot_times, dtype=np.float64)
+        snaps = np.empty((len(snap_t), n_paths, d))
+    terminal = np.empty((n_paths, d))
+
+    for lo, hi in _chunks(n_paths, chunk_size):
+        paths = rng.PathIndex(np.arange(lo, hi))
+        block = rng.block_steps(hi - lo)
+        Y = np.tile(y_init, (hi - lo, 1))
+        _record(snaps, rows, 0, lo, Y)
+        for k in range(n_steps):
+            if k % block == 0:
+                steps = np.arange(k, min(k + block, n_steps), dtype=np.uint64)
+                zb = rng.normals(seed, rng.LANE_SLOW, paths, steps[:, None], d)
+            drift, diff = avg.coefficients_batch(k * h, Y)
+            Y = Y + np.asarray(drift, dtype=np.float64) * h \
+                + apply_matrix(diff, zb[k % block]) * sq
+            check_state("limit", Y, blowup_cap, (k + 1) * h, lo)
+            _record(snaps, rows, k + 1, lo, Y)
+        terminal[lo:hi] = Y
+    return EnsembleResult(terminal_slow=terminal, snapshot_times=snap_t,
+                          snapshots_slow=snaps,
                           stream_ids=np.arange(n_paths, dtype=np.uint64), seed=seed)

@@ -338,6 +338,58 @@ def test_single_path_batch_exits_2_before_sampling(tmp_path, capsys, monkeypatch
     assert summary["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("budgets, message", [
+    ({"corrector_paths": 5}, "corrector_paths must be >= n_batches"),
+    ({"corrector_paths": 0}, "corrector_paths must be >= n_batches"),
+    ({"grid_points": 1}, "grid_points must be >= 3"),
+    ({"invariant_samples": 0}, "invariant_samples must be >= 1, got 0"),
+    ({"invariant_thinning": 0}, "invariant_thinning must be >= 1, got 0"),
+    ({"n_batches": -3}, "n_batches must be >= 2, got -3"),
+    ({"invariant_burn_in": 0.0}, "invariant_burn_in must be > 0, got 0.0"),
+    ({"invariant_dt": 0}, "invariant_dt must be > 0, got 0"),
+    ({"corrector_tmax": -1.0}, "corrector_tmax must be > 0, got -1.0"),
+    ({"corrector_dt": -0.01}, "corrector_dt must be > 0, got -0.01"),
+    ({"grid_pad": -5.0}, "grid_pad must be >= 0, got -5.0"),
+], ids=["paths-below-batches", "no-paths", "one-grid-point", "no-samples",
+        "no-thinning", "negative-batches", "no-burn-in", "zero-dt", "negative-tmax",
+        "negative-corrector-dt", "negative-pad"])
+def test_out_of_range_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                     budgets, message):
+    # each was accepted, and R1 ran with 5 corrector paths while an R4 cell
+    # with grid_pad -5 built decreasing grid axes and returned a wrong
+    # covariance; a budget is refused before the first cloud is drawn
+    import fastslow.homogenize
+    clouds = []
+    monkeypatch.setattr(fastslow.homogenize, "sample_invariant_measure",
+                        lambda *a, **k: clouds.append(a))
+    out = tmp_path / "out"
+    cfg = average_cfg(out, budgets=dict(SMALL_BUDGETS, **budgets))
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert clouds == []
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary["error"]["type"] == "ValueError"
+    assert not (out / "average.csv").exists()
+
+
+def test_paths_coupled_in_average_budgets_exits_2_before_sampling(tmp_path, capsys,
+                                                                  monkeypatch):
+    # average runs no coupled ensemble; the key was dropped and the run
+    # exited 0
+    import fastslow.homogenize
+    clouds = []
+    monkeypatch.setattr(fastslow.homogenize, "sample_invariant_measure",
+                        lambda *a, **k: clouds.append(a))
+    out = tmp_path / "out"
+    cfg = average_cfg(out, budgets=dict(SMALL_BUDGETS, paths_coupled=100))
+    assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert "unknown budget fields: ['paths_coupled']" in capsys.readouterr().err
+    assert clouds == []
+    summary = json.loads((out / "average_summary.json").read_text())
+    assert summary["error"]["type"] == "ConfigError"
+    assert not (out / "average.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("invariant_samples", 2000.7), ("invariant_thinning", 2.5),
     ("corrector_paths", 1000.5), ("grid_points", 20.5), ("n_batches", 20.0),
@@ -427,6 +479,7 @@ VALID = {
 # counts and reals, and their like for the other kinds
 WRONG = {
     "count": [10.5, True, "10"],
+    "seed": [10.5, True, "10"],
     "counts": [5.5, [True], "5"],
     "real": [True, "0.5", None],
     "vector": ["0.5", True, [0.5, None]],
@@ -467,6 +520,10 @@ WRONG_KINDS += [
     for key, kind in kinds.items() if kind in HUGE
 ] + [pytest.param("corrector", f"grid.{key}", HUGE["vector"], id=f"corrector-grid.{key}-huge")
      for key in ("lo", "hi")]
+# seeds outside [0, 2**64): rng.derive_key keeps a seed mod 2**64, so -1 and
+# 2**64 - 1 gave the same draws under different recorded seeds
+WRONG_KINDS += [(command, "seed", value) for command in fastslow.cli._CONFIG_KEYS
+                for value in (-1, 2 ** 64)]
 
 
 @pytest.fixture

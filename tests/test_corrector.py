@@ -11,8 +11,8 @@ from fastslow import (BlowUp, CorrectorQuery, CoupledSystem, NotCentered,
                       outer_product_HPhi, rng, sample_invariant_measure,
                       solve_poisson_fk)
 import fastslow.corrector
-from fastslow.corrector import (CorrectorField, _grid_at, _interior_derivatives,
-                                _interp_axes, grid_grad_x, multilinear)
+from fastslow.corrector import (CorrectorField, _grid_at, _interp_axes,
+                                _node_derivatives, multilinear)
 
 RT2 = math.sqrt(2.0)
 
@@ -566,14 +566,17 @@ class TestQuery:
 class TestGradients:
     def test_linear_gradient(self, field_lin):
         fld = gradients(field_lin)
-        gx = _grid_at(fld, fld.grad_x, np.array([[-1.0], [0.0], [1.0]]),
-                      interior=True)
+        gx = _grid_at(fld, fld.values, np.array([[-1.0], [0.0], [1.0]]),
+                      derivative=1)
         assert np.all(np.abs(gx[:, 0, 0] - 1.0) <= 0.05)
+        # the attached gradient is the read-out's, NaN edges included
+        assert fld.grad_x.tobytes() == _node_derivatives(fld, fld.values, 1)[0].tobytes()
 
     def test_quadratic_gradient(self, field_quad):
         fld = gradients(field_quad)
-        gx = _grid_at(fld, fld.grad_x, np.array([[1.0]]), interior=True)
+        gx = _grid_at(fld, fld.values, np.array([[1.0]]), derivative=1)
         assert abs(gx[0, 0, 0] - 1.0) <= 0.05
+        assert fld.grad_x.tobytes() == _node_derivatives(fld, fld.values, 1)[0].tobytes()
 
     def test_y_gradient_vanishes_without_dependence(self, mu):
         # dynamics and integrand ignore y, and the y +/- delta states share
@@ -586,9 +589,9 @@ class TestGradients:
         assert np.all(fld.grad_y == 0.0) and np.all(fld.grad_y_batches == 0.0)
 
     def test_stencil_exact_on_quadratic_d1_2(self):
-        # central differences are exact on quadratics, so the interior
-        # gradient and the whole Hessian, mixed partial included, match the
-        # analytic ones to rounding; edge nodes carry no central stencil
+        # central differences are exact on quadratics, so the gradient and
+        # the Hessian, mixed partial included, match the analytic ones to
+        # rounding wherever their stencil reaches; elsewhere they are NaN
         ax = (np.linspace(-1.0, 2.0, 7), np.linspace(-2.0, 1.0, 6))
         X, Y = np.meshgrid(*ax, indexing="ij")
         u = X ** 2 + 3 * X * Y - 2 * Y ** 2
@@ -599,19 +602,33 @@ class TestGradients:
             query=query, values=vals,
             se=np.zeros_like(vals), batch_means=np.repeat(vals[None], 20, axis=0),
             tail_bound=np.zeros_like(vals))
-        g = grid_grad_x(fake, vals).reshape(7, 6, 2)
+        grad, hess = _node_derivatives(fake, vals, 2)
+        assert grad.shape == (42, 1, 2) and hess.shape == (42, 1, 2, 2)
+        g = grad.reshape(7, 6, 2)
         exact = np.stack([2 * X + 3 * Y, 3 * X - 4 * Y], axis=-1)
         np.testing.assert_allclose(g[1:-1, :, 0], exact[1:-1, :, 0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(g[:, 1:-1, 1], exact[:, 1:-1, 1], rtol=0, atol=1e-12)
         assert np.isnan(g[[0, -1], :, 0]).all() and np.isnan(g[:, [0, -1], 1]).all()
 
-        steps = [float(a[1] - a[0]) for a in ax]
-        grad, hess = _interior_derivatives(u, steps)
-        assert grad.shape == (5, 4, 2) and hess.shape == (5, 4, 2, 2)
-        np.testing.assert_allclose(grad, exact[1:-1, 1:-1], rtol=0, atol=1e-12)
+        hs = hess.reshape(7, 6, 2, 2)
+        np.testing.assert_allclose(g[1:-1, 1:-1], exact[1:-1, 1:-1], rtol=0, atol=1e-12)
+        inner = hs[1:-1, 1:-1]
         np.testing.assert_allclose(
-            hess, np.broadcast_to([[2.0, 3.0], [3.0, -4.0]], hess.shape),
+            inner, np.broadcast_to([[2.0, 3.0], [3.0, -4.0]], inner.shape),
             rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hs[1:-1, :, 0, 0], 2.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hs[:, 1:-1, 1, 1], -4.0, rtol=0, atol=1e-12)
+        assert np.isnan(hs[[0, -1], :, 0, 0]).all() and np.isnan(hs[:, [0, -1], 1, 1]).all()
+        for p, q in ((0, 1), (1, 0)):
+            assert np.isnan(hs[[0, -1], :, p, q]).all() and np.isnan(hs[:, [0, -1], p, q]).all()
+
+        # the interior route reads the gradient and Hessian at a node as
+        # they are there
+        pts = np.array([[ax[0][2], ax[1][3]]])
+        np.testing.assert_allclose(_grid_at(fake, vals, pts, derivative=1)[0, 0],
+                                   exact[2, 3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_grid_at(fake, vals, pts, derivative=2)[0, 0],
+                                   [[2.0, 3.0], [3.0, -4.0]], rtol=0, atol=1e-12)
 
     def test_grid_too_coarse(self, field_lin):
         x = np.linspace(-3, 3, 7)

@@ -418,6 +418,13 @@ def test_budgets_reject_non_finite_reals(name, value):
         Budgets(**{name: value})
 
 
+def test_budgets_accept_the_least_values():
+    # a pad of 0 spans the cloud exactly, and each path batch may hold one path
+    b = Budgets(grid_pad=0.0, grid_points=3, corrector_paths=2, n_batches=2,
+                invariant_samples=1, invariant_thinning=1)
+    assert (b.grid_pad, b.grid_points, b.corrector_paths) == (0.0, 3, 2)
+
+
 @pytest.mark.parametrize("quantum", [0.0, -0.1, float("nan"), float("inf")])
 def test_cache_policy_rejects_bad_quantum(quantum):
     # a zero quantum divided every lattice key by zero and filed all rows

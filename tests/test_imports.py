@@ -1,7 +1,8 @@
 """Import-time guards: what ``import fastslow`` loads, where the package
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
-``model.check_state`` raises ``BlowUp``, that no config command coerces a
+``model.check_state`` raises ``BlowUp``, that the grid calculus stays in
+``corrector.py``, that no config command coerces a
 value or writes a numeric default of its own, that only the CLI opens a file
 for writing, that the names the benchmark tracer wraps exist, and the public
 API surface with the kinds of the CLI's config keys."""
@@ -209,6 +210,63 @@ def test_blowup_guard_sees_each_form():
     assert _blowup_constructions(ast.parse(src)) == ["<module>", "f", "g", "h"]
 
 
+# the grid calculus of corrector.py: the interpolation, the stencil, the
+# interior cut and the node-derivative routine
+_GRID_CALCULUS = {"_interp_axes", "_central", "_interior", "_node_derivatives"}
+
+
+def _grid_calculus_uses(tree) -> list[int]:
+    """Lines that reach a name of ``_GRID_CALCULUS``: ``from .corrector import
+    _x`` (under any alias), or ``corrector._x`` on any name the module is
+    bound to."""
+    aliases = set()
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "corrector":
+                lines += [node.lineno for a in node.names if a.name in _GRID_CALCULUS]
+            elif node.level > 0 or module == "fastslow":
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "corrector"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.name == "fastslow.corrector" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _GRID_CALCULUS:
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                lines.append(node.lineno)
+            elif (isinstance(base, ast.Attribute) and base.attr == "corrector"
+                    and isinstance(base.value, ast.Name) and base.value.id == "fastslow"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_grid_calculus_stays_in_corrector():
+    # every read-out of a grid solve at free points goes through
+    # corrector._grid_at and corrector.cloud_mean; a module that takes
+    # derivatives or interpolates by itself has grown a second read-out
+    found = []
+    for path in sorted((SRC / "fastslow").glob("*.py")):
+        if path.name == "corrector.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _grid_calculus_uses(tree)]
+    assert found == []
+
+
+def test_grid_calculus_guard_sees_each_form():
+    src = ("from .corrector import _interp_axes, _grid_at\n"
+           "from fastslow.corrector import _node_derivatives as nd\n"
+           "from . import corrector\nimport fastslow.corrector as C\n"
+           "import fastslow.corrector\n"
+           "corrector._central(u, 0, 1.0)\nC._interior(u, (0,))\n"
+           "fastslow.corrector._interp_axes(a, g, p)\ncorrector.cloud_mean(m, f, s)\n"
+           "from .homogenize import _interior\n")
+    assert _grid_calculus_uses(ast.parse(src)) == [1, 2, 6, 7, 8]
+
+
 def _config_coercions(tree) -> list[str]:
     """``<function>:<line>`` of each call of ``int``, ``float`` or ``bool``,
     and of each ``.get`` or ``.pop`` with a numeric literal default, inside a
@@ -348,8 +406,6 @@ PUBLIC_PARAMETERS = {
                    "n_workers"),
     "integrate_coupled": ("system", "schedule", "eps", "x0", "y0", "cfg",
                           "integrand", "macro_integrand"),
-    "integrate_frozen": ("system", "y", "x0", "T", "dt", "seed", "n_paths",
-                         "blowup_cap", "chunk_size"),
     "integrate_limit": ("avg", "y0", "T", "dt", "seed", "n_paths", "blowup_cap",
                         "snapshot_times", "chunk_size", "n_workers"),
     "MeasureEnsemble": ("y", "samples", "burn_in", "thinning", "dt", "seed", "ess",
@@ -399,23 +455,23 @@ PUBLIC_PARAMETERS = {
 # run and is read apart.  A change that adds or removes a key, or changes its
 # kind, edits this pin in the same diff, as for a knob above.
 EXPERIMENT_KEYS = {
-    "preset": "text", "seed": "count", "exponents": "list",
+    "preset": "text", "seed": "seed", "exponents": "list",
     "theta": "rational", "eps_list": "vector", "budgets": "object",
     "quantum": "real", "interpolate": "flag", "phi": "list", "T": "real",
     "time_grid_n": "count", "dt_slow": "real", "micro_substeps": "count",
     "x0": "vector", "y0": "vector", "chunk_size": "count",
 }
 CONFIG_KEYS = {
-    "validate": {"preset": "text", "seed": "count", "lambda": "real",
+    "validate": {"preset": "text", "seed": "seed", "lambda": "real",
                  "sample_budget": "count", "radius": "real", "eps": "real"},
-    "invariant": {"preset": "text", "seed": "count", "ys": "vectors",
+    "invariant": {"preset": "text", "seed": "seed", "ys": "vectors",
                   "y": "vector", "burn_in": "real", "n_samples": "count",
                   "thinning": "count", "dt": "real"},
-    "corrector": {"preset": "text", "seed": "count", "grid": "object",
+    "corrector": {"preset": "text", "seed": "seed", "grid": "object",
                   "t": "real", "y": "vector", "T_max": "real",
                   "n_paths": "count", "dt": "real", "centering_samples": "count",
                   "gradients": "flag"},
-    "average": {"preset": "text", "seed": "count", "exponents": "list",
+    "average": {"preset": "text", "seed": "seed", "exponents": "list",
                 "budgets": "object", "t": "real", "ys": "vectors", "y": "vector"},
     "converge": EXPERIMENT_KEYS,
     "fluctuate": EXPERIMENT_KEYS | {"kind": "text", "f": "text"},

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fastslow import (BlowUp, CoupledSystem, PathConfig, Regime,
-                      ScaleSchedule, integrate_coupled, integrate_frozen,
-                      integrate_limit, rng)
+                      ScaleSchedule, integrate_coupled, integrate_limit, rng)
 from fastslow.homogenize import (AveragedSDE, Budgets, CachePolicy,
                                  build_limit_sde)
 from fastslow.presets import ou_averaging, ou_full
@@ -60,23 +59,6 @@ def test_coupled_ou_reaches_stationary_second_moment():
     m2 = (res.terminal_fast[:, 0] ** 2)
     se = m2.std(ddof=1) / math.sqrt(m2.size)
     assert abs(m2.mean() - 1.0) <= 3 * se + 0.02  # 0.02 covers the O(1/nu) bias
-
-
-def test_frozen_relaxes_to_parameter():
-    sys1 = make_system(b=lambda x, y: y - x, sigma=lambda x, y: np.array([[RT2]]))
-    res = integrate_frozen(sys1, [2.0], [0.0], T=20.0, dt=0.01, seed=5,
-                           n_paths=2000)
-    x = res.terminal_fast[:, 0]
-    se = x.std(ddof=1) / math.sqrt(x.size)
-    assert abs(x.mean() - 2.0) <= 3 * se
-
-
-def test_frozen_ode_oracle_and_zero_horizon():
-    sys1 = make_system(b=lambda x, y: -x, sigma=lambda x, y: np.array([[0.0]]))
-    res = integrate_frozen(sys1, [0.0], [1.0], T=1.0, dt=1e-3, seed=0, n_paths=1)
-    assert abs(res.terminal_fast[0, 0] - math.exp(-1.0)) <= 1e-3
-    res0 = integrate_frozen(sys1, [0.0], [1.0], T=0.0, dt=1e-3, seed=0, n_paths=3)
-    assert np.all(res0.terminal_fast == 1.0)
 
 
 class TestLimit:
@@ -257,19 +239,6 @@ def test_coupled_sigma_calls(name, per_step, n_paths, chunk, blocks):
     assert set(calls) == {(m, system.d1) for m in sizes}
 
 
-def test_frozen_determinism_across_chunks_and_workers():
-    # each chunk keys its draws through its own rng.PathIndex; the result
-    # must not depend on how the paths are split
-    sys1 = make_system(lambda x, y: y - x,
-                       lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None])
-    runs = []
-    for chunk in (64, 999):
-        res = integrate_frozen(sys1, [0.4], [0.1], T=0.5, dt=0.01, seed=6,
-                               n_paths=600, chunk_size=chunk)
-        runs.append((res.terminal_fast.tobytes(), res.max_abs_fast.tobytes()))
-    assert runs[0] == runs[1]
-
-
 def per_step_euler(coefficients, x0, T, dt, seed, lane, n_paths,
                    snapshot_times=()):
     """Euler-Maruyama on all paths at once, written step by step: one draw
@@ -278,31 +247,14 @@ def per_step_euler(coefficients, x0, T, dt, seed, lane, n_paths,
     h = T / n if n else 0.0
     ids = np.arange(n_paths)
     X = np.tile(np.asarray(x0, dtype=np.float64), (n_paths, 1))
-    mx = np.linalg.norm(X, axis=-1)
     nodes = [X]
     for k in range(n):
         drift, diff = coefficients(k * h, X)
         z = rng.normals(seed, lane, ids, np.uint64(k), X.shape[1])
         X = X + drift * h + (diff @ z[..., None])[..., 0] * math.sqrt(h)
-        mx = np.maximum(mx, np.linalg.norm(X, axis=-1))
         nodes.append(X)
     snaps = [nodes[int(round(t / h)) if n else 0] for t in snapshot_times]
-    return X, mx, snaps
-
-
-@pytest.mark.parametrize("T", [0.3, 0.0])
-def test_frozen_equals_per_step_loop(T):
-    # x-dependent sigma with batch axes; 250 paths in chunks of 64
-    sys1 = make_system(lambda x, y: y - x,
-                       lambda x, y: RT2 * (1.0 + 0.2 * np.tanh(x))[..., None])
-    y = np.array([0.4])
-    res = integrate_frozen(sys1, y, [0.1], T=T, dt=0.01, seed=6, n_paths=250,
-                           chunk_size=64)
-    X, mx, _ = per_step_euler(lambda t, x: (sys1.b(x, y), sys1.sigma(x, y)),
-                              [0.1], T, 0.01, 6, rng.LANE_FAST, 250)
-    assert res.terminal_fast.tobytes() == X.tobytes()
-    assert res.max_abs_fast.tobytes() == mx.tobytes()
-    assert res.terminal_slow is None and res.snapshots_slow is None
+    return X, snaps
 
 
 def memoized_limit():
@@ -318,20 +270,21 @@ def callables_limit():
         lambda t, y: (1.0 + 0.1 * np.tanh(y))[..., None])
 
 
-@pytest.mark.parametrize("make_avg, n_paths, chunk", [
-    (callables_limit, 250, 64), (memoized_limit, 250, 64),
-    (callables_limit, 1100, 1000),
-], ids=["callables", "memoized", "short-block"])
-def test_limit_equals_per_step_loop(make_avg, n_paths, chunk):
+@pytest.mark.parametrize("make_avg, n_paths, chunk, T", [
+    (callables_limit, 250, 64, 0.2), (memoized_limit, 250, 64, 0.2),
+    (callables_limit, 1100, 1000, 0.2), (callables_limit, 250, 64, 0.0),
+], ids=["callables", "memoized", "short-block", "zero-horizon"])
+def test_limit_equals_per_step_loop(make_avg, n_paths, chunk, T):
     # 0.1 is recorded twice.  A chunk of 1000 rows draws blocks of 8 steps,
     # so the 10 steps end in a short block; the last chunk, of 100 rows,
-    # draws all 10 in one block
+    # draws all 10 in one block.  With T = 0 no step is taken and every
+    # path stays at y0
     avg = make_avg()
-    times = (0.0, 0.1, 0.1, 0.2)
-    res = integrate_limit(avg, [0.3], T=0.2, dt=0.02, seed=8, n_paths=n_paths,
+    times = tuple(t for t in (0.0, 0.1, 0.1, 0.2) if t <= T)
+    res = integrate_limit(avg, [0.3], T=T, dt=0.02, seed=8, n_paths=n_paths,
                           snapshot_times=times, chunk_size=chunk)
-    Y, _, snaps = per_step_euler(avg.coefficients_batch, [0.3], 0.2, 0.02, 8,
-                                 rng.LANE_SLOW, n_paths, times)
+    Y, snaps = per_step_euler(avg.coefficients_batch, [0.3], T, 0.02, 8,
+                              rng.LANE_SLOW, n_paths, times)
     assert res.terminal_slow.tobytes() == Y.tobytes()
     assert res.snapshots_slow.tobytes() == np.stack(snaps).tobytes()
     assert res.snapshot_times.tolist() == list(times)
@@ -391,9 +344,6 @@ def test_chunk_below_one_is_refused(chunk):
     cfg = PathConfig(T=0.1, dt_slow=0.05, seed=0, n_paths=4, chunk_size=chunk)
     with pytest.raises(ValueError, match="chunk_size"):
         integrate_coupled(sys1, S111, 0.3, [0.0], [0.0], cfg)
-    with pytest.raises(ValueError, match="chunk_size"):
-        integrate_frozen(sys1, [0.0], [0.0], T=0.1, dt=0.05, seed=0, n_paths=4,
-                         chunk_size=chunk)
     with pytest.raises(ValueError, match="chunk_size"):
         integrate_limit(avg, [0.0], T=0.1, dt=0.05, seed=0, n_paths=4,
                         chunk_size=chunk)
