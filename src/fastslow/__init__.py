@@ -1,7 +1,7 @@
 """Monte Carlo toolkit for fully coupled fast-slow stochastic systems.
 
 Builds stationary-measure estimates for the frozen fast equation, solves the
-auxiliary equation by frozen-path Monte Carlo, assembles the four
+auxiliary equation on a tensor grid, assembles the four
 regime-dependent averaged limit equations, and measures weak-error
 convergence shapes and fluctuation diagnostics against them.
 """

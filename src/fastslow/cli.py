@@ -51,7 +51,9 @@ from .presets import get_system
 _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
               GridTooCoarse, ThetaOutOfRange)
 
-# the kind of each key a command reads (converge and fluctuate: from_dict's)
+# the kind of each key a command reads (converge and fluctuate: from_dict's);
+# the corrector reads T_max, n_paths and dt only to refuse them: they were
+# the budgets of the path-integral solve that the grid solve replaced
 _CONFIG_KEYS = {
     "validate": {"preset": "text", "seed": "seed", "lambda": "real",
                  "sample_budget": "count", "radius": "real", "eps": "real"},
@@ -190,11 +192,17 @@ def _cmd_invariant(cfg: dict) -> tuple:
 
 
 def _cmd_corrector(cfg: dict) -> tuple:
-    """Phi of the preset's H on the config's grid.  "gradients" is true by
-    default, and then the solve integrates only y +/- delta, so phi and se
-    are those of the pair's mean, O(delta^2) from the centre's solution
-    (see :func:`fastslow.corrector.solve_poisson_fk`)."""
+    """Phi of the preset's H on the config's grid, from the grid solve of
+    :func:`fastslow.corrector.solve_poisson_fk`; each se column is the grid
+    bias estimate, the gap to the solve on the grid's refinement.
+    "gradients" is true by default, and then the solve runs only at
+    y +/- delta, so phi and se are those of the pair's mean, O(delta^2) from
+    the centre's solution.  "seed" keys the centering cloud."""
     cfg, system = _with_defaults(cfg)
+    for key in ("T_max", "n_paths", "dt"):
+        if key in cfg:
+            raise ConfigError(f"{key} is no longer read: the corrector is a grid "
+                              "solve on the config's grid; remove the key")
     grid = _read_config(_need(cfg, "grid", ": {lo, hi, n}"),
                         {"lo": "vector", "hi": "vector", "n": "counts"}, "grid")
     lo, hi, npts = (np.atleast_1d(_need(grid, key)) for key in ("lo", "hi", "n"))
@@ -202,9 +210,7 @@ def _cmd_corrector(cfg: dict) -> tuple:
         raise ConfigError("grid lo/hi/n must have length d1")
     axes = tuple(np.linspace(lo[j], hi[j], npts[j]) for j in range(system.d1))
     want_grad, t, y = cfg["gradients"], cfg["t"], cfg["y"]
-    query = CorrectorQuery(
-        t=t, y=y, grid_axes=axes, seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 42),
-        **_take(cfg, "T_max", "n_paths", "dt"))
+    query = CorrectorQuery(t=t, y=y, grid_axes=axes)
     mu = sample_invariant_measure(
         system, y, n_samples=cfg["centering_samples"],
         seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 43))
@@ -224,8 +230,7 @@ def _cmd_corrector(cfg: dict) -> tuple:
         n = field.values.shape[0]
         blocks += [field.grad_x.reshape(n, -1), field.grad_y.reshape(n, -1)]
     return header, np.hstack(blocks), {
-        "centering_z": z, "tail_bound_max": field.tail_bound.max().item(),
-        "seed": cfg["seed"], "preset": system.name}
+        "centering_z": z, "seed": cfg["seed"], "preset": system.name}
 
 
 def _cmd_average(cfg: dict) -> tuple:

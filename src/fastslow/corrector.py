@@ -1,43 +1,35 @@
-"""Monte Carlo solution of the auxiliary equation via frozen-path integrals.
+"""Deterministic solution of the auxiliary equation on a tensor grid.
 
-The time integral of a centered integrand f along frozen trajectories,
-truncated at a finite horizon, estimates the corrector Phi of the Poisson
-equation (generator) Phi = -f.  Exponential ergodicity of the frozen
-process makes the truncation tail geometric; the solver reports a
-per-point tail estimate extrapolated from the last fifth of the integral.
+The corrector solves L Phi = -f for the frozen generator L = b . grad +
+a : grad^2, a = sigma sigma^T / 2.  On the query's tensor grid, L becomes
+the generator L_h of a Markov chain with non-negative rates (Kushner &
+Dupuis 2001, *Numerical Methods for Stochastic Control Problems in
+Continuous Time*), and L_h Phi_h = -(f - pi_h f) is solved, pi_h the
+chain's invariant law:
 
-A query is a tensor grid of fast states.  The caller centers the integrand
-and passes its z-score from :func:`fastslow.ergodic.centering_residual`.
+- along each axis, b and a_ii give Scharfetter-Gummel rates (Scharfetter &
+  Gummel 1969), exponentially fitted to the drift of each edge; no rate
+  leaves the grid (zero-flux edges);
+- each off-diagonal a_ij moves to the diagonal neighbours x +- (h_i e_i +
+  s h_j e_j), s the sign of a_ij, at rate |a_ij| / (h_i h_j), and takes
+  that share off the axis rates, which stay non-negative while
+  a_ii h_j >= sum_{j != i} |a_ij| h_i; a system that breaks this at a node
+  has no monotone stencil and is refused;
+- one dense bordered solve gives pi_h, one more Phi_h with pi_h Phi_h = 0.
 
-All query points share the same driving increments (common random numbers),
-so differences between nearby points - the finite-difference gradients -
-carry far less noise than independent solves would.  The same holds across
-slow states: the y-gradients integrate from y +/- delta along each slow
-coordinate with shared increments, in one pass (:func:`solve_poisson_fk`
-with ``want_grad_y``), so each block of increments is drawn once and drives
-every state.  That pass has no centre state: the field it returns is the
-mean of the 2 d2 shifted states' solutions, which differs from the centre's
-by O(delta^2).  Blocks are sized by :func:`fastslow.rng.block_steps`, and
-each state takes the noise of a block from :func:`fastslow.model.block_noise`.
+Each solve runs on the query grid of n nodes per axis and on its 2n - 1-node
+refinement.  The field holds the refined solution at the query nodes and the
+query grid's beside it; their gap is the grid bias estimate.  The
+y-gradients are central differences between solves at y +/- delta, on the
+same grids, with no centre solve.
 
-The step loop (:func:`_path_sums`) is laid out for the cache.  A state of
-m paths from Q points is a points-major (Q, m, d1) array, so a step's
-(m, d1) noise is added to each point's contiguous (m, d1) slab.  Each state
-takes all the steps of a block segment before the next state starts, so
-only one state's arrays are in use at a time.  ``b dt`` goes into one buffer
-allocated per chunk of paths and is added in place; f is added unscaled,
-and each path's sums are multiplied by dt once, at the end of the chunk.
-The path arithmetic is that of a plain Euler pass, in the same order, so
-the results do not depend on the layout.
-
-This module also holds the one read-out of a grid-solved corrector at
-free points such as a cloud's samples.  :func:`_node_derivatives` gives the
-x-gradient and Hessian on the grid (NaN where the central stencil does not
-reach); :func:`_grid_at` carries node arrays to the points, and derivatives
-through the interior nodes alone; :func:`cloud_mean` gives the mean of a
-linear functional of the solution (H Phi^T, c . grad_x Phi, H . grad_y Phi,
-the derivative transfer's integrand) with the chain and path-batch errors
-in quadrature.  The :class:`GridTooCoarse` gate keeps its own unit-spacing
+This module also holds the one read-out of a grid-solved corrector at free
+points such as a cloud's samples: :func:`_node_derivatives` (x-gradient and
+Hessian on the grid, NaN where the central stencil does not reach),
+:func:`_grid_at` (node arrays to the points, derivatives through the
+interior nodes alone) and :func:`cloud_mean` (the mean of a linear
+functional of the solution with the chain error and the grid bias in
+quadrature).  The :class:`GridTooCoarse` gate keeps its own unit-spacing
 differences.
 """
 
@@ -46,15 +38,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import partial
 
 import numpy as np
 
-from . import rng
-from .errors import GridTooCoarse, NonFiniteCoefficient, NotCentered
+from .errors import GridTooCoarse, NotCentered
 from .ergodic import MeasureEnsemble
-from .model import CoupledSystem, _count, block_noise, check_state
-from .simulate import _chunks
+from .model import CoupledSystem, _count, _require_finite
 
 Array = np.ndarray
 
@@ -62,22 +51,21 @@ Array = np.ndarray
 # fraction of the median first difference (and clears the noise floor)
 _COARSE_TOL = 0.5
 
-# paths integrated together; the sums add path after path, so results do
-# not depend on it.  1024 keeps one state's arrays in cache: a default-budget
-# R4 solve of ou_full (4000 paths, 21 points, 800 steps, the two y +/- delta
-# states) took 0.420 s of CPU at 1024, 0.444 s at 512 and 0.479 s at 2048
-# (best of 5 alternated runs, 2-vCPU VM, numpy 2.4)
-_CHUNK_PATHS = 1024
 
-# the path states are checked after every step s with
-# s % _CHECK_EVERY == _CHECK_EVERY - 1, and after the last step
-_CHECK_EVERY = 128
+def _nodes(axes) -> Array:
+    """The (N, d) nodes of the tensor grid ``axes``, "ij" order."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 @dataclass(frozen=True)
 class CorrectorQuery:
-    """Tensor grid of fast states (one 1-d axis per coordinate) and Monte
-    Carlo budgets for one solve; ``points`` are the (Q, d1) nodes, "ij" order."""
+    """Tensor grid of fast states (one 1-d axis per coordinate, evenly
+    spaced) for one solve; ``points`` are the (Q, d1) nodes, "ij" order.
+
+    ``T_max``, ``n_paths`` and ``dt`` are read by no solve: they are the
+    budgets of the path-integral solver this grid solve replaced, still
+    checked and still counted by the benchmark's span tracer.
+    """
 
     t: float
     y: Array
@@ -85,8 +73,6 @@ class CorrectorQuery:
     T_max: float = 10.0
     n_paths: int = 10000
     dt: float = 0.01
-    seed: int = 0
-    n_batches: int = 20
     points: Array = dc_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -95,39 +81,35 @@ class CorrectorQuery:
         if not axes or any(ax.ndim != 1 or ax.size < 1 for ax in axes):
             raise ValueError("grid_axes must be non-empty 1-d axes")
         object.__setattr__(self, "grid_axes", axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        object.__setattr__(self, "points", np.stack([m.ravel() for m in mesh], axis=-1))
+        object.__setattr__(self, "points", _nodes(axes))
         if not (0 < self.T_max < math.inf and 0 < self.dt < math.inf):
             raise ValueError("T_max and dt must be finite and > 0")
         _count("n_paths", self.n_paths)
-        _count("n_batches", self.n_batches)
-        if self.n_batches < 2:
-            raise ValueError("n_batches must be >= 2 to estimate a standard error")
-        if self.n_paths < self.n_batches:
-            raise ValueError("n_paths must be >= n_batches")
 
 
 @dataclass
 class CorrectorField:
-    """Estimated corrector on the query points.
+    """Grid-solved corrector on the query points.
 
-    ``values`` has shape (Q, k) where k is the codomain of the integrand;
-    ``batch_means`` keeps per-path-batch means so that any linear
-    post-processing can propagate Monte Carlo noise correctly.  The
-    y-gradients come from the solve itself (:func:`solve_poisson_fk` with
-    ``want_grad_y``), and then ``values``, ``batch_means`` and
-    ``tail_bound`` are the means over the y +/- delta states, O(delta^2)
-    from the centre's; :func:`gradients` attaches the x-gradients.
+    ``values`` (Q, k), k the codomain of the integrand, is the refined
+    solution read at the query nodes and ``coarse`` the query grid's own;
+    ``se`` is their gap, and :func:`cloud_mean` carries it through a linear
+    functional by applying that to both.  ``grad_y`` and ``coarse_grad_y``
+    come from the solve (``want_grad_y``), :func:`gradients` attaches
+    ``grad_x``.
     """
 
     query: CorrectorQuery
     values: Array
-    se: Array
-    batch_means: Array
-    tail_bound: Array
+    coarse: Array
     grad_x: Array | None = None
     grad_y: Array | None = None
-    grad_y_batches: Array | None = None
+    coarse_grad_y: Array | None = None
+
+    @property
+    def se(self) -> Array:
+        """Grid bias estimate per node and component: |refined - query grid|."""
+        return np.abs(self.values - self.coarse)
 
     @property
     def k(self) -> int:
@@ -180,146 +162,141 @@ def _shifted_states(y: Array, delta: float) -> list[Array]:
     return states
 
 
-def _segments(K: int, block: int) -> list[tuple[int, int]]:
-    """Step ranges ``(s0, s1)`` covering ``range(K)``, cut at every start of
-    a block of ``block`` draws and after every check step."""
-    cuts = set(range(block, K, block)) | set(range(_CHECK_EVERY, K, _CHECK_EVERY))
-    edges = [0, *sorted(cuts), K]
-    return list(zip(edges[:-1], edges[1:]))
+def _bernoulli(z: Array) -> Array:
+    """B(z) = z / (e^z - 1), with B(0) = 1; B(z) -> 0 as z -> inf."""
+    out = np.ones_like(z)
+    nz = z != 0.0
+    with np.errstate(over="ignore"):
+        out[nz] = z[nz] / np.expm1(z[nz])
+    return out
 
 
-def _path_sums(system: CoupledSystem, f, query: CorrectorQuery, ys, k: int):
-    """Frozen-path time integrals of ``f`` from every query point, for each
-    slow state in ``ys``.
+def _edge_pairs(index: Array, offset) -> tuple[Array, Array]:
+    """Flat indices of every node of the grid ``index`` whose neighbour at
+    the integer ``offset`` lies on the grid, and of that neighbour."""
+    src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, index.shape))
+    dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, index.shape))
+    return index[src].ravel(), index[dst].ravel()
 
-    Each state lives in its own points-major (Q, m, d1) array.  Every block
-    of increments is drawn once and drives all the states, so a state sees
-    exactly the increments a solve of it alone would see; the states take
-    the block's steps one after another, so only one state's arrays are in
-    use at a time.  A block is split after each check step, and each state
-    is checked there as soon as it reaches it, so the states are checked,
-    and the first bad one reported, in the order of a lockstep pass.
-    Returns the path-batch sums (len(ys), nb, Q, k), the batch sizes and
-    each state's integrals over the last two tenths of the horizon,
-    (len(ys), 2, Q, k).
-    """
-    t0 = query.t
-    pts = query.points
-    Q, d1 = pts.shape
-    K = max(1, int(round(query.T_max / query.dt)))
-    dtE = query.T_max / K
-    sq = math.sqrt(dtE)
-    nb = query.n_batches
-    i80, i90 = int(0.8 * K), int(0.9 * K)
 
-    batch_sums = np.zeros((len(ys), nb, Q, k))
-    batch_counts = np.zeros(nb, dtype=np.int64)
-    windows = np.zeros((len(ys), 2, Q, k))
+def _generator(system: CoupledSystem, y: Array, axes, X: Array) -> Array:
+    """Rate matrix (N, N) of the monotone Markov chain that stands for the
+    frozen generator at ``y`` on the tensor grid ``axes`` of nodes ``X``;
+    the diagonal makes each row sum to 0."""
+    shape = tuple(len(ax) for ax in axes)
+    N, d = X.shape
+    # a one-node axis has no moves, and so takes no share of the others'
+    h = [float(ax[1] - ax[0]) if len(ax) > 1 else math.inf for ax in axes]
+    b = np.broadcast_to(_require_finite("b", system.b(X, y)), (N, d))
+    a = np.broadcast_to(_require_finite("sigma", system.fast_cov(X, y)), (N, d, d))
+    index = np.arange(N).reshape(shape)
+    rates = np.zeros((N, N))
+    for i in range(d):
+        if shape[i] < 2:
+            continue
+        # a_ii less the share that the off-diagonal moves take over
+        a_axis = a[:, i, i] - sum(np.abs(a[:, i, j]) * (h[i] / h[j])
+                                  for j in range(d) if j != i)
+        if np.any(a_axis < 0.0):
+            node = X[int(np.argmax(a_axis < 0.0))]
+            raise NotImplementedError(
+                f"no monotone stencil: a_ii h_j < sum_j |a_ij| h_i on axis {i} "
+                f"at node {node.tolist()}")
+        lo, hi = _edge_pairs(index, [int(j == i) for j in range(d)])
+        drift = 0.5 * (b[lo, i] + b[hi, i])
+        diff = 0.5 * (a_axis[lo] + a_axis[hi])
+        live = diff > 0.0
+        # exponential fitting: B(-z) - B(z) = z, so the mean move is the
+        # drift, and the rates go over to upwinding where diff is 0
+        z = np.where(live, drift * h[i] / np.where(live, diff, 1.0), 0.0)
+        rates[lo, hi] = np.where(live, diff * _bernoulli(-z) / h[i] ** 2,
+                                 np.maximum(drift, 0.0) / h[i])
+        rates[hi, lo] = np.where(live, diff * _bernoulli(z) / h[i] ** 2,
+                                 np.maximum(-drift, 0.0) / h[i])
+    for i, j in itertools.combinations(range(d), 2):
+        for oi, oj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+            off = [0] * d
+            off[i], off[j] = oi, oj
+            src, dst = _edge_pairs(index, off)
+            a_ij = a[src, i, j] * (oi * oj)
+            rates[src, dst] += np.where(a_ij > 0.0, a_ij, 0.0) / (h[i] * h[j])
+    rates[np.diag_indices(N)] = -rates.sum(axis=1)
+    return rates
 
-    for lo, hi in _chunks(query.n_paths, _CHUNK_PATHS):
-        m = hi - lo
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        paths = rng.PathIndex(ids[None, :])
-        block = rng.block_steps(m)
-        Xs = [np.broadcast_to(pts[:, None, :], (Q, m, d1)).copy() for _ in ys]
-        # per state, the sums of f over all steps and over the two tail
-        # windows, each scaled by dt once, at the end of the chunk
-        sums = [[np.zeros((Q, m, k)) for _ in range(3)] for _ in ys]
-        dbuf = np.empty((Q, m, d1))  # b dt of the state in use, added in place
-        for s0, s1 in _segments(K, block):
-            if s0 % block == 0:
-                steps = np.arange(s0, min(s0 + block, K), dtype=np.uint64)
-                zb = rng.normals(query.seed, rng.LANE_FAST, paths, steps[:, None], d1)
-                # each state's noise of the block, resumed in its next segment
-                noises = [block_noise(partial(system.sigma, X, y_i), zb, sq)
-                          for X, y_i in zip(Xs, ys)]
-            for X, (acc, win1, win2), y_i, state_noise in zip(Xs, sums, ys, noises):
-                for s in range(s0, s1):
-                    # f, b and sigma all read the state before the step
-                    fx = _as_cols(f(t0, X, y_i), (Q, m), k)
-                    acc += fx
-                    if s >= i90:
-                        win2 += fx
-                    elif s >= i80:
-                        win1 += fx
-                    np.multiply(np.asarray(system.b(X, y_i), dtype=np.float64),
-                                dtE, out=dbuf)
-                    noise = next(state_noise)
-                    X += dbuf
-                    X += noise
-                if s1 % _CHECK_EVERY == 0 or s1 == K:
-                    check_state("frozen", X.swapaxes(0, 1), 1e6, s1 * dtE, lo)
-        # np.add.at adds path after path, so the sums do not depend on how
-        # the paths were split into chunks
-        bidx = (ids.astype(np.int64) * nb) // query.n_paths
-        first = np.zeros(m, dtype=np.intp)
-        for i, (acc, *wins) in enumerate(sums):
-            acc *= dtE
-            if not np.all(np.isfinite(acc)):
-                raise NonFiniteCoefficient("path integrals became non-finite")
-            np.add.at(batch_sums[i], bidx, acc.swapaxes(0, 1))
-            for j, win in enumerate(wins):
-                win *= dtE
-                np.add.at(windows[i, j][None], first, win.swapaxes(0, 1))
-        np.add.at(batch_counts, bidx, 1)
-    return batch_sums, batch_counts, windows
+
+def _grid_solve(system: CoupledSystem, f, t: float, y: Array, axes, k: int) -> Array:
+    """Phi_h (N, k) on the tensor grid ``axes``: L_h Phi_h = -(f - pi_h f)
+    with pi_h Phi_h = 0, from two dense solves bordered by the constraint."""
+    X = _nodes(axes)
+    Q = _generator(system, y, axes, X)
+    N = X.shape[0]
+    fv = _require_finite("f", _as_cols(f(t, X, y), (N,), k))
+    M = np.zeros((N + 1, N + 1))
+    M[:N, :N] = Q.T
+    M[:N, N] = 1.0
+    M[N, :N] = 1.0
+    rhs = np.zeros(N + 1)
+    rhs[N] = 1.0
+    pi = np.linalg.solve(M, rhs)[:N]
+    M[:N, :N] = Q
+    M[N, :N] = pi
+    rhs = np.zeros((N + 1, k))
+    rhs[:N] = -(fv - pi @ fv)
+    return np.linalg.solve(M, rhs)[:N]
 
 
 def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
                      centering_z: float | None = None,
                      want_grad_y: bool = False,
                      delta_y: float | None = None) -> CorrectorField:
-    """Corrector Phi of (generator) Phi = -f at every query point: the
-    truncated frozen-path time integral of ``f``.
+    """Corrector Phi of (generator) Phi = -f at every query point: the grid
+    solve of this module on the query grid and on its refinement.
 
-    The integrand must be centered against the stationary law at
-    (query.t, query.y); the solver refuses to run otherwise because the
-    integral then grows linearly in the horizon.  Pass the z-score from
-    :func:`fastslow.ergodic.centering_residual` as ``centering_z``; a
-    caller subtracts the cloud mean (:func:`fastslow.ergodic.average`) first.
+    The caller centers ``f`` on the cloud (:func:`fastslow.ergodic.average`)
+    and passes the z-score from :func:`fastslow.ergodic.centering_residual`
+    as ``centering_z``; a z above 3, or NaN, is refused.  The grid is the
+    solve's domain, so it must span the frozen law.  It must have d1 <= 2
+    axes: the dense refinement of a d1 = 3 grid (19^3 nodes at the cells'
+    grid) does not fit in memory.
 
-    With ``want_grad_y`` the pass integrates only from the slow states
-    y +/- delta along each slow coordinate (``delta_y``, default
-    1e-3 * max(1, |y|)), all driven by the same increments, and attaches
-    their central differences as ``grad_y`` and ``grad_y_batches``; this is
-    the one way to get y-gradients.  Such a field has no centre solve: its
-    ``values``, ``batch_means`` and ``tail_bound`` are each the mean over
-    those 2 d2 states of the state's own result, and ``se`` comes from
-    those batch means.  Phi is smooth in y, so that mean differs from the
-    centre's solution by delta^2 / 2 times the mean over j of
-    d^2 Phi / dy_j^2, the order of the gradient's own error: far below the
-    standard error at the default step, but a large ``delta_y`` makes it
-    visible (0.24 SE at delta_y = 0.1 with the default ``Budgets``, on a 2-d
-    slow state that sets the relaxation rate and the noise).
+    With ``want_grad_y`` the solve runs only at the slow states y +/- delta
+    along each slow coordinate (``delta_y``, default 1e-3 * max(1, |y|)),
+    and attaches their central differences as ``grad_y`` and
+    ``coarse_grad_y``; this is the one way to get y-gradients.  Such a
+    field's ``values`` and ``coarse`` are the means over those 2 d2 states,
+    which differ from the centre's by delta^2 / 2 times the mean over j of
+    d^2 Phi / dy_j^2, the order of the gradient's own error.
     """
     delta = _y_step(query.y, delta_y) if want_grad_y else None
     if centering_z is None:
         raise NotCentered("no centering evidence supplied; run centering_residual first")
     if not float(centering_z) <= 3.0:  # NaN is refused too
         raise NotCentered(f"centering z-score {float(centering_z):.3g} is not <= 3")
+    d1 = len(query.grid_axes)
+    if d1 > 2:
+        raise NotImplementedError(
+            f"grid corrector solve implemented for d1 <= 2, got d1 = {d1}: the "
+            "dense refinement of a d1 = 3 grid does not fit in memory")
 
     k = codomain(f, query.t, query.points, query.y)
     ys = _shifted_states(query.y, delta) if want_grad_y else [query.y]
-    batch_sums, batch_counts, windows = _path_sums(system, f, query, ys, k)
+    axes = query.grid_axes
+    fine_axes = tuple(np.linspace(ax[0], ax[-1], 2 * len(ax) - 1) for ax in axes)
+    gshape = tuple(len(ax) for ax in fine_axes)
+    at_nodes = (slice(None, None, 2),) * d1
+    coarse = np.stack([_grid_solve(system, f, query.t, y_s, axes, k) for y_s in ys])
+    fine = np.stack([
+        _grid_solve(system, f, query.t, y_s, fine_axes, k).reshape(gshape + (k,))
+        [at_nodes].reshape(-1, k)
+        for y_s in ys])
 
-    # each state's own solution, batch means and tail bound
-    vals = batch_sums.sum(axis=1) / query.n_paths        # (len(ys), Q, k)
-    batch = batch_sums / batch_counts[:, None, None]     # (len(ys), nb, Q, k)
-    w1, w2 = windows[:, 0] / query.n_paths, windows[:, 1] / query.n_paths
-    ratio = np.clip(np.abs(w2) / np.maximum(np.abs(w1), 1e-300), 0.0, 0.97)
-    tail = np.abs(w2) * ratio / (1.0 - ratio)
-    tail[np.abs(w1) < 1e-300] = 0.0
-
-    grad_y = grad_y_b = None
+    grad_y = coarse_grad_y = None
     if want_grad_y:
-        grad_y = np.moveaxis((vals[0::2] - vals[1::2]) / (2 * delta), 0, -1)
-        grad_y_b = np.moveaxis((batch[0::2] - batch[1::2]) / (2 * delta), 0, -1)
-    batch_means = batch.mean(axis=0)
-    se = batch_means.std(axis=0, ddof=1) / math.sqrt(query.n_batches)
-    # the mean of the states' tail bounds bounds the tail of their mean
-    return CorrectorField(
-        query=query, values=vals.mean(axis=0), se=se, batch_means=batch_means,
-        tail_bound=tail.mean(axis=0), grad_y=grad_y, grad_y_batches=grad_y_b)
+        grad_y = np.moveaxis((fine[0::2] - fine[1::2]) / (2 * delta), 0, -1)
+        coarse_grad_y = np.moveaxis((coarse[0::2] - coarse[1::2]) / (2 * delta), 0, -1)
+    return CorrectorField(query=query, values=fine.mean(axis=0),
+                          coarse=coarse.mean(axis=0), grad_y=grad_y,
+                          coarse_grad_y=coarse_grad_y)
 
 
 def _central(vals: Array, axis: int, h: float, order: int = 1) -> Array:
@@ -419,26 +396,23 @@ class OuterProductResult:
 def cloud_mean(mu: MeasureEnsemble, field: CorrectorField | None, per_sample,
                base: Array | None = None) -> tuple[Array, Array]:
     """Mean (m,) over the cloud ``mu`` of ``base`` (n, m), which carries no
-    path noise, plus ``per_sample(values, grad_y) -> (n, m)``, a linear
+    grid bias, plus ``per_sample(values, grad_y) -> (n, m)``, a linear
     functional of ``field``'s grid values and y-gradients; with no field,
     the mean of ``base``.  The error adds in quadrature the chain error
-    (``mu.se``) and the spread over sqrt(nb) of the nb means taken again on
-    each batch's ``batch_means`` and ``grad_y_batches``.
+    (``mu.se``) and the grid bias: the gap between the functional's means
+    on the refined solution and on the query grid's (``coarse``,
+    ``coarse_grad_y``).
     """
-    se_f = 0.0
+    bias = 0.0
     if field is None:
         vals = base
     else:
         vals = per_sample(field.values, field.grad_y)
+        bias = np.abs(vals.mean(axis=0)
+                      - per_sample(field.coarse, field.coarse_grad_y).mean(axis=0))
         if base is not None:
             vals = base + vals
-        nb = field.batch_means.shape[0]
-        gyb = field.grad_y_batches
-        per_b = np.stack([
-            per_sample(field.batch_means[b], None if gyb is None else gyb[b]).mean(axis=0)
-            for b in range(nb)])
-        se_f = per_b.std(axis=0, ddof=1) / math.sqrt(nb)
-    return vals.mean(axis=0), np.sqrt(mu.se(vals) ** 2 + se_f ** 2)
+    return vals.mean(axis=0), np.sqrt(mu.se(vals) ** 2 + bias ** 2)
 
 
 def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,

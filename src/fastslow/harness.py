@@ -210,6 +210,7 @@ class ExperimentConfig:
             raise ConfigError("chunk_size must be >= 1")
         if self.paths_coupled < 1:
             raise ConfigError("paths_coupled must be >= 1")
+        rng.check_seed(self.seed)
         for name in self.phi_names:
             get_phi(name)
         object.__setattr__(self, "theta", _as_fraction(self.theta))

@@ -18,6 +18,11 @@ lookup.
 The parameter derivative of an averaged value (:func:`transfer_derivative`)
 is built on the same cloud and corrector solve as a cell.
 
+The corrector is the deterministic grid solve of
+:func:`fastslow.corrector.solve_poisson_fk` on a tensor grid spanning the
+cloud.  So a cell's error is the cloud's chain error and the solve's grid
+bias in quadrature, and a cell draws no random numbers beyond its cloud.
+
 Every corrector term is the cloud mean of a linear functional of Phi (c .
 grad_x Phi, H . grad_y Phi, H Phi^T, the transfer's d_e h + (d_e L) Phi),
 written here per sample; Phi is read only through the corrector module's
@@ -52,7 +57,19 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Budgets:
-    """Monte Carlo budgets for one averaged-coefficient evaluation."""
+    """Budgets for one averaged-coefficient evaluation.
+
+    The ``invariant_*`` fields size the cloud; ``grid_points`` and
+    ``grid_pad`` lay the corrector's grid over it (:func:`_solve_on_cloud`),
+    and ``delta_y`` is the step of the y-gradients.  The grid's edges are
+    zero-flux walls, whose pull on Phi its refinement does not see, so the
+    pad keeps the cloud clear of them: at 0.75 the R3 drift of small
+    ``ou_full`` clouds missed its exact value by over three errors in 3 of
+    199 cells, at 1.5 in none.  ``corrector_paths``, ``corrector_tmax``,
+    ``corrector_dt`` and ``n_batches`` are read by nothing; they sized the
+    path-integral solver that the grid solve replaced, and are still
+    checked so that configs that set them keep working.
+    """
 
     invariant_samples: int = 20000
     invariant_burn_in: float = 10.0
@@ -62,7 +79,7 @@ class Budgets:
     corrector_tmax: float = 8.0
     corrector_dt: float = 0.01
     grid_points: int = 21
-    grid_pad: float = 0.75
+    grid_pad: float = 1.5
     n_batches: int = 20
     delta_y: float | None = None
 
@@ -131,7 +148,7 @@ def _cloud(system: CoupledSystem, y: Array, budgets: Budgets,
 
 
 def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
-                    mu: MeasureEnsemble, budgets: Budgets, seed: int,
+                    mu: MeasureEnsemble, budgets: Budgets,
                     want_grad_y: bool) -> tuple[CorrectorField, float]:
     """Corrector for ``f`` on a tensor grid spanning the cloud ``mu``.
 
@@ -140,19 +157,14 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
     above.  The centering z of ``f`` on the cloud is the solve's evidence;
     it is returned with the field.
     """
-    if system.d1 > 3:
-        raise NotImplementedError("corrector grids implemented for d1 <= 3")
     n_pts = budgets.grid_points if system.d1 == 1 else max(9, budgets.grid_points // 2)
     axes = tuple(
         np.linspace(mu.samples[:, j].min() - budgets.grid_pad,
                     mu.samples[:, j].max() + budgets.grid_pad, n_pts)
         for j in range(system.d1))
-    query = CorrectorQuery(
-        t=t, y=y, grid_axes=axes, T_max=budgets.corrector_tmax,
-        n_paths=budgets.corrector_paths, dt=budgets.corrector_dt,
-        seed=seed, n_batches=budgets.n_batches)
+    query = CorrectorQuery(t=t, y=y, grid_axes=axes)
     z = centering_residual(f, mu, t)
-    # with want_grad_y only the y +/- delta states are integrated, and the
+    # with want_grad_y only the y +/- delta states are solved, and the
     # field is their mean, O(delta^2) from the centre's solution
     fld = solve_poisson_fk(system, f, query, centering_z=z,
                            want_grad_y=want_grad_y, delta_y=budgets.delta_y)
@@ -160,7 +172,7 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
 
 
 def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
-                mu: MeasureEnsemble, budgets: Budgets, seed: int,
+                mu: MeasureEnsemble, budgets: Budgets,
                 need_gx: bool, need_gy: bool, need_vals: bool):
     """Solve the corrector for ``f`` on a sample-spanning grid.
 
@@ -184,7 +196,7 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
         need_gy, need_vals = need_gy and live, need_vals and live
     if not (need_gx or need_gy or need_vals):
         return None, None, False, None
-    fld, z = _solve_on_cloud(system, f, t, y, mu, budgets, seed, need_gy)
+    fld, z = _solve_on_cloud(system, f, t, y, mu, budgets, need_gy)
     if need_gx or need_gy:
         fld = gradients(fld)
 
@@ -202,7 +214,8 @@ def _phi_fields(system: CoupledSystem, f, t: float, y: Array,
 
 @dataclass
 class RegimeAverages:
-    """Averaged coefficients at one (t, y) with Monte Carlo errors."""
+    """Averaged coefficients at one (t, y); each error is the chain error
+    and the corrector's grid bias in quadrature."""
 
     regime: Regime
     t: float
@@ -226,8 +239,7 @@ def regime_averages(system: CoupledSystem, regime: Regime, t: float, y,
     mu = _cloud(system, y, budgets, rng.derive_key(seed, rng.LANE_AUX, 11))
     need_gx, need_gy, need_vals = _needs(regime, want_drift, want_diffusion)
     fld, z, keep_vals, corrections = _phi_fields(
-        system, system.H, t, y, mu, budgets,
-        rng.derive_key(seed, rng.LANE_AUX, 12), need_gx, need_gy, need_vals)
+        system, system.H, t, y, mu, budgets, need_gx, need_gy, need_vals)
 
     diags: dict = {"ess": mu.ess}
     if fld is not None:
@@ -277,8 +289,7 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
         return np.zeros(k), np.zeros(k)
     mu = _cloud(system, y, budgets, rng.derive_key(seed, rng.LANE_AUX, 11))
     fld, _, _, corrections = _phi_fields(
-        system, f, t, y, mu, budgets, rng.derive_key(seed, rng.LANE_AUX, 12),
-        use_gx, use_gy, False)
+        system, f, t, y, mu, budgets, use_gx, use_gy, False)
     if fld is None:
         return np.zeros(k), np.zeros(k)
     return cloud_mean(mu, fld, corrections)
@@ -286,8 +297,8 @@ def corrector_corrections(system: CoupledSystem, f, regime: Regime, t: float,
 
 @dataclass(frozen=True)
 class TransferEstimate:
-    """A transfer derivative and its two terms.  ``se`` is the Monte Carlo
-    error only; the horizon truncation of the corrector is not in it."""
+    """A transfer derivative and its two terms.  ``se`` is the chain error
+    and the corrector's grid bias in quadrature."""
 
     value: float
     se: float
@@ -308,11 +319,8 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     differences of the user callables with the budgets' y-step; Phi comes
     from the same cloud, grid and solve as the cells' corrector, and its
     gradient and Hessian reach the cloud by the cells' route.  The ``se``
-    covers Monte Carlo noise only and leaves out the bias of truncating the
-    corrector at ``corrector_tmax``.
+    adds the chain error and the grid bias in quadrature.
     """
-    if system.d1 > 2:
-        raise NotImplementedError("transfer gradients implemented for d1 <= 2")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     e = np.asarray(direction, dtype=np.float64).reshape(-1)
     if e.shape != y.shape:
@@ -330,8 +338,7 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     def f_centered(tt, x, yy):
         return np.asarray(h(tt, x, yy), dtype=np.float64) - hb
 
-    field, _ = _solve_on_cloud(system, f_centered, t, y, mu, budgets,
-                               rng.derive_key(seed, rng.LANE_AUX, 2), False)
+    field, _ = _solve_on_cloud(system, f_centered, t, y, mu, budgets, False)
 
     delta = _y_step(y, budgets.delta_y)
     yp, ym = y + delta * e, y - delta * e

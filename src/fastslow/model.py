@@ -12,12 +12,12 @@ that (t, y), so a step loop that holds (t, y) fixed may evaluate it once
 per block of steps and reuse it.  A coefficient that depends on the
 state must return batch axes; broadcasting does the rest.
 For sigma, :func:`block_noise` is the one user of that promise: the
-invariant sampler, the corrector and the coupled integrator take the
-noise of a block of draws from it.
+invariant sampler and the coupled integrator take the noise of a block of
+draws from it.
 
 :func:`apply_matrix` is the one kernel that multiplies such a coefficient
 into a batch of noise vectors; :func:`check_state` is the one state check
-of every step loop (the integrators, the invariant sampler, the corrector).
+of every step loop (the integrators and the invariant sampler).
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ import numpy as np
 
 __all__ = [
     "LANE_FAST", "LANE_SLOW", "LANE_VALIDATE", "LANE_CELL", "LANE_AUX",
-    "PathIndex", "normals", "uniforms", "derive_key", "backend_name",
-    "BLOCK_ROWS", "block_steps",
+    "PathIndex", "normals", "uniforms", "derive_key", "check_seed",
+    "backend_name", "BLOCK_ROWS", "block_steps",
 ]
 
 LANE_FAST = 0x01      # increments of the first driving Brownian motion
@@ -95,11 +95,21 @@ def _absorb_int(h: int, w: int) -> int:
     return _mix_int(((h + _GOLD) & _MASK) ^ (w & _MASK))
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; one outside [0, 2**64) raises ValueError.  The
+    hash keeps every word mod 2**64, so such a seed would alias one inside."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def derive_key(*words: int) -> int:
-    """Collapse integer words into a 64-bit sub-seed (order sensitive)."""
+    """Collapse integer words into a 64-bit sub-seed (order sensitive).  The
+    first word is a seed (:func:`check_seed`); the others may be any ints."""
     h = _mix_int(_SEED0)
-    for w in words:
-        h = _absorb_int(h, int(w))
+    for i, w in enumerate(words):
+        h = _absorb_int(h, check_seed(w) if i == 0 else int(w))
     return h
 
 
@@ -149,6 +159,7 @@ class PathIndex:
         key = (int(seed), int(lane))
         hp = self._hashed.get(key)
         if hp is None:
+            check_seed(seed)
             base = _absorb_int(_absorb_int(_mix_int(_SEED0), key[0]), key[1])
             hp = np.bitwise_xor(np.uint64((base + _GOLD) & _MASK), self._ids)
             hp = _mix(hp, np.empty_like(hp))

@@ -3,9 +3,8 @@
 The averaged limit takes plain Euler steps (:func:`integrate_limit`): each
 step reads the drift a and noise coefficient B of a chunk in one call and
 sets Y = Y + a h + B z sqrt(h), with z drawn on the slow-noise lane.  The
-frozen fast equation is integrated where it is used: by the invariant-cloud
-sampler (:func:`fastslow.ergodic.sample_invariant_measure`) and by the
-corrector's path integrals.
+frozen fast equation is integrated where it is used, by the invariant-cloud
+sampler (:func:`fastslow.ergodic.sample_invariant_measure`).
 
 The coupled integrator splits time scales: the slow state advances on a
 macro grid of target step ``dt_slow`` while the fast state takes micro

@@ -107,8 +107,8 @@ REPEATED = {
     "validate": {"preset": "ou_full", "sample_budget": 500, "seed": 2},
     "invariant": {"preset": "ou_averaging", "ys": [[0.0], [0.7]],
                   "n_samples": 2000, "seed": 4},
-    "corrector": {"preset": "ou_full", "grid": GRID, "n_paths": 400,
-                  "T_max": 2.0, "centering_samples": 4000, "seed": 1},
+    "corrector": {"preset": "ou_full", "grid": GRID, "centering_samples": 4000,
+                  "seed": 1},
     "fluctuate-lln": converge_cfg("", kind="lln"),
     "fluctuate-clt": converge_cfg("", kind="clt", budgets=R4_BUDGETS),
 }
@@ -310,7 +310,8 @@ def test_blowup_exits_3(tmp_path, capsys):
 
 
 def test_single_path_batch_exits_2(tmp_path, capsys):
-    # R4 solves the corrector, whose standard error needs two path batches
+    # Budgets still checks n_batches, which no solve reads since the grid
+    # solve replaced the path batches, until the benchmark stops passing it
     out = tmp_path / "out"
     cfg = {"preset": "ou_full", "exponents": [1, 1, 1], "ys": [[0.0]],
            "out_dir": str(out),
@@ -323,8 +324,8 @@ def test_single_path_batch_exits_2(tmp_path, capsys):
 
 
 def test_single_path_batch_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
-    # R1 never solves the corrector, so only the budget check can refuse
-    # one path batch, and it does so before the first cloud is drawn
+    # the budget check refuses one path batch before the first cloud is
+    # drawn, in R1 as in R4
     import fastslow.homogenize
     clouds = []
     monkeypatch.setattr(fastslow.homogenize, "sample_invariant_measure",
@@ -560,6 +561,20 @@ def test_value_of_another_kind_exits_2(tmp_path, capsys, nothing_runs, command,
     assert f"config error: {key} must be " in capsys.readouterr().err
     assert not (out / f"{command}.csv").exists()
     summary = json.loads((out / f"{command}_summary.json").read_text())
+    assert summary["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("key, value", [("T_max", 2.0), ("n_paths", 400),
+                                        ("dt", 0.01)])
+def test_removed_corrector_key_exits_2(tmp_path, capsys, nothing_runs, key, value):
+    # the budgets of the path-integral corrector; the grid solve reads none,
+    # so a config that sets one is refused before anything runs
+    out = tmp_path / "out"
+    cfg = dict(VALID["corrector"](out), **{key: value})
+    assert run_cli(["corrector", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"config error: {key} is no longer read" in capsys.readouterr().err
+    assert not (out / "corrector.csv").exists()
+    summary = json.loads((out / "corrector_summary.json").read_text())
     assert summary["error"]["type"] == "ConfigError"
 
 

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fastslow import (BlowUp, CorrectorQuery, CoupledSystem, NotCentered,
+from fastslow import (CorrectorQuery, CoupledSystem, NotCentered,
                       GridTooCoarse, NonFiniteCoefficient,
                       centering_residual, gradients,
-                      outer_product_HPhi, rng, sample_invariant_measure,
+                      outer_product_HPhi, sample_invariant_measure,
                       solve_poisson_fk)
 import fastslow.corrector
 from fastslow.corrector import (CorrectorField, _grid_at, _interp_axes,
@@ -38,10 +38,6 @@ F_QUAD = lambda t, x, y: x[..., 0] ** 2 - 1.0
 def grid_query(lo=-3.0, hi=3.0, n=25, **kw):
     kw.setdefault("t", 0.0)
     kw.setdefault("y", [0.0])
-    kw.setdefault("T_max", 8.0)
-    kw.setdefault("n_paths", 30000)
-    kw.setdefault("dt", 0.01)
-    kw.setdefault("seed", 17)
     return CorrectorQuery(grid_axes=(np.linspace(lo, hi, n),), **kw)
 
 
@@ -87,96 +83,42 @@ class TestSolve:
 
     def test_zero_integrand_exact(self):
         f0 = lambda t, x, y: np.zeros(x.shape[:-1])
-        field = solve_poisson_fk(standard_ou(), f0,
-                                 grid_query(n=3, n_paths=1000, T_max=1.0),
-                                 centering_z=0.0)
+        field = solve_poisson_fk(standard_ou(), f0, grid_query(n=3), centering_z=0.0)
         assert np.all(field.values == 0.0)
-        assert np.all(field.tail_bound == 0.0)
-
-    def test_chunking_is_bit_identical(self, monkeypatch):
-        # 37 steps: at 7 paths per chunk the increments come in one block
-        # per chunk, with all 1000 paths in one chunk in blocks of 8 steps
-        # and a short last one; the batch and tail sums add path after path
-        query = grid_query(n=5, n_paths=1000, T_max=0.37)
-
-        def solve_at_chunks(system, f, q, **kw):
-            fields = []
-            for chunk in (7, 1024):
-                monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", chunk)
-                fields.append(solve_poisson_fk(system, f, q, centering_z=0.0, **kw))
-            return fields
-
-        a, b = solve_at_chunks(standard_ou(), F_LIN, query)
-        for name in ("values", "se", "batch_means", "tail_bound"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        # the y +/- delta states ride the same blocks of increments
-        for make in FUSED_SYSTEMS.values():
-            system, f, y = make()
-            q = replace(query, y=np.asarray(y, dtype=np.float64),
-                        grid_axes=fused_axes(system.d1, n=5))
-            a, b = solve_at_chunks(system, f, q, want_grad_y=True)
-            for name in ("values", "se", "batch_means", "tail_bound", "grad_y",
-                         "grad_y_batches"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.all(field.se == 0.0)
 
     def test_refuses_without_evidence(self):
         with pytest.raises(NotCentered):
-            solve_poisson_fk(standard_ou(), F_LIN,
-                             grid_query(n=3, n_paths=1000, T_max=1.0))
+            solve_poisson_fk(standard_ou(), F_LIN, grid_query(n=3))
 
     def test_refuses_large_z(self):
         with pytest.raises(NotCentered):
-            solve_poisson_fk(standard_ou(), F_LIN,
-                             grid_query(n=3, n_paths=1000, T_max=1.0),
-                             centering_z=5.0)
+            solve_poisson_fk(standard_ou(), F_LIN, grid_query(n=3), centering_z=5.0)
 
     def test_refuses_nan_z(self):
         # NaN compares false with 3: the gate must require z <= 3, not
         # refuse z > 3
         with pytest.raises(NotCentered):
-            solve_poisson_fk(standard_ou(), F_LIN,
-                             grid_query(n=3, n_paths=1000, T_max=1.0),
+            solve_poisson_fk(standard_ou(), F_LIN, grid_query(n=3),
                              centering_z=math.nan)
 
     @pytest.mark.parametrize("b, error", [
-        (lambda x, y: x, BlowUp),
-        (lambda x, y: x ** 3 + 1.0, NonFiniteCoefficient),
-    ], ids=["cap", "non-finite"])
+        (lambda x, y: np.where(x > 0.0, np.inf, -x), NonFiniteCoefficient),
+    ], ids=["non-finite"])
     def test_refuses_a_bad_state(self, b, error):
-        # x grows like e^t and leaves the norm cap 1e6 before T_max = 16;
-        # x^3 + 1 overflows first
-        query = grid_query(n=3, n_paths=40, n_batches=2, T_max=16.0)
-        with np.errstate(all="ignore"), pytest.raises(error):
-            solve_poisson_fk(replace(standard_ou(), b=b), F_LIN, query,
+        # a drift that is infinite at some nodes gives no generator
+        with np.errstate(all="ignore"), pytest.raises(error, match="'b'"):
+            solve_poisson_fk(replace(standard_ou(), b=b), F_LIN, grid_query(n=5),
                              centering_z=0.0)
-
-    def test_states_are_checked_in_lockstep_order(self):
-        # 20 paths draw blocks of 409 steps, so one block spans the checks
-        # after steps 127, 255 and 383.  Without noise, y - delta grows like
-        # e^(7 t) and leaves the cap between the checks at t = 1.28 and
-        # 2.56; y + delta grows like e^(4 t) and leaves it between 2.56 and
-        # 3.84.  Checked state by state at each check step, the later-listed
-        # y - delta fails first; a state run through the whole block before
-        # the next would report y + delta at 3.84.
-        def b(x, y):
-            return (7.0 if y[0] < 0.0 else 4.0) * x
-
-        system = replace(standard_ou(), b=b, sigma=lambda x, y: np.array([[0.0]]))
-        query = grid_query(lo=1.0, hi=2.0, n=3, n_paths=20, n_batches=2, T_max=5.0)
-        assert rng.block_steps(20) > 3 * 128
-        with np.errstate(all="ignore"), \
-                pytest.raises(BlowUp, match=r"on path 0 near t=2\.56$"):
-            solve_poisson_fk(system, F_LIN, query, centering_z=0.0,
-                             want_grad_y=True)
 
     def test_refuses_auto_center(self, mu):
         # the caller centers the integrand; the solver takes only its z
         with pytest.raises(TypeError, match="auto_center"):
-            solve_poisson_fk(standard_ou(), F_LIN, grid_query(n=3, n_paths=100),
+            solve_poisson_fk(standard_ou(), F_LIN, grid_query(n=3),
                              auto_center=True, mu=mu)
 
     def test_scaling_by_power_of_two_bit_exact(self, mu):
-        query = grid_query(n=5, n_paths=2000, T_max=2.0)
+        query = grid_query(n=5)
         z = centering_residual(F_LIN, mu)
         f2 = lambda t, x, y: 2.0 * F_LIN(t, x, y)
         a = solve_poisson_fk(standard_ou(), F_LIN, query, centering_z=z)
@@ -184,7 +126,7 @@ class TestSolve:
         assert np.array_equal(b.values, 2.0 * a.values)
 
     def test_general_linearity_near_exact(self, mu):
-        query = grid_query(n=5, n_paths=2000, T_max=2.0)
+        query = grid_query(n=5)
         comb = lambda t, x, y: 0.3 * F_LIN(t, x, y) + 1.7 * F_QUAD(t, x, y)
         za = centering_residual(F_LIN, mu)
         zb = centering_residual(F_QUAD, mu)
@@ -196,7 +138,8 @@ class TestSolve:
                                    rtol=1e-12, atol=1e-12)
 
     def test_centered_representative(self, field_lin, mu):
-        # the truncated-integral solution carries no additive constant
+        # the grid solution is centered against the chain's law pi_h, which
+        # is near the cloud's, so it carries no additive constant
         vals = _grid_at(field_lin, field_lin.values, mu.samples)
         m = vals.mean()
         se_mu = vals.std(ddof=1) / math.sqrt(vals.shape[0])
@@ -215,16 +158,37 @@ class TestSolve:
         tol = max(0.1, 5 * float(field_lin.se.max()))
         assert np.max(np.abs(resid[inner])) <= tol
 
-    def test_truncation_tail_bound(self, mu):
-        z = centering_residual(F_LIN, mu)
-        q5 = grid_query(lo=0.5, hi=1.5, n=3, T_max=5.0, n_paths=40000)
-        q10 = replace(q5, T_max=10.0)
-        f5 = solve_poisson_fk(standard_ou(), F_LIN, q5, centering_z=z)
-        f10 = solve_poisson_fk(standard_ou(), F_LIN, q10, centering_z=z)
-        diff = f10.batch_means - f5.batch_means
-        se_diff = diff.std(axis=0, ddof=1) / math.sqrt(diff.shape[0])
-        delta = np.abs(f10.values - f5.values)
-        assert np.all(delta <= f5.tail_bound + 3 * se_diff + 1e-12)
+    @pytest.mark.parametrize("f, exact", [
+        (F_LIN, lambda x: x), (F_QUAD, lambda x: 0.5 * (x ** 2 - 1.0))],
+        ids=["linear", "quadratic"])
+    def test_grid_bias_bounds_the_refined_error(self, f, exact):
+        # on a grid that spans the law, the refined solution's error falls
+        # fourfold per halving of the spacing, so the gap to the query
+        # grid's solution is about three times that error
+        query = grid_query(lo=-6.0, hi=6.0, n=25)
+        fld = solve_poisson_fk(standard_ou(), f, query, centering_z=0.0)
+        err = np.abs(fld.values[:, 0] - exact(query.points[:, 0]))
+        assert np.all(err <= fld.se[:, 0] + 1e-12)
+        assert np.max(err) <= 0.5 * np.max(fld.se)
+
+    def test_refuses_three_fast_coordinates(self):
+        # the dense refinement of a d1 = 3 grid does not fit; the refusal
+        # comes before any coefficient is read
+        ax = np.linspace(-1.0, 1.0, 3)
+        query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=(ax, ax, ax))
+        with pytest.raises(NotImplementedError, match="d1 = 3"):
+            solve_poisson_fk(None, F_LIN, query, centering_z=0.0)
+
+    def test_refuses_a_non_monotone_diffusion(self):
+        # a = [[0.5, 0.9], [0.9, 4]] is positive definite, but a_11 < |a_12|
+        # on a square grid: no non-negative rates carry the correlation
+        a = np.array([[0.5, 0.9], [0.9, 4.0]])
+        system, f, y = correlated_ou_2()
+        system = replace(system, sigma=lambda x, yy: np.linalg.cholesky(2.0 * a))
+        query = CorrectorQuery(t=0.0, y=y, grid_axes=fused_axes(2))
+        with pytest.raises(NotImplementedError,
+                           match=r"no monotone stencil: a_ii h_j < sum_j \|a_ij\| h_i"):
+            solve_poisson_fk(system, f, query, centering_z=0.0)
 
 
 def coupled_ou():
@@ -333,28 +297,18 @@ def shifted_solves(system, f, query, delta):
 
 
 def pair_field(query, solves):
-    """The mean of single-state solves: their values, batch means and tail
-    bounds, with the standard error of those batch means."""
-    bm = np.mean([s.batch_means for s in solves], axis=0)
+    """The mean of single-state solves: their refined and query-grid values."""
     return CorrectorField(
         query=query, values=np.mean([s.values for s in solves], axis=0),
-        se=bm.std(axis=0, ddof=1) / math.sqrt(bm.shape[0]), batch_means=bm,
-        tail_bound=np.mean([s.tail_bound for s in solves], axis=0))
+        coarse=np.mean([s.coarse for s in solves], axis=0))
 
 
 class TestFusedYStates:
-    """The y +/- delta states of the y-gradient share one pass, and no
-    centre state is integrated."""
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # 600 paths in chunks of 256: the states advance in lockstep
-        # across chunk boundaries too
-        monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", 256)
+    """The y +/- delta states of the y-gradient share one solve call, and no
+    centre state is solved."""
 
     def query(self, system, y):
-        return CorrectorQuery(t=0.0, y=y, grid_axes=fused_axes(system.d1),
-                              T_max=0.8, n_paths=600, seed=23)
+        return CorrectorQuery(t=0.0, y=y, grid_axes=fused_axes(system.d1))
 
     @pytest.mark.parametrize("system", list(FUSED_SYSTEMS))
     def test_equals_separate_single_state_solves(self, system):
@@ -365,7 +319,7 @@ class TestFusedYStates:
                                  want_grad_y=True, delta_y=delta)
         singles = shifted_solves(sys_, f, q, delta)
         pair = pair_field(q, singles)
-        for name in ("values", "se", "batch_means", "tail_bound"):
+        for name in ("values", "coarse", "se"):
             assert np.array_equal(getattr(fused, name), getattr(pair, name)), name
         d2 = len(y)
         assert fused.grad_y.shape == (q.points.shape[0], fused.k, d2)
@@ -373,8 +327,8 @@ class TestFusedYStates:
             fp, fm = singles[2 * j], singles[2 * j + 1]
             assert np.array_equal(fused.grad_y[:, :, j],
                                   (fp.values - fm.values) / (2 * delta))
-            assert np.array_equal(fused.grad_y_batches[..., j],
-                                  (fp.batch_means - fm.batch_means) / (2 * delta))
+            assert np.array_equal(fused.coarse_grad_y[..., j],
+                                  (fp.coarse - fm.coarse) / (2 * delta))
         assert np.any(fused.grad_y != 0.0)
 
     @pytest.mark.parametrize("delta_y", [None, 0.05])
@@ -391,30 +345,19 @@ class TestFusedYStates:
         fused = gradients(solved)
         delta = fastslow.corrector._y_step(q.y, delta_y)
         pair = gradients(pair_field(q, shifted_solves(sys_, f, q, delta)))
-        for name in ("values", "se", "batch_means", "tail_bound", "grad_x"):
+        for name in ("values", "coarse", "grad_x"):
             assert np.array_equal(getattr(fused, name), getattr(pair, name),
                                   equal_nan=True), name
         assert fused.grad_y is solved.grad_y
-        assert fused.grad_y_batches is solved.grad_y_batches
+        assert fused.coarse_grad_y is solved.coarse_grad_y
         centre = gradients(solve_poisson_fk(sys_, f, q, centering_z=0.0))
-        assert centre.grad_y is None and centre.grad_y_batches is None
-
-    def test_pair_mean_is_the_centre_when_linear_in_y(self):
-        # each Euler state, and so each integral, is affine in y, so the mean
-        # of the y +/- delta integrals is the centre's integral up to rounding
-        sys_, f, y = coupled_ou()
-        q = self.query(sys_, y)
-        centre = solve_poisson_fk(sys_, f, q, centering_z=0.0)
-        for delta_y in (None, 0.1):
-            fused = solve_poisson_fk(sys_, f, q, centering_z=0.0,
-                                     want_grad_y=True, delta_y=delta_y)
-            assert np.max(np.abs(fused.values - centre.values)) <= 1e-12
+        assert centre.grad_y is None and centre.coarse_grad_y is None
 
     def test_pair_mean_gap_is_second_order_in_delta(self):
         # on a system nonlinear in y the pair's mean misses the centre by
         # delta^2 / 2 times the mean second y-derivative, so the gap falls
         # fourfold per halving of delta; at the default step it is far
-        # below the standard error
+        # below the grid bias
         sys_, f, y = coupled_ou_2()
         q = self.query(sys_, y)
         centre = solve_poisson_fk(sys_, f, q, centering_z=0.0)
@@ -429,113 +372,103 @@ class TestFusedYStates:
             assert narrow > 0.0 and abs(wide / narrow - 4.0) <= 0.2
         assert np.max(gap(None) / centre.se) < 1e-3
 
-    @pytest.mark.parametrize("system, per_step", [
-        ("d2=1", False), ("d2=1 x-noise", True), ("d2=2", False),
-        ("d1=2", False), ("d1=2 x-noise", True)])
-    def test_sigma_calls(self, system, per_step):
-        # a sigma without batch axes is state-independent at each slow
-        # state, so it is called once per block of draws and state; a
-        # batched one once per step and state
-        sys_, f, y = FUSED_SYSTEMS[system]()
-        calls = []
-
-        def sigma(x, yy):
-            calls.append(1)
-            return sys_.sigma(x, yy)
-
-        q = self.query(sys_, y)
-        solve_poisson_fk(replace(sys_, sigma=sigma), f, q, centering_z=0.0,
-                         want_grad_y=True, delta_y=0.05)
-        K = round(q.T_max / q.dt)
-        chunks = (256, 256, 88)
-        assert K > 2 * rng.block_steps(256)
-        per_state = sum(K if per_step else math.ceil(K / rng.block_steps(m))
-                        for m in chunks)
-        assert len(calls) == 2 * len(y) * per_state
-
-    @pytest.mark.parametrize("system", ["d2=1", "d2=2", "d1=2"])
-    def test_block_noise_equals_per_step_noise(self, system):
-        # the same sigma given batch axes is evaluated at every step; the
-        # noise applied once per block must match it bit for bit
-        sys_, f, y = FUSED_SYSTEMS[system]()
-        d1 = sys_.d1
-        batched = replace(sys_, sigma=lambda x, yy: np.broadcast_to(
-            sys_.sigma(x, yy), x.shape[:-1] + (d1, d1)))
-        q = self.query(sys_, y)
-        per_block, per_step = (
-            solve_poisson_fk(s, f, q, centering_z=0.0, want_grad_y=True,
-                             delta_y=0.05) for s in (sys_, batched))
-        for name in ("values", "se", "batch_means", "tail_bound", "grad_y",
-                     "grad_y_batches"):
-            assert np.array_equal(getattr(per_block, name), getattr(per_step, name)), name
-
     @pytest.mark.parametrize("delta_y", [0.0, -1e-3, float("nan"), float("inf")])
     def test_rejects_bad_delta_y(self, delta_y):
         sys_, f, y = coupled_ou()
-        q = grid_query(n=5, n_paths=40, T_max=0.1, y=y)
+        q = grid_query(n=5, y=y)
         with pytest.raises(ValueError, match="delta_y"):
             solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
                              delta_y=delta_y)
 
 
-def per_path_batch_means(system, f, query, ys):
-    """Path-batch means (len(ys), nb, Q, k) of the integrals of ``f`` from a
-    plain Euler loop, one path at a time from all query points: f, b and
-    sigma are read at the state before each step, and sigma multiplies the
-    path's increment of that step."""
-    pts = query.points
-    Q, d1 = pts.shape
-    k = fastslow.corrector.codomain(f, query.t, pts, query.y)
-    K = max(1, round(query.T_max / query.dt))
-    dt = query.T_max / K
-    nb, n = query.n_batches, query.n_paths
-    sums = np.zeros((len(ys), nb, Q, k))
-    counts = np.zeros(nb, dtype=np.int64)
-    for p in range(n):
-        z = rng.normals(query.seed, rng.LANE_FAST, p, np.arange(K), d1)
-        batch = p * nb // n
-        counts[batch] += 1
-        for i, y in enumerate(ys):
-            # the sum of f over the steps, times dt
-            x, integral = pts.copy(), np.zeros((Q, k))
-            for s in range(K):
-                integral += np.asarray(f(query.t, x, y)).reshape(Q, k)
-                x = x + np.asarray(system.b(x, y)) * dt \
-                    + (np.asarray(system.sigma(x, y)) @ z[s][None, :, None])[..., 0] \
-                    * math.sqrt(dt)
-            sums[i, batch] += integral * dt
-    return sums / counts[:, None, None]
+def _bernoulli(z):
+    return 1.0 if z == 0.0 else z / math.expm1(z)
 
 
-class TestPerPathReference:
-    """The fused step loop is the plain Euler scheme, path by path."""
+def plain_loop_solve(system, f, t, y, axes):
+    """Phi_h (N, k) of the grid solve, built node by node: the rates to
+    the grid neighbours written out one at a time, pi_h the least-squares
+    solution of pi Q = 0 with sum(pi) = 1, and Phi_h that of
+    Q Phi = -(f - pi f) with pi Phi = 0."""
+    d = len(axes)
+    h = [ax[1] - ax[0] for ax in axes]
+    nodes = list(itertools.product(*(range(len(ax)) for ax in axes)))
+    where = {node: i for i, node in enumerate(nodes)}
+
+    def at(node):
+        return np.array([[axes[p][node[p]] for p in range(d)]])
+
+    def coefficients(node):
+        sig = np.asarray(system.sigma(at(node), y), dtype=np.float64).reshape(d, d)
+        a = 0.5 * sig @ sig.T
+        a_axis = [a[i, i] - sum(abs(a[i, j]) * h[i] / h[j] for j in range(d) if j != i)
+                  for i in range(d)]
+        return np.asarray(system.b(at(node), y), dtype=np.float64).reshape(d), a, a_axis
+
+    N = len(nodes)
+    Q = np.zeros((N, N))
+    for n, node in enumerate(nodes):
+        b, a, a_axis = coefficients(node)
+        for i in range(d):
+            for o in (1, -1):
+                nb = list(node)
+                nb[i] += o
+                if tuple(nb) not in where:
+                    continue
+                b2, _, a2 = coefficients(tuple(nb))
+                drift, diff = (b[i] + b2[i]) / 2, (a_axis[i] + a2[i]) / 2
+                rate = diff / h[i] ** 2 * _bernoulli(-o * drift * h[i] / diff)
+                Q[n, where[tuple(nb)]] = rate
+        for i, j in itertools.combinations(range(d), 2):
+            for oi, oj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                nb = list(node)
+                nb[i] += oi
+                nb[j] += oj
+                if tuple(nb) in where and a[i, j] * oi * oj > 0:
+                    Q[n, where[tuple(nb)]] += abs(a[i, j]) / (h[i] * h[j])
+        Q[n, n] = -Q[n].sum()
+    fv = np.stack([np.asarray(f(t, at(node), y), dtype=np.float64).reshape(-1)
+                   for node in nodes])
+    pi = np.linalg.lstsq(np.vstack([Q.T, np.ones((1, N))]),
+                         np.r_[np.zeros(N), 1.0], rcond=None)[0]
+    fc = fv - pi @ fv
+    return np.linalg.lstsq(np.vstack([Q, pi[None]]),
+                           np.vstack([-fc, np.zeros((1, fc.shape[1]))]), rcond=None)[0]
+
+
+class TestPlainLoopReference:
+    """The solve is the documented chain, built and solved plainly."""
 
     @pytest.mark.parametrize("system", ["d2=1 x-noise", "d2=2", "d1=2", "d1=2 x-noise"])
-    def test_fused_solve_equals_per_path_euler(self, system, monkeypatch):
-        # chunks of 16 and 4 paths draw blocks of 512 and 2048 steps: the
-        # 600 steps cross a block start at step 512, and the blocks are cut
-        # after the check steps 127, 255, 383 and 511
-        monkeypatch.setattr(fastslow.corrector, "_CHUNK_PATHS", 16)
+    def test_solve_equals_plain_loop(self, system):
         sys_, f, y = FUSED_SYSTEMS[system]()
-        q = CorrectorQuery(t=0.0, y=y, grid_axes=(np.linspace(-1.5, 1.5, 3),) * sys_.d1,
-                           T_max=6.0, n_paths=20, n_batches=4, seed=31)
+        axes = fused_axes(sys_.d1)
+        q = CorrectorQuery(t=0.0, y=y, grid_axes=axes)
         delta = 0.05
         field = solve_poisson_fk(sys_, f, q, centering_z=0.0, want_grad_y=True,
                                  delta_y=delta)
-        ref = per_path_batch_means(sys_, f, q, shifted_ys(q.y, delta))
-        assert np.array_equal(field.batch_means, ref.mean(axis=0))
-        assert np.array_equal(field.grad_y_batches,
-                              np.moveaxis((ref[0::2] - ref[1::2]) / (2 * delta), 0, -1))
+        fine_axes = tuple(np.linspace(ax[0], ax[-1], 2 * len(ax) - 1) for ax in axes)
+        fine_shape = tuple(len(ax) for ax in fine_axes)
+        ys = shifted_ys(q.y, delta)
+        coarse = np.stack([plain_loop_solve(sys_, f, 0.0, y_s, axes) for y_s in ys])
+        fine = np.stack([
+            plain_loop_solve(sys_, f, 0.0, y_s, fine_axes)
+            .reshape(fine_shape + (-1,))[(slice(None, None, 2),) * sys_.d1]
+            .reshape(coarse.shape[1:])
+            for y_s in ys])
+        tol = dict(rtol=0, atol=1e-10)
+        np.testing.assert_allclose(field.values, fine.mean(axis=0), **tol)
+        np.testing.assert_allclose(field.coarse, coarse.mean(axis=0), **tol)
+        np.testing.assert_allclose(
+            field.grad_y,
+            np.moveaxis((fine[0::2] - fine[1::2]) / (2 * delta), 0, -1), **tol)
+        np.testing.assert_allclose(
+            field.coarse_grad_y,
+            np.moveaxis((coarse[0::2] - coarse[1::2]) / (2 * delta), 0, -1), **tol)
 
 
 class TestQuery:
-    @pytest.mark.parametrize("n_batches", [1, 0])
-    def test_rejects_fewer_than_two_batches(self, n_batches):
-        # one path batch leaves no spread to estimate the standard error from
-        with pytest.raises(ValueError, match="n_batches"):
-            CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), n_batches=n_batches)
-
-    @pytest.mark.parametrize("name", ["n_paths", "n_batches"])
+    @pytest.mark.parametrize("name", ["n_paths"])
     @pytest.mark.parametrize("value", [100.5, True])
     def test_fractional_count_is_refused(self, name, value):
         # 100.5 paths were accepted and failed later, inside range()
@@ -582,11 +515,11 @@ class TestGradients:
         # dynamics and integrand ignore y, and the y +/- delta states share
         # their increments
         fld = solve_poisson_fk(standard_ou(), F_LIN,
-                               grid_query(n=9, n_paths=2000, T_max=2.0),
+                               grid_query(n=9),
                                centering_z=centering_residual(F_LIN, mu),
                                want_grad_y=True)
         assert fld.grad_y.shape == (9, 1, 1)
-        assert np.all(fld.grad_y == 0.0) and np.all(fld.grad_y_batches == 0.0)
+        assert np.all(fld.grad_y == 0.0) and np.all(fld.coarse_grad_y == 0.0)
 
     def test_stencil_exact_on_quadratic_d1_2(self):
         # central differences are exact on quadratics, so the gradient and
@@ -595,13 +528,9 @@ class TestGradients:
         ax = (np.linspace(-1.0, 2.0, 7), np.linspace(-2.0, 1.0, 6))
         X, Y = np.meshgrid(*ax, indexing="ij")
         u = X ** 2 + 3 * X * Y - 2 * Y ** 2
-        query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax, T_max=1.0,
-                               n_paths=100, seed=0)
+        query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax)
         vals = u.reshape(-1, 1)
-        fake = CorrectorField(
-            query=query, values=vals,
-            se=np.zeros_like(vals), batch_means=np.repeat(vals[None], 20, axis=0),
-            tail_bound=np.zeros_like(vals))
+        fake = CorrectorField(query=query, values=vals, coarse=vals)
         grad, hess = _node_derivatives(fake, vals, 2)
         assert grad.shape == (42, 1, 2) and hess.shape == (42, 1, 2, 2)
         g = grad.reshape(7, 6, 2)
@@ -633,13 +562,8 @@ class TestGradients:
     def test_grid_too_coarse(self, field_lin):
         x = np.linspace(-3, 3, 7)
         bumpy = np.exp(-x ** 2 / 0.08)[:, None]
-        query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=(x,), T_max=1.0,
-                               n_paths=100, seed=0)
-        fake = CorrectorField(
-            query=query, values=bumpy,
-            se=np.full_like(bumpy, 1e-6),
-            batch_means=np.repeat(bumpy[None], 20, axis=0),
-            tail_bound=np.zeros_like(bumpy))
+        query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=(x,))
+        fake = CorrectorField(query=query, values=bumpy, coarse=bumpy - 1e-6)
         with pytest.raises(GridTooCoarse):
             gradients(fake)
 
@@ -648,9 +572,7 @@ class TestOuterProduct:
     def test_zero_H(self, mu):
         sys0 = standard_ou(H=lambda t, x, y: np.zeros(x.shape[:-1] + (1,)))
         z = 0.0
-        field = solve_poisson_fk(sys0, sys0.H, grid_query(n=5, n_paths=2000,
-                                                          T_max=2.0),
-                                 centering_z=z)
+        field = solve_poisson_fk(sys0, sys0.H, grid_query(n=5), centering_z=z)
         res = outer_product_HPhi(sys0, field, mu, 0.0)
         assert np.all(res.matrix == 0.0)
         assert res.antisym_norm == 0.0
@@ -663,7 +585,7 @@ class TestOuterProduct:
                                       thinning=20, dt=5e-3, seed=55)
         sys1 = standard_ou(H=lambda t, x, y: x)
         z = centering_residual(sys1.H, mu)
-        field = solve_poisson_fk(sys1, sys1.H, grid_query(n_paths=40000),
+        field = solve_poisson_fk(sys1, sys1.H, grid_query(),
                                  centering_z=z)
         res = outer_product_HPhi(sys1, field, mu, 0.0)
         assert abs(res.matrix[0, 0] - 1.0) <= 0.05
@@ -671,7 +593,7 @@ class TestOuterProduct:
     def test_quadratic_H_fourth_moment(self, mu_long):
         sys1 = standard_ou(H=lambda t, x, y: x ** 2 - 1.0)
         z = centering_residual(sys1.H, mu_long)
-        field = solve_poisson_fk(sys1, sys1.H, grid_query(n_paths=40000),
+        field = solve_poisson_fk(sys1, sys1.H, grid_query(),
                                  centering_z=z)
         res = outer_product_HPhi(sys1, field, mu_long, 0.0)
         assert abs(res.matrix[0, 0] - 1.0) <= 0.1

@@ -273,11 +273,11 @@ class TestTransfer:
     def test_linear_observable(self):
         est = transfer_derivative(lambda t, x, y: x[..., 0], frozen_ou(), [0.0],
                                   [1.0], self.BUDGETS, seed=3)
-        assert abs(est.value - 1.0) <= max(0.1, 5 * est.se)
-        # the gap to 1 is the corrector's horizon truncation (1 - dt)^K,
-        # K = T / dt, which se leaves out; the estimate sits on the Euler value
-        K = round(self.BUDGETS.corrector_tmax / self.BUDGETS.corrector_dt)
-        assert abs(est.value - (1.0 - (1.0 - self.BUDGETS.corrector_dt) ** K)) <= 1e-9
+        # the corrector of h = x is x - y, so the derivative is exactly 1;
+        # se carries the grid bias, and it must stay small enough to mean
+        # something
+        assert abs(est.value - 1.0) <= 3 * est.se
+        assert est.se <= 0.05
 
     def test_quadratic_observable(self):
         est = transfer_derivative(lambda t, x, y: x[..., 0] ** 2, frozen_ou(),
@@ -285,10 +285,9 @@ class TestTransfer:
         assert abs(est.value - 2.0) <= max(0.15, 5 * est.se)
 
     def test_two_fast_coordinates(self):
-        # both coordinates relax to y, so the Euler corrector of h = x1 + x2
-        # is (x - y)(1 - (1 - dt)^K) per coordinate and the derivative of the
-        # average is 2 (1 - (1 - dt)^K), K = T / dt; shared increments make
-        # the grid differences exact up to rounding
+        # both coordinates relax to y, so the corrector of h = x1 + x2 is
+        # (x - y) summed over the coordinates and the derivative of the
+        # average is exactly 2; se carries the grid bias
         sys2 = CoupledSystem(
             d1=2, d2=1,
             b=lambda x, y: y - x,
@@ -304,6 +303,4 @@ class TestTransfer:
                           grid_points=18)
         est = transfer_derivative(lambda t, x, y: x[..., 0] + x[..., 1], sys2,
                                   [0.0], [1.0], budgets, seed=3)
-        K = round(budgets.corrector_tmax / budgets.corrector_dt)
-        exact = 2.0 * (1.0 - (1.0 - budgets.corrector_dt) ** K)
-        assert abs(est.value - exact) <= 1e-9
+        assert abs(est.value - 2.0) <= 3 * est.se

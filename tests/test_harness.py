@@ -133,6 +133,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"{key} must be"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        # ExperimentConfig(seed=-1) was accepted and recorded -1, while its
+        # draws were those of 2**64 - 1
+        cfg = ExperimentConfig.from_dict(small_cfg())
+        with pytest.raises(ValueError, match="seed must lie in"):
+            ExperimentConfig(system=cfg.system, system_name=cfg.system_name,
+                             schedule=cfg.schedule, theta=cfg.theta,
+                             eps_list=cfg.eps_list, seed=seed)
+
     def test_rejects_missing_exponents(self):
         d = small_cfg()
         del d["exponents"]

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fastslow import (Budgets, CachePolicy, CoupledSystem, PSDFailure, Regime,
+from fastslow import (Budgets, CachePolicy, CoupledSystem, NotCentered,
+                      PSDFailure, Regime,
                       build_limit_sde, psd_sqrt, regime_averages, rng,
                       transfer_derivative)
 from fastslow import homogenize
@@ -362,10 +363,12 @@ class TestZeroWeightSolves:
         assert solves[0] == 1 and clouds[0] == 1
 
 
-class TestBatchSE:
-    def test_r4_errors_match_a_plain_batch_loop(self, monkeypatch):
-        # the corrector parts of fhat_se and cov_se, rebuilt from the cell's
-        # own cloud and solve with one loop over the path batches
+class TestCellErrors:
+    def test_r4_errors_add_chain_error_and_grid_bias(self, monkeypatch):
+        # fhat_se and cov_se, rebuilt from the cell's own cloud and solve:
+        # the chain error of the per-sample values and, in quadrature, the
+        # gap between their means on the refined and the query grid's
+        # solution
         seen = {}
         for name in ("sample_invariant_measure", "solve_poisson_fk"):
             def capture(*args, _real=getattr(homogenize, name), _name=name, **kwargs):
@@ -386,20 +389,69 @@ class TestBatchSE:
             return (c * np.interp(x, ax[1:-1], gx)
                     + H * np.interp(x, ax, grad_y[:, 0, 0]))
 
-        def outer(values):
+        def outer(values, grad_y):
             return H * np.interp(x, ax, values[:, 0])
 
-        def loop_se(per_batch):
-            return np.std(per_batch, ddof=1) / math.sqrt(len(per_batch))
+        def bias(per_sample):
+            return abs(per_sample(fld.values, fld.grad_y).mean()
+                       - per_sample(fld.coarse, fld.coarse_grad_y).mean())
 
-        drift_b = [drift(bm, gy).mean()
-                   for bm, gy in zip(fld.batch_means, fld.grad_y_batches)]
-        outer_b = [outer(bm).mean() for bm in fld.batch_means]
         F = system.F(0.0, mu.samples, mu.y)[:, 0]
         se_mu = mu.se((F + drift(fld.values, fld.grad_y))[:, None])[0]
-        assert ra.fhat_se[0] == math.sqrt(se_mu ** 2 + loop_se(drift_b) ** 2)
-        se_mu = mu.se(outer(fld.values)[:, None])[0]
-        assert ra.cov_se[0, 0] == math.sqrt(se_mu ** 2 + loop_se(outer_b) ** 2)
+        assert ra.fhat_se[0] == math.sqrt(se_mu ** 2 + bias(drift) ** 2)
+        se_mu = mu.se(outer(fld.values, None)[:, None])[0]
+        assert ra.cov_se[0, 0] == math.sqrt(se_mu ** 2 + bias(outer) ** 2)
+        assert bias(drift) > 0.0 and bias(outer) > 0.0
+
+
+class TestCalibration:
+    """Cell errors are calibrated: ``ou_full`` cells from small clouds sit
+    within three reported errors of their exact values."""
+
+    BUDGETS = Budgets(invariant_samples=4000, invariant_burn_in=2.0,
+                      invariant_thinning=5, invariant_dt=0.02)
+    C = 0.5   # ou_full's intermediate drift, as written in the preset
+
+    def exact(self, regime, y):
+        """Drift and squared diffusion under the cloud's own law, the frozen
+        Euler chain x' = x + (y - x) dt + sqrt(2 dt) z: mean y and variance
+        v = 2 dt / (1 - (1 - dt)^2).  The corrector of H = x - y is x - y,
+        so c dPhi/dx = c, F + H dPhi/dy has mean -y, and E[H Phi] = v."""
+        dt = self.BUDGETS.invariant_dt
+        v = 2.0 * dt / (1.0 - (1.0 - dt) ** 2)
+        drift = -y + (self.C if regime in (Regime.R2, Regime.R4) else 0.0)
+        return drift, (1.0 if regime is Regime.R2 else 1.0 + v)
+
+    def test_cells_within_three_errors(self):
+        # 200 cells per regime, each with its own seed; a cell counts as a
+        # miss if its drift or its diffusion is off by more than three
+        # reported errors, or if the centering gate refuses it (about 0.4%
+        # of cells); the chain errors alone would miss about 0.3%
+        ys = np.random.default_rng(2026).uniform(-2.0, 2.0, 200)
+        misses, cells = [], 0
+        for regime in (Regime.R2, Regime.R3, Regime.R4):
+            for i, y in enumerate(ys):
+                cells += 1
+                seed = 1000 * int(regime.value[1]) + i
+                try:
+                    ra = regime_averages(ou_full(), regime, 0.0, [y], self.BUDGETS,
+                                         seed=seed)
+                except NotCentered:
+                    misses.append((regime, seed, "refused"))
+                    continue
+                drift, cov = self.exact(regime, y)
+                if not (abs(ra.fhat[0] - drift) <= 3 * ra.fhat_se[0]
+                        and abs(ra.cov[0, 0] - cov) <= 3 * ra.cov_se[0, 0]):
+                    misses.append((regime, seed, ra.fhat[0] - drift, ra.cov[0, 0] - cov))
+        assert cells == 600
+        assert len(misses) <= 0.01 * cells, misses
+
+
+def test_seed_outside_64_bits_is_refused():
+    # seed=-1 computed the cell of seed=2**64 - 1
+    with pytest.raises(ValueError, match="seed must lie in"):
+        regime_averages(ou_full(), Regime.R4, 0.0, [0.3], TestZeroWeightSolves.BUDGETS,
+                        seed=-1)
 
 
 @pytest.mark.parametrize("delta_y", [0.0, -0.1, float("nan"), float("inf")])

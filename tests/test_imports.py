@@ -2,10 +2,10 @@
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
 ``model.check_state`` raises ``BlowUp``, that the grid calculus stays in
-``corrector.py``, that no config command coerces a
-value or writes a numeric default of its own, that only the CLI opens a file
-for writing, that the names the benchmark tracer wraps exist, and the public
-API surface with the kinds of the CLI's config keys."""
+``corrector.py`` and that ``corrector.py`` draws nothing, that no config
+command coerces a value or writes a numeric default of its own, that only
+the CLI opens a file for writing, that the names the benchmark tracer wraps
+exist, and the public API surface with the kinds of the CLI's config keys."""
 
 import ast
 import dataclasses
@@ -267,6 +267,38 @@ def test_grid_calculus_guard_sees_each_form():
     assert _grid_calculus_uses(ast.parse(src)) == [1, 2, 6, 7, 8]
 
 
+def _random_imports(tree) -> list[int]:
+    """Lines that import the ``rng`` module or ``block_noise``, in any form:
+    ``from . import rng``, ``from .rng import x``, ``import fastslow.rng``,
+    ``from .model import block_noise`` (under any alias)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            if module == "rng" or any(a.name in ("rng", "block_noise")
+                                      for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "rng" for a in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_corrector_draws_nothing():
+    # the corrector is a deterministic grid solve: a draw there would make
+    # its fields depend on a seed again
+    tree = ast.parse((SRC / "fastslow" / "corrector.py").read_text())
+    assert _random_imports(tree) == []
+
+
+def test_random_import_guard_sees_each_form():
+    src = ("from . import rng\nfrom .rng import normals as n\n"
+           "import fastslow.rng\nfrom .model import check_state, block_noise\n"
+           "from fastslow import rng as R\nfrom .model import check_state\n"
+           "import numpy as np\n")
+    assert _random_imports(ast.parse(src)) == [1, 2, 3, 4, 5]
+
+
 def _config_coercions(tree) -> list[str]:
     """``<function>:<line>`` of each call of ``int``, ``float`` or ``bool``,
     and of each ``.get`` or ``.pop`` with a numeric literal default, inside a
@@ -414,10 +446,9 @@ PUBLIC_PARAMETERS = {
     "centering_residual": ("f", "mu", "t"),
     "sample_invariant_measure": ("system", "y", "burn_in", "n_samples", "thinning",
                                  "dt", "seed", "blowup_cap"),
-    "CorrectorField": ("query", "values", "se", "batch_means", "tail_bound",
-                       "grad_x", "grad_y", "grad_y_batches"),
-    "CorrectorQuery": ("t", "y", "grid_axes", "T_max", "n_paths", "dt", "seed",
-                       "n_batches"),
+    "CorrectorField": ("query", "values", "coarse", "grad_x", "grad_y",
+                       "coarse_grad_y"),
+    "CorrectorQuery": ("t", "y", "grid_axes", "T_max", "n_paths", "dt"),
     "OuterProductResult": ("matrix", "se", "antisym_norm"),
     "gradients": ("field",),
     "outer_product_HPhi": ("system", "field", "mu", "t"),

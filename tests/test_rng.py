@@ -58,6 +58,21 @@ def test_derive_key_is_order_sensitive():
     assert 0 <= rng.derive_key(0) < 2 ** 64
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, -2 ** 70])
+def test_seed_outside_64_bits_is_refused(seed):
+    # the hash keeps each word mod 2**64, so such a seed would alias one
+    # inside: -1 drew the stream of 2**64 - 1
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        rng.derive_key(seed, rng.LANE_AUX, 11)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        rng.normals(seed, rng.LANE_FAST, np.arange(3), 0, 1)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        rng.PathIndex(np.arange(3)).hashes(seed, rng.LANE_FAST)
+    # the later words are not seeds: cell keys may be negative
+    assert rng.derive_key(0, rng.LANE_CELL, -3) != rng.derive_key(0, rng.LANE_CELL, 3)
+    assert rng.check_seed(2 ** 64 - 1) == 2 ** 64 - 1
+
+
 # Stream values recorded from the hash kernel; any change to the stream
 # fails here.  Uniforms are multiples of 2**-53, pinned exactly as 53-bit
 # integers; normals go through numpy's log and tan, whose last bits depend

@@ -35,6 +35,14 @@ def test_zero_slow_rhs_keeps_y_exact():
     assert np.all(res.terminal_slow == 1.7)
 
 
+def test_seed_outside_64_bits_is_refused():
+    sys1 = make_system(b=lambda x, y: -x, sigma=lambda x, y: np.array([[RT2]]))
+    cfg = PathConfig(T=0.1, dt_slow=0.05, micro_substeps_per_alpha2=4,
+                     seed=2 ** 64, n_paths=4)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        integrate_coupled(sys1, S111, 0.3, [0.0], [1.7], cfg)
+
+
 def test_fast_ode_oracle_first_order_in_substeps():
     sys1 = make_system(b=lambda x, y: -x, sigma=lambda x, y: np.array([[0.0]]))
     eps = 0.2
