@@ -39,12 +39,12 @@ from . import __version__
 from . import rng
 from .errors import (BlowUp, ConfigError, GridTooCoarse, NonFiniteCoefficient,
                      NotCentered, PSDFailure, ThetaOutOfRange)
-from .corrector import CorrectorQuery, gradients, solve_poisson_fk
-from .ergodic import centering_residual, sample_invariant_measure
+from .corrector import _grid_at, _nodes, gradients
+from .ergodic import sample_invariant_measure
 from .harness import (_EXPERIMENT_KEYS, ExperimentConfig, _need, _read_config,
                       _take, fluctuation_clt, fluctuation_integrand,
                       fluctuation_lln, parse_budgets, weak_error_experiment)
-from .homogenize import regime_averages
+from .homogenize import Budgets, _solve_on_cloud, regime_averages
 from .model import Regime, ScaleSchedule, classify_regime, validate_assumptions
 from .presets import get_system
 
@@ -192,12 +192,12 @@ def _cmd_invariant(cfg: dict) -> tuple:
 
 
 def _cmd_corrector(cfg: dict) -> tuple:
-    """Phi of the preset's H on the config's grid, from the grid solve of
-    :func:`fastslow.corrector.solve_poisson_fk`; each se column is the grid
-    bias estimate, the gap to the solve on the grid's refinement.
-    "gradients" is true by default, and then the solve runs only at
-    y +/- delta, so phi and se are those of the pair's mean, O(delta^2) from
-    the centre's solution.  "seed" keys the centering cloud."""
+    """Phi of the preset's H, solved as in a cell on the default
+    :class:`Budgets` grid over the centering cloud (keyed by "seed") and the
+    config's grid, then read at the config's nodes; each se column is the
+    grid bias estimate.  With "gradients" (the default) the solve runs only
+    at y +/- delta, so phi and se are the pair's mean, O(delta^2) from the
+    centre's solution."""
     cfg, system = _with_defaults(cfg)
     for key in ("T_max", "n_paths", "dt"):
         if key in cfg:
@@ -208,27 +208,26 @@ def _cmd_corrector(cfg: dict) -> tuple:
     lo, hi, npts = (np.atleast_1d(_need(grid, key)) for key in ("lo", "hi", "n"))
     if not (len(lo) == len(hi) == len(npts) == system.d1):
         raise ConfigError("grid lo/hi/n must have length d1")
-    axes = tuple(np.linspace(lo[j], hi[j], npts[j]) for j in range(system.d1))
+    points = _nodes([np.linspace(lo[j], hi[j], npts[j]) for j in range(system.d1)])
     want_grad, t, y = cfg["gradients"], cfg["t"], cfg["y"]
-    query = CorrectorQuery(t=t, y=y, grid_axes=axes)
     mu = sample_invariant_measure(
         system, y, n_samples=cfg["centering_samples"],
         seed=rng.derive_key(cfg["seed"], rng.LANE_AUX, 43))
-    z = centering_residual(system.H, mu, t)
-    field = solve_poisson_fk(system, system.H, query, centering_z=z,
-                             want_grad_y=want_grad)
+    field, z = _solve_on_cloud(system, system.H, t, y, mu, Budgets(), want_grad,
+                               cover=points)
     if want_grad:
         field = gradients(field)
-    d1, k, d2 = system.d1, field.k, system.d2
+    d1, k, d2, n = system.d1, field.k, system.d2, points.shape[0]
     header = ([f"x_{j+1}" for j in range(d1)]
               + [f"phi_{j+1}" for j in range(k)]
               + [f"se_{j+1}" for j in range(k)])
-    blocks = [field.query.points, field.values, field.se]
+    blocks = [points, _grid_at(field, field.values, points),
+              _grid_at(field, field.se, points)]
     if want_grad:
         header += [f"grad_x_{i+1}{j+1}" for i in range(k) for j in range(d1)]
         header += [f"grad_y_{i+1}{j+1}" for i in range(k) for j in range(d2)]
-        n = field.values.shape[0]
-        blocks += [field.grad_x.reshape(n, -1), field.grad_y.reshape(n, -1)]
+        blocks += [_grid_at(field, field.values, points, derivative=1).reshape(n, -1),
+                   _grid_at(field, field.grad_y, points).reshape(n, -1)]
     return header, np.hstack(blocks), {
         "centering_z": z, "seed": cfg["seed"], "preset": system.name}
 

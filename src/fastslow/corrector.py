@@ -51,6 +51,10 @@ Array = np.ndarray
 # fraction of the median first difference (and clears the noise floor)
 _COARSE_TOL = 0.5
 
+# the most nodes a refined grid may have: the solve holds a few dense
+# (N, N) float64 matrices, about 50 MB each at this N, and costs O(N^3)
+_MAX_NODES = 2500
+
 
 def _nodes(axes) -> Array:
     """The (N, d) nodes of the tensor grid ``axes``, "ij" order."""
@@ -59,8 +63,9 @@ def _nodes(axes) -> Array:
 
 @dataclass(frozen=True)
 class CorrectorQuery:
-    """Tensor grid of fast states (one 1-d axis per coordinate, evenly
-    spaced) for one solve; ``points`` are the (Q, d1) nodes, "ij" order.
+    """Tensor grid of fast states for one solve: one 1-d axis per
+    coordinate, evenly spaced and increasing (or of a single node);
+    ``points`` are the (Q, d1) nodes, "ij" order.
 
     ``T_max``, ``n_paths`` and ``dt`` are read by no solve: they are the
     budgets of the path-integral solver this grid solve replaced, still
@@ -80,6 +85,10 @@ class CorrectorQuery:
         axes = tuple(np.asarray(ax, dtype=np.float64) for ax in self.grid_axes)
         if not axes or any(ax.ndim != 1 or ax.size < 1 for ax in axes):
             raise ValueError("grid_axes must be non-empty 1-d axes")
+        for j, ax in enumerate(axes):  # the rates and the refinement read one spacing
+            steps = np.diff(ax)
+            if not (np.all(steps > 0) and np.allclose(steps, steps[:1], rtol=1e-6, atol=0)):
+                raise ValueError(f"grid axis {j} must be evenly spaced and increasing")
         object.__setattr__(self, "grid_axes", axes)
         object.__setattr__(self, "points", _nodes(axes))
         if not (0 < self.T_max < math.inf and 0 < self.dt < math.inf):
@@ -125,15 +134,6 @@ def codomain(f, t: float, x: Array, y: Array) -> int:
     1 for a scalar output per point, else the size of its last axis."""
     vals = np.asarray(f(t, x, y), dtype=np.float64)
     return 1 if vals.ndim <= 1 else int(vals.shape[-1])
-
-
-def _as_cols(vals: Array, lead_shape: tuple[int, ...], k: int) -> Array:
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.ndim == len(lead_shape):
-        vals = vals[..., None]
-    if vals.shape == lead_shape + (k,):
-        return vals
-    return np.broadcast_to(vals, lead_shape + (k,))
 
 
 def _check_delta_y(delta_y) -> None:
@@ -230,7 +230,8 @@ def _grid_solve(system: CoupledSystem, f, t: float, y: Array, axes, k: int) -> A
     X = _nodes(axes)
     Q = _generator(system, y, axes, X)
     N = X.shape[0]
-    fv = _require_finite("f", _as_cols(f(t, X, y), (N,), k))
+    fv = np.asarray(f(t, X, y), dtype=np.float64)
+    fv = _require_finite("f", np.broadcast_to(fv[:, None] if fv.ndim == 1 else fv, (N, k)))
     M = np.zeros((N + 1, N + 1))
     M[:N, :N] = Q.T
     M[:N, N] = 1.0
@@ -255,9 +256,10 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     The caller centers ``f`` on the cloud (:func:`fastslow.ergodic.average`)
     and passes the z-score from :func:`fastslow.ergodic.centering_residual`
     as ``centering_z``; a z above 3, or NaN, is refused.  The grid is the
-    solve's domain, so it must span the frozen law.  It must have d1 <= 2
-    axes: the dense refinement of a d1 = 3 grid (19^3 nodes at the cells'
-    grid) does not fit in memory.
+    solve's domain, with zero-flux walls, so it must span the frozen law
+    with room to spare.  Its refinement may hold at most ``_MAX_NODES``
+    nodes, for the dense solves: at the cells' grid that admits d1 <= 2
+    (19^3 nodes at d1 = 3 do not fit).
 
     With ``want_grad_y`` the solve runs only at the slow states y +/- delta
     along each slow coordinate (``delta_y``, default 1e-3 * max(1, |y|)),
@@ -273,10 +275,11 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     if not float(centering_z) <= 3.0:  # NaN is refused too
         raise NotCentered(f"centering z-score {float(centering_z):.3g} is not <= 3")
     d1 = len(query.grid_axes)
-    if d1 > 2:
+    n_fine = math.prod(2 * len(ax) - 1 for ax in query.grid_axes)
+    if n_fine > _MAX_NODES:
         raise NotImplementedError(
-            f"grid corrector solve implemented for d1 <= 2, got d1 = {d1}: the "
-            "dense refinement of a d1 = 3 grid does not fit in memory")
+            f"the refined grid has {n_fine} nodes (d1 = {d1}), above the dense "
+            f"solve's limit of {_MAX_NODES}")
 
     k = codomain(f, query.t, query.points, query.y)
     ys = _shifted_states(query.y, delta) if want_grad_y else [query.y]
@@ -438,13 +441,9 @@ def outer_product_HPhi(system: CoupledSystem, field: CorrectorField,
         return (Hs[:, :, None] * phi_s[:, None, :]).reshape(mu.n_samples, -1)
 
     mean, se = cloud_mean(mu, field, outer)
-    M = mean.reshape(d2, d2)
-    sym = 0.5 * (M + M.T)
-    anti = 0.5 * (M - M.T)
-    se = se.reshape(d2, d2)
-    se = 0.5 * (se + se.T)
-    return OuterProductResult(matrix=sym, se=se,
-                              antisym_norm=float(np.linalg.norm(anti)))
+    M, S = mean.reshape(d2, d2), se.reshape(d2, d2)
+    return OuterProductResult(matrix=0.5 * (M + M.T), se=0.5 * (S + S.T),
+                              antisym_norm=float(np.linalg.norm(0.5 * (M - M.T))))
 
 
 def multilinear(base: Array, frac: Array, gather) -> Array:

@@ -148,20 +148,22 @@ def _cloud(system: CoupledSystem, y: Array, budgets: Budgets,
 
 
 def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
-                    mu: MeasureEnsemble, budgets: Budgets,
-                    want_grad_y: bool) -> tuple[CorrectorField, float]:
+                    mu: MeasureEnsemble, budgets: Budgets, want_grad_y: bool,
+                    cover: Array | None = None) -> tuple[CorrectorField, float]:
     """Corrector for ``f`` on a tensor grid spanning the cloud ``mu``.
 
     Each axis runs from the cloud's range widened by ``grid_pad`` on both
-    sides, with ``grid_points`` nodes at d1 = 1 and max(9, grid_points // 2)
-    above.  The centering z of ``f`` on the cloud is the solve's evidence;
-    it is returned with the field.
+    sides, and over the points ``cover`` (n, d1) as well, with
+    ``grid_points`` nodes at d1 = 1 and max(9, grid_points // 2) above.  The
+    centering z of ``f`` on the cloud is the solve's evidence; it is
+    returned with the field.
     """
     n_pts = budgets.grid_points if system.d1 == 1 else max(9, budgets.grid_points // 2)
-    axes = tuple(
-        np.linspace(mu.samples[:, j].min() - budgets.grid_pad,
-                    mu.samples[:, j].max() + budgets.grid_pad, n_pts)
-        for j in range(system.d1))
+    lo = mu.samples.min(axis=0) - budgets.grid_pad
+    hi = mu.samples.max(axis=0) + budgets.grid_pad
+    if cover is not None:
+        lo, hi = np.minimum(lo, cover.min(axis=0)), np.maximum(hi, cover.max(axis=0))
+    axes = tuple(np.linspace(lo[j], hi[j], n_pts) for j in range(system.d1))
     query = CorrectorQuery(t=t, y=y, grid_axes=axes)
     z = centering_residual(f, mu, t)
     # with want_grad_y only the y +/- delta states are solved, and the

@@ -114,6 +114,24 @@ REPEATED = {
 }
 
 
+def test_corrector_is_right_on_a_grid_narrower_than_the_law(tmp_path):
+    # ou_full's corrector is x - y; a solve with its zero-flux walls at the
+    # ends of the config's [-1, 1] read a slope of 1 - e^(-1/2) at 0, and
+    # the refinement, with the same walls, could not see it in se
+    out = tmp_path / "out"
+    cfg = dict(REPEATED["corrector"], out_dir=str(out))
+    assert run_cli(["corrector", "--config", write_config(tmp_path, "c", cfg)]) == 0
+    lines = (out / "corrector.csv").read_text().splitlines()
+    x, phi, se, grad_x, grad_y = (list(col) for col in
+                                  zip(*([float(v) for v in line.split(",")]
+                                        for line in lines[1:])))
+    assert x == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert all(abs(p - xi) <= 3 * s for p, xi, s in zip(phi, x, se))
+    assert max(se) <= 0.05
+    assert all(abs(g - 1.0) <= 0.02 for g in grad_x)
+    assert all(abs(g + 1.0) <= 0.02 for g in grad_y)
+
+
 @pytest.mark.parametrize("name", list(REPEATED))
 def test_repeats_byte_identical(tmp_path, name):
     command = name.split("-")[0]

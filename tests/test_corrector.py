@@ -172,11 +172,21 @@ class TestSolve:
         assert np.max(err) <= 0.5 * np.max(fld.se)
 
     def test_refuses_three_fast_coordinates(self):
-        # the dense refinement of a d1 = 3 grid does not fit; the refusal
-        # comes before any coefficient is read
-        ax = np.linspace(-1.0, 1.0, 3)
+        # the cells' d1 = 3 grid, 10 nodes per axis, refines to 19^3 nodes,
+        # whose dense solve does not fit; the refusal comes before any
+        # coefficient is read
+        ax = np.linspace(-1.0, 1.0, 10)
         query = CorrectorQuery(t=0.0, y=[0.0], grid_axes=(ax, ax, ax))
-        with pytest.raises(NotImplementedError, match="d1 = 3"):
+        with pytest.raises(NotImplementedError,
+                           match=r"refined grid has 6859 nodes \(d1 = 3\), above"):
+            solve_poisson_fk(None, F_LIN, query, centering_z=0.0)
+
+    def test_refuses_an_oversized_grid(self):
+        # 1251 nodes refine to 2501: one past the limit, whose dense
+        # matrices would take about 50 MB each
+        query = grid_query(n=fastslow.corrector._MAX_NODES // 2 + 1)
+        with pytest.raises(NotImplementedError,
+                           match=r"refined grid has 2501 nodes \(d1 = 1\), above"):
             solve_poisson_fk(None, F_LIN, query, centering_z=0.0)
 
     def test_refuses_a_non_monotone_diffusion(self):
@@ -467,6 +477,42 @@ class TestPlainLoopReference:
             np.moveaxis((coarse[0::2] - coarse[1::2]) / (2 * delta), 0, -1), **tol)
 
 
+def independent_ou_3():
+    """d1 = 3: three uncoupled relaxations to y at different rates, with a
+    fast-state dependent noise on the first coordinate."""
+    rates = np.array([1.0, 1.5, 0.8])
+    system = CoupledSystem(
+        d1=3, d2=1,
+        b=lambda x, y: y - x * rates,
+        sigma=lambda x, y: np.eye(3) * np.stack(
+            [1.2 + 0.2 * np.tanh(x[..., 0]), np.ones(np.shape(x)[:-1]),
+             0.9 * np.ones(np.shape(x)[:-1])], axis=-1)[..., None],
+        c=lambda x, y: np.zeros(np.shape(x)[:-1] + (1,)),
+        F=lambda t, x, y: np.zeros(np.shape(x)[:-1] + (1,)),
+        H=lambda t, x, y: x[..., :1] - y,
+        G=lambda t, x, y: np.array([[1.0]]),
+        autonomous=True,
+    )
+    return system, system.H, [0.4]
+
+
+class TestThreeFastCoordinates:
+    def test_small_grid_equals_plain_loop(self):
+        # a grid whose refinement fits the node limit solves at d1 = 3
+        sys_, f, y = independent_ou_3()
+        axes = (np.linspace(-2.0, 2.0, 4), np.linspace(-1.5, 1.5, 3),
+                np.linspace(-1.0, 1.0, 3))
+        q = CorrectorQuery(t=0.0, y=y, grid_axes=axes)
+        field = solve_poisson_fk(sys_, f, q, centering_z=0.0)
+        fine_axes = tuple(np.linspace(ax[0], ax[-1], 2 * len(ax) - 1) for ax in axes)
+        fine = (plain_loop_solve(sys_, f, 0.0, q.y, fine_axes)
+                .reshape((7, 5, 5, -1))[::2, ::2, ::2].reshape(field.values.shape))
+        tol = dict(rtol=0, atol=1e-10)
+        np.testing.assert_allclose(field.values, fine, **tol)
+        np.testing.assert_allclose(field.coarse, plain_loop_solve(sys_, f, 0.0, q.y, axes),
+                                   **tol)
+
+
 class TestQuery:
     @pytest.mark.parametrize("name", ["n_paths"])
     @pytest.mark.parametrize("value", [100.5, True])
@@ -484,8 +530,17 @@ class TestQuery:
         with pytest.raises(ValueError, match="T_max and dt must be finite and > 0"):
             CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), **{name: value})
 
+    @pytest.mark.parametrize("axis", [[-1.0, 0.0, 2.0], [1.0, 0.0, -1.0], [0.5, 0.5]],
+                             ids=["uneven", "decreasing", "repeated"])
+    def test_refuses_an_axis_of_other_spacing(self, axis):
+        # the rates and the refinement read one spacing per axis, so these
+        # gave wrong rates, or negative ones, and no error
+        with pytest.raises(ValueError, match="grid axis 1 must be evenly spaced "
+                                             "and increasing"):
+            CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0, 1.0], axis))
+
     def test_points_come_from_the_grid(self):
-        ax = ([-1.0, 0.0, 2.0], [0.5, 1.5])
+        ax = ([-1.0, 0.0, 1.0], [0.5, 1.5])
         q = CorrectorQuery(t=0.0, y=[0.0], grid_axes=ax)
         mesh = np.meshgrid(*ax, indexing="ij")
         assert q.points.tolist() == np.stack([m.ravel() for m in mesh], -1).tolist()
