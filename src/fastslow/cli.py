@@ -51,9 +51,7 @@ from .presets import get_system
 _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
               GridTooCoarse, ThetaOutOfRange)
 
-# the kind of each key a command reads (converge and fluctuate: from_dict's);
-# the corrector reads T_max, n_paths and dt only to refuse them: they were
-# the budgets of the path-integral solve that the grid solve replaced
+# the kind of each key a command reads (converge and fluctuate: from_dict's)
 _CONFIG_KEYS = {
     "validate": {"preset": "text", "seed": "seed", "lambda": "real",
                  "sample_budget": "count", "radius": "real", "eps": "real"},
@@ -61,8 +59,7 @@ _CONFIG_KEYS = {
                   "burn_in": "real", "n_samples": "count", "thinning": "count",
                   "dt": "real"},
     "corrector": {"preset": "text", "seed": "seed", "grid": "object", "t": "real",
-                  "y": "vector", "T_max": "real", "n_paths": "count", "dt": "real",
-                  "centering_samples": "count", "gradients": "flag"},
+                  "y": "vector", "centering_samples": "count", "gradients": "flag"},
     "average": {"preset": "text", "seed": "seed", "exponents": "list",
                 "budgets": "object", "t": "real", "ys": "vectors", "y": "vector"},
     "converge": _EXPERIMENT_KEYS,
@@ -199,10 +196,6 @@ def _cmd_corrector(cfg: dict) -> tuple:
     at y +/- delta, so phi and se are the pair's mean, O(delta^2) from the
     centre's solution."""
     cfg, system = _with_defaults(cfg)
-    for key in ("T_max", "n_paths", "dt"):
-        if key in cfg:
-            raise ConfigError(f"{key} is no longer read: the corrector is a grid "
-                              "solve on the config's grid; remove the key")
     grid = _read_config(_need(cfg, "grid", ": {lo, hi, n}"),
                         {"lo": "vector", "hi": "vector", "n": "counts"}, "grid")
     lo, hi, npts = (np.atleast_1d(_need(grid, key)) for key in ("lo", "hi", "n"))

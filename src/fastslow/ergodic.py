@@ -5,7 +5,10 @@ The stationary law of the frozen equation is stood in for by a cloud from
 state: each starts at x = 0, discards its own burn-in and keeps every
 ``thinning``-th state.  Increments are drawn a block of steps at a time,
 sized by :func:`fastslow.rng.block_steps`, and the noise of each block
-comes from :func:`fastslow.model.block_noise`.  There is one error rule:
+comes from :func:`fastslow.model.block_noise`, indexed step by step: one
+array for a (d1, d1) sigma, a read of sigma at every step for a batched
+one.  A step writes b dt into one reused buffer and adds it, then the
+step's noise, to the state in place.  There is one error rule:
 the standard error of an average over the cloud (:func:`chain_se`) is
 taken from the chain means, so the z of an exactly centered integrand
 follows a t law with K - 1 degrees of freedom for K chains.  A single
@@ -134,14 +137,22 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     block = rng.block_steps(K)
     # the state after step keep_at is the next one kept, in row i
     keep_at, i = burn_steps + thinning - 1, 0
+    # the step loop does no lookups it can do once: b is bound to the state,
+    # b dt goes into one buffer, and dt is a 0-d array, which numpy
+    # multiplies by with less overhead than a Python float and the same bits
+    b_at, drift = partial(system.b, x, y_fix), np.empty((K, d1))
+    dt_0d, mul, as_f64 = np.array(dt, dtype=np.float64), np.multiply, np.asarray
     for k0 in range(0, total, block):
         nb = min(block, total - k0)
         steps = np.arange(k0, k0 + nb, dtype=np.uint64)[:, None]
         z = rng.normals(seed, rng.LANE_FAST, chains, steps, d1)
         z *= sq
-        for j, noise in enumerate(block_noise(partial(system.sigma, x, y_fix), z, 1.0)):
-            x += np.asarray(system.b(x, y_fix), dtype=np.float64) * dt
-            x += noise
+        noise = block_noise(partial(system.sigma, x, y_fix), z, 1.0)
+        for j in range(nb):
+            dw = noise[j]    # taken before x moves: a batched sigma reads x
+            mul(as_f64(b_at(), float), dt_0d, out=drift)
+            x += drift
+            x += dw
             if k0 + j == keep_at:
                 kept[i] = x
                 i += 1

@@ -10,10 +10,11 @@ root is taken.
 Field evaluation is lazy and memoized on a quantized lattice with
 deterministic per-cell sub-seeds, because a limit simulation only visits a
 narrow tube of slow states.  A batch of states is read in one vectorized
-lookup: numpy reduces the batch to its distinct cells, Python touches each
-distinct cell once, and the cell records are gathered back by index.  One
-record holds drift and diffusion together, so a limit path-step costs one
-lookup.
+lookup: np.unique's inverse alone (no stable sort) reduces the batch to its
+distinct cells in sorted order, Python touches each distinct cell once, and
+``np.take`` gathers the cell records back through the inverse.  One record
+holds drift and diffusion together, so a limit path-step costs one lookup,
+and the diffusion is read from it as a view.
 
 The parameter derivative of an averaged value (:func:`transfer_derivative`)
 is built on the same cloud and corrector solve as a cell.
@@ -46,7 +47,8 @@ import numpy as np
 from . import rng
 from .corrector import (CorrectorField, CorrectorQuery, cloud_mean, codomain,
                         gradients, multilinear, outer_product_HPhi,
-                        solve_poisson_fk, _check_delta_y, _grid_at, _y_step)
+                        solve_poisson_fk, _check_delta_y, _grid_at, _MAX_NODES,
+                        _y_step)
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .errors import PSDFailure
@@ -153,12 +155,18 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
     """Corrector for ``f`` on a tensor grid spanning the cloud ``mu``.
 
     Each axis runs from the cloud's range widened by ``grid_pad`` on both
-    sides, and over the points ``cover`` (n, d1) as well, with
-    ``grid_points`` nodes at d1 = 1 and max(9, grid_points // 2) above.  The
-    centering z of ``f`` on the cloud is the solve's evidence; it is
-    returned with the field.
+    sides, and over the points ``cover`` (n, d1) as well.  It has
+    ``grid_points`` nodes at d1 = 1; at d1 = 2 as many, up to the 25 whose
+    refinement (2 n - 1)^2 still fits the dense solve's ``_MAX_NODES``; and
+    max(9, grid_points // 2) above.  The centering z of ``f`` on the cloud
+    is the solve's evidence; it is returned with the field.
     """
-    n_pts = budgets.grid_points if system.d1 == 1 else max(9, budgets.grid_points // 2)
+    if system.d1 == 1:
+        n_pts = budgets.grid_points
+    elif system.d1 == 2:
+        n_pts = min(budgets.grid_points, (math.isqrt(_MAX_NODES) + 1) // 2)
+    else:
+        n_pts = max(9, budgets.grid_points // 2)
     lo = mu.samples.min(axis=0) - budgets.grid_pad
     hi = mu.samples.max(axis=0) + budgets.grid_pad
     if cover is not None:
@@ -391,20 +399,24 @@ class CachePolicy:
 
 
 def _distinct_rows(keys: Array) -> tuple[Array, Array]:
-    """Distinct rows of an (n, d) integer array: the index of each one's
-    first occurrence, and for every row the position of its distinct row.
+    """Distinct rows of an (n, d) integer array, in sorted order: the index
+    of one occurrence of each, and for every row the position of its
+    distinct row.
 
     The columns are folded into one code a column at a time and np.unique
     re-ranks the code after each fold, so codes stay below n and cannot
-    overflow however far apart the rows lie.
+    overflow however far apart the rows lie.  np.unique returns only the
+    inverse, which needs no stable sort; one scatter of the row numbers
+    through it then picks an occurrence of each distinct row.
     """
-    _, first, code = np.unique(keys[:, 0], return_index=True,
-                               return_inverse=True)
+    distinct, code = np.unique(keys[:, 0], return_inverse=True)
     for col in keys.T[1:]:
         _, rank = np.unique(col, return_inverse=True)
-        _, first, code = np.unique(code * (rank.max() + 1) + rank,
-                                   return_index=True, return_inverse=True)
-    return first, code
+        distinct, code = np.unique(code * (rank.max() + 1) + rank,
+                                   return_inverse=True)
+    rows = np.empty(distinct.shape[0], dtype=np.intp)
+    rows[code] = np.arange(code.shape[0])
+    return rows, code
 
 
 class CellField:
@@ -415,9 +427,11 @@ class CellField:
     values do not depend on visit order or batch split.
 
     :meth:`eval_batch` is the one lookup.  It rounds the batch to integer
-    cell keys, reduces them to their distinct cells in numpy, touches Python
-    once per distinct cell (a dict read, or computing a missing cell) and
-    gathers the records back with the inverse index.  With interpolation
+    cell keys and reduces them to their distinct cells in numpy
+    (:func:`_distinct_rows`: the inverse of np.unique, and one scatter for a
+    row of each cell).  It touches Python once per distinct cell, in sorted
+    key order (a dict read, or computing a missing cell), and gathers the
+    records back with ``np.take`` through the inverse.  With interpolation
     it reads the 2^d2 corner cells of each row in that one lookup and blends
     them with :func:`fastslow.corrector.multilinear`.  Memory grows with the
     number of visited cells, not with their bounding box.
@@ -447,17 +461,16 @@ class CellField:
 
     def _gather(self, ti: int, keys: Array) -> Array:
         """Records of the cells (ti, *row) for the rows of ``keys``."""
-        first, inverse = _distinct_rows(keys)
-        recs = np.stack([self._record((ti, *yi))
-                         for yi in keys[first].tolist()])
-        return recs[inverse]
+        rows, inverse = _distinct_rows(keys)
+        recs = np.array([self._record((ti, *yi)) for yi in keys[rows].tolist()])
+        return np.take(recs, inverse, axis=0)
 
     def eval_batch(self, t: float, Y: Array) -> Array:
         Y = np.asarray(Y, dtype=np.float64)
         q = self._policy.quantum
         ti = 0 if self._autonomous else int(round(t / self._policy.tq))
         if not self._policy.interpolate:
-            return self._gather(ti, np.round(Y / q).astype(np.int64))
+            return self._gather(ti, np.rint(Y / q).astype(np.int64))
         # the 2^d2 corner cells of every row, gathered in one lookup
         base = np.floor(Y / q).astype(np.int64)
         return multilinear(base, Y / q - base, lambda keys: self._gather(ti, keys))
@@ -539,9 +552,8 @@ def build_limit_sde(regime: Regime, system: CoupledSystem,
 
     def coefficients_batch(t, Y):
         rec = field.eval_batch(t, Y)
-        cov, root = np.moveaxis(rec[:, d2:].reshape(-1, 2, d2, d2), 1, 0)
         if cache_policy.interpolate:
-            root = psd_sqrt(cov)
-        return rec[:, :d2], root
+            return rec[:, :d2], psd_sqrt(rec[:, d2:d2 + d2 * d2].reshape(-1, d2, d2))
+        return rec[:, :d2], rec[:, d2 + d2 * d2:].reshape(-1, d2, d2)
 
     return AveragedSDE(regime, d2, coefficients_batch, field.provenance)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -155,44 +155,57 @@ def apply_matrix(m, v: Array) -> Array:
     ``(..., d, d)`` or ``(d, d)``, applied to a batch of vectors ``(..., d)``.
 
     Every result is bit-identical to the stacked product
-    ``(m @ v[..., None])[..., 0]``.  A ``(1, 1)`` matrix is one elementwise
-    product: the stacked product sums from +0.0, so ``+= 0.0`` turns a -0.0
-    into +0.0 as it does.  Every other shape keeps the stacked product; a
-    per-column product of a ``(d, d)`` matrix is faster but rounds
-    differently.
+    ``(m @ v[..., None])[..., 0]``.  A ``(1, 1)`` matrix, or a stack of
+    ``(..., 1, 1)`` ones, is one elementwise product: the stacked product
+    sums from +0.0, so ``+= 0.0`` turns a -0.0 into +0.0 as it does.  Every
+    other shape keeps the stacked product; a per-column product of a
+    ``(d, d)`` matrix is faster but rounds differently.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.shape == (1, 1):
-        out = v * m[0, 0]
+    if m.shape[-2:] == (1, 1):
+        out = v * m[..., 0]
         out += 0.0
         return out
     return (m @ v[..., None])[..., 0]
 
 
-def block_noise(sigma_at: Callable[[], Array], z: Array, scale: float) -> Iterator[Array]:
-    """Yield ``scale * sigma z[j]`` for each step j of a block of draws ``z``
-    (steps on the leading axis).  ``sigma_at()`` reads sigma at the caller's
-    state, which the caller moves only after taking the step's noise.  Sigma
-    is read at the block's first state; a ``(d, d)`` one gives the whole
-    block's noise as one product, and a batched one is read again before
-    every later step."""
+class _StepNoise:
+    """The noise of a block under a batched sigma, step by step: indexing
+    step j reads sigma at the caller's state (step 0 at the block's first
+    state, already read) and returns ``scale * sigma z[j]``."""
+
+    def __init__(self, sigma_at: Callable[[], Array], sig0: Array, z: Array,
+                 scale: float):
+        self._sigma_at, self._sig0, self._z, self._scale = sigma_at, sig0, z, scale
+
+    def __getitem__(self, j: int) -> Array:
+        noise = apply_matrix(self._sig0 if j == 0 else self._sigma_at(), self._z[j])
+        noise *= self._scale
+        return noise
+
+
+def block_noise(sigma_at: Callable[[], Array], z: Array, scale: float):
+    """The noise of a block of draws ``z`` (steps on the leading axis):
+    ``noise[j]`` is ``scale * sigma z[j]``, taken at step j, in step order.
+
+    ``sigma_at()`` reads sigma at the caller's state, which the caller moves
+    only after taking the step's noise.  Sigma is read at the block's first
+    state.  A ``(d, d)`` one gives the whole block's noise as one array; a
+    batched one is read again when each later step is indexed."""
     sig = np.asarray(sigma_at(), dtype=np.float64)
     if sig.ndim == 2:
         noise = apply_matrix(sig, z)
         noise *= scale
-        yield from noise
-        return
-    for j in range(z.shape[0]):
-        noise = apply_matrix(sig if j == 0 else sigma_at(), z[j])
-        noise *= scale
-        yield noise
+        return noise
+    return _StepNoise(sigma_at, sig, z, scale)
 
 
 def check_state(tag: str, state: Array, cap: float, t: float, lo: int = 0) -> Array:
     """Norms over the last axis of ``state``.  A non-finite norm raises
     :class:`NonFiniteCoefficient`, then one above ``cap`` raises :class:`BlowUp`,
     naming the first such path on the leading axis (from ``lo``) and ``t``."""
-    norms = np.linalg.norm(state, axis=-1)
+    # np.linalg.norm's arithmetic for real input, without its Python layers
+    norms = np.sqrt(np.add.reduce(state * state, axis=-1))
     bad = ~np.isfinite(norms)
     if bad.any():
         path = lo + int(np.nonzero(bad)[0][0])

@@ -215,9 +215,10 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
                 k0 = mi * n_micro + j0
                 steps = np.arange(k0, k0 + nb, dtype=np.uint64)[:, None]
                 z = rng.normals(cfg.seed, rng.LANE_FAST, paths, steps, d1)
-                noises = block_noise(partial(system.sigma, X, Y), z, sq_h)
-                for j, noise in enumerate(noises, j0):
-                    tj = tm + j * h
+                noise = block_noise(partial(system.sigma, X, Y), z, sq_h)
+                for j in range(nb):
+                    dw = noise[j]    # taken before X moves
+                    tj = tm + (j0 + j) * h
                     Hsum += system.H(tj, X, Y)
                     if integrand is not None:
                         acc = _accumulate(acc, integrand(tj, X, Y), h)
@@ -229,7 +230,7 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
                     drift += c_term
                     drift *= h
                     X += drift
-                    X += noise
+                    X += dw
             z2 = rng.normals(cfg.seed, rng.LANE_SLOW, paths, np.uint64(mi), d2)
             Y = Y + (Fm + Hsum * (inv_g / n_micro)) * dt + apply_matrix(Gm, z2) * sq_dt
             mx = np.maximum(mx, check_state("fast", X, cfg.blowup_cap, tm + dt, lo))

@@ -509,9 +509,29 @@ WRONG = {
     "list": ["1,1,1", 5, {"a": 1}],
     "object": [[1], "x", 5],
 }
+# the corrector's retired keys, with the kinds they had: any value of one,
+# of whatever kind, is refused as an unknown field before its kind is read.
+# Their cases keep the slot after "y" that they had while the keys were
+# read: pytest numbers a case whose value it cannot print by its position,
+# so the slot keeps every later case's id.
+RETIRED = {"T_max": "real", "n_paths": "count", "dt": "real"}
+
+
+def _tried_kinds(command: str) -> dict:
+    """The keys whose wrong values are tried, with their kinds, in order."""
+    kinds = fastslow.cli._CONFIG_KEYS[command]
+    if command != "corrector":
+        return kinds
+    keys = list(kinds)
+    at = keys.index("y") + 1
+    return {key: kinds.get(key) or RETIRED[key]
+            for key in keys[:at] + list(RETIRED) + keys[at:]}
+
+
+TRIED_KINDS = {command: _tried_kinds(command) for command in fastslow.cli._CONFIG_KEYS}
 WRONG_KINDS = [
     (command, key, value)
-    for command, kinds in fastslow.cli._CONFIG_KEYS.items()
+    for command, kinds in TRIED_KINDS.items()
     for key, kind in kinds.items()
     for value in WRONG[kind]
 ] + [("corrector", f"grid.{key}", value)
@@ -524,7 +544,7 @@ NON_FINITE = {"real": [math.inf, math.nan], "vector": [-math.inf, [0.5, math.inf
               "vectors": [[[math.nan]]], "rational": [math.inf, math.nan]}
 WRONG_KINDS += [
     (command, key, value)
-    for command, kinds in fastslow.cli._CONFIG_KEYS.items()
+    for command, kinds in TRIED_KINDS.items()
     for key, kind in kinds.items()
     for value in NON_FINITE.get(kind, [])
 ] + [("corrector", f"grid.{key}", value) for key in ("lo", "hi")
@@ -535,7 +555,7 @@ HUGE = {"real": 10 ** 400, "vector": [0.5, -10 ** 400], "vectors": [[10 ** 400]]
         "rational": -10 ** 400}
 WRONG_KINDS += [
     pytest.param(command, key, HUGE[kind], id=f"{command}-{key}-huge")
-    for command, kinds in fastslow.cli._CONFIG_KEYS.items()
+    for command, kinds in TRIED_KINDS.items()
     for key, kind in kinds.items() if kind in HUGE
 ] + [pytest.param("corrector", f"grid.{key}", HUGE["vector"], id=f"corrector-grid.{key}-huge")
      for key in ("lo", "hi")]
@@ -576,7 +596,9 @@ def test_value_of_another_kind_exits_2(tmp_path, capsys, nothing_runs, command,
     else:
         cfg[key] = value
     assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
-    assert f"config error: {key} must be " in capsys.readouterr().err
+    refusal = (f"unknown config fields: ['{key}']"
+               if command == "corrector" and key in RETIRED else f"{key} must be ")
+    assert f"config error: {refusal}" in capsys.readouterr().err
     assert not (out / f"{command}.csv").exists()
     summary = json.loads((out / f"{command}_summary.json").read_text())
     assert summary["error"]["type"] == "ConfigError"
@@ -586,11 +608,11 @@ def test_value_of_another_kind_exits_2(tmp_path, capsys, nothing_runs, command,
                                         ("dt", 0.01)])
 def test_removed_corrector_key_exits_2(tmp_path, capsys, nothing_runs, key, value):
     # the budgets of the path-integral corrector; the grid solve reads none,
-    # so a config that sets one is refused before anything runs
+    # so a config that sets one is refused as unknown before anything runs
     out = tmp_path / "out"
     cfg = dict(VALID["corrector"](out), **{key: value})
     assert run_cli(["corrector", "--config", write_config(tmp_path, "c", cfg)]) == 2
-    assert f"config error: {key} is no longer read" in capsys.readouterr().err
+    assert f"config error: unknown config fields: ['{key}']" in capsys.readouterr().err
     assert not (out / "corrector.csv").exists()
     summary = json.loads((out / "corrector_summary.json").read_text())
     assert summary["error"]["type"] == "ConfigError"

@@ -273,6 +273,41 @@ class TestCellStore:
                 seen |= {(ti, *map(int, row)) for row in base + np.asarray(o)}
             assert field.n_cells == len(seen)
 
+    @pytest.mark.parametrize("d2", [1, 2])
+    def test_is_a_per_row_dict_lookup(self, d2):
+        # the batch lookup against a dict read row by row: the same records
+        # bit for bit, the same cell count, and the cells computed in the
+        # same order, each batch's new cells in sorted key order
+        gen = np.random.default_rng(40 + d2)
+        q, seed = 0.5, 77
+        field = CellField(_seed_field, CachePolicy(quantum=q), seed, True)
+        memo = {}
+        base = np.rint(gen.normal(scale=3.0, size=(40, d2)))
+        far = gen.integers(-2 ** 40, 2 ** 40, size=(6, d2)).astype(np.float64)
+        batches = [
+            base,
+            base[gen.permutation(40)],                       # shuffled
+            np.repeat(base[:5], 9, axis=0),                  # repeated rows
+            np.vstack([base[:3], far, far[::-1], base[:3]]),  # span >> n
+            np.vstack([far[:2] + 1.0, base, far[:2] - 1.0])[gen.permutation(44)],
+        ]
+        if d2 == 2:
+            # rows that share one coordinate and differ in the other
+            batches.append(np.array([[3.0, -1.0], [3.0, 4.0], [-2.0, 4.0],
+                                     [3.0, -1.0], [-2.0, -7.0], [0.0, 4.0]]))
+        for lattice in batches:
+            Y = (lattice + gen.uniform(-0.4, 0.4, lattice.shape)) * q
+            keys = [tuple(k) for k in np.rint(Y / q).astype(np.int64).tolist()]
+            for key in sorted(set(keys)):
+                if key not in memo:
+                    memo[key] = _seed_field(0.0, np.asarray(key, dtype=np.float64) * q,
+                                            rng.derive_key(seed, rng.LANE_CELL, 0, *key))
+            want = np.stack([memo[key] for key in keys])
+            got = field.eval_batch(0.0, Y)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert field.n_cells == len(memo)
+            assert list(field._memo) == [(0, *key) for key in memo]
+
     def test_repeated_rows_hit_one_cell(self):
         calls = []
 

@@ -499,8 +499,7 @@ CONFIG_KEYS = {
                   "y": "vector", "burn_in": "real", "n_samples": "count",
                   "thinning": "count", "dt": "real"},
     "corrector": {"preset": "text", "seed": "seed", "grid": "object",
-                  "t": "real", "y": "vector", "T_max": "real",
-                  "n_paths": "count", "dt": "real", "centering_samples": "count",
+                  "t": "real", "y": "vector", "centering_samples": "count",
                   "gradients": "flag"},
     "average": {"preset": "text", "seed": "seed", "exponents": "list",
                 "budgets": "object", "t": "real", "ys": "vectors", "y": "vector"},

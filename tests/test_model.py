@@ -173,6 +173,36 @@ def test_apply_matrix_other_shapes_are_the_stacked_product(lead):
         assert np.array_equal(_bits(got), _bits(_stacked(m, v)))
 
 
+@pytest.mark.parametrize("shape", [(257, 1, 1), (1, 1), (257, 2, 2)])
+def test_apply_matrix_signed_zeros_are_the_stacked_product(shape):
+    # zeros of both signs in the matrices and in the vectors, against each
+    # other and against normal, subnormal and infinite entries: a (1, 1)
+    # matrix, or a stack of them, takes the elementwise path and must round,
+    # and sign its zeros, as the stacked product does
+    r = np.random.default_rng(6)
+    d = shape[-1]
+    special = [0.0, -0.0, 5e-324, -5e-324, math.inf, -2.5]
+    v = r.standard_normal((257, d))
+    v.reshape(-1)[:24] = np.tile(special, 4)
+    v.reshape(-1)[-12:] = [-0.0, 0.0, -0.0] * 4
+    if shape == (1, 1):
+        ms = [np.array([[s]]) for s in special]
+    else:
+        m = r.standard_normal(shape)
+        m.reshape(-1)[:24] = np.repeat(special, 4)
+        m.reshape(-1)[-12:] = [0.0, -0.0] * 6
+        ms = [m]
+    plus_zeros = 0
+    for m in ms:
+        with np.errstate(invalid="ignore"):
+            got = apply_matrix(m, v)
+            want = _stacked(m, v)
+        assert got.shape == want.shape == (257, d)
+        assert np.array_equal(_bits(got), _bits(want))
+        plus_zeros += np.count_nonzero((want == 0.0) & ~np.signbit(want))
+    assert plus_zeros > 0
+
+
 # sigma kinds of block_noise: (1, 1) and (2, 2) without batch axes, and a
 # batched sigma that depends on the state, row i scaled by 1 + 0.2 tanh(x_i)
 CONST2 = np.array([[1.3, 0.4], [-0.2, 0.9]])
@@ -201,15 +231,15 @@ def test_block_noise_is_the_per_step_product(name):
 
     X = x0.copy()
     got = []
-    for noise in block_noise(lambda: sigma_at(X), z, scale):
-        got.append(noise.copy())
-        X += 0.05 * np.tanh(X) + noise
+    noise = block_noise(lambda: sigma_at(X), z, scale)
+    for j in range(z.shape[0]):
+        got.append(noise[j].copy())
+        X += 0.05 * np.tanh(X) + got[-1]
     Xr = x0.copy()
     for j in range(z.shape[0]):
         want = apply_matrix(sigma(Xr), z[j]) * scale
         assert np.array_equal(_bits(got[j]), _bits(want)), j
         Xr += 0.05 * np.tanh(Xr) + want
-    assert len(got) == z.shape[0]
     assert len(calls) == (z.shape[0] if batched else 1)
     assert np.array_equal(_bits(X), _bits(Xr))
 
