@@ -20,9 +20,11 @@ One reader checks each config key against its kind (``_CONFIG_KEYS``) before
 anything runs: a count is a JSON integer, a seed one in [0, 2**64), a real a
 JSON number within float range, a flag a JSON boolean, a text, list or object
 that JSON type, and a vector a number or a list of numbers; "exponents" and
-"theta" may hold fraction strings such as "1/2".  "out_dir" belongs to the
-run and is read first, as text.  An absent key is not passed on, so the
-called function's default applies; the CLI's own defaults are ``_DEFAULTS``.
+"theta" may hold fraction strings such as "1/2".  The reader checks kinds
+only; the library checks ranges (a radius > 0, a step > 0), and names the
+parameter of a value out of its range.  "out_dir" belongs to the run and is
+read first, as text.  An absent key is not passed on, so the called
+function's default applies; the CLI's own defaults are ``_DEFAULTS``.
 """
 
 from __future__ import annotations

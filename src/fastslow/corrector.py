@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, NotCentered
 from .ergodic import MeasureEnsemble
-from .model import CoupledSystem, _count, _require_finite
+from .model import CoupledSystem, _count, _real, _require_finite
 
 Array = np.ndarray
 
@@ -91,8 +91,8 @@ class CorrectorQuery:
                 raise ValueError(f"grid axis {j} must be evenly spaced and increasing")
         object.__setattr__(self, "grid_axes", axes)
         object.__setattr__(self, "points", _nodes(axes))
-        if not (0 < self.T_max < math.inf and 0 < self.dt < math.inf):
-            raise ValueError("T_max and dt must be finite and > 0")
+        _real("T_max", self.T_max)
+        _real("dt", self.dt)
         _count("n_paths", self.n_paths)
 
 
@@ -136,19 +136,11 @@ def codomain(f, t: float, x: Array, y: Array) -> int:
     return 1 if vals.ndim <= 1 else int(vals.shape[-1])
 
 
-def _check_delta_y(delta_y) -> None:
-    """Refuse a y-step that is neither None (the default step) nor a finite
-    number > 0; a zero step makes every y-difference 0 / 0."""
-    if delta_y is not None and not (math.isfinite(delta_y) and delta_y > 0):
-        raise ValueError(f"delta_y must be None or a finite number > 0, got {delta_y!r}")
-
-
 def _y_step(y: Array, delta_y: float | None) -> float:
-    """Step of the central y-differences: ``delta_y``, or by default
-    1e-3 * max(1, |y|)."""
-    _check_delta_y(delta_y)
+    """Step of the central y-differences: ``delta_y``, which must be a finite
+    number > 0, or by default 1e-3 * max(1, |y|)."""
     if delta_y is not None:
-        return float(delta_y)
+        return _real("delta_y", delta_y)
     return 1e-3 * max(1.0, float(np.linalg.norm(y)))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .errors import NonFiniteCoefficient
-from .model import CoupledSystem, _count, block_noise, check_state
+from .model import CoupledSystem, _count, _real, block_noise, check_state
 
 Array = np.ndarray
 
@@ -116,8 +116,8 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     ``n (c + 1) // K - n c // K`` states, so exactly ``n_samples`` rows come
     back.  With one chain this is the single trajectory keyed on path 0.
     """
-    if burn_in <= 0 or dt <= 0:
-        raise ValueError("burn_in and dt must be > 0")
+    burn_in, dt = _real("burn_in", burn_in), _real("dt", dt)
+    _real("blowup_cap", blowup_cap)
     if _count("n_samples", n_samples) < 1 or _count("thinning", thinning) < 1:
         raise ValueError("n_samples and thinning must be >= 1")
     d1 = system.d1

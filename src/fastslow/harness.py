@@ -31,7 +31,7 @@ from .ergodic import centering_residual
 from .homogenize import Budgets, CachePolicy, CellField, build_limit_sde, \
     corrector_corrections, _cloud
 from .model import CoupledSystem, Regime, ScaleSchedule, classify_regime, \
-    _as_fraction
+    _as_fraction, _real
 from .presets import get_system
 from .simulate import PathConfig, integrate_coupled, integrate_limit
 from .testfns import FLUCT_LIBRARY, get_phi
@@ -198,18 +198,14 @@ class ExperimentConfig:
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
-        if self.T <= 0:
-            raise ConfigError("T must be positive")
         if self.time_grid_n < 2:
             raise ConfigError("time_grid_n must be >= 2")
-        if self.dt_slow <= 0:
-            raise ConfigError("dt_slow must be > 0")
-        if self.micro_substeps < 1:
-            raise ConfigError("micro_substeps must be >= 1")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
-        if self.paths_coupled < 1:
-            raise ConfigError("paths_coupled must be >= 1")
+        try:  # a study needs a positive horizon; PathConfig checks the rest
+            _real("T", self.T)
+            self.path_config()
+        except ValueError as e:  # named as the config names them
+            raise ConfigError(str(e).replace("micro_substeps_per_alpha2", "micro_substeps")
+                              .replace("n_paths", "paths_coupled")) from None
         rng.check_seed(self.seed)
         for name in self.phi_names:
             get_phi(name)

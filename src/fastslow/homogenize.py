@@ -38,7 +38,6 @@ same halved convention, so the factor changes only together with it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,12 +46,11 @@ import numpy as np
 from . import rng
 from .corrector import (CorrectorField, CorrectorQuery, cloud_mean, codomain,
                         gradients, multilinear, outer_product_HPhi,
-                        solve_poisson_fk, _check_delta_y, _grid_at, _MAX_NODES,
-                        _y_step)
+                        solve_poisson_fk, _grid_at, _MAX_NODES, _y_step)
 from .ergodic import (MeasureEnsemble, average, centering_residual,
                       sample_invariant_measure)
 from .errors import PSDFailure
-from .model import CoupledSystem, Regime, _count
+from .model import CoupledSystem, Regime, _count, _real
 
 Array = np.ndarray
 
@@ -92,22 +90,18 @@ class Budgets:
                      "grid_points", "n_batches"):
             _count(name, getattr(self, name))
         for name in ("invariant_burn_in", "invariant_dt", "corrector_tmax",
-                     "corrector_dt", "grid_pad"):
-            real = getattr(self, name)
-            if (isinstance(real, bool) or not isinstance(real, numbers.Real)
-                    or not -math.inf < real < math.inf):
-                raise ValueError(f"{name} must be a finite number, got {real!r}")
-            # grid_pad may be 0; a negative one turns the grid axes around
-            if not (real > 0 or real == 0 and name == "grid_pad"):
-                bound = ">= 0" if name == "grid_pad" else "> 0"
-                raise ValueError(f"{name} must be {bound}, got {real!r}")
+                     "corrector_dt"):
+            _real(name, getattr(self, name))
+        # grid_pad may be 0; a negative one turns the grid axes around
+        _real("grid_pad", self.grid_pad, closed=True)
         for name, least in (("invariant_samples", 1), ("invariant_thinning", 1),
                             ("n_batches", 2), ("grid_points", 3)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if self.corrector_paths < self.n_batches:
             raise ValueError("corrector_paths must be >= n_batches")
-        _check_delta_y(self.delta_y)
+        if self.delta_y is not None:  # a zero step makes every y-difference 0 / 0
+            _real("delta_y", self.delta_y)
 
 
 def psd_sqrt(M: Array, tol_psd: float | None = None) -> Array:
@@ -123,7 +117,8 @@ def psd_sqrt(M: Array, tol_psd: float | None = None) -> Array:
         raise ValueError("matrix is not symmetric")
     Ms = 0.5 * (M + M.swapaxes(-1, -2))
     w, V = np.linalg.eigh(Ms)
-    tol = 1e-6 * np.abs(np.trace(Ms, axis1=-2, axis2=-1)) if tol_psd is None else tol_psd
+    tol = (1e-6 * np.abs(np.trace(Ms, axis1=-2, axis2=-1)) if tol_psd is None
+           else _real("tol_psd", tol_psd, closed=True))
     if np.any(w[..., 0] < -tol):
         raise PSDFailure(
             f"eigenvalue {w.min():.3g} below -{np.min(tol):.3g}; increase the MC "
@@ -335,7 +330,7 @@ def transfer_derivative(h, system: CoupledSystem, y, direction,
     e = np.asarray(direction, dtype=np.float64).reshape(-1)
     if e.shape != y.shape:
         raise ValueError("direction must match the slow dimension")
-    nrm = np.linalg.norm(e)
+    nrm = _real("the norm of direction", np.linalg.norm(e))
     if not np.isclose(nrm, 1.0, atol=1e-8):
         e = e / nrm
 
@@ -386,12 +381,9 @@ class CachePolicy:
     def __post_init__(self):
         # a zero, negative or non-finite quantum makes the lattice keys of
         # eval_batch inf or nan, which all land in one meaningless cell
-        if not (math.isfinite(self.quantum) and self.quantum > 0):
-            raise ValueError(f"quantum must be a finite number > 0, got {self.quantum!r}")
-        if self.t_quantum is not None and not (math.isfinite(self.t_quantum)
-                                               and self.t_quantum > 0):
-            raise ValueError("t_quantum must be None or a finite number > 0, "
-                             f"got {self.t_quantum!r}")
+        _real("quantum", self.quantum)
+        if self.t_quantum is not None:
+            _real("t_quantum", self.t_quantum)
 
     @property
     def tq(self) -> float:

@@ -18,10 +18,16 @@ draws from it.
 :func:`apply_matrix` is the one kernel that multiplies such a coefficient
 into a batch of noise vectors; :func:`check_state` is the one state check
 of every step loop (the integrators and the invariant sampler).
+
+The library's input checks are :func:`_real` (a finite real number above a
+bound), :func:`_count` (an integer) and :func:`fastslow.rng.check_seed`;
+each refuses by name, once per call and never per step.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -35,10 +41,13 @@ from .errors import BlowUp, NonFiniteCoefficient
 Array = np.ndarray
 
 
-def _as_fraction(q) -> Fraction:
-    """Exact rational coercion; floats convert by their binary value."""
+def _as_fraction(q, name: str = "theta") -> Fraction:
+    """Exact rational coercion; floats convert by their binary value, and a
+    non-finite one raises ValueError naming ``name``."""
     if isinstance(q, Fraction):
         return q
+    if isinstance(q, float):
+        _real(name, q, lo=-math.inf)
     if isinstance(q, (int, float, str)) and not isinstance(q, bool):
         return Fraction(q)
     raise TypeError(f"cannot interpret {q!r} as a rational exponent")
@@ -73,10 +82,7 @@ class ScaleSchedule:
 
     def __post_init__(self):
         for name in ("exp_alpha", "exp_beta", "exp_gamma"):
-            q = getattr(self, name)
-            if isinstance(q, float) and not -np.inf < q < np.inf:
-                raise ValueError(f"exponents must be finite, got {name}={q!r}")
-            object.__setattr__(self, name, _as_fraction(q))
+            object.__setattr__(self, name, _as_fraction(getattr(self, name), name))
         if self.exp_alpha <= 0:
             raise ValueError("exp_alpha must be > 0")
         if self.exp_beta < 0 or self.exp_gamma < 0:
@@ -227,6 +233,18 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value, lo: float = 0.0, closed: bool = False) -> float:
+    """``value`` as a float if it is a finite real number (not a bool) above
+    ``lo``, or at least ``lo`` when ``closed``; anything else raises
+    ValueError naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not (value >= lo if closed else value > lo):
+        raise ValueError(f"{name} must be {'>=' if closed else '>'} {lo:g}, got {value!r}")
+    return float(value)
+
+
 def _require_finite(name: str, value: Array) -> Array:
     value = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(value)):
@@ -276,8 +294,7 @@ def validate_assumptions(system: CoupledSystem, lam: float, sample_budget: int,
     |x| = radius.  ``eps`` is the smallest scale at which the combined drift
     b + eps*c is screened.  Deterministic under ``seed``.
     """
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    lam, radius, eps = _real("lam", lam, lo=1.0), _real("radius", radius), _real("eps", eps)
     n = _count("sample_budget", sample_budget)
     if n < 1:
         raise ValueError("sample_budget must be >= 1")
@@ -315,8 +332,7 @@ def validate_assumptions(system: CoupledSystem, lam: float, sample_budget: int,
     ac = float(np.max(np.sum(x_sph * (bv + eps * cv), axis=-1)))
 
     return ValidationReport(
-        lam=float(lam), sample_budget=n, radius=float(radius), seed=int(seed),
-        eps=float(eps),
+        lam=lam, sample_budget=n, radius=radius, seed=int(seed), eps=eps,
         a_eig_min=a_min, a_eig_max=a_max, a_ok=bool(a_ok),
         g_eig_min=g_min, g_eig_max=g_max, g_ok=bool(g_ok),
         recurrence_max=rec, recurrence_plausible=bool(rec < 0.0),

@@ -39,7 +39,8 @@ from functools import partial
 import numpy as np
 
 from . import rng
-from .model import CoupledSystem, ScaleSchedule, apply_matrix, block_noise, check_state
+from .model import (CoupledSystem, ScaleSchedule, _real, apply_matrix, block_noise,
+                    check_state)
 
 Array = np.ndarray
 
@@ -66,15 +67,14 @@ class PathConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
-        if self.dt_slow <= 0:
-            raise ValueError("dt_slow must be > 0")
+        _real("T", self.T, closed=True)
+        _real("dt_slow", self.dt_slow)
+        _real("blowup_cap", self.blowup_cap)
         if self.micro_substeps_per_alpha2 < 1:
             raise ValueError("micro_substeps_per_alpha2 must be >= 1")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        _check_one_worker(self.n_workers)
+        _check_loop(self.chunk_size, self.n_workers)
 
 
 @dataclass(kw_only=True)
@@ -119,15 +119,15 @@ def _snap_rows(times, dt: float, n_steps: int) -> dict[int, list[int]]:
     return rows
 
 
-def _check_one_worker(n_workers: int) -> None:
+def _check_loop(chunk_size: int, n_workers: int) -> None:
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (paths run in one loop), got {n_workers!r}")
 
 
 def _chunks(n_paths: int, chunk: int) -> list[tuple[int, int]]:
     """Consecutive ``(lo, hi)`` ranges of at most ``chunk`` paths."""
-    if chunk < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk!r}")
     return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
 
@@ -157,8 +157,6 @@ def integrate_coupled(system: CoupledSystem, schedule: ScaleSchedule, eps: float
     along the micro grid (one value per path); ``macro_integrand(t, y)``
     likewise along the macro grid.  Both are optional.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     al, be, ga = schedule.scales(eps)
     d1, d2 = system.d1, system.d2
     x_init = _vec(x0, d1, "x0")
@@ -264,10 +262,10 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
     step pairs their driving increments.  ``n_workers`` is kept for
     existing callers and must be 1.
     """
-    _check_one_worker(n_workers)
+    _check_loop(chunk_size, n_workers)
+    T, dt = _real("T", T, closed=True), _real("dt", dt)
+    _real("blowup_cap", blowup_cap)
     y_init = _vec(y0, avg.d2, "y0")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     d = y_init.shape[0]
     n_steps = max(1, int(round(T / dt))) if T > 0 else 0
     h = T / n_steps if n_steps else 0.0

@@ -254,7 +254,7 @@ def test_zero_quantum_exits_2_without_csv(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, "c", converge_cfg(out, quantum=0))
     assert run_cli(["converge", "--config", path]) == 2
-    assert "quantum must be a finite number > 0" in capsys.readouterr().err
+    assert "quantum must be > 0, got 0.0" in capsys.readouterr().err
     assert not (out / "converge.csv").exists()
     summary = json.loads((out / "converge_summary.json").read_text())
     assert summary["status"] == "error"
@@ -455,7 +455,7 @@ def test_zero_delta_y_exits_2(tmp_path, capsys):
            "budgets": dict(SMALL_BUDGETS, corrector_paths=40,
                            corrector_tmax=0.5, delta_y=0)}
     assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
-    assert "delta_y must be None or a finite number > 0" in capsys.readouterr().err
+    assert "delta_y must be > 0, got 0" in capsys.readouterr().err
     summary = json.loads((out / "average_summary.json").read_text())
     assert summary["error"]["type"] == "ValueError"
     assert not (out / "average.csv").exists()
@@ -628,10 +628,25 @@ def test_non_finite_exponent_exits_2(tmp_path, capsys, nothing_runs, command, va
     cfg = VALID[command](out)
     cfg["exponents"] = [1, value, 1]
     assert run_cli([command, "--config", write_config(tmp_path, "c", cfg)]) == 2
-    assert f"exponents must be finite, got exp_beta={value!r}" in capsys.readouterr().err
+    assert f"exp_beta must be a finite number, got {value!r}" in capsys.readouterr().err
     summary = json.loads((out / f"{command}_summary.json").read_text())
     assert summary["status"] == "error"
     assert not (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("radius", 0), ("radius", -1), ("eps", -3)])
+def test_validate_out_of_range_exits_2(tmp_path, capsys, key, value):
+    # a zero radius screened x = 0 alone and exited 0 with recurrence_max
+    # 0.0; a negative radius or eps ran as well
+    out = tmp_path / "out"
+    cfg = {"preset": "ou_full", "out_dir": str(out), key: value}
+    assert run_cli(["validate", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    message = f"{key} must be > 0, got {float(value)!r}"
+    assert f"config error: {message}" in capsys.readouterr().err
+    summary = json.loads((out / "validate_summary.json").read_text())
+    assert summary == {"status": "error",
+                       "error": {"type": "ValueError", "message": message}}
+    assert not (out / "validate.csv").exists()
 
 
 def test_invariant_summary_holds_the_cloud_diagnostics(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -116,12 +117,12 @@ class TestInvariantMeasure:
 
     @pytest.mark.parametrize("b, cap, error", [
         (lambda x, y: x + 1.0, 1e6, BlowUp),
-        (lambda x, y: x ** 3 + 1.0, np.inf, NonFiniteCoefficient),
+        (lambda x, y: x ** 3 + 1.0, sys.float_info.max, NonFiniteCoefficient),
     ], ids=["cap", "non-finite"])
     def test_refuses_a_bad_state(self, b, cap, error):
         # the chains are checked after each block of draws; x + 1 leaves the
-        # cap near t = 14, and x^3 + 1 overflows, which an infinite cap lets
-        # through to the non-finite check
+        # cap near t = 14, and x^3 + 1 overflows, which the largest finite
+        # cap lets through to the non-finite check
         with np.errstate(all="ignore"), pytest.raises(error):
             sample_invariant_measure(replace(frozen_ou(), b=b), [0.0],
                                      burn_in=20.0, n_samples=100, thinning=1,

@@ -1,7 +1,8 @@
 """Import-time guards: what ``import fastslow`` loads, where the package
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
-``model.check_state`` raises ``BlowUp``, that the grid calculus stays in
+``model.check_state`` raises ``BlowUp``, that only ``model.py`` checks a
+number for being finite or infinite, that the grid calculus stays in
 ``corrector.py`` and that ``corrector.py`` draws nothing, that no config
 command coerces a value or writes a numeric default of its own, that only
 the CLI opens a file for writing, that the names the benchmark tracer wraps
@@ -208,6 +209,69 @@ def test_blowup_guard_sees_each_form():
            "    return B('c')\n"
            "kind = BlowUp\nraise kind('d') from BlowUp('e')\n")
     assert _blowup_constructions(ast.parse(src)) == ["<module>", "f", "g", "h"]
+
+
+def _real_checks(tree) -> list[str]:
+    """The function around ("<module>" outside any) each ``math.isfinite``
+    call and each comparison with ``math.inf`` or ``np.inf``, negated or
+    not, with the names imported plainly, under an alias or from the module."""
+    isfinite, inf = {"isfinite"}, {"inf"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+            isfinite |= {a.asname for a in node.names if a.name == "isfinite" and a.asname}
+            inf |= {a.asname for a in node.names if a.name == "inf" and a.asname}
+
+    def named(node, module, names):
+        if isinstance(node, ast.Name):
+            return node.id in names
+        return (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id in module)
+
+    def is_inf(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return named(node, ("math", "np", "numpy"), inf)
+
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if ((isinstance(child, ast.Call) and named(child.func, ("math",), isfinite))
+                    or (isinstance(child, ast.Compare)
+                        and any(map(is_inf, [child.left, *child.comparators])))):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_real_numbers_are_checked_only_in_model():
+    # model._real is the one check of a real parameter; a module that tests
+    # finiteness or compares with inf by itself has grown a second copy of
+    # it.  cli._finite_or_null formats output and checks no input.
+    found = []
+    for path in sorted((SRC / "fastslow").glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{fn}" for fn in _real_checks(tree)]
+    assert [where for where in found if where != "cli.py:_finite_or_null"] == []
+
+
+def test_real_check_guard_sees_each_form():
+    src = ("import math\nimport numpy as np\n"
+           "from math import isfinite as fin, inf as INF\n"
+           "def f(x):\n    return math.isfinite(x)\n"
+           "def g(x):\n    def h(y):\n        return y < np.inf\n"
+           "    return -math.inf < x < 1.0\n"
+           "def k(x):\n    return fin(x) or x == -INF\n"
+           "ok = math.isfinite(1.0) and np.isfinite(2.0)\n"
+           "span = (-math.inf, np.inf)\nsmall = 1.0 < 2.0\n")
+    assert _real_checks(ast.parse(src)) == ["<module>", "f", "g", "h", "k", "k"]
 
 
 # the grid calculus of corrector.py: the interpolation, the stencil, the

@@ -4,9 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fastslow import (CoupledSystem, NonFiniteCoefficient, Regime,
-                      ScaleSchedule, classify_regime, validate_assumptions)
+import fastslow.rng
+from fastslow import (AveragedSDE, Budgets, CachePolicy, ConfigError,
+                      CorrectorQuery, CoupledSystem, ExperimentConfig,
+                      NonFiniteCoefficient, PathConfig, Regime, ScaleSchedule,
+                      ThetaOutOfRange, classify_regime, integrate_coupled,
+                      integrate_limit, psd_sqrt, sample_invariant_measure,
+                      solve_poisson_fk, theoretical_rate, transfer_derivative,
+                      validate_assumptions)
 from fastslow.model import apply_matrix, block_noise
+from fastslow.presets import get_system
 
 
 def sched(a, b, g):
@@ -243,3 +250,105 @@ def test_block_noise_is_the_per_step_product(name):
     assert len(calls) == (z.shape[0] if batched else 1)
     assert np.array_equal(_bits(X), _bits(Xr))
 
+
+
+OU_FULL = get_system("ou_full")
+LIMIT = AveragedSDE.from_callables(Regime.R1, 1, lambda t, y: -np.asarray(y),
+                                   lambda t, y: [[1.0]])
+
+
+def _x_minus_y(t, x, y):
+    return (x - y)[..., 0]
+
+
+def _experiment(**kw):
+    return ExperimentConfig(system=OU_FULL, system_name="ou_full",
+                            schedule=ScaleSchedule(1, 0, 0), theta=1,
+                            eps_list=(0.2,), **kw)
+
+
+# every real parameter of a public entry point: the entry point, the
+# parameter, a finite value out of its range, the call, and the error (a
+# theta out of its regime's range raises ThetaOutOfRange)
+REAL_PARAMETERS = [
+    ("Budgets", "invariant_burn_in", 0.0, lambda v: Budgets(invariant_burn_in=v), ValueError),
+    ("Budgets", "invariant_dt", -1.0, lambda v: Budgets(invariant_dt=v), ValueError),
+    ("Budgets", "corrector_tmax", 0.0, lambda v: Budgets(corrector_tmax=v), ValueError),
+    ("Budgets", "corrector_dt", 0.0, lambda v: Budgets(corrector_dt=v), ValueError),
+    ("Budgets", "grid_pad", -0.5, lambda v: Budgets(grid_pad=v), ValueError),
+    ("Budgets", "delta_y", 0.0, lambda v: Budgets(delta_y=v), ValueError),
+    ("CachePolicy", "quantum", 0.0, lambda v: CachePolicy(quantum=v), ValueError),
+    ("CachePolicy", "t_quantum", -1.0, lambda v: CachePolicy(t_quantum=v), ValueError),
+    ("CorrectorQuery", "T_max", 0.0,
+     lambda v: CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), T_max=v), ValueError),
+    ("CorrectorQuery", "dt", 0.0,
+     lambda v: CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), dt=v), ValueError),
+    ("solve_poisson_fk", "delta_y", 0.0,
+     lambda v: solve_poisson_fk(OU_FULL, OU_FULL.H, CorrectorQuery(
+         t=0.0, y=[0.0], grid_axes=(np.linspace(-3.0, 3.0, 5),)),
+         centering_z=0.0, want_grad_y=True, delta_y=v), ValueError),
+    ("PathConfig", "T", -1.0, lambda v: PathConfig(T=v, dt_slow=0.1), ValueError),
+    ("PathConfig", "dt_slow", 0.0, lambda v: PathConfig(T=1.0, dt_slow=v), ValueError),
+    ("PathConfig", "blowup_cap", 0.0,
+     lambda v: PathConfig(T=1.0, dt_slow=0.1, blowup_cap=v), ValueError),
+    ("integrate_coupled", "eps", 1.0,
+     lambda v: integrate_coupled(OU_FULL, ScaleSchedule(1, 1, 1), v, [0.0], [0.0],
+                                 PathConfig(T=0.1, dt_slow=0.05)), ValueError),
+    ("integrate_limit", "T", -1.0,
+     lambda v: integrate_limit(LIMIT, [0.0], T=v, dt=0.05, seed=0, n_paths=2), ValueError),
+    ("integrate_limit", "dt", 0.0,
+     lambda v: integrate_limit(LIMIT, [0.0], T=1.0, dt=v, seed=0, n_paths=2), ValueError),
+    ("integrate_limit", "blowup_cap", 0.0,
+     lambda v: integrate_limit(LIMIT, [0.0], T=1.0, dt=0.05, seed=0, n_paths=2,
+                               blowup_cap=v), ValueError),
+    ("sample_invariant_measure", "burn_in", 0.0,
+     lambda v: sample_invariant_measure(OU_FULL, [0.0], burn_in=v), ValueError),
+    ("sample_invariant_measure", "dt", 0.0,
+     lambda v: sample_invariant_measure(OU_FULL, [0.0], dt=v), ValueError),
+    ("sample_invariant_measure", "blowup_cap", -1.0,
+     lambda v: sample_invariant_measure(OU_FULL, [0.0], blowup_cap=v), ValueError),
+    ("validate_assumptions", "lam", 1.0,
+     lambda v: validate_assumptions(OU_FULL, lam=v, sample_budget=10, radius=1.0,
+                                    seed=0), ValueError),
+    ("validate_assumptions", "radius", 0.0,
+     lambda v: validate_assumptions(OU_FULL, lam=2.0, sample_budget=10, radius=v,
+                                    seed=0), ValueError),
+    ("validate_assumptions", "eps", -3.0,
+     lambda v: validate_assumptions(OU_FULL, lam=2.0, sample_budget=10, radius=1.0,
+                                    seed=0, eps=v), ValueError),
+    ("ScaleSchedule", "exp_alpha", 0.0, lambda v: ScaleSchedule(v, 0, 0), ValueError),
+    ("ScaleSchedule", "exp_beta", -1.0, lambda v: ScaleSchedule(1, v, 0), ValueError),
+    ("ScaleSchedule", "exp_gamma", -1.0, lambda v: ScaleSchedule(1, 0, v), ValueError),
+    ("theoretical_rate", "theta", 3.0,
+     lambda v: theoretical_rate(Regime.R1, ScaleSchedule(1, 0, 0), v),
+     (ValueError, ThetaOutOfRange)),
+    ("psd_sqrt", "tol_psd", -1.0, lambda v: psd_sqrt(np.eye(2), tol_psd=v), ValueError),
+    ("transfer_derivative", "direction", 0.0,
+     lambda v: transfer_derivative(_x_minus_y, OU_FULL, [0.3], [v]), ValueError),
+    ("ExperimentConfig", "T", 0.0, lambda v: _experiment(T=v), ConfigError),
+    ("ExperimentConfig", "dt_slow", 0.0, lambda v: _experiment(dt_slow=v), ConfigError),
+]
+
+
+@pytest.fixture
+def nothing_is_sampled(monkeypatch):
+    """Fail the test if anything draws a random number."""
+    def drawn(*a, **k):
+        pytest.fail("drew random numbers before the check")
+
+    monkeypatch.setattr(fastslow.rng, "normals", drawn)
+    monkeypatch.setattr(fastslow.rng, "uniforms", drawn)
+
+
+@pytest.mark.parametrize("call, name, value, error", [
+    pytest.param(call, name, value, error, id=f"{entry}-{name}-{label}")
+    for entry, name, out_of_range, call, error in REAL_PARAMETERS
+    for label, value in (("nan", math.nan), ("inf", math.inf),
+                         ("out_of_range", out_of_range))])
+def test_each_real_parameter_refuses_nan_inf_and_its_range(nothing_is_sampled, call,
+                                                           name, value, error):
+    # NaN passed every "x <= 0" check: a NaN horizon returned the initial
+    # state, a NaN blow-up cap switched the guard off, and a zero direction
+    # gave a NaN derivative; each is now refused by name before any draw
+    with pytest.raises(error, match=rf"\b{name}\b.*\bmust\b"):
+        call(value)

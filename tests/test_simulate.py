@@ -345,13 +345,12 @@ def test_limit_determinism_across_chunks_and_workers():
 
 @pytest.mark.parametrize("chunk", [0, -1])
 def test_chunk_below_one_is_refused(chunk):
-    # a negative chunk ran no chunk and returned the unwritten buffers
-    sys1 = make_system(lambda x, y: y - x, lambda x, y: np.array([[RT2]]))
+    # a negative chunk ran no chunk and returned the unwritten buffers; the
+    # coupled run's PathConfig refuses it when it is made
     avg = AveragedSDE.from_callables(
         Regime.R1, 1, lambda t, y: -np.asarray(y), lambda t, y: [[1.0]])
-    cfg = PathConfig(T=0.1, dt_slow=0.05, seed=0, n_paths=4, chunk_size=chunk)
     with pytest.raises(ValueError, match="chunk_size"):
-        integrate_coupled(sys1, S111, 0.3, [0.0], [0.0], cfg)
+        PathConfig(T=0.1, dt_slow=0.05, seed=0, n_paths=4, chunk_size=chunk)
     with pytest.raises(ValueError, match="chunk_size"):
         integrate_limit(avg, [0.0], T=0.1, dt=0.05, seed=0, n_paths=4,
                         chunk_size=chunk)
