@@ -47,7 +47,7 @@ from .harness import (_EXPERIMENT_KEYS, ExperimentConfig, _need, _read_config,
                       _take, fluctuation_clt, fluctuation_integrand,
                       fluctuation_lln, parse_budgets, weak_error_experiment)
 from .homogenize import Budgets, _solve_on_cloud, regime_averages
-from .model import Regime, ScaleSchedule, classify_regime, validate_assumptions
+from .model import Regime, ScaleSchedule, _count, classify_regime, validate_assumptions
 from .presets import get_system
 
 _NUMERICAL = (BlowUp, PSDFailure, NotCentered, NonFiniteCoefficient,
@@ -163,9 +163,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_validate(cfg: dict) -> tuple:
     cfg, system = _with_defaults(cfg)
-    report = validate_assumptions(
-        system, lam=cfg["lambda"], sample_budget=cfg["sample_budget"],
-        radius=cfg["radius"], seed=cfg["seed"], **_take(cfg, "eps"))
+    try:
+        report = validate_assumptions(
+            system, lam=cfg["lambda"], sample_budget=cfg["sample_budget"],
+            radius=cfg["radius"], seed=cfg["seed"], **_take(cfg, "eps"))
+    except ValueError as e:  # named as the config names it
+        raise ValueError(str(e).replace("lam ", "lambda ")) from None
     summary = report.as_dict()
     rows = [[key, str(val) if isinstance(val, bool) else val]
             for key, val in summary.items()]
@@ -203,6 +206,7 @@ def _cmd_corrector(cfg: dict) -> tuple:
     lo, hi, npts = (np.atleast_1d(_need(grid, key)) for key in ("lo", "hi", "n"))
     if not (len(lo) == len(hi) == len(npts) == system.d1):
         raise ConfigError("grid lo/hi/n must have length d1")
+    npts = [_count("grid n", n) for n in npts.tolist()]
     points = _nodes([np.linspace(lo[j], hi[j], npts[j]) for j in range(system.d1)])
     want_grad, t, y = cfg["gradients"], cfg["t"], cfg["y"]
     mu = sample_invariant_measure(

@@ -118,8 +118,7 @@ def sample_invariant_measure(system: CoupledSystem, y, burn_in: float = 10.0,
     """
     burn_in, dt = _real("burn_in", burn_in), _real("dt", dt)
     _real("blowup_cap", blowup_cap)
-    if _count("n_samples", n_samples) < 1 or _count("thinning", thinning) < 1:
-        raise ValueError("n_samples and thinning must be >= 1")
+    n_samples, thinning = _count("n_samples", n_samples), _count("thinning", thinning)
     d1 = system.d1
     y_fix = np.asarray(y, dtype=np.float64).reshape(-1)
     if y_fix.shape != (system.d2,):

@@ -31,7 +31,7 @@ from .ergodic import centering_residual
 from .homogenize import Budgets, CachePolicy, CellField, build_limit_sde, \
     corrector_corrections, _cloud
 from .model import CoupledSystem, Regime, ScaleSchedule, classify_regime, \
-    _as_fraction, _real
+    _as_fraction, _count, _real
 from .presets import get_system
 from .simulate import PathConfig, integrate_coupled, integrate_limit
 from .testfns import FLUCT_LIBRARY, get_phi
@@ -198,9 +198,8 @@ class ExperimentConfig:
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
-        if self.time_grid_n < 2:
-            raise ConfigError("time_grid_n must be >= 2")
         try:  # a study needs a positive horizon; PathConfig checks the rest
+            _count("time_grid_n", self.time_grid_n, least=2)
             _real("T", self.T)
             self.path_config()
         except ValueError as e:  # named as the config names them

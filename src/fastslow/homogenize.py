@@ -86,18 +86,14 @@ class Budgets:
     def __post_init__(self):
         # checked here, not only by their consumers, so that a bad budget is
         # refused before any cloud is sampled, also in regimes with no solve
-        for name in ("invariant_samples", "invariant_thinning", "corrector_paths",
-                     "grid_points", "n_batches"):
-            _count(name, getattr(self, name))
+        for name, least in (("invariant_samples", 1), ("invariant_thinning", 1),
+                            ("corrector_paths", 0), ("grid_points", 3), ("n_batches", 2)):
+            _count(name, getattr(self, name), least)
         for name in ("invariant_burn_in", "invariant_dt", "corrector_tmax",
                      "corrector_dt"):
             _real(name, getattr(self, name))
         # grid_pad may be 0; a negative one turns the grid axes around
         _real("grid_pad", self.grid_pad, closed=True)
-        for name, least in (("invariant_samples", 1), ("invariant_thinning", 1),
-                            ("n_batches", 2), ("grid_points", 3)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if self.corrector_paths < self.n_batches:
             raise ValueError("corrector_paths must be >= n_batches")
         if self.delta_y is not None:  # a zero step makes every y-difference 0 / 0

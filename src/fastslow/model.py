@@ -20,8 +20,8 @@ into a batch of noise vectors; :func:`check_state` is the one state check
 of every step loop (the integrators and the invariant sampler).
 
 The library's input checks are :func:`_real` (a finite real number above a
-bound), :func:`_count` (an integer) and :func:`fastslow.rng.check_seed`;
-each refuses by name, once per call and never per step.
+bound), :func:`_count` (an integer of at least a bound, 1 by default) and
+:func:`fastslow.rng.check_seed`; each refuses by name, once per call, not per step.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class CoupledSystem:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("d1 and d2 must be positive")
+        _count("d1", self.d1)
+        _count("d2", self.d2)
 
     def fast_cov(self, x: Array, y: Array) -> Array:
         """a = sigma sigma^T / 2 at a batch of points."""
@@ -225,11 +225,14 @@ def check_state(tag: str, state: Array, cap: float, t: float, lo: int = 0) -> Ar
     return norms
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int if it is an int or numpy integer (not a bool);
-    anything else, a whole float included, raises ValueError naming ``name``."""
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is an int or numpy integer (not a bool) of at
+    least ``least``; anything else, a whole float included, raises ValueError
+    naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
 
 
@@ -296,8 +299,6 @@ def validate_assumptions(system: CoupledSystem, lam: float, sample_budget: int,
     """
     lam, radius, eps = _real("lam", lam, lo=1.0), _real("radius", radius), _real("eps", eps)
     n = _count("sample_budget", sample_budget)
-    if n < 1:
-        raise ValueError("sample_budget must be >= 1")
     d1, d2 = system.d1, system.d2
 
     u = rng.uniforms(seed, rng.LANE_VALIDATE, 0, np.arange(n), d1 + d2)

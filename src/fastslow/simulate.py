@@ -39,8 +39,8 @@ from functools import partial
 import numpy as np
 
 from . import rng
-from .model import (CoupledSystem, ScaleSchedule, _real, apply_matrix, block_noise,
-                    check_state)
+from .model import (CoupledSystem, ScaleSchedule, _count, _real, apply_matrix,
+                    block_noise, check_state)
 
 Array = np.ndarray
 
@@ -70,11 +70,10 @@ class PathConfig:
         _real("T", self.T, closed=True)
         _real("dt_slow", self.dt_slow)
         _real("blowup_cap", self.blowup_cap)
-        if self.micro_substeps_per_alpha2 < 1:
-            raise ValueError("micro_substeps_per_alpha2 must be >= 1")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        _check_loop(self.chunk_size, self.n_workers)
+        _count("micro_substeps_per_alpha2", self.micro_substeps_per_alpha2)
+        n_paths, chunk_size = _check_loop(self.n_paths, self.chunk_size, self.n_workers)
+        object.__setattr__(self, "n_paths", n_paths)
+        object.__setattr__(self, "chunk_size", chunk_size)
 
 
 @dataclass(kw_only=True)
@@ -119,11 +118,12 @@ def _snap_rows(times, dt: float, n_steps: int) -> dict[int, list[int]]:
     return rows
 
 
-def _check_loop(chunk_size: int, n_workers: int) -> None:
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
+def _check_loop(n_paths: int, chunk_size: int, n_workers: int) -> tuple[int, int]:
+    """The counts as ints, since a small numpy integer wraps in the chunk sums."""
+    counts = _count("n_paths", n_paths), _count("chunk_size", chunk_size)
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (paths run in one loop), got {n_workers!r}")
+    return counts
 
 
 def _chunks(n_paths: int, chunk: int) -> list[tuple[int, int]]:
@@ -262,7 +262,7 @@ def integrate_limit(avg, y0, T: float, dt: float, seed: int, n_paths: int,
     step pairs their driving increments.  ``n_workers`` is kept for
     existing callers and must be 1.
     """
-    _check_loop(chunk_size, n_workers)
+    n_paths, chunk_size = _check_loop(n_paths, chunk_size, n_workers)
     T, dt = _real("T", T, closed=True), _real("dt", dt)
     _real("blowup_cap", blowup_cap)
     y_init = _vec(y0, avg.d2, "y0")

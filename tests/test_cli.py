@@ -132,6 +132,20 @@ def test_corrector_is_right_on_a_grid_narrower_than_the_law(tmp_path):
     assert all(abs(g + 1.0) <= 0.02 for g in grad_y)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_corrector_grid_without_nodes_exits_2_before_sampling(tmp_path, capsys,
+                                                              monkeypatch, n):
+    # n = 0 failed in a numpy reduction after the centering cloud was
+    # drawn, and n = -1 in np.linspace; neither named the key
+    monkeypatch.setattr(fastslow.cli, "sample_invariant_measure",
+                        lambda *a, **k: pytest.fail("sampled before the check"))
+    out = tmp_path / "out"
+    cfg = dict(REPEATED["corrector"], out_dir=str(out), grid=dict(GRID, n=[n]))
+    assert run_cli(["corrector", "--config", write_config(tmp_path, "c", cfg)]) == 2
+    assert f"config error: grid n must be >= 1, got {n}" in capsys.readouterr().err
+    assert not (out / "corrector.csv").exists()
+
+
 @pytest.mark.parametrize("name", list(REPEATED))
 def test_repeats_byte_identical(tmp_path, name):
     command = name.split("-")[0]
@@ -642,6 +656,23 @@ def test_validate_out_of_range_exits_2(tmp_path, capsys, key, value):
     cfg = {"preset": "ou_full", "out_dir": str(out), key: value}
     assert run_cli(["validate", "--config", write_config(tmp_path, "c", cfg)]) == 2
     message = f"{key} must be > 0, got {float(value)!r}"
+    assert f"config error: {message}" in capsys.readouterr().err
+    summary = json.loads((out / "validate_summary.json").read_text())
+    assert summary == {"status": "error",
+                       "error": {"type": "ValueError", "message": message}}
+    assert not (out / "validate.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lambda", 0.5, "lambda must be > 1, got 0.5"),
+    ("lambda", 1, "lambda must be > 1, got 1.0"),
+    ("sample_budget", 0, "sample_budget must be >= 1, got 0"),
+], ids=["lambda-half", "lambda-one", "no-budget"])
+def test_validate_refusal_names_the_config_key(tmp_path, capsys, key, value, message):
+    # a lambda out of range was refused as "lam", the library's name
+    out = tmp_path / "out"
+    cfg = {"preset": "ou_full", "out_dir": str(out), key: value}
+    assert run_cli(["validate", "--config", write_config(tmp_path, "c", cfg)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     summary = json.loads((out / "validate_summary.json").read_text())
     assert summary == {"status": "error",

@@ -2,11 +2,12 @@
 imports its own modules, that it starts no threads or processes, that
 every draw goes through ``rng``'s public entry points, that only
 ``model.check_state`` raises ``BlowUp``, that only ``model.py`` checks a
-number for being finite or infinite, that the grid calculus stays in
-``corrector.py`` and that ``corrector.py`` draws nothing, that no config
-command coerces a value or writes a numeric default of its own, that only
-the CLI opens a file for writing, that the names the benchmark tracer wraps
-exist, and the public API surface with the kinds of the CLI's config keys."""
+number for being finite or infinite or refuses a count, that the grid
+calculus stays in ``corrector.py`` and that ``corrector.py`` draws nothing,
+that no config command coerces a value or writes a numeric default of its
+own, that only the CLI opens a file for writing, that the names the
+benchmark tracer wraps exist, and the public API surface with the kinds of
+the CLI's config keys."""
 
 import ast
 import dataclasses
@@ -14,6 +15,7 @@ import enum
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +274,63 @@ def test_real_check_guard_sees_each_form():
            "ok = math.isfinite(1.0) and np.isfinite(2.0)\n"
            "span = (-math.inf, np.inf)\nsmall = 1.0 < 2.0\n")
     assert _real_checks(ast.parse(src)) == ["<module>", "f", "g", "h", "k", "k"]
+
+
+# the wording of model._count's refusals: a raised message that reads so
+# outside model.py is a second copy of it
+_COUNT_WORDING = re.compile(r"must be an integer|must be >= [0-9{]")
+
+
+def _text(node) -> str:
+    """A string constant as written, an f-string with each field as "{}"."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return ""
+
+
+def _count_checks(tree) -> list[str]:
+    """The function around ("<module>" outside any) each ``raise`` whose
+    message says "must be an integer", or "must be >= " before a digit or
+    an f-string field."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None and any(
+                    _COUNT_WORDING.search(_text(n)) for n in ast.walk(child.exc)):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_counts_are_checked_only_in_model():
+    # model._count is the one check of a count parameter; a bound between
+    # two parameters, such as "corrector_paths must be >= n_batches", is not
+    found = []
+    for path in sorted((SRC / "fastslow").glob("*.py")):
+        if path.name != "model.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{fn}" for fn in _count_checks(tree)]
+    assert found == []
+
+
+def test_count_check_guard_sees_each_form():
+    src = ("def f(n):\n    raise ValueError(f'n must be an integer, got {n!r}')\n"
+           "def g(n):\n    def h():\n        raise ConfigError('n must be >= 2')\n"
+           "    raise ValueError(f'{name} must be >= {least}') from None\n"
+           "def k(a):\n    raise ValueError('a must be >= b')\n"
+           "def m(x):\n    raise ValueError(f'x must be > 0, got {x!r}')\n"
+           "doc = 'n must be an integer'\n"
+           "raise ValueError('n and m ' 'must be >= 1')\n")
+    assert _count_checks(ast.parse(src)) == ["<module>", "f", "g", "h"]
 
 
 # the grid calculus of corrector.py: the interpolation, the stencil, the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -352,3 +353,81 @@ def test_each_real_parameter_refuses_nan_inf_and_its_range(nothing_is_sampled, c
     # gave a NaN derivative; each is now refused by name before any draw
     with pytest.raises(error, match=rf"\b{name}\b.*\bmust\b"):
         call(value)
+
+
+def _query(n_paths):
+    return CorrectorQuery(t=0.0, y=[0.0], grid_axes=([0.0],), n_paths=n_paths)
+
+
+# every count parameter of a public entry point: the entry point, the
+# parameter, its first value out of range, the call, and the error
+COUNT_PARAMETERS = [
+    ("CoupledSystem", "d1", 0, lambda v: dataclasses.replace(OU_FULL, d1=v), ValueError),
+    ("CoupledSystem", "d2", 0, lambda v: dataclasses.replace(OU_FULL, d2=v), ValueError),
+    ("validate_assumptions", "sample_budget", 0,
+     lambda v: validate_assumptions(OU_FULL, lam=2.0, sample_budget=v, radius=1.0,
+                                    seed=0), ValueError),
+    ("sample_invariant_measure", "n_samples", 0,
+     lambda v: sample_invariant_measure(OU_FULL, [0.0], n_samples=v), ValueError),
+    ("sample_invariant_measure", "thinning", 0,
+     lambda v: sample_invariant_measure(OU_FULL, [0.0], thinning=v), ValueError),
+    ("Budgets", "invariant_samples", 0, lambda v: Budgets(invariant_samples=v), ValueError),
+    ("Budgets", "invariant_thinning", 0, lambda v: Budgets(invariant_thinning=v),
+     ValueError),
+    # its bound is n_batches, 20 by default
+    ("Budgets", "corrector_paths", 19, lambda v: Budgets(corrector_paths=v), ValueError),
+    ("Budgets", "grid_points", 2, lambda v: Budgets(grid_points=v), ValueError),
+    ("Budgets", "n_batches", 1, lambda v: Budgets(n_batches=v), ValueError),
+    ("PathConfig", "micro_substeps_per_alpha2", 0,
+     lambda v: PathConfig(T=1.0, dt_slow=0.1, micro_substeps_per_alpha2=v), ValueError),
+    ("PathConfig", "n_paths", 0, lambda v: PathConfig(T=1.0, dt_slow=0.1, n_paths=v),
+     ValueError),
+    ("PathConfig", "chunk_size", 0, lambda v: PathConfig(T=1.0, dt_slow=0.1, chunk_size=v),
+     ValueError),
+    ("integrate_limit", "n_paths", 0,
+     lambda v: integrate_limit(LIMIT, [0.0], T=1.0, dt=0.05, seed=0, n_paths=v), ValueError),
+    ("integrate_limit", "chunk_size", 0,
+     lambda v: integrate_limit(LIMIT, [0.0], T=1.0, dt=0.05, seed=0, n_paths=2,
+                               chunk_size=v), ValueError),
+    ("CorrectorQuery", "n_paths", 0, _query, ValueError),
+    ("ExperimentConfig", "time_grid_n", 1, lambda v: _experiment(time_grid_n=v),
+     ConfigError),
+    ("ExperimentConfig", "micro_substeps", 0, lambda v: _experiment(micro_substeps=v),
+     ConfigError),
+    ("ExperimentConfig", "paths_coupled", 0, lambda v: _experiment(paths_coupled=v),
+     ConfigError),
+    ("ExperimentConfig", "chunk_size", 0, lambda v: _experiment(chunk_size=v), ConfigError),
+]
+
+
+@pytest.mark.parametrize("call, name, value, error", [
+    pytest.param(call, name, value, error, id=f"{entry}-{name}-{label}")
+    for entry, name, out_of_range, call, error in COUNT_PARAMETERS
+    for label, value in (("fraction", 2.5), ("bool", True),
+                         ("out_of_range", out_of_range))])
+def test_each_count_parameter_refuses_a_fraction_a_bool_and_its_range(
+        nothing_is_sampled, call, name, value, error):
+    # a fractional number of micro steps ran, a fractional path count failed
+    # in numpy without a name, and integrate_limit returned an empty
+    # ensemble for 0 paths; each is now refused by name before any draw
+    with pytest.raises(error, match=rf"\b{name}\b.*\bmust\b"):
+        call(value)
+
+
+def test_small_numpy_counts_run_as_their_python_ints():
+    # a uint8 count was accepted and then wrapped, or overflowed, in the
+    # chunk and chain arithmetic
+    def limit(n, chunk):
+        return integrate_limit(LIMIT, [0.0], T=0.1, dt=0.05, seed=3, n_paths=n,
+                               chunk_size=chunk).terminal_slow
+
+    assert np.array_equal(limit(np.uint16(300), np.uint8(200)), limit(300, 200))
+    cfg = PathConfig(T=0.1, dt_slow=0.05, n_paths=np.uint16(300), chunk_size=np.uint8(200))
+    assert (cfg.n_paths, cfg.chunk_size) == (300, 200)
+    assert type(cfg.n_paths) is int and type(cfg.chunk_size) is int
+
+    def cloud(n, thin):
+        return sample_invariant_measure(OU_FULL, [0.0], burn_in=0.1, n_samples=n,
+                                        thinning=thin, seed=3).samples
+
+    assert np.array_equal(cloud(np.uint8(100), np.uint8(200)), cloud(100, 200))
