@@ -29,15 +29,15 @@ Hessian on the grid, NaN where the central stencil does not reach),
 :func:`_grid_at` (node arrays to the points, derivatives through the
 interior nodes alone) and :func:`cloud_mean` (the mean of a linear
 functional of the solution with the chain error and the grid bias in
-quadrature).  The :class:`GridTooCoarse` gate keeps its own unit-spacing
-differences.
+quadrature).  Fields store no x-derivatives; :func:`gradients` checks
+that a grid carries them, with its own unit-spacing differences.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -104,14 +104,12 @@ class CorrectorField:
     solution read at the query nodes and ``coarse`` the query grid's own;
     ``se`` is their gap, and :func:`cloud_mean` carries it through a linear
     functional by applying that to both.  ``grad_y`` and ``coarse_grad_y``
-    come from the solve (``want_grad_y``), :func:`gradients` attaches
-    ``grad_x``.
+    come from the solve (``want_grad_y``); :func:`_grid_at` reads x-derivatives.
     """
 
     query: CorrectorQuery
     values: Array
     coarse: Array
-    grad_x: Array | None = None
     grad_y: Array | None = None
     coarse_grad_y: Array | None = None
 
@@ -129,11 +127,14 @@ class CorrectorField:
         return tuple(len(ax) for ax in self.query.grid_axes)
 
 
-def codomain(f, t: float, x: Array, y: Array) -> int:
-    """Number of components of the integrand ``f`` probed at (t, x, y):
-    1 for a scalar output per point, else the size of its last axis."""
-    vals = np.asarray(f(t, x, y), dtype=np.float64)
+def _components(vals: Array) -> int:
+    """1 for one integrand value per point, else the size of the last axis."""
     return 1 if vals.ndim <= 1 else int(vals.shape[-1])
+
+
+def codomain(f, t: float, x: Array, y: Array) -> int:
+    """Number of components of the integrand ``f`` probed at (t, x, y)."""
+    return _components(np.asarray(f(t, x, y), dtype=np.float64))
 
 
 def _y_step(y: Array, delta_y: float | None) -> float:
@@ -216,13 +217,14 @@ def _generator(system: CoupledSystem, y: Array, axes, X: Array) -> Array:
     return rates
 
 
-def _grid_solve(system: CoupledSystem, f, t: float, y: Array, axes, k: int) -> Array:
+def _grid_solve(system: CoupledSystem, f, t: float, y: Array, axes) -> Array:
     """Phi_h (N, k) on the tensor grid ``axes``: L_h Phi_h = -(f - pi_h f)
     with pi_h Phi_h = 0, from two dense solves bordered by the constraint."""
     X = _nodes(axes)
-    Q = _generator(system, y, axes, X)
     N = X.shape[0]
     fv = np.asarray(f(t, X, y), dtype=np.float64)
+    k = _components(fv)
+    Q = _generator(system, y, axes, X)
     fv = _require_finite("f", np.broadcast_to(fv[:, None] if fv.ndim == 1 else fv, (N, k)))
     M = np.zeros((N + 1, N + 1))
     M[:N, :N] = Q.T
@@ -251,7 +253,7 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
     solve's domain, with zero-flux walls, so it must span the frozen law
     with room to spare.  Its refinement may hold at most ``_MAX_NODES``
     nodes, for the dense solves: at the cells' grid that admits d1 <= 2
-    (19^3 nodes at d1 = 3 do not fit).
+    (41^3 nodes at d1 = 3 and the default 21 points do not fit).
 
     With ``want_grad_y`` the solve runs only at the slow states y +/- delta
     along each slow coordinate (``delta_y``, default 1e-3 * max(1, |y|)),
@@ -273,15 +275,15 @@ def solve_poisson_fk(system: CoupledSystem, f, query: CorrectorQuery,
             f"the refined grid has {n_fine} nodes (d1 = {d1}), above the dense "
             f"solve's limit of {_MAX_NODES}")
 
-    k = codomain(f, query.t, query.points, query.y)
     ys = _shifted_states(query.y, delta) if want_grad_y else [query.y]
     axes = query.grid_axes
     fine_axes = tuple(np.linspace(ax[0], ax[-1], 2 * len(ax) - 1) for ax in axes)
     gshape = tuple(len(ax) for ax in fine_axes)
     at_nodes = (slice(None, None, 2),) * d1
-    coarse = np.stack([_grid_solve(system, f, query.t, y_s, axes, k) for y_s in ys])
+    coarse = np.stack([_grid_solve(system, f, query.t, y_s, axes) for y_s in ys])
+    k = coarse.shape[-1]
     fine = np.stack([
-        _grid_solve(system, f, query.t, y_s, fine_axes, k).reshape(gshape + (k,))
+        _grid_solve(system, f, query.t, y_s, fine_axes).reshape(gshape + (k,))
         [at_nodes].reshape(-1, k)
         for y_s in ys])
 
@@ -362,23 +364,20 @@ def _node_derivatives(field: CorrectorField, values: Array,
 
 
 def gradients(field: CorrectorField) -> CorrectorField:
-    """Attach the x-gradient to a grid-solved field.
+    """Check that the grid carries x-derivatives, and return ``field``.
 
-    x-gradients are central differences on the tensor grid (NaN at edge
-    nodes).  The field's y-gradients, if it was solved with
-    ``want_grad_y``, are kept as they are.  Raises :class:`GridTooCoarse`
+    Raises :class:`GridTooCoarse` when an axis has fewer than 3 nodes, or
     when second differences dominate first differences beyond a fixed
     tolerance of 0.5 (and clear the noise floor).
     """
     gshape = field.grid_shape
-    vals_g = field.values.reshape(gshape + (field.k,))
-    scalar = vals_g[..., 0] if field.k == 1 else vals_g.mean(-1)
+    scalar = field.values.mean(-1).reshape(gshape)
     se_med = float(np.median(field.se))
     for p, ax in enumerate(field.query.grid_axes):
         if gshape[p] < 3:
             raise GridTooCoarse(f"axis {p} has fewer than 3 nodes")
         _coarseness_check(scalar, p, float(ax[1] - ax[0]), se_med)
-    return replace(field, grad_x=_node_derivatives(field, field.values, 1)[0])
+    return field
 
 
 @dataclass(frozen=True)

@@ -147,17 +147,15 @@ def _solve_on_cloud(system: CoupledSystem, f, t: float, y: Array,
 
     Each axis runs from the cloud's range widened by ``grid_pad`` on both
     sides, and over the points ``cover`` (n, d1) as well.  It has
-    ``grid_points`` nodes at d1 = 1; at d1 = 2 as many, up to the 25 whose
-    refinement (2 n - 1)^2 still fits the dense solve's ``_MAX_NODES``; and
-    max(9, grid_points // 2) above.  The centering z of ``f`` on the cloud
-    is the solve's evidence; it is returned with the field.
+    ``grid_points`` nodes, above d1 = 1 at most the 25 whose (2 n - 1)^2
+    refinement fits the dense solve's ``_MAX_NODES``; at d1 >= 3 only
+    ``grid_points`` <= 7 fits (the default 21 refines to 41^3 nodes).  The
+    centering z of ``f`` on the cloud is the solve's evidence, returned
+    with the field.
     """
-    if system.d1 == 1:
-        n_pts = budgets.grid_points
-    elif system.d1 == 2:
-        n_pts = min(budgets.grid_points, (math.isqrt(_MAX_NODES) + 1) // 2)
-    else:
-        n_pts = max(9, budgets.grid_points // 2)
+    n_pts = budgets.grid_points
+    if system.d1 > 1:
+        n_pts = min(n_pts, (math.isqrt(_MAX_NODES) + 1) // 2)
     lo = mu.samples.min(axis=0) - budgets.grid_pad
     hi = mu.samples.max(axis=0) + budgets.grid_pad
     if cover is not None:

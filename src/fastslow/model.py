@@ -286,16 +286,17 @@ class ValidationReport:
                 for f in fields(self)} | {"passed": self.passed}
 
 
+_T_PROBE = (0.0, 0.5, 1.0)  # the times at which G G^T is screened
+
+
 def validate_assumptions(system: CoupledSystem, lam: float, sample_budget: int,
-                         radius: float, seed: int, eps: float = 0.1,
-                         t_probe: tuple[float, ...] = (0.0, 0.5, 1.0),
-                         ) -> ValidationReport:
+                         radius: float, seed: int, eps: float = 0.1) -> ValidationReport:
     """Sample-based check of ellipticity, recurrence and non-explosion.
 
     Eigenvalues of both half-covariances are screened against [1/lam, lam]
-    over a box of side 2*radius; the inward-drift checks sample the sphere
-    |x| = radius.  ``eps`` is the smallest scale at which the combined drift
-    b + eps*c is screened.  Deterministic under ``seed``.
+    over a box of side 2*radius, G's at the times _T_PROBE; the inward-drift
+    checks sample the sphere |x| = radius.  ``eps`` is the smallest scale at
+    which the combined drift b + eps*c is screened.  Deterministic under ``seed``.
     """
     lam, radius, eps = _real("lam", lam, lo=1.0), _real("radius", radius), _real("eps", eps)
     n = _count("sample_budget", sample_budget)
@@ -311,7 +312,7 @@ def validate_assumptions(system: CoupledSystem, lam: float, sample_budget: int,
     a_min, a_max = float(a_eigs.min()), float(a_eigs.max())
 
     g_min, g_max = np.inf, -np.inf
-    for t in t_probe:
+    for t in _T_PROBE:
         gc = system.slow_cov(t, x_box, y_box)
         gc = _require_finite("G", np.broadcast_to(gc, (n, d2, d2)))
         g_eigs = np.linalg.eigvalsh(gc)

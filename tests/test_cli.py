@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fastslow.cli
+from fastslow import CoupledSystem, get_system, presets, register_system
 from fastslow.cli import run_cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -711,6 +713,74 @@ def test_average_without_exponents_says_what_from_dict_says(tmp_path, capsys,
     del cfg["exponents"]
     assert run_cli(["average", "--config", write_config(tmp_path, "c", cfg)]) == 2
     assert "config needs 'exponents': [a, b, g]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponents, regime", [
+    ("1,1,1/2", "R1"), ("1,3/2,1/2", "R2"), ("1,1/2,1", "R3"), ("1,1,1", "R4"),
+    ("1,1,2", "Unclassified")])
+def test_classify_prints_the_regime(capsys, exponents, regime):
+    assert run_cli(["classify", "--exponents", exponents]) == 0
+    assert capsys.readouterr().out == f"{regime}\n"
+
+
+def test_classify_of_two_exponents_exits_2(capsys):
+    assert run_cli(["classify", "--exponents", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: --exponents expects 'a,b,g'" in captured.err
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """An empty registry of user systems, restored after the test."""
+    monkeypatch.setattr(presets, "_REGISTRY", {})
+    return presets._REGISTRY
+
+
+def shifted_ou():
+    """The ou_averaging fast equation moved up by 1: frozen law N(y + 1, 1)."""
+    return CoupledSystem(
+        d1=1, d2=1, b=lambda x, y: y + 1.0 - x,
+        sigma=lambda x, y: np.array([[math.sqrt(2.0)]]),
+        c=lambda x, y: np.zeros_like(x), F=lambda t, x, y: x - 2.0 * y,
+        H=lambda t, x, y: np.zeros_like(x), G=lambda t, x, y: np.array([[1.0]]),
+        autonomous=True, name="shifted_ou")
+
+
+def test_registered_system_is_looked_up_by_name(registry):
+    system = shifted_ou()
+    register_system("shifted_ou", system)
+    assert registry == {"shifted_ou": system}
+    assert get_system("shifted_ou") is system
+    # a preset is built afresh on each lookup, a registered system is not
+    assert get_system("ou_full") is not get_system("ou_full")
+    with pytest.raises(KeyError, match=r"unknown system 'nope'; known: "
+                                       r"\['ou_averaging', 'ou_full', 'shifted_ou'\]"):
+        get_system("nope")
+
+
+@pytest.mark.parametrize("name", ["ou_averaging", "ou_full"])
+def test_registered_system_may_not_shadow_a_preset(registry, name):
+    with pytest.raises(ValueError, match=f"'{name}' shadows a built-in preset"):
+        register_system(name, shifted_ou())
+    assert registry == {}
+    assert get_system(name).name == name
+
+
+def test_cli_runs_a_registered_system(tmp_path, registry):
+    register_system("shifted_ou", shifted_ou())
+    out = tmp_path / "out"
+    cfg = dict(REPEATED["invariant"], preset="shifted_ou", n_samples=20000,
+               thinning=10, dt=0.01, out_dir=str(out))
+    assert run_cli(["invariant", "--config", write_config(tmp_path, "c", cfg)]) == 0
+    summary = json.loads((out / "invariant_summary.json").read_text())
+    assert summary["preset"] == "shifted_ou"
+    # the clouds sit at y + 1, as the registered fast equation puts them;
+    # 0.2 is over 5 standard errors of each mean at this ESS
+    rows = [row.split(",") for row in (out / "invariant.csv").read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [0.0, 0.7]
+    for row in rows:
+        assert abs(float(row[1]) - (float(row[0]) + 1.0)) <= 0.2
 
 
 def test_runs_as_a_module():

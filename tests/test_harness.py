@@ -7,7 +7,7 @@ import pytest
 from fastslow import (ConfigError, NotCentered, Regime, ScaleSchedule,
                       ThetaOutOfRange, theoretical_rate)
 from fastslow.harness import (CONVERGE_CSV_HEADER, ExperimentConfig,
-                              clt_bound_shape, fluctuation_clt,
+                              _fit_loglog, clt_bound_shape, fluctuation_clt,
                               fluctuation_lln, lln_bound_shape,
                               weak_error_experiment)
 from fastslow.cli import _write_run
@@ -193,6 +193,43 @@ class TestWeakError:
         if rep.n_qualifying < 3:
             assert rep.insufficient_signal
             assert math.isnan(rep.fitted_slope)
+
+
+class TestLogLogFit:
+    EPS = np.array([0.2, 0.1, 0.05, 0.025])
+
+    def test_exact_power_law_has_slope_one(self):
+        sup_err = 0.3 * self.EPS
+        slope, ci, n, insufficient = _fit_loglog(self.EPS, sup_err, 1e-3 * sup_err)
+        assert (n, insufficient) == (4, False)
+        assert slope == pytest.approx(1.0, abs=1e-12)
+        assert ci == pytest.approx((1.0, 1.0), abs=1e-6)
+
+    def test_noisy_power_law_ci_is_the_least_squares_one(self):
+        # log-normal noise on err = 0.3 eps: the interval is the slope +-
+        # 1.96 of its least-squares standard error, and it covers 1 here;
+        # one draw says nothing of the interval's coverage
+        noise = np.exp(0.1 * np.random.default_rng(0).standard_normal(4))
+        sup_err = 0.3 * self.EPS * noise
+        slope, ci, n, insufficient = _fit_loglog(self.EPS, sup_err, 1e-3 * sup_err)
+        assert (n, insufficient) == (4, False)
+        x, z = np.log(self.EPS), np.log(sup_err)
+        coef, cov = np.polyfit(x, z, 1, cov="unscaled")
+        ssr = float(((np.polyval(coef, x) - z) ** 2).sum())
+        half = 1.96 * math.sqrt(cov[0, 0] * ssr / (4 - 2))
+        assert slope == pytest.approx(coef[0], abs=1e-12)
+        assert ci == pytest.approx((coef[0] - half, coef[0] + half), abs=1e-12)
+        assert 0.0 < half < 0.2
+        assert ci[0] <= 1.0 <= ci[1]
+
+    def test_fewer_than_three_points_above_their_errors_is_no_signal(self):
+        # a point qualifies only when its error exceeds 3 standard errors;
+        # the last two are 2 of theirs
+        sup_err = 0.3 * self.EPS
+        sup_se = np.array([1e-4, 1e-4, 0.0075, 0.00375])
+        slope, ci, n, insufficient = _fit_loglog(self.EPS, sup_err, sup_se)
+        assert (n, insufficient) == (2, True)
+        assert math.isnan(slope) and all(math.isnan(c) for c in ci)
 
 
 F_XY = lambda t, x, y: x - y

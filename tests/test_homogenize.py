@@ -147,6 +147,32 @@ class TestAveragedDiffusion:
                              seed=2, want_drift=False)
         assert ra.ghat[0, 0] == pytest.approx(5.0, abs=1e-12)
 
+    def test_state_dependent_factor_against_quadrature(self):
+        # G = 1 + tanh(x - y) / 2 makes G G^T a cloud mean with a chain
+        # error; the Euler chain of dx = (y - x) dt + sqrt(2) dW at step dt
+        # has the stationary law N(y, 2 dt / (1 - (1 - dt)^2)), on which
+        # Gauss-Hermite quadrature gives E[G^2] to rounding
+        sys1 = make_system(b=lambda x, y: y - x,
+                           G=lambda t, x, y: (1.0 + 0.5 * np.tanh(x - y))[..., None])
+        y = 0.5
+        ra = regime_averages(sys1, Regime.R1, 0.0, [y], FAST_BUDGETS,
+                             seed=2, want_drift=False)
+        dt = FAST_BUDGETS.invariant_dt
+        sd = math.sqrt(2.0 * dt / (1.0 - (1.0 - dt) ** 2))
+        nodes, weights = np.polynomial.hermite_e.hermegauss(60)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        g2 = (1.0 + 0.5 * np.tanh(sd * nodes)) ** 2
+        exact = float(weights @ g2)
+        assert ra.cov.shape == ra.cov_se.shape == (1, 1)
+        assert abs(ra.cov[0, 0] - exact) <= 3.0 * ra.cov_se[0, 0]
+        # G^2 is near linear in x over the law, so its error is about its
+        # spread over the root of the cloud's ESS (0.87 to 1.03 of it over
+        # 60 seeds)
+        spread = math.sqrt(float(weights @ (g2 - exact) ** 2))
+        ratio = ra.cov_se[0, 0] / (spread / math.sqrt(ra.diagnostics["ess"]))
+        assert 0.5 <= ratio <= 2.0
+        assert ra.ghat[0, 0] == pytest.approx(math.sqrt(ra.cov[0, 0]), rel=1e-12)
+
     def test_augmented_diffusion_oracle(self):
         sys1 = make_system(H=lambda t, x, y: x)
         ra = regime_averages(sys1, Regime.R3, 0.0, [0.0], GOOD_BUDGETS,
@@ -340,6 +366,21 @@ class TestCellStore:
             got = field.eval_batch(0.0, batch)
             assert np.array_equal(got, _reference_rows(policy, 9, True, 0.0, batch))
         assert len(calls) == field.n_cells
+
+
+def test_three_fast_coordinates_are_refused_by_the_node_limit():
+    # above d1 = 2 the cells' grid keeps grid_points per axis, at most 25,
+    # so the default 21 refines to 41^3 nodes, past the dense solve's limit
+    system = CoupledSystem(
+        d1=3, d2=1, b=lambda x, y: -x, sigma=lambda x, y: RT2 * np.eye(3),
+        c=lambda x, y: np.zeros(x.shape[:-1] + (1,)),
+        F=lambda t, x, y: np.zeros(x.shape[:-1] + (1,)),
+        H=lambda t, x, y: x[..., :1], G=lambda t, x, y: np.eye(1), autonomous=True)
+    budgets = Budgets(invariant_samples=2000, invariant_burn_in=2.0)
+    with pytest.raises(NotImplementedError, match=r"refined grid has 68921 nodes "
+                                                  r"\(d1 = 3\), above the dense"):
+        regime_averages(system, Regime.R3, 0.0, [0.0], budgets, seed=1,
+                        want_drift=False)
 
 
 class TestZeroWeightSolves:

@@ -550,7 +550,7 @@ PUBLIC_PARAMETERS = {
                          "recurrence_plausible", "ac_max", "ac_plausible"),
     "classify_regime": ("schedule",),
     "validate_assumptions": ("system", "lam", "sample_budget", "radius", "seed",
-                             "eps", "t_probe"),
+                             "eps"),
     "get_system": ("name",),
     "register_system": ("name", "system"),
     "EnsembleResult": ("terminal_slow", "terminal_fast", "snapshot_times",
@@ -569,8 +569,7 @@ PUBLIC_PARAMETERS = {
     "centering_residual": ("f", "mu", "t"),
     "sample_invariant_measure": ("system", "y", "burn_in", "n_samples", "thinning",
                                  "dt", "seed", "blowup_cap"),
-    "CorrectorField": ("query", "values", "coarse", "grad_x", "grad_y",
-                       "coarse_grad_y"),
+    "CorrectorField": ("query", "values", "coarse", "grad_y", "coarse_grad_y"),
     "CorrectorQuery": ("t", "y", "grid_axes", "T_max", "n_paths", "dt"),
     "OuterProductResult": ("matrix", "se", "antisym_norm"),
     "gradients": ("field",),
